@@ -102,62 +102,52 @@ def find_coincidences(tags_a: TagStream, tags_b: TagStream,
         raise ValueError("tick resolution mismatch between streams")
     half = window.half_width_ticks(tags_a.tick_seconds)
     ta, tb = tags_a.ticks, tags_b.ticks
-    na, nb = ta.size, tb.size
-    if na == 0 or nb == 0:
-        e = np.empty(0, dtype=np.int64)
+    na = ta.size
+    e = np.empty(0, dtype=np.int64)
+    if na == 0 or tb.size == 0:
         return Matches(tags_a, tags_b, e, e)
 
-    # Merge both streams in time order; segment where consecutive gaps
-    # exceed the half window (sum of in-between gaps bounds any pair
-    # separation, so matches never cross a segment boundary).
+    # Merge both streams in time order.  A match needs a chain of
+    # consecutive gaps of at most the half window between its tags, so
+    # only runs of such "close" links can hold matches; they are a small
+    # share of the tags at realistic rates.
     t_all = np.concatenate([ta, tb])
-    side = np.concatenate([np.zeros(na, np.int8), np.ones(nb, np.int8)])
-    local = np.concatenate([np.arange(na), np.arange(nb)])
-    order = np.lexsort((side, t_all))
-    t_all, side, local = t_all[order], side[order], local[order]
-
-    gaps = np.diff(t_all)
-    seg_starts = np.concatenate(([0], np.nonzero(gaps > half)[0] + 1))
-    seg_ends = np.concatenate((seg_starts[1:], [t_all.size]))
-
-    seg_len = seg_ends - seg_starts
-    n_a_in_seg = np.add.reduceat((side == 0).astype(np.int64), seg_starts)
+    order = np.argsort(t_all, kind="stable")   # two sorted runs; ties put Alice first
+    t_all = t_all[order]
+    close = np.flatnonzero(np.diff(t_all) <= half)   # link k joins tags k and k + 1
+    if close.size == 0:
+        return Matches(tags_a, tags_b, e, e)
+    brk = np.flatnonzero(np.diff(close) != 1) + 1
+    first = close[np.concatenate(([0], brk))]
+    last = close[np.concatenate((brk - 1, [close.size - 1]))] + 1
 
     out_a: list[np.ndarray] = []
     out_b: list[np.ndarray] = []
 
-    # Segments with exactly one tag per side match directly.
-    simple = (seg_len == 2) & (n_a_in_seg == 1)
-    if simple.any():
-        starts = seg_starts[simple]
-        first_is_a = side[starts] == 0
-        a_pos = np.where(first_is_a, starts, starts + 1)
-        b_pos = np.where(first_is_a, starts + 1, starts)
-        out_a.append(local[a_pos])
-        out_b.append(local[b_pos])
+    # Runs of one link with one tag per side match directly.
+    single = last - first == 1
+    early, late = order[first[single]], order[first[single] + 1]
+    mixed = (early < na) != (late < na)
+    early, late = early[mixed], late[mixed]
+    a_first = early < na
+    out_a.append(np.where(a_first, early, late))
+    out_b.append(np.where(a_first, late, early) - na)
 
-    # Larger mixed segments fall back to the explicit greedy walk.
-    complex_idx = np.nonzero((seg_len > 2) & (n_a_in_seg > 0)
-                             & (n_a_in_seg < seg_len))[0]
-    for k in complex_idx:
-        lo, hi = seg_starts[k], seg_ends[k]
-        s = side[lo:hi]
-        loc = local[lo:hi]
-        ia = loc[s == 0]
-        ib = loc[s == 1]
-        sub_a, sub_b = _greedy_two_pointer(ta[ia], tb[ib], half)
-        if sub_a:
-            out_a.append(ia[np.asarray(sub_a)])
-            out_b.append(ib[np.asarray(sub_b)])
+    # Longer runs fall back to the explicit greedy walk.
+    for lo, hi in zip(first[~single].tolist(), last[~single].tolist()):
+        seg = order[lo:hi + 1]
+        ia = seg[seg < na]
+        ib = seg[seg >= na] - na
+        if ia.size and ib.size:
+            sub_a, sub_b = _greedy_two_pointer(ta[ia], tb[ib], half)
+            if sub_a:
+                out_a.append(ia[np.asarray(sub_a)])
+                out_b.append(ib[np.asarray(sub_b)])
 
-    if out_a:
-        idx_a = np.concatenate(out_a)
-        idx_b = np.concatenate(out_b)
-        order = np.argsort(idx_a, kind="stable")
-        idx_a, idx_b = idx_a[order], idx_b[order]
-    else:
-        idx_a = idx_b = np.empty(0, dtype=np.int64)
-    return Matches(tags_a, tags_b, idx_a, idx_b)
+    idx_a = np.concatenate(out_a)
+    idx_b = np.concatenate(out_b)
+    order = np.argsort(idx_a, kind="stable")
+    return Matches(tags_a, tags_b, idx_a[order], idx_b[order])
 
 
 @dataclass

@@ -150,6 +150,28 @@ class TagStream:
         return len(self) / self.duration if self.duration > 0 else 0.0
 
 
+def _tie_order(ticks: np.ndarray, *keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reorder the groups of equal ticks of a non-decreasing tick array.
+
+    Sorting stably by ``keys`` (most significant first) inside every
+    group of equal ticks moves the element at position ``src[i]`` to
+    position ``pos[i]``; only the elements that move are returned, so
+    ``a[pos] = a[src]`` applies the order.  Equal ticks are rare at
+    realistic rates, which makes this much cheaper than a full lexsort.
+    """
+    tie = ticks[1:] == ticks[:-1]
+    if not tie.any():
+        none = np.empty(0, dtype=np.intp)
+        return none, none
+    grouped = np.zeros(ticks.size, dtype=bool)
+    grouped[1:] = tie
+    grouped[:-1] |= tie
+    pos = np.flatnonzero(grouped)
+    src = pos[np.lexsort([k[pos] for k in reversed(keys)] + [ticks[pos]])]
+    moved = src != pos
+    return pos[moved], src[moved]
+
+
 class Survival(NamedTuple):
     """Per-photon survival flags after transmission losses."""
 
@@ -242,26 +264,49 @@ def measure_single_outcomes(n: int, rng) -> np.ndarray:
 def _dead_time_filter(times: np.ndarray, dead: float) -> np.ndarray:
     """Boolean keep-mask for a non-paralyzable dead-time filter.
 
-    An event is kept iff it is strictly later than the last kept event
-    plus ``dead``.  Vectorized fixed-point iteration: per pass, among
-    events violating the spacing to their current predecessor, exactly
-    the first of each violating run is provably dead and dropped.
+    ``times`` must be non-decreasing.  An event is kept iff it is
+    strictly later than the last kept event plus ``dead``.  Gaps larger
+    than ``dead`` split the times into clusters: the first event of
+    every cluster is kept and the second is dropped.  Clusters of three
+    or more events are walked with ``searchsorted``, all at once, one
+    kept event per step, so a burst costs O(n + kept · log n) rather
+    than quadratic time.
     """
     n = times.size
-    keep = np.ones(n, dtype=bool)
     if n < 2 or dead < 0:
-        return keep
-    idx = np.arange(n)
-    while True:
-        alive = idx[keep]
-        if alive.size < 2:
-            return keep
-        t = times[alive]
-        bad = ~(t[1:] > t[:-1] + dead)
-        if not bad.any():
-            return keep
-        first_of_run = bad & np.concatenate(([True], ~bad[:-1]))
-        keep[alive[1:][first_of_run]] = False
+        return np.ones(n, dtype=bool)
+    keep = np.empty(n, dtype=bool)
+    keep[0] = True
+    np.greater(times[1:], times[:-1] + dead, out=keep[1:])
+    first = np.flatnonzero(keep)
+    end = np.append(first[1:], n)
+    longer = end - first > 2
+    cur, end = first[longer], end[longer]
+    while cur.size:
+        cur = np.searchsorted(times, times[cur] + dead, side="right")
+        inside = cur < end
+        cur, end = cur[inside], end[inside]
+        keep[cur] = True
+    return keep
+
+
+def _port_dead_time_filter(times: np.ndarray, port: np.ndarray, dead: float,
+                           ports: int) -> np.ndarray:
+    """Keep-mask of one dead-time filter per port.
+
+    ``times`` must be non-decreasing and ``port`` holds int8 labels in
+    ``range(ports)``.  A stable sort by port groups each port's events,
+    still in time order, into one slice for :func:`_dead_time_filter`.
+    """
+    by_port = np.argsort(port, kind="stable")
+    t = times[by_port]
+    edges = np.cumsum(np.bincount(port, minlength=ports))
+    keep = np.empty(times.size, dtype=bool)
+    keep[by_port] = np.concatenate([
+        _dead_time_filter(t[lo:hi], dead)
+        for lo, hi in zip(np.concatenate(([0], edges[:-1])), edges)
+    ])
+    return keep
 
 
 def detect(
@@ -291,6 +336,8 @@ def detect(
         raise ValueError("arrival_times must be sorted")
     if arrival_times.shape != outcome_bits.shape:
         raise ValueError("arrival_times and outcome_bits must match in length")
+    if outcome_bits.size and (outcome_bits.min() < 0 or outcome_bits.max() > 1):
+        raise ValueError("outcome_bits must be 0 or 1")
     if duration <= 0:
         raise ValueError(f"duration must be > 0, got {duration}")
     rng = _rng(seed)
@@ -312,22 +359,23 @@ def detect(
     order = np.argsort(t, kind="stable")
     t, bits, dark = t[order], bits[order], dark[order]
 
-    keep = np.ones(t.size, dtype=bool)
-    for b in (0, 1):
-        sel = bits == b
-        keep[sel] = _dead_time_filter(t[sel], config.dead_time)
+    keep = _port_dead_time_filter(t, bits, config.dead_time, 2)
     t, bits, dark = t[keep], bits[keep], dark[keep]
 
+    # Rounding keeps the time order, so the ticks are non-decreasing and
+    # only tags of the two detectors that share a tick may be out of
+    # canonical (tick, detector_id) order.
     ticks = np.rint(t / config.tick).astype(np.int64)
+    det = np.where(bits == 0, detector_ids[0], detector_ids[1]).astype(np.int32)
+    pos, src = _tie_order(ticks, det)
+    bits[pos], dark[pos], det[pos] = bits[src], dark[src], det[src]
     o0, o1 = BASIS_OUTCOMES[basis]
     outcomes = np.where(bits == 0, np.int8(o0.value), np.int8(o1.value))
-    det = np.where(bits == 0, detector_ids[0], detector_ids[1]).astype(np.int32)
-    stream = TagStream(
+    return TagStream(
         ticks, outcomes, det,
         np.full(t.size, channel_index, dtype=np.int32), dark,
         config.tick, duration,
     )
-    return stream.sorted()
 
 
 def merge_detectors(
@@ -338,30 +386,16 @@ def merge_detectors(
 ) -> TagStream:
     """Merge two detector streams into one effective detector.
 
-    The streams are merge-sorted; walking the result, an event is kept
+    Walking the union in (tick, detector_id) order, an event is kept
     only if it is strictly later than the last kept event plus the
-    global dead time.  Simultaneous events keep the first in
-    (tick, detector_id) order and drop the rest.  The output carries a
-    single detector id and behaves as one detector's stream.
+    global dead time, so simultaneous events keep the first and drop
+    the rest.  The output carries a single detector id and behaves as
+    one detector's stream.  ``_merge_streams`` is the k-way form.
     """
     for s in (tags_a, tags_b):
         if not s.is_sorted():
             raise ValueError("input tag streams must be sorted")
-    if tags_a.tick_seconds != tags_b.tick_seconds:
-        raise ValueError("tick resolution mismatch between streams")
-    tick_s = tags_a.tick_seconds
-    merged = TagStream(
-        np.concatenate([tags_a.ticks, tags_b.ticks]),
-        np.concatenate([tags_a.outcomes, tags_b.outcomes]),
-        np.concatenate([tags_a.detector_ids, tags_b.detector_ids]),
-        np.concatenate([tags_a.channel_indices, tags_b.channel_indices]),
-        np.concatenate([tags_a.dark, tags_b.dark]),
-        tick_s,
-        max(tags_a.duration, tags_b.duration),
-    ).sorted()
-    dead_ticks = global_dead_time / tick_s
-    keep = _dead_time_filter(merged.ticks.astype(np.float64), dead_ticks)
-    out = merged.take(keep)
+    out = _merge_streams([tags_a, tags_b], global_dead_time, ports=1)
     if merged_detector_id is None and len(out):
         merged_detector_id = int(out.detector_ids.min())
     if merged_detector_id is not None:
@@ -369,20 +403,52 @@ def merge_detectors(
     return out
 
 
-def concatenate_streams(streams: list[TagStream]) -> TagStream:
-    """Union of several tag streams, re-sorted canonically."""
+def _merge_streams(streams: list[TagStream], global_dead_time: float,
+                   ports: int) -> TagStream:
+    """Merge k streams into one effective detector per output port.
+
+    Tags whose detector ids are equal modulo ``ports`` belong to the
+    same port.  All tags are ordered once by (tick, port, detector_id),
+    and every port then passes one non-paralyzable dead-time filter
+    with ``global_dead_time``: a tag survives iff it is strictly later
+    than every kept tag of its port plus the dead time, whichever
+    stream either came from.  The output keeps the original detector
+    ids, in that order; callers relabel them.
+    """
+    union = _union(streams)
+    port = (union.detector_ids % ports).astype(np.int8)
+    # The input is a few sorted runs, which a stable sort merges cheaply;
+    # only equal ticks still need the (port, detector_id) order.
+    order = np.argsort(union.ticks, kind="stable")
+    t = union.ticks[order]
+    port_t = port[order]
+    pos, src = _tie_order(t, port_t, union.detector_ids[order])
+    order[pos], port_t[pos] = order[src], port_t[src]
+    keep = _port_dead_time_filter(t.astype(np.float64), port_t,
+                                  global_dead_time / union.tick_seconds, ports)
+    return union.take(order[keep])
+
+
+def _union(streams: list[TagStream]) -> TagStream:
+    """All tags of several streams, in no particular order."""
     if not streams:
         raise ValueError("no streams to concatenate")
     tick_s = streams[0].tick_seconds
-    dur = max(s.duration for s in streams)
+    if any(s.tick_seconds != tick_s for s in streams):
+        raise ValueError("tick resolution mismatch between streams")
     return TagStream(
         np.concatenate([s.ticks for s in streams]),
         np.concatenate([s.outcomes for s in streams]),
         np.concatenate([s.detector_ids for s in streams]),
         np.concatenate([s.channel_indices for s in streams]),
         np.concatenate([s.dark for s in streams]),
-        tick_s, dur,
-    ).sorted()
+        tick_s, max(s.duration for s in streams),
+    )
+
+
+def concatenate_streams(streams: list[TagStream]) -> TagStream:
+    """Union of several tag streams, re-sorted canonically."""
+    return _union(streams).sorted()
 
 
 TAG_CSV_COLUMNS = ("detector_id", "tick_time", "outcome", "channel_index")

@@ -312,15 +312,24 @@ def predict_point(config: RunConfig, loss_db: float, scale: float) -> dict[str, 
 # Row assembly and statistics
 
 
+def _weighted_qber(parts) -> float:
+    """Coincidence-weighted mean of (qber, count) parts.
+
+    Parts without counts carry a NaN QBER and no weight, so they are
+    left out; the mean is NaN only when no part has counts.
+    """
+    parts = [(q, n) for q, n in parts if n]
+    total = sum(n for _, n in parts)
+    return sum(q * n for q, n in parts) / total if total else float("nan")
+
+
 def _pipeline_row(result: PipelineResult | None, f_ec: float) -> dict:
     if result is None:
         return {}
     r = result.to_channel_result(f_ec)
-    total = r.cc_hv + r.cc_da
-    q = ((r.qber_hv * r.cc_hv + r.qber_da * r.cc_da) / total) if total else float("nan")
     return {
-        "cc_mc": total,
-        "qber_mc": q,
+        "cc_mc": r.cc_hv + r.cc_da,
+        "qber_mc": _weighted_qber([(r.qber_hv, r.cc_hv), (r.qber_da, r.cc_da)]),
         "key_rate_bps_mc": r.secure_key_rate,
         "singles_alice_mc": r.singles_alice,
         "singles_bob_mc": r.singles_bob,
@@ -487,10 +496,9 @@ def _fig3b_point(config: RunConfig, loss: float, warnings: list[str]) -> list[di
         sum_row.update({"cc_an": cc_an, "qber_an": q_an, "key_rate_bps_an": key_an})
     if mc is not None:
         parts = [_pipeline_row(mc.channels[int(l[2:])], config.f_ec) for l in labels]
-        cc = sum(p["cc_mc"] for p in parts)
         sum_row.update({
-            "cc_mc": cc,
-            "qber_mc": sum(p["qber_mc"] * p["cc_mc"] for p in parts) / cc if cc else float("nan"),
+            "cc_mc": sum(p["cc_mc"] for p in parts),
+            "qber_mc": _weighted_qber([(p["qber_mc"], p["cc_mc"]) for p in parts]),
             "key_rate_bps_mc": sum(p["key_rate_bps_mc"] for p in parts),
         })
     rows.append(sum_row)
@@ -512,6 +520,7 @@ def run_fig3d(config: RunConfig, out_dir: str) -> dict:
     """
     cal = FROZEN_CALIBRATION
     scaling_rows = []
+    bandwidth_rows = []
     for loss in config.fig3d_loss_grid_db:
         base = fig3d_model(cal, loss_db=loss)
         opt = optimize_pair_rate(base)
@@ -521,12 +530,6 @@ def run_fig3d(config: RunConfig, out_dir: str) -> dict:
                 "n": int(n), "loss_db": float(loss), "qber": res.qber,
                 "key_rate_bps": n * res.key_rate_per_channel,
             })
-
-    bandwidth_rows = []
-    for loss in config.fig3d_loss_grid_db:
-        base = fig3d_model(cal, loss_db=loss)
-        opt = optimize_pair_rate(base)
-        res = analytic_rates(replace(base, pair_rate_in_band=opt.pair_rate))
         bandwidth_rows.append({
             "bandwidth_ghz": calib.FIG3D_REFERENCE_BANDWIDTH_GHZ,
             "loss_db": float(loss), "qber": res.qber,
@@ -535,10 +538,10 @@ def run_fig3d(config: RunConfig, out_dir: str) -> dict:
         })
         for bw in config.fig3d_bandwidths_ghz:
             m = fig3d_model(cal, loss_db=loss, bandwidth_ghz=bw)
-            res = analytic_rates(m)
+            broad = analytic_rates(m)
             bandwidth_rows.append({
                 "bandwidth_ghz": float(bw), "loss_db": float(loss),
-                "qber": res.qber, "key_rate_bps": res.key_rate_per_channel,
+                "qber": broad.qber, "key_rate_bps": broad.key_rate_per_channel,
                 "pair_rate_per_channel": m.pair_rate_in_band, "optimized": False,
             })
 

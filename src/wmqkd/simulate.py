@@ -23,9 +23,8 @@ import numpy as np
 from .channels import ChannelPlan
 from .coincidence import (CoincidenceWindow, CountsMatrix, accidental_estimate,
                           find_coincidences, tabulate)
-from .detection import (Basis, DetectorConfig, TagStream, concatenate_streams,
-                        detect, measure_pair_outcomes, measure_single_outcomes,
-                        merge_detectors)
+from .detection import (Basis, DetectorConfig, TagStream, _merge_streams, detect,
+                        measure_pair_outcomes, measure_single_outcomes)
 from .keyrate import ChannelResult, channel_result
 from .source import SourceConfig, _rng, band_fraction, child_seed
 
@@ -281,15 +280,11 @@ def simulate_point(
 def _merge_side(streams: list[TagStream], dead: float, id_base: int) -> TagStream:
     """Merge corresponding detector ports across channels on one side.
 
-    Port 0 tags of all channels become one effective detector, port 1
-    tags another; the side's stream is their sorted union.
+    Port 0 tags of all channels become one effective detector with id
+    ``id_base``, port 1 tags another with id ``id_base + 1``; each sees
+    one dead time ``dead`` across all channels, as a single physical
+    detector would.  The side's stream is their canonically sorted union.
     """
-    ports = []
-    for port in (0, 1):
-        port_streams = [s.take((s.detector_ids % 2) == port) for s in streams]
-        merged = port_streams[0]
-        for nxt in port_streams[1:]:
-            merged = merge_detectors(merged, nxt, dead,
-                                     merged_detector_id=id_base + port)
-        ports.append(merged)
-    return concatenate_streams(ports)
+    out = _merge_streams(streams, dead, ports=2)
+    out.detector_ids = (id_base + out.detector_ids % 2).astype(np.int32)
+    return out
