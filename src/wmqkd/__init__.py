@@ -21,9 +21,9 @@ from .detection import (Basis, DetectorConfig, Outcome, TagStream, TimeTag,
 from .coincidence import (CoincidenceWindow, CountsMatrix, Matches,
                           accidental_estimate, find_coincidences, tabulate)
 from .keyrate import (AnalyticLinkModel, AnalyticRates, KeyRateReport,
-                      analytic_rates, binary_entropy, optimize_pair_rate,
-                      qber, qber_threshold, scaling_curve, secure_key,
-                      visibility)
+                      analytic_rate_arrays, analytic_rates, binary_entropy,
+                      optimize_pair_rate, optimize_pair_rates, qber,
+                      qber_threshold, scaling_curve, secure_key, visibility)
 from .simulate import PointResult, simulate_point
 
 __version__ = "0.1.0"

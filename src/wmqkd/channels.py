@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -138,19 +139,6 @@ def energy_mismatches(plan: ChannelPlan) -> np.ndarray:
     )
 
 
-def frequency_sum_offsets(plan: ChannelPlan) -> np.ndarray:
-    """Per-pair offset of nu_signal + nu_idler from 2 * nu_center (Hz).
-
-    Diagnostic for checking pairings in frequency space; small residuals
-    remain even for wavelength-matched pairs because the anticorrelation
-    model is linearized in wavelength.
-    """
-    nu0 = C_NM_HZ / plan.spdc_center
-    return np.array(
-        [C_NM_HZ / s.center + C_NM_HZ / i.center - 2.0 * nu0 for s, i in plan.pairs]
-    )
-
-
 # Measured channel wavelengths (nm).  As labeled by the hardware, signal
 # channel 1 (798.80) was listed with idler channel 1 (820.77), but the
 # frequency-sum check pairs 798.80 with 821.31 and 799.32 with 820.77;
@@ -232,6 +220,49 @@ def table1_labeling_report() -> dict:
     }
 
 
+class GridTiling(NamedTuple):
+    """Band arithmetic of a uniform frequency grid over a wavelength window.
+
+    Band ``k`` spans ``[nu_lo + k * spacing, nu_lo + (k + 1) * spacing]``
+    in frequency and reflects about the snapped mirror point onto band
+    ``mirror - 1 - k``.
+    """
+
+    nu_lo: float
+    n_bands: int
+    mirror: int
+
+    @property
+    def signal_bands(self) -> range:
+        """Bands ``k`` paired with a lower band ``mirror - 1 - k`` (that
+        is, ``0 <= mirror - 1 - k < k``), ascending; one per pair."""
+        return range((self.mirror - 1) // 2 + 1, min(self.mirror, self.n_bands))
+
+
+def grid_tiling(window_low: float, window_high: float, channel_spacing: float,
+                spdc_center: float | None = None) -> GridTiling:
+    """Tile ``[c/window_high, c/window_low]`` with bands of width
+    ``channel_spacing`` (Hz) and snap the mirror point; see
+    :func:`build_grid_plan`."""
+    if not window_low < window_high:
+        raise ValueError("window_low must be < window_high")
+    if channel_spacing <= 0:
+        raise ValueError("channel_spacing must be > 0")
+    nu_lo = C_NM_HZ / window_high
+    nu_hi = C_NM_HZ / window_low
+    n_bands = int(np.floor((nu_hi - nu_lo) / channel_spacing))
+    if spdc_center is None:
+        nu0 = 0.5 * (nu_lo + nu_hi)
+    else:
+        if not window_low < spdc_center < window_high:
+            raise ValueError("spdc_center must lie inside the window")
+        nu0 = C_NM_HZ / spdc_center
+    # Snap the mirror point onto the half-spacing grid: band k then
+    # reflects exactly onto band m - 1 - k.
+    m = int(np.rint(2.0 * (nu0 - nu_lo) / channel_spacing))
+    return GridTiling(nu_lo, n_bands, m)
+
+
 def build_grid_plan(
     window_low: float,
     window_high: float,
@@ -262,10 +293,8 @@ def build_grid_plan(
     (plan, counts)
         ``plan`` holds only the paired bands; ``counts`` reports
         ``total_bands``, ``paired_channels`` and ``unpaired_bands``
-        from the tiling arithmetic.
+        from the tiling arithmetic (:func:`grid_tiling`).
     """
-    if not window_low < window_high:
-        raise ValueError("window_low must be < window_high")
     if channel_bandwidth <= 0:
         raise ValueError("channel_bandwidth must be > 0")
     if channel_spacing < channel_bandwidth:
@@ -273,22 +302,11 @@ def build_grid_plan(
             f"channel_spacing ({channel_spacing:g} Hz) must be >= "
             f"channel_bandwidth ({channel_bandwidth:g} Hz)"
         )
-    nu_lo = C_NM_HZ / window_high
-    nu_hi = C_NM_HZ / window_low
-    n_bands = int(np.floor((nu_hi - nu_lo) / channel_spacing))
+    tiling = grid_tiling(window_low, window_high, channel_spacing, spdc_center)
+    nu_lo, n_bands, m = tiling
     # Shared band edges: band k spans [edge_k, edge_{k+1}] in frequency,
     # so wavelength passbands touch without overlapping.
     edges = nu_lo + channel_spacing * np.arange(n_bands + 1)
-
-    if spdc_center is None:
-        nu0 = 0.5 * (nu_lo + nu_hi)
-    else:
-        if not window_low < spdc_center < window_high:
-            raise ValueError("spdc_center must lie inside the window")
-        nu0 = C_NM_HZ / spdc_center
-    # Snap the mirror point onto the half-spacing grid: band k then
-    # reflects exactly onto band m - 1 - k.
-    m = int(np.rint(2.0 * (nu0 - nu_lo) / channel_spacing))
     nu0_snap = nu_lo + 0.5 * channel_spacing * m
 
     # Passbands of width channel_bandwidth centered in their slots,
@@ -304,15 +322,10 @@ def build_grid_plan(
             diffraction_efficiency,
         )
 
-    pairs = []
-    k_pair = 1
-    bw_frac = channel_bandwidth / channel_spacing
-    for k in range(n_bands):
-        partner = m - 1 - k
-        if 0 <= partner < k:
-            pairs.append((make_channel(SIGNAL, k_pair, k),
-                          make_channel(IDLER, k_pair, partner)))
-            k_pair += 1
+    pairs = [
+        (make_channel(SIGNAL, k_pair, k), make_channel(IDLER, k_pair, m - 1 - k))
+        for k_pair, k in enumerate(tiling.signal_bands, start=1)
+    ]
 
     center_nm = C_NM_HZ / nu0_snap
     # Wavelength-sum residuals of frequency-mirrored pairs grow as
@@ -328,7 +341,7 @@ def build_grid_plan(
         "total_bands": n_bands,
         "paired_channels": len(pairs),
         "unpaired_bands": n_bands - 2 * len(pairs),
-        "bandwidth_fill_fraction": bw_frac,
+        "bandwidth_fill_fraction": channel_bandwidth / channel_spacing,
     }
     return plan, counts
 

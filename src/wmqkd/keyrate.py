@@ -11,6 +11,7 @@ clamped to zero; ``f`` is the bidirectional error-correction efficiency
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import math
 from dataclasses import dataclass, field, replace
@@ -80,12 +81,17 @@ def secure_key(counts_hv: CountsMatrix, counts_da: CountsMatrix,
     return bits
 
 
-def secure_key_from_rates(cc_rate: float, q: float, f_ec: float = DEFAULT_F_EC) -> float:
+def secure_key_from_rates(cc_rate, q, f_ec: float = DEFAULT_F_EC):
     """Per-second secure key for a coincidence rate split evenly over the
-    two bases, both at QBER ``q``."""
-    if cc_rate <= 0.0:
-        return 0.0
-    return max(0.0, cc_rate * 0.5 * (1.0 - (1.0 + f_ec) * binary_entropy(q)))
+    two bases, both at QBER ``q``.
+
+    Scalars give a float; arrays broadcast and give an array.  A rate
+    that is not positive, or a negative (or NaN) key, gives 0.
+    """
+    rate = np.asarray(cc_rate, dtype=np.float64)
+    key = rate * 0.5 * (1.0 - (1.0 + f_ec) * binary_entropy(q))
+    out = np.where((rate > 0.0) & (key > 0.0), key, 0.0)
+    return out if out.ndim else float(out)
 
 
 def qber_threshold(f_ec: float = DEFAULT_F_EC, tol: float = 1e-6) -> float:
@@ -176,6 +182,45 @@ class AnalyticRates:
     key_rate_total: float
 
 
+def analytic_rate_arrays(pair_rate_in_band, transmittance_alice,
+                         transmittance_bob, dark_rate_alice, dark_rate_bob,
+                         t_c, q_sys, n_channels, f_ec,
+                         window_efficiency) -> AnalyticRates:
+    """Array form of :func:`analytic_rates`.
+
+    Takes the fields of :class:`AnalyticLinkModel` as numbers or arrays
+    (unvalidated) that broadcast against each other, for example from
+    :func:`model_fields`; every field of the result is an array of the
+    broadcast shape.  The arithmetic is that of the link model operation
+    for operation, so each element equals a scalar evaluation exactly.
+    """
+    b = np.asarray(pair_rate_in_band, dtype=np.float64)
+    s_a = b * transmittance_alice + dark_rate_alice
+    s_b = b * transmittance_bob + dark_rate_bob
+    cc_true = b * transmittance_alice * transmittance_bob * window_efficiency
+    cc_acc = s_a * s_b * t_c
+    total = cc_true + cc_acc
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = np.where(total > 0, (q_sys * cc_true + 0.5 * cc_acc) / total, np.nan)
+    per_channel = secure_key_from_rates(total, q, f_ec)
+    return AnalyticRates(
+        cc_true=cc_true,
+        cc_accidental=cc_acc,
+        singles_alice=s_a,
+        singles_bob=s_b,
+        qber=q,
+        key_rate_per_channel=per_channel,
+        key_rate_total=n_channels * per_channel,
+    )
+
+
+def model_fields(models) -> dict[str, np.ndarray]:
+    """Each field of the models as one float64 array over the models,
+    keyed as :func:`analytic_rate_arrays` takes them."""
+    return {f.name: np.array([getattr(m, f.name) for m in models], dtype=np.float64)
+            for f in dataclasses.fields(AnalyticLinkModel)}
+
+
 def analytic_rates(model: AnalyticLinkModel) -> AnalyticRates:
     """Evaluate the analytic link model for one channel and scale by n.
 
@@ -185,24 +230,8 @@ def analytic_rates(model: AnalyticLinkModel) -> AnalyticRates:
     with the 50% error rate of accidentals; the key applies the secure
     key formula with counts split evenly across the two bases.
     """
-    b = model.pair_rate_in_band
-    s_a = b * model.transmittance_alice + model.dark_rate_alice
-    s_b = b * model.transmittance_bob + model.dark_rate_bob
-    cc_true = b * model.transmittance_alice * model.transmittance_bob \
-        * model.window_efficiency
-    cc_acc = s_a * s_b * model.t_c
-    total = cc_true + cc_acc
-    q = (model.q_sys * cc_true + 0.5 * cc_acc) / total if total > 0 else float("nan")
-    per_channel = secure_key_from_rates(total, q, model.f_ec) if total > 0 else 0.0
-    return AnalyticRates(
-        cc_true=cc_true,
-        cc_accidental=cc_acc,
-        singles_alice=s_a,
-        singles_bob=s_b,
-        qber=q,
-        key_rate_per_channel=per_channel,
-        key_rate_total=model.n_channels * per_channel,
-    )
+    rates = analytic_rate_arrays(**vars(model))
+    return AnalyticRates(**{k: float(v) for k, v in vars(rates).items()})
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -218,56 +247,97 @@ class PairRateOptimum:
     warning: str | None = None
 
 
+_NO_INTERIOR = "no interior optimum on the bracket; returning best sample"
+
+
+def _pow10(log_b: np.ndarray) -> np.ndarray:
+    # Python's ``10.0 ** x`` per element: np.power differs from it in
+    # the last bit at some grid points.
+    return np.array([10.0 ** x for x in log_b.ravel().tolist()]).reshape(log_b.shape)
+
+
+def optimize_pair_rates(
+    models,
+    bracket: tuple[float, float] = (1e2, 1e12),
+    n_grid: int = 121,
+    tol: float = 1e-3,
+) -> list[PairRateOptimum]:
+    """Maximize each model's aggregate key rate over its in-band pair rate.
+
+    Scans a log-spaced grid over ``bracket`` to locate each model's best
+    sample, then refines with golden-section search in log space.  When
+    the best grid sample sits on the bracket edge (no interior optimum,
+    e.g. no accidental penalty), the edge sample is returned with a
+    warning.  All models are solved together: the scan is one
+    (grid, model) array and each golden-section step is one array step,
+    masked per model.  The arithmetic is elementwise, so each result is
+    exactly what the same search on that model alone gives.
+    """
+    lo, hi = bracket
+    if not 0 < lo < hi:
+        raise ValueError("bracket must satisfy 0 < lo < hi")
+    cols = model_fields(models)
+    del cols["pair_rate_in_band"]
+
+    def rate_at(log_b: np.ndarray) -> np.ndarray:
+        return analytic_rate_arrays(_pow10(log_b), **cols).key_rate_total
+
+    grid = np.linspace(math.log10(lo), math.log10(hi), n_grid)
+    # One row per grid point, one column per model.
+    vals = analytic_rate_arrays(_pow10(grid)[:, None], **cols).key_rate_total
+    k = np.argmax(vals, axis=0)
+    interior = (k > 0) & (k < n_grid - 1)
+    # Edge models get clipped, unused brackets and stay inactive.
+    a = grid.take(k - 1, mode="clip")
+    b = grid.take(k + 1, mode="clip")
+    c = b - _GOLDEN * (b - a)
+    d = a + _GOLDEN * (b - a)
+    fc, fd = rate_at(c), rate_at(d)
+    active = interior & (b - a > tol)
+    while active.any():
+        left = fc >= fd
+        # Left: b, d, fd = d, c, fc and a new c.  Right: a, c, fc = c, d,
+        # fd and a new d.  Inactive models keep every value.
+        a_new = np.where(left, a, c)
+        b_new = np.where(left, d, b)
+        x = np.where(left, b_new - _GOLDEN * (b_new - a_new),
+                     a_new + _GOLDEN * (b_new - a_new))
+        fx = rate_at(x)
+        c_new = np.where(left, x, d)
+        d_new = np.where(left, c, x)
+        fc_new = np.where(left, fx, fd)
+        fd_new = np.where(left, fc, fx)
+        a = np.where(active, a_new, a)
+        b = np.where(active, b_new, b)
+        c = np.where(active, c_new, c)
+        d = np.where(active, d_new, d)
+        fc = np.where(active, fc_new, fc)
+        fd = np.where(active, fd_new, fd)
+        active &= b - a > tol
+    log_opt = 0.5 * (a + b)
+    best = _pow10(log_opt)
+    f_best = rate_at(log_opt)
+    edge = _pow10(grid[k])
+    f_edge = vals[k, np.arange(len(models))]
+    return [
+        PairRateOptimum(pair_rate=float(best[i]), key_rate_total=float(f_best[i]),
+                        interior=True)
+        if interior[i] else
+        PairRateOptimum(pair_rate=float(edge[i]), key_rate_total=float(f_edge[i]),
+                        interior=False, warning=_NO_INTERIOR)
+        for i in range(len(models))
+    ]
+
+
 def optimize_pair_rate(
     model: AnalyticLinkModel,
     bracket: tuple[float, float] = (1e2, 1e12),
     n_grid: int = 121,
     tol: float = 1e-3,
 ) -> PairRateOptimum:
-    """Maximize the aggregate key rate over the in-band pair rate.
-
-    Scans a log-spaced grid over ``bracket`` to locate the best sample,
-    then refines with golden-section search in log space.  When the best
-    grid sample sits on the bracket edge (no interior optimum, e.g. no
-    accidental penalty), the edge sample is returned with a warning.
-    """
-    lo, hi = bracket
-    if not 0 < lo < hi:
-        raise ValueError("bracket must satisfy 0 < lo < hi")
-
-    def rate_at(log_b: float) -> float:
-        return analytic_rates(replace(model, pair_rate_in_band=10.0 ** log_b)).key_rate_total
-
-    grid = np.linspace(math.log10(lo), math.log10(hi), n_grid)
-    vals = np.array([rate_at(g) for g in grid])
-    k = int(np.argmax(vals))
-    if k == 0 or k == n_grid - 1:
-        return PairRateOptimum(
-            pair_rate=float(10.0 ** grid[k]),
-            key_rate_total=float(vals[k]),
-            interior=False,
-            warning="no interior optimum on the bracket; returning best sample",
-        )
-
-    a, b = grid[k - 1], grid[k + 1]
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = rate_at(c), rate_at(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = rate_at(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = rate_at(d)
-    log_opt = 0.5 * (a + b)
-    return PairRateOptimum(
-        pair_rate=float(10.0 ** log_opt),
-        key_rate_total=float(rate_at(log_opt)),
-        interior=True,
-    )
+    """Maximize the aggregate key rate of one model over the in-band pair
+    rate; see :func:`optimize_pair_rates`."""
+    return optimize_pair_rates([model], bracket, n_grid, tol)[0]
 
 
 def scaling_curve(model: AnalyticLinkModel, n_values, loss_grid_db,
@@ -281,18 +351,21 @@ def scaling_curve(model: AnalyticLinkModel, n_values, loss_grid_db,
     channel count under the identical-channel assumption.  With
     ``optimize_b`` the per-channel pair rate is re-optimized per loss.
     """
-    rows = []
-    for loss in loss_grid_db:
+    losses = list(loss_grid_db)
+    models = []
+    for loss in losses:
         eta = 10.0 ** (-(loss / 2.0) / 10.0)
-        m = replace(
+        models.append(replace(
             model,
             transmittance_alice=base_transmittance_alice * eta,
             transmittance_bob=base_transmittance_bob * eta,
             n_channels=1,
-        )
-        if optimize_b:
-            opt = optimize_pair_rate(m)
-            m = replace(m, pair_rate_in_band=opt.pair_rate)
+        ))
+    if optimize_b:
+        models = [replace(m, pair_rate_in_band=opt.pair_rate)
+                  for m, opt in zip(models, optimize_pair_rates(models))]
+    rows = []
+    for loss, m in zip(losses, models):
         res = analytic_rates(m)
         for n in n_values:
             rows.append({
@@ -302,19 +375,6 @@ def scaling_curve(model: AnalyticLinkModel, n_values, loss_grid_db,
                 "key_rate_bps": n * res.key_rate_per_channel,
             })
     return rows
-
-
-CURVE_CSV_COLUMNS = ("n", "loss_db", "qber", "key_rate_bps")
-
-
-def curve_to_csv(rows: list[dict]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(CURVE_CSV_COLUMNS)
-    for r in rows:
-        w.writerow([r["n"], f"{r['loss_db']:.6g}", _fmt(r["qber"]),
-                    _fmt(r["key_rate_bps"])])
-    return buf.getvalue()
 
 
 def _fmt(x: float) -> str:

@@ -3,9 +3,11 @@ oracle, grid tiling arithmetic, demux, and coherence time."""
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from wmqkd.channels import (ChannelPlan, WavelengthChannel, build_grid_plan,
-                            build_table1_plan, coherence_time, demux_stream,
+from wmqkd.channels import (ChannelPlan, GridTiling, WavelengthChannel,
+                            build_grid_plan, build_table1_plan, coherence_time, demux_stream,
                             demux_wavelength, energy_mismatches, plan_from_dict,
                             plan_to_csv, plan_to_dict, table1_labeling_report,
                             table1_source_config)
@@ -105,6 +107,13 @@ def test_grid_band_count_matches_tiling_arithmetic():
     assert abs(counts["paired_channels"] - oracle // 2) <= 1
     assert counts["total_bands"] == 2 * counts["paired_channels"] \
         + counts["unpaired_bands"]
+
+
+@given(st.integers(0, 60), st.integers(-5, 130))
+def test_grid_tiling_pairs_match_mirror_scan(n_bands, mirror):
+    tiling = GridTiling(0.0, n_bands, mirror)
+    assert list(tiling.signal_bands) == [
+        k for k in range(n_bands) if 0 <= mirror - 1 - k < k]
 
 
 def test_grid_degenerate_single_band():

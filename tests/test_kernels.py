@@ -1,16 +1,26 @@
-"""Property tests of the sorted-stream kernels against brute-force
+"""Property tests of the array kernels against scalar or brute-force
 oracles: the coincidence matcher, the k-way detector merge of the
-non-multiplexed baseline, the dead-time filter and the canonical tag
-order of the detector output."""
+non-multiplexed baseline, the dead-time filter, the canonical tag order
+of the detector output, and the batched pair-rate optimizer behind the
+fig3d projection."""
+
+import math
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
 from test_coincidence import brute_force_greedy, make_tags
+from wmqkd import calibration as calib
+from wmqkd.calibration import FROZEN_CALIBRATION, fig3d_model
 from wmqkd.coincidence import CoincidenceWindow, find_coincidences
 from wmqkd.detection import (DetectorConfig, TagStream, _dead_time_filter,
                              detect)
+from wmqkd.keyrate import (AnalyticLinkModel, PairRateOptimum, analytic_rates,
+                           binary_entropy, optimize_pair_rate,
+                           optimize_pair_rates)
+from wmqkd.runner import default_config, run_fig3d
 from wmqkd.simulate import _merge_side, detector_ids
 
 TICK = 1.0 / 12.15e9
@@ -127,3 +137,147 @@ def test_detect_orders_shared_ticks_by_detector():
     assert tags.is_sorted()
     order = np.lexsort((np.where(bits == 0, 9, 2), np.rint(t / 1e-6).astype(np.int64)))
     assert np.array_equal(tags.outcomes, bits[order])
+
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def scalar_key_rate_total(model):
+    """The link model's aggregate key rate in scalar Python arithmetic,
+    as evaluated one model at a time before the array evaluator."""
+    b = model.pair_rate_in_band
+    s_a = b * model.transmittance_alice + model.dark_rate_alice
+    s_b = b * model.transmittance_bob + model.dark_rate_bob
+    cc_true = b * model.transmittance_alice * model.transmittance_bob \
+        * model.window_efficiency
+    cc_acc = s_a * s_b * model.t_c
+    total = cc_true + cc_acc
+    if not total > 0:
+        return 0.0
+    q = (model.q_sys * cc_true + 0.5 * cc_acc) / total
+    key = max(0.0, total * 0.5 * (1.0 - (1.0 + model.f_ec) * binary_entropy(q)))
+    return model.n_channels * key
+
+
+def scalar_optimize_pair_rate(model, bracket=(1e2, 1e12), n_grid=121, tol=1e-3):
+    """Reference optimizer: the former one-model grid scan and
+    golden-section refinement, one scalar evaluation at a time."""
+    lo, hi = bracket
+
+    def rate_at(log_b):
+        return scalar_key_rate_total(replace(model, pair_rate_in_band=10.0 ** log_b))
+
+    grid = np.linspace(math.log10(lo), math.log10(hi), n_grid)
+    vals = np.array([rate_at(g) for g in grid])
+    k = int(np.argmax(vals))
+    if k == 0 or k == n_grid - 1:
+        return PairRateOptimum(
+            pair_rate=float(10.0 ** grid[k]),
+            key_rate_total=float(vals[k]),
+            interior=False,
+            warning="no interior optimum on the bracket; returning best sample",
+        )
+
+    a, b = grid[k - 1], grid[k + 1]
+    c = b - _GOLDEN * (b - a)
+    d = a + _GOLDEN * (b - a)
+    fc, fd = rate_at(c), rate_at(d)
+    while b - a > tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = rate_at(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = rate_at(d)
+    log_opt = 0.5 * (a + b)
+    return PairRateOptimum(
+        pair_rate=float(10.0 ** log_opt),
+        key_rate_total=float(rate_at(log_opt)),
+        interior=True,
+    )
+
+
+def log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda x: 10.0 ** x)
+
+
+@st.composite
+def link_models(draw):
+    return AnalyticLinkModel(
+        pair_rate_in_band=1.0,
+        transmittance_alice=draw(log_uniform(1e-6, 1.0)),
+        transmittance_bob=draw(log_uniform(1e-6, 1.0)),
+        dark_rate_alice=draw(st.one_of(st.just(0.0), log_uniform(1.0, 1e6))),
+        dark_rate_bob=draw(st.one_of(st.just(0.0), log_uniform(1.0, 1e6))),
+        # Down to no accidental penalty (best sample at the upper edge),
+        # up to a penalty that peaks below the bracket (lower edge).
+        t_c=draw(log_uniform(1e-18, 1e-2)),
+        q_sys=draw(st.floats(0.0, 0.12)),
+        n_channels=draw(st.integers(1, 15000)),
+        f_ec=draw(st.floats(1.0, 1.5)),
+        window_efficiency=draw(st.floats(0.05, 1.0)),
+    )
+
+
+# Best grid sample at the upper edge (monotone rate), at the lower edge
+# with a positive key, and nowhere (no key at any brightness).
+EDGE_MODELS = (
+    AnalyticLinkModel(1.0, 1e-3, 1e-3, t_c=1e-18, q_sys=0.01),
+    AnalyticLinkModel(1.0, 1.0, 1.0, t_c=2e-3),
+    AnalyticLinkModel(1.0, 1e-3, 1e-3, 1e6, 1e6, t_c=1e-8),
+)
+
+
+def assert_same_optima(got, models):
+    assert len(got) == len(models)
+    for g, m in zip(got, models):
+        want = scalar_optimize_pair_rate(m)
+        assert (g.pair_rate, g.key_rate_total, g.interior, g.warning) == \
+            (want.pair_rate, want.key_rate_total, want.interior, want.warning)
+
+
+@given(st.lists(link_models(), min_size=1, max_size=6))
+def test_batched_optimizer_equals_scalar_oracle(models):
+    assert_same_optima(optimize_pair_rates(models), models)
+
+
+def test_batched_optimizer_edges_equal_scalar_oracle():
+    models = list(EDGE_MODELS) + [fig3d_model(FROZEN_CALIBRATION, loss_db=70.0)]
+    got = optimize_pair_rates(models)
+    assert_same_optima(got, models)
+    assert [g.interior for g in got] == [False, False, False, True]
+    assert got[0].pair_rate == 1e12 and got[1].pair_rate == 1e2
+    assert got[1].key_rate_total > 0.0 and got[2].key_rate_total == 0.0
+    assert optimize_pair_rate(models[1]) == got[1]
+    assert optimize_pair_rates([]) == []
+
+
+def test_fig3d_rows_equal_per_loss_scalar_rows(tmp_path):
+    config = default_config("fig3d")
+    report = run_fig3d(config, str(tmp_path))
+    scaling, bandwidth = [], []
+    for loss in config.fig3d_loss_grid_db:
+        base = fig3d_model(FROZEN_CALIBRATION, loss_db=loss)
+        opt = scalar_optimize_pair_rate(base)
+        res = analytic_rates(replace(base, pair_rate_in_band=opt.pair_rate))
+        for n in config.fig3d_n_values:
+            scaling.append({"n": int(n), "loss_db": float(loss), "qber": res.qber,
+                            "key_rate_bps": n * res.key_rate_per_channel})
+        bandwidth.append({
+            "bandwidth_ghz": calib.FIG3D_REFERENCE_BANDWIDTH_GHZ,
+            "loss_db": float(loss), "qber": res.qber,
+            "key_rate_bps": res.key_rate_per_channel,
+            "pair_rate_per_channel": opt.pair_rate, "optimized": True,
+        })
+        for bw in config.fig3d_bandwidths_ghz:
+            m = fig3d_model(FROZEN_CALIBRATION, loss_db=loss, bandwidth_ghz=bw)
+            broad = analytic_rates(m)
+            bandwidth.append({
+                "bandwidth_ghz": float(bw), "loss_db": float(loss),
+                "qber": broad.qber, "key_rate_bps": broad.key_rate_per_channel,
+                "pair_rate_per_channel": m.pair_rate_in_band, "optimized": False,
+            })
+    assert report["scaling_rows"] == scaling
+    assert report["bandwidth_rows"] == bandwidth

@@ -2,15 +2,18 @@
 byte determinism, and error records."""
 
 import json
+import math
 import os
 
 import numpy as np
 import pytest
 
+from wmqkd.calibration import FROZEN_CALIBRATION, predict_channel
 from wmqkd.cli import main as cli_main
 from wmqkd.runner import (ConfigError, RunConfig, config_from_dict,
-                          default_config, load_config, near_saturation_scale,
-                          run_custom, run_fig3b, run_fig3d)
+                          consistency_sigmas, default_config, load_config,
+                          near_saturation_scale, predict_point, run_custom,
+                          run_fig3b, run_fig3d, within_4_sigma)
 
 
 def read(path):
@@ -66,6 +69,23 @@ def test_config_file_roundtrip(tmp_path):
     assert cfg.loss_grid_db == (20.0, 25.0)
 
 
+def test_fitted_visibilities_apply_to_the_table1_plan_only():
+    assert RunConfig().channel_visibilities == FROZEN_CALIBRATION.channel_visibilities()
+    assert config_from_dict({"plan": "table1"}).channel_visibilities \
+        == FROZEN_CALIBRATION.channel_visibilities()
+    cfg = config_from_dict({"plan": {"grid": {
+        "window_low_nm": 795.0, "window_high_nm": 825.0,
+        "channel_spacing_hz": 400e9, "channel_bandwidth_hz": 50e9,
+        "spdc_center_nm": 810.05}}})
+    assert cfg.channel_visibilities == {}
+    # Every grid channel gets the source's systematic visibility, so
+    # neighbouring channels of similar brightness predict similar QBERs
+    # (the table-1 fit gave grid channel 2 five times its neighbours').
+    preds = predict_point(cfg, 30.0, 1.0)
+    assert preds["ch1"].qber == pytest.approx(preds["ch2"].qber, rel=0.2)
+    assert preds["ch2"].qber == pytest.approx(preds["ch3"].qber, rel=0.2)
+
+
 def test_config_to_dict_is_json_serializable():
     d = default_config("fig3b").to_dict()
     json.dumps(d)
@@ -90,6 +110,23 @@ def test_run_custom_outputs_and_flags(tmp_path):
         assert row["within_4_sigma"] in (True, False)
     labels = {r["configuration"] for r in rep["rows"]}
     assert labels == {"ch1", "ch2", "no_wm"}
+
+
+def test_within_4_sigma_judges_defined_z_scores():
+    cfg = RunConfig()
+    zero = {"cc_mc": 0, "qber_mc": float("nan"), "key_rate_bps_mc": 0.0}
+    # 0.01 expected coincidences and none seen: consistent.
+    faint = predict_channel(1e2, 1e-3, 1e-3, cfg.detector, cfg.window, 0.01)
+    z = consistency_sigmas(faint, zero, 1.0, cfg.f_ec)
+    assert math.isnan(z["z_qber"]) and within_4_sigma(z)
+    # Over 10k expected and none seen: the key rate fails the row.
+    bright = predict_channel(1e7, 1e-1, 1e-1, cfg.detector, cfg.window, 0.01)
+    z = consistency_sigmas(bright, zero, 1.0, cfg.f_ec)
+    assert (bright.cc_true + bright.cc_accidental) > 1e4
+    assert math.isnan(z["z_qber"]) and not within_4_sigma(z)
+    assert within_4_sigma({"z_qber": -3.9, "z_key_rate": 4.0})
+    assert not within_4_sigma({"z_qber": 4.1, "z_key_rate": 0.0})
+    assert not within_4_sigma({"z_qber": float("nan"), "z_key_rate": float("nan")})
 
 
 def test_run_custom_byte_determinism(tmp_path):
