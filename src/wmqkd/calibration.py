@@ -1,4 +1,10 @@
-"""Frozen scenario calibration.
+"""Refined analytic model of the Monte Carlo pipelines, and the frozen
+scenario calibration.
+
+:func:`predict_rows` predicts every wavelength channel of a plan and the
+merged (non-multiplexed) baseline in one array call;
+:func:`predict_channel` and :func:`predict_merged` are its one-row and
+merged-only calls.
 
 The experiment's absolute settings are pinned once here and reused by
 every scenario run, so no comparison can tune parameters per claim:
@@ -14,21 +20,24 @@ every scenario run, so no comparison can tune parameters per claim:
   the last working and first failing reported bandwidths).
 
 ``derive_calibration`` recomputes everything from those anchors with
-the semi-analytic chain below; the frozen numbers are checked against
-it in the test suite.
+the refined model at the plan geometry of ``simulate.resolve_channels``;
+the frozen numbers are checked against it in the test suite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.optimize import brentq
 from scipy.special import erf
 
 from .channels import build_table1_plan, table1_source_config
 from .coincidence import CoincidenceWindow
 from .detection import DetectorConfig
-from .keyrate import AnalyticLinkModel, analytic_rates, binary_entropy, qber_threshold
+from .keyrate import (DEFAULT_F_EC, AnalyticLinkModel, analytic_rates, qber_threshold,
+                      secure_key_from_rates)
+from .simulate import resolve_channels
 from .source import SourceConfig, band_fraction
 
 CALIBRATION_VERSION = "1"
@@ -73,9 +82,75 @@ def window_efficiency(jitter_sigma: float, width: float) -> float:
     return float(erf(width / (4.0 * jitter_sigma)))
 
 
-def _port_rate_after_dead_time(rate: float, dead_time: float) -> float:
+def _port_rate_after_dead_time(rate, dead_time):
     """Non-paralyzable throughput of one detector at incident rate."""
     return rate / (1.0 + rate * dead_time)
+
+
+def _total(x: np.ndarray) -> float:
+    # Left-to-right sum from zero, as Python's ``sum``: np.sum adds
+    # pairwise from eight terms on and differs in the last bit.
+    return float(np.cumsum(np.concatenate(([0.0], x)))[-1])
+
+
+def predict_rows(
+    rows,
+    q_sys,
+    detector: DetectorConfig,
+    window: CoincidenceWindow,
+    f_ec: float = DEFAULT_F_EC,
+) -> tuple[list[ChannelPrediction], ChannelPrediction]:
+    """Predict every wavelength channel and the merged baseline at once.
+
+    ``rows`` holds ``(pair_rate, eta_alice, eta_bob)`` per channel and
+    ``q_sys`` each channel's systematic error fraction.  A channel chains
+    detector efficiency, per-port dead time, jitter window efficiency and
+    the tick-quantized effective window width onto the basic
+    singles/true/accidental decomposition.  The merged (non-multiplexed)
+    baseline joins corresponding detector ports per side: a tag of one
+    channel additionally dies when a kept tag of another channel precedes
+    it within the dead time.  Returns the per-channel predictions and the
+    merged one; with one row the two agree.
+    """
+    b, ea, eb = np.asarray(rows, dtype=np.float64).reshape(-1, 3).T
+    q_sys = np.asarray(q_sys, dtype=np.float64)
+    w_eff = window.effective_width(detector.tick)
+    eta_w = window_efficiency(detector.jitter_sigma, w_eff)
+    dead = detector.dead_time
+
+    port_in = [b * eta * detector.efficiency / 2.0 + detector.dark_rate
+               for eta in (ea, eb)]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho = [np.where(p > 0, _port_rate_after_dead_time(p, dead) / p, 1.0)
+               for p in port_in]
+    base = b * ea * eb * detector.efficiency**2 * rho[0] * rho[1]
+
+    # Cross-channel blocking in the merged stream (per side, per port).
+    merged_singles, rho_merge = [], []
+    for p, r in zip(port_in, rho):
+        out = p * r
+        denom = 1.0 + (_total(out) - out) * dead
+        merged_singles.append(2.0 * _total(out / denom))
+        rho_merge.append(1.0 / denom)
+    t = base * rho_merge[0] * rho_merge[1] * eta_w
+
+    s_a, s_b = (2.0 * p * r for p, r in zip(port_in, rho))
+    channels = _predictions(s_a, s_b, base * eta_w, q_sys * (base * eta_w),
+                            w_eff, f_ec)
+    [merged] = _predictions(*merged_singles, _total(t), _total(q_sys * t),
+                            w_eff, f_ec)
+    return channels, merged
+
+
+def _predictions(s_a, s_b, cc_true, q_weighted, w_eff, f_ec):
+    s_a, s_b, cc_true, q_weighted = np.atleast_1d(s_a, s_b, cc_true, q_weighted)
+    cc_acc = s_a * s_b * w_eff
+    total = cc_true + cc_acc
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = np.where(total > 0, (q_weighted + 0.5 * cc_acc) / total, np.nan)
+    key = secure_key_from_rates(total, q, f_ec)
+    return [ChannelPrediction(*row) for row in zip(
+        *(x.tolist() for x in (s_a, s_b, cc_true, cc_acc, q, key)))]
 
 
 def predict_channel(
@@ -85,99 +160,24 @@ def predict_channel(
     detector: DetectorConfig,
     window: CoincidenceWindow,
     q_sys: float,
-    f_ec: float = 1.1,
+    f_ec: float = DEFAULT_F_EC,
 ) -> ChannelPrediction:
-    """Predict one wavelength channel's measured rates.
-
-    Chains detector efficiency, per-port dead time, jitter window
-    efficiency and the tick-quantized effective window width onto the
-    basic singles/true/accidental decomposition.
-    """
-    w_eff = window.effective_width(detector.tick)
-    eta_w = window_efficiency(detector.jitter_sigma, w_eff)
-    preds = []
-    rhos = []
-    for eta in (arrival_eff_alice, arrival_eff_bob):
-        photon = pair_rate_in_band * eta * detector.efficiency
-        port_in = photon / 2.0 + detector.dark_rate
-        rho = _port_rate_after_dead_time(port_in, detector.dead_time) / port_in \
-            if port_in > 0 else 1.0
-        preds.append(2.0 * port_in * rho)
-        rhos.append(rho)
-    s_a, s_b = preds
-    cc_true = (pair_rate_in_band * arrival_eff_alice * arrival_eff_bob
-               * detector.efficiency**2 * rhos[0] * rhos[1] * eta_w)
-    cc_acc = s_a * s_b * w_eff
-    total = cc_true + cc_acc
-    q = (q_sys * cc_true + 0.5 * cc_acc) / total if total > 0 else float("nan")
-    key = max(0.0, total * 0.5 * (1.0 - (1.0 + f_ec) * binary_entropy(q))) \
-        if total > 0 else 0.0
-    return ChannelPrediction(s_a, s_b, cc_true, cc_acc, q, key)
+    """Predict one wavelength channel's measured rates; the one-row call
+    of :func:`predict_rows`."""
+    rows = [(pair_rate_in_band, arrival_eff_alice, arrival_eff_bob)]
+    return predict_rows(rows, [q_sys], detector, window, f_ec)[0][0]
 
 
 def predict_merged(
-    per_channel: list[tuple[float, float, float, float]],
+    rows,
     detector: DetectorConfig,
     window: CoincidenceWindow,
-    q_sys_by_channel: list[float],
-    global_dead_time: float | None = None,
-    f_ec: float = 1.1,
+    q_sys_by_channel,
+    f_ec: float = DEFAULT_F_EC,
 ) -> ChannelPrediction:
-    """Predict the merged (non-multiplexed) baseline.
-
-    ``per_channel`` rows are ``(pair_rate, eta_alice, eta_bob, _)`` per
-    channel.  Corresponding detector ports are merged per side; a tag of
-    one channel additionally dies when a kept tag of the other channel
-    precedes it within the global dead time.
-    """
-    if global_dead_time is None:
-        global_dead_time = detector.dead_time
-    w_eff = window.effective_width(detector.tick)
-    eta_w = window_efficiency(detector.jitter_sigma, w_eff)
-
-    port_out = []   # per channel, per side: post-dead-time port rate
-    rho_det = []
-    for b, ea, eb, _ in per_channel:
-        row_out, row_rho = [], []
-        for eta in (ea, eb):
-            photon = b * eta * detector.efficiency
-            port_in = photon / 2.0 + detector.dark_rate
-            rho = _port_rate_after_dead_time(port_in, detector.dead_time) / port_in \
-                if port_in > 0 else 1.0
-            row_out.append(port_in * rho)
-            row_rho.append(rho)
-        port_out.append(row_out)
-        rho_det.append(row_rho)
-
-    # Cross-channel blocking in the merged stream (per side, per port).
-    singles = []
-    rho_merge = []
-    for side in (0, 1):
-        rates = [row[side] for row in port_out]
-        tot = sum(rates)
-        merged_port = sum(
-            r / (1.0 + (tot - r) * global_dead_time) for r in rates
-        )
-        singles.append(2.0 * merged_port)
-        rho_merge.append([
-            1.0 / (1.0 + (tot - r) * global_dead_time) for r in rates
-        ])
-    s_a, s_b = singles
-
-    cc_true = 0.0
-    q_weighted = 0.0
-    for k, (b, ea, eb, _) in enumerate(per_channel):
-        t_k = (b * ea * eb * detector.efficiency**2
-               * rho_det[k][0] * rho_det[k][1]
-               * rho_merge[0][k] * rho_merge[1][k] * eta_w)
-        cc_true += t_k
-        q_weighted += q_sys_by_channel[k] * t_k
-    cc_acc = s_a * s_b * w_eff
-    total = cc_true + cc_acc
-    q = (q_weighted + 0.5 * cc_acc) / total if total > 0 else float("nan")
-    key = max(0.0, total * 0.5 * (1.0 - (1.0 + f_ec) * binary_entropy(q))) \
-        if total > 0 else 0.0
-    return ChannelPrediction(s_a, s_b, cc_true, cc_acc, q, key)
+    """Predict the merged (non-multiplexed) baseline of the channel
+    ``rows``; see :func:`predict_rows`."""
+    return predict_rows(rows, q_sys_by_channel, detector, window, f_ec)[1]
 
 
 @dataclass(frozen=True)
@@ -193,10 +193,6 @@ class Calibration:
     @property
     def q_sys_channel1(self) -> float:
         return (1.0 - self.v_sys_channel1) / 2.0
-
-    @property
-    def q_sys_channel2(self) -> float:
-        return (1.0 - self.v_sys_channel2) / 2.0
 
     def source(self, **overrides) -> SourceConfig:
         """Table-1-consistent source with the calibrated pair rate and
@@ -225,22 +221,6 @@ class Calibration:
         }
 
 
-def _reference_geometry(detector: DetectorConfig, window: CoincidenceWindow,
-                        full_rate: float):
-    """Per-channel (pair_rate, eta_alice, eta_bob, index) at the 30 dB
-    reference point of the measured two-channel plan."""
-    src = table1_source_config(pair_rate=full_rate)
-    plan = build_table1_plan()
-    eta_link = 10.0 ** (-(REFERENCE_LOSS_DB / 2.0) / 10.0)
-    rows = []
-    for sig, idl in plan.pairs:
-        det_nm = sig.center - src.center_wavelength_signal
-        b = full_rate * band_fraction(src, det_nm, sig.fwhm)
-        rows.append((b, eta_link * sig.diffraction_efficiency,
-                     eta_link * idl.diffraction_efficiency, sig.index))
-    return rows
-
-
 def derive_calibration(detector: DetectorConfig = DEFAULT_DETECTOR,
                        window: CoincidenceWindow = CoincidenceWindow(1e-9)) -> Calibration:
     """Re-derive every frozen parameter from its anchor."""
@@ -248,8 +228,10 @@ def derive_calibration(detector: DetectorConfig = DEFAULT_DETECTOR,
     in_band = FILTERED_BRIGHTNESS_CPS_PER_MW * PUMP_POWER_MW
     full_rate = in_band / band_fraction(src0, 0.0, BRIGHTNESS_FILTER_FWHM_NM)
 
-    rows = _reference_geometry(detector, window, full_rate)
-    b1, ea1, eb1, _ = rows[0]
+    chans = resolve_channels(table1_source_config(pair_rate=full_rate),
+                             build_table1_plan(), REFERENCE_LOSS_DB)
+    rows = [c.geometry for c in chans]
+    b1, ea1, eb1 = rows[0]
 
     def qber_of_q1(q1):
         return predict_channel(b1, ea1, eb1, detector, window, q1).qber

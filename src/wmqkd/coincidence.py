@@ -3,8 +3,8 @@
 Two tag streams are matched with a greedy earliest-first one-to-one
 policy inside a symmetric timing window: tags pair when their time
 difference is at most half the window, so the total window width equals
-the configured value.  An accidental-rate estimator re-runs the matcher
-with one stream delayed far outside the window.
+the configured value.  An accidental-rate estimator re-runs the match
+kernel with one stream delayed far outside the window.
 """
 
 from __future__ import annotations
@@ -95,17 +95,31 @@ def find_coincidences(tags_a: TagStream, tags_b: TagStream,
     merged timeline at gaps larger than the half window, inside which no
     match can cross.
     """
+    half = _half_window_ticks(tags_a, tags_b, window)
+    idx_a, idx_b = _match_indices(tags_a.ticks, tags_b.ticks, half)
+    order = np.argsort(idx_a, kind="stable")
+    return Matches(tags_a, tags_b, idx_a[order], idx_b[order])
+
+
+def _half_window_ticks(tags_a: TagStream, tags_b: TagStream,
+                       window: CoincidenceWindow) -> int:
+    """Validate a stream pair for matching; the window's half width in
+    their common ticks."""
     for s in (tags_a, tags_b):
         if not s.is_sorted():
             raise ValueError("input tag streams must be sorted")
     if tags_a.tick_seconds != tags_b.tick_seconds:
         raise ValueError("tick resolution mismatch between streams")
-    half = window.half_width_ticks(tags_a.tick_seconds)
-    ta, tb = tags_a.ticks, tags_b.ticks
+    return window.half_width_ticks(tags_a.tick_seconds)
+
+
+def _match_indices(ta: np.ndarray, tb: np.ndarray, half: int):
+    """Indices of the greedy matches of two sorted tick arrays, in no
+    particular order."""
     na = ta.size
     e = np.empty(0, dtype=np.int64)
     if na == 0 or tb.size == 0:
-        return Matches(tags_a, tags_b, e, e)
+        return e, e
 
     # Merge both streams in time order.  A match needs a chain of
     # consecutive gaps of at most the half window between its tags, so
@@ -116,7 +130,7 @@ def find_coincidences(tags_a: TagStream, tags_b: TagStream,
     t_all = t_all[order]
     close = np.flatnonzero(np.diff(t_all) <= half)   # link k joins tags k and k + 1
     if close.size == 0:
-        return Matches(tags_a, tags_b, e, e)
+        return e, e
     brk = np.flatnonzero(np.diff(close) != 1) + 1
     first = close[np.concatenate(([0], brk))]
     last = close[np.concatenate((brk - 1, [close.size - 1]))] + 1
@@ -144,10 +158,7 @@ def find_coincidences(tags_a: TagStream, tags_b: TagStream,
                 out_a.append(ia[np.asarray(sub_a)])
                 out_b.append(ib[np.asarray(sub_b)])
 
-    idx_a = np.concatenate(out_a)
-    idx_b = np.concatenate(out_b)
-    order = np.argsort(idx_a, kind="stable")
-    return Matches(tags_a, tags_b, idx_a[order], idx_b[order])
+    return np.concatenate(out_a), np.concatenate(out_b)
 
 
 @dataclass
@@ -178,12 +189,6 @@ class CountsMatrix:
     def erroneous(self) -> int:
         """Correlated (same-outcome) counts; errors for the singlet state."""
         return int(self.cc[0, 0] + self.cc[1, 1])
-
-    def __add__(self, other: "CountsMatrix") -> "CountsMatrix":
-        if self.basis is not other.basis:
-            raise ValueError("cannot add counts from different bases")
-        return CountsMatrix(self.basis, self.cc + other.cc,
-                            self.channel_pair, max(self.duration, other.duration))
 
     def as_csv_row(self) -> list:
         return [self.channel_pair, self.basis.value,
@@ -230,16 +235,12 @@ def accidental_estimate(tags_a: TagStream, tags_b: TagStream,
                         window: CoincidenceWindow, delay: float) -> int:
     """Delayed-window accidental estimate.
 
-    Re-runs the matcher with Bob's stream shifted by ``delay`` (s);
-    for uncorrelated streams the returned count is an unbiased estimate
-    of ``S_A * S_B * t_c * duration``.  The delay must be much larger
-    than both the window and the timing jitter.
+    Counts the matches with Bob's stream shifted by ``delay`` (s); for
+    uncorrelated streams the count is an unbiased estimate of
+    ``S_A * S_B * t_c * duration``.  The delay must be much larger than
+    both the window and the timing jitter.  The shift keeps Bob's order,
+    so the streams are validated once, unshifted.
     """
-    if len(tags_b) == 0 or len(tags_a) == 0:
-        return 0
+    half = _half_window_ticks(tags_a, tags_b, window)
     shift = int(np.rint(delay / tags_b.tick_seconds))
-    shifted = TagStream(
-        tags_b.ticks + shift, tags_b.outcomes, tags_b.detector_ids,
-        tags_b.channel_indices, tags_b.dark, tags_b.tick_seconds, tags_b.duration,
-    )
-    return len(find_coincidences(tags_a, shifted, window))
+    return _match_indices(tags_a.ticks, tags_b.ticks + shift, half)[0].size

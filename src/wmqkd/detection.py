@@ -69,17 +69,6 @@ class DetectorConfig:
             raise ValueError(f"tick must be > 0, got {self.tick}")
 
 
-@dataclass(frozen=True)
-class TimeTag:
-    """One detection event (scalar view into a :class:`TagStream`)."""
-
-    detector_id: int
-    tick_time: int
-    outcome: Outcome
-    channel_index: int
-    is_dark: bool = False
-
-
 class TagStream:
     """Time-ordered detection events of one or more detectors.
 
@@ -109,17 +98,6 @@ class TagStream:
 
     def __len__(self) -> int:
         return self.ticks.size
-
-    def __getitem__(self, i: int) -> TimeTag:
-        return TimeTag(
-            int(self.detector_ids[i]), int(self.ticks[i]),
-            Outcome(int(self.outcomes[i])), int(self.channel_indices[i]),
-            bool(self.dark[i]),
-        )
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
 
     @property
     def times(self) -> np.ndarray:

@@ -10,11 +10,9 @@ clamped to zero; ``f`` is the bidirectional error-correction efficiency
 
 from __future__ import annotations
 
-import csv
 import dataclasses
-import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -71,19 +69,15 @@ def secure_key(counts_hv: CountsMatrix, counts_da: CountsMatrix,
     """
     if f_ec < 1.0:
         raise ValueError(f"f_ec must be >= 1, got {f_ec}")
-    bits = 0.0
-    for counts in (counts_hv, counts_da):
-        total = counts.total
-        if total == 0:
-            continue
-        q = qber(counts)
-        bits += max(0.0, total * 0.5 * (1.0 - (1.0 + f_ec) * binary_entropy(q)))
-    return bits
+    blocks = (counts_hv, counts_da)
+    bits = secure_key_from_rates([c.total for c in blocks], [qber(c) for c in blocks],
+                                 f_ec)
+    return sum(bits.tolist())
 
 
 def secure_key_from_rates(cc_rate, q, f_ec: float = DEFAULT_F_EC):
-    """Per-second secure key for a coincidence rate split evenly over the
-    two bases, both at QBER ``q``.
+    """Secure key of a coincidence rate (or count) split evenly over the
+    two bases, both at QBER ``q``: ``CC * 1/2 * (1 - (1+f) H2(Q))``.
 
     Scalars give a float; arrays broadcast and give an array.  A rate
     that is not positive, or a negative (or NaN) key, gives 0.
@@ -377,10 +371,6 @@ def scaling_curve(model: AnalyticLinkModel, n_values, loss_grid_db,
     return rows
 
 
-def _fmt(x: float) -> str:
-    return "nan" if isinstance(x, float) and math.isnan(x) else f"{x:.10g}"
-
-
 @dataclass
 class ChannelResult:
     """Measured quantities for one channel pair (or a merged pipeline)."""
@@ -398,55 +388,6 @@ class ChannelResult:
     singles_bob: float
     accidental_estimate: float
     duration: float
-
-
-@dataclass
-class KeyRateReport:
-    """Per-channel results plus aggregate totals for one scenario point."""
-
-    channels: list[ChannelResult] = field(default_factory=list)
-    f_ec: float = DEFAULT_F_EC
-    warnings: list[str] = field(default_factory=list)
-
-    @property
-    def total_secure_key_bits(self) -> float:
-        return sum(c.secure_key_bits for c in self.channels)
-
-    @property
-    def total_secure_key_rate(self) -> float:
-        return sum(c.secure_key_rate for c in self.channels)
-
-    def to_dict(self) -> dict:
-        return {
-            "f_ec": self.f_ec,
-            "warnings": list(self.warnings),
-            "channels": [vars(c).copy() for c in self.channels],
-            "total_secure_key_bits": self.total_secure_key_bits,
-            "total_secure_key_rate": self.total_secure_key_rate,
-        }
-
-
-REPORT_CSV_COLUMNS = (
-    "channel_pair", "visibility_hv", "visibility_da", "qber_hv", "qber_da",
-    "secure_key_bits", "secure_key_rate_bps", "cc_hv", "cc_da",
-    "singles_alice", "singles_bob", "accidental_estimate", "duration_s",
-)
-
-
-def report_to_csv(report: KeyRateReport) -> str:
-    """Serialize a report as CSV, one row per channel result."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(REPORT_CSV_COLUMNS)
-    for c in report.channels:
-        w.writerow([
-            c.channel_pair, _fmt(c.visibility_hv), _fmt(c.visibility_da),
-            _fmt(c.qber_hv), _fmt(c.qber_da), _fmt(c.secure_key_bits),
-            _fmt(c.secure_key_rate), c.cc_hv, c.cc_da,
-            _fmt(c.singles_alice), _fmt(c.singles_bob),
-            _fmt(c.accidental_estimate), _fmt(c.duration),
-        ])
-    return buf.getvalue()
 
 
 def channel_result(counts_hv: CountsMatrix, counts_da: CountsMatrix,

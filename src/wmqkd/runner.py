@@ -27,15 +27,15 @@ from scipy.optimize import brentq, minimize_scalar
 
 from . import calibration as calib
 from .calibration import (ChannelPrediction, FROZEN_CALIBRATION, fig3d_model,
-                          predict_channel, predict_merged)
+                          predict_channel, predict_rows)
 from .channels import (ChannelPlan, build_grid_plan, build_table1_plan, grid_tiling,
                        plan_from_dict, plan_to_dict)
 from .coincidence import CoincidenceWindow
 from .detection import DetectorConfig
 from .keyrate import (analytic_rate_arrays, binary_entropy, model_fields,
                       optimize_pair_rates, qber_threshold)
-from .simulate import PipelineResult, PointResult, simulate_point
-from .source import SourceConfig, band_fraction
+from .simulate import PipelineResult, resolve_channels, simulate_point
+from .source import SourceConfig
 
 MODES = ("montecarlo", "analytic", "both")
 SCENARIOS = ("fig3b", "fig3d", "custom")
@@ -233,12 +233,8 @@ def load_config(path: str) -> RunConfig:
 # Brightness policies
 
 
-def near_saturation_scale(
-    config: RunConfig,
-    loss_db: float,
-    fraction: float = 0.8,
-    calibration_rate: float | None = None,
-) -> float:
+def near_saturation_scale(config: RunConfig, loss_db: float,
+                          fraction: float = 0.8) -> float:
     """Brightness scale emulating operation near the maximum tolerable
     source rate at high loss.
 
@@ -246,15 +242,14 @@ def near_saturation_scale(
     best channel's predicted QBER reaches ``fraction`` of the key
     threshold; beyond that the accidental load erases the key.
     """
-    rows = _prediction_rows(config, loss_db, 1.0)
-    b1, ea1, eb1, idx1 = rows[0]
-    q1 = config.channel_visibilities.get(idx1)
-    q1 = (1.0 - (q1[0] if q1 else config.source.systematic_visibility_hv)) / 2.0
+    ch = resolve_channels(config.source, config.plan, loss_db,
+                          config.channel_visibilities)[0]
+    b1, ea1, eb1 = ch.geometry
     thr = fraction * qber_threshold(config.f_ec)
 
     def q_of(scale):
         return predict_channel(b1 * scale, ea1, eb1, config.detector,
-                               config.window, q1, config.f_ec).qber
+                               config.window, ch.q_sys, config.f_ec).qber
 
     res = minimize_scalar(lambda s: q_of(math.exp(s)),
                           bounds=(math.log(1e-4), math.log(1e4)), method="bounded")
@@ -279,37 +274,16 @@ def _brightness_scale(config: RunConfig, loss_db: float) -> float:
 # Analytic predictions for the configured plan
 
 
-def _prediction_rows(config: RunConfig, loss_db: float, scale: float):
-    eta_link = 10.0 ** (-(loss_db / 2.0) / 10.0)
-    rows = []
-    for sig, idl in config.plan.pairs:
-        det_nm = sig.center - config.source.center_wavelength_signal
-        b = scale * config.source.pair_rate * band_fraction(config.source, det_nm, sig.fwhm)
-        rows.append((b, eta_link * sig.diffraction_efficiency,
-                     eta_link * idl.diffraction_efficiency, sig.index))
-    return rows
-
-
-def _q_sys_of(config: RunConfig, index: int) -> float:
-    vis = config.channel_visibilities.get(index)
-    v = vis[0] if vis else config.source.systematic_visibility_hv
-    return (1.0 - v) / 2.0
-
-
 def predict_point(config: RunConfig, loss_db: float, scale: float) -> dict[str, ChannelPrediction]:
     """Refined analytic prediction for every pipeline at one loss."""
-    rows = _prediction_rows(config, loss_db, scale)
-    out = {}
-    for b, ea, eb, idx in rows:
-        out[f"ch{idx}"] = predict_channel(b, ea, eb, config.detector,
-                                          config.window, _q_sys_of(config, idx),
-                                          config.f_ec)
-    if len(rows) >= 2:
-        out["no_wm"] = predict_merged(
-            rows, config.detector, config.window,
-            [_q_sys_of(config, idx) for *_, idx in rows],
-            f_ec=config.f_ec,
-        )
+    chans = resolve_channels(config.source, config.plan, loss_db,
+                             config.channel_visibilities, scale)
+    preds, merged = predict_rows([c.geometry for c in chans],
+                                 [c.q_sys for c in chans],
+                                 config.detector, config.window, config.f_ec)
+    out = {f"ch{c.index}": p for c, p in zip(chans, preds)}
+    if len(chans) >= 2:
+        out["no_wm"] = merged
     return out
 
 
@@ -328,9 +302,7 @@ def _weighted_qber(parts) -> float:
     return sum(q * n for q, n in parts) / total if total else float("nan")
 
 
-def _pipeline_row(result: PipelineResult | None, f_ec: float) -> dict:
-    if result is None:
-        return {}
+def _pipeline_row(result: PipelineResult, f_ec: float) -> dict:
     r = result.to_channel_result(f_ec)
     return {
         "cc_mc": r.cc_hv + r.cc_da,
@@ -342,9 +314,7 @@ def _pipeline_row(result: PipelineResult | None, f_ec: float) -> dict:
     }
 
 
-def _prediction_row(pred: ChannelPrediction | None, duration: float) -> dict:
-    if pred is None:
-        return {}
+def _prediction_row(pred: ChannelPrediction, duration: float) -> dict:
     total = pred.cc_true + pred.cc_accidental
     return {
         "cc_an": total * duration,
@@ -355,15 +325,17 @@ def _prediction_row(pred: ChannelPrediction | None, duration: float) -> dict:
 
 def consistency_sigmas(pred: ChannelPrediction, mc_row: dict, duration: float,
                        f_ec: float) -> dict:
-    """z-scores of MC minus analytic for QBER and key rate.
+    """z-scores of MC minus analytic for the coincidence count, QBER and
+    key rate.
 
     The scales are the statistical errors implied by the predicted
-    counts: binomial for the QBER, Poisson counts plus error propagation
-    through the key formula for the rate.
+    counts: Poisson for the count, binomial for the QBER, Poisson counts
+    plus error propagation through the key formula for the rate.
     """
     n = (pred.cc_true + pred.cc_accidental) * duration
     if n <= 0 or not mc_row:
         return {}
+    z_cc = (mc_row["cc_mc"] - n) / math.sqrt(n)
     q = pred.qber
     sigma_q = math.sqrt(max(q * (1.0 - q), 1e-30) / n)
     z_q = (mc_row["qber_mc"] - q) / sigma_q
@@ -377,7 +349,7 @@ def consistency_sigmas(pred: ChannelPrediction, mc_row: dict, duration: float,
     sigma_key_rate = math.sqrt(2.0 * var_b) / duration
     z_r = (mc_row["key_rate_bps_mc"] - pred.key_rate) / sigma_key_rate \
         if sigma_key_rate > 0 else float("nan")
-    return {"z_qber": z_q, "z_key_rate": z_r,
+    return {"z_cc": z_cc, "z_qber": z_q, "z_key_rate": z_r,
             "sigma_qber": sigma_q, "sigma_key_rate": sigma_key_rate}
 
 
@@ -386,11 +358,12 @@ def within_4_sigma(z: dict) -> bool:
     4 sigma.
 
     ``z_qber`` is NaN when the Monte Carlo saw no coincidences; the row
-    is then judged on its key rate alone, which still fails when many
-    coincidences were expected and none came.  False when no z-score is
-    defined.
+    is then judged on its count and key rate, and the count fails it
+    when many coincidences were expected and none came, even where no
+    key was predicted.  False when no z-score is defined.
     """
-    defined = [abs(z[k]) for k in ("z_qber", "z_key_rate") if not math.isnan(z[k])]
+    defined = [abs(v) for k, v in z.items()
+               if k.startswith("z_") and not math.isnan(v)]
     return bool(defined) and all(v <= 4.0 for v in defined)
 
 
@@ -450,32 +423,46 @@ def run_fig3b(config: RunConfig, out_dir: str) -> dict:
     baseline), plus a JSON report.  Partial results are flushed if a
     point fails.
     """
-    curve_path = os.path.join(out_dir, "fig3b_curve.csv")
-    report_path = os.path.join(out_dir, "fig3b_report.json")
+    return _run_sweep(config, out_dir, "fig3b", FIG3B_COLUMNS, wm_sum=True,
+                      extras={"qber_threshold": qber_threshold(config.f_ec)})
+
+
+def _run_sweep(config: RunConfig, out_dir: str, name: str, columns: tuple[str, ...],
+               wm_sum: bool, extras: dict) -> dict:
+    """Run every loss point and write ``<name>_curve.csv`` and
+    ``<name>_report.json``; rows hold only ``columns``.  When a point
+    fails, the rows of the points before it are written with an error
+    record and the exception propagates."""
+    curve_path = os.path.join(out_dir, f"{name}_curve.csv")
+    report_path = os.path.join(out_dir, f"{name}_report.json")
     rows: list[dict] = []
     warnings: list[str] = []
     try:
         for loss in config.loss_grid_db:
-            rows.extend(_fig3b_point(config, loss, warnings))
+            rows.extend({k: v for k, v in row.items() if k in columns}
+                        for row in _point_rows(config, loss, wm_sum, warnings))
     except Exception as exc:
-        _write(curve_path, _csv_bytes(FIG3B_COLUMNS, rows, config))
+        _write(curve_path, _csv_bytes(columns, rows, config))
         _write(report_path, _report_json(config, {
             "error": {"type": type(exc).__name__, "message": str(exc)},
             "rows": rows, "warnings": warnings,
         }))
         raise
     rows.sort(key=lambda r: (r["loss_db"], r["configuration"]))
-    _write(curve_path, _csv_bytes(FIG3B_COLUMNS, rows, config))
-    report = {"rows": rows, "warnings": warnings,
-              "qber_threshold": qber_threshold(config.f_ec)}
+    _write(curve_path, _csv_bytes(columns, rows, config))
+    report = {"rows": rows, "warnings": warnings, **extras}
     _write(report_path, _report_json(config, report))
     return report
 
 
-def _fig3b_point(config: RunConfig, loss: float, warnings: list[str]) -> list[dict]:
+def _point_rows(config: RunConfig, loss: float, wm_sum: bool,
+                warnings: list[str]) -> list[dict]:
+    """One row per pipeline at one loss (each channel, then ``no_wm``),
+    plus the ``wm_sum`` row of per-channel sums when asked."""
     scale = _brightness_scale(config, loss)
     preds = predict_point(config, loss, scale)
-    mc: PointResult | None = None
+    analytic = config.mode in ("analytic", "both")
+    mc = None
     if config.mode in ("montecarlo", "both"):
         mc = simulate_point(
             config.source, config.plan, loss, config.detector, config.window,
@@ -484,34 +471,41 @@ def _fig3b_point(config: RunConfig, loss: float, warnings: list[str]) -> list[di
             brightness_scale=scale,
         )
     rows = []
-    labels = [f"ch{idx}" for *_, idx in _prediction_rows(config, loss, scale)]
-    for label in labels + (["no_wm"] if "no_wm" in preds else []):
+    for label, pred in preds.items():
         row = {"loss_db": loss, "configuration": label, "brightness_scale": scale}
-        pred = preds.get(label)
-        if config.mode in ("analytic", "both") and pred is not None:
+        if analytic:
             row.update(_prediction_row(pred, config.duration))
         if mc is not None:
             res = mc.merged if label == "no_wm" else mc.channels[int(label[2:])]
             row.update(_pipeline_row(res, config.f_ec))
-        if pred is not None:
-            expected = (pred.cc_true + pred.cc_accidental) * config.duration
-            if expected < MIN_EXPECTED_EVENTS:
-                warnings.append(
-                    f"loss {loss} dB, {label}: expected coincidences "
-                    f"{expected:.1f} < {MIN_EXPECTED_EVENTS:.0f}; "
-                    "Monte Carlo variance is large at this point"
-                )
+        if config.mode == "both":
+            z = consistency_sigmas(pred, row, config.duration, config.f_ec)
+            if z:
+                row.update({
+                    "z_qber": z["z_qber"], "z_key_rate": z["z_key_rate"],
+                    "within_4_sigma": within_4_sigma(z),
+                })
+        expected = (pred.cc_true + pred.cc_accidental) * config.duration
+        if expected < MIN_EXPECTED_EVENTS:
+            warnings.append(
+                f"loss {loss} dB, {label}: expected coincidences "
+                f"{expected:.1f} < {MIN_EXPECTED_EVENTS:.0f}; "
+                "Monte Carlo variance is large at this point"
+            )
         rows.append(row)
+    if not wm_sum:
+        return rows
     # Multiplexed sum: per-channel keys added.
+    labels = [label for label in preds if label != "no_wm"]
     sum_row = {"loss_db": loss, "configuration": "wm_sum", "brightness_scale": scale}
-    if config.mode in ("analytic", "both"):
-        key_an = sum(preds[l].key_rate for l in labels)
-        cc_an = sum((preds[l].cc_true + preds[l].cc_accidental) * config.duration
-                    for l in labels)
-        q_an = sum(preds[l].qber * (preds[l].cc_true + preds[l].cc_accidental)
-                   for l in labels) / sum(preds[l].cc_true + preds[l].cc_accidental
-                                          for l in labels)
-        sum_row.update({"cc_an": cc_an, "qber_an": q_an, "key_rate_bps_an": key_an})
+    if analytic:
+        totals = [preds[l].cc_true + preds[l].cc_accidental for l in labels]
+        sum_row.update({
+            "cc_an": sum(t * config.duration for t in totals),
+            "qber_an": sum(preds[l].qber * t for l, t in zip(labels, totals))
+            / sum(totals),
+            "key_rate_bps_an": sum(preds[l].key_rate for l in labels),
+        })
     if mc is not None:
         parts = [_pipeline_row(mc.channels[int(l[2:])], config.f_ec) for l in labels]
         sum_row.update({
@@ -607,60 +601,10 @@ CUSTOM_COLUMNS = (
 
 def run_custom(config: RunConfig, out_dir: str) -> dict:
     """User-defined sweep; in mode ``both`` each Monte Carlo column is
-    paired with its analytic prediction and flagged when both QBER and
+    paired with its analytic prediction and flagged when count, QBER and
     key rate agree within 4 sigma."""
-    curve_path = os.path.join(out_dir, "custom_curve.csv")
-    report_path = os.path.join(out_dir, "custom_report.json")
-    rows: list[dict] = []
-    warnings: list[str] = []
-    try:
-        for loss in config.loss_grid_db:
-            scale = _brightness_scale(config, loss)
-            preds = predict_point(config, loss, scale)
-            mc = None
-            if config.mode in ("montecarlo", "both"):
-                mc = simulate_point(
-                    config.source, config.plan, loss, config.detector,
-                    config.window, config.duration, config.seed,
-                    channel_visibilities=config.channel_visibilities,
-                    brightness_scale=scale,
-                )
-            for label, pred in preds.items():
-                row = {"loss_db": loss, "configuration": label,
-                       "brightness_scale": scale}
-                if config.mode in ("analytic", "both"):
-                    row.update(_prediction_row(pred, config.duration))
-                if mc is not None:
-                    res = mc.merged if label == "no_wm" \
-                        else mc.channels[int(label[2:])]
-                    row.update(_pipeline_row(res, config.f_ec))
-                if config.mode == "both":
-                    z = consistency_sigmas(pred, row, config.duration, config.f_ec)
-                    if z:
-                        row.update({
-                            "z_qber": z["z_qber"], "z_key_rate": z["z_key_rate"],
-                            "within_4_sigma": within_4_sigma(z),
-                        })
-                expected = (pred.cc_true + pred.cc_accidental) * config.duration
-                if expected < MIN_EXPECTED_EVENTS:
-                    warnings.append(
-                        f"loss {loss} dB, {label}: expected coincidences "
-                        f"{expected:.1f} < {MIN_EXPECTED_EVENTS:.0f}; "
-                        "Monte Carlo variance is large at this point"
-                    )
-                rows.append(row)
-    except Exception as exc:
-        _write(curve_path, _csv_bytes(CUSTOM_COLUMNS, rows, config))
-        _write(report_path, _report_json(config, {
-            "error": {"type": type(exc).__name__, "message": str(exc)},
-            "rows": rows, "warnings": warnings,
-        }))
-        raise
-    rows.sort(key=lambda r: (r["loss_db"], r["configuration"]))
-    _write(curve_path, _csv_bytes(CUSTOM_COLUMNS, rows, config))
-    report = {"rows": rows, "warnings": warnings}
-    _write(report_path, _report_json(config, report))
-    return report
+    return _run_sweep(config, out_dir, "custom", CUSTOM_COLUMNS, wm_sum=False,
+                      extras={})
 
 
 def run_scenario(config: RunConfig, out_dir: str) -> dict:

@@ -52,6 +52,17 @@ class ChannelScenario:
     def v_sys(self, basis: Basis) -> float:
         return self.v_sys_hv if basis is Basis.HV else self.v_sys_da
 
+    @property
+    def geometry(self) -> tuple[float, float, float]:
+        """(pair rate, eta_alice, eta_bob): one row of the analytic model."""
+        return (self.pair_rate_in_band, self.arrival_efficiency_signal,
+                self.arrival_efficiency_idler)
+
+    @property
+    def q_sys(self) -> float:
+        """Systematic error fraction of the analytic model (HV visibility)."""
+        return (1.0 - self.v_sys_hv) / 2.0
+
 
 def resolve_channels(
     source: SourceConfig,
@@ -232,7 +243,6 @@ def simulate_point(
     channel_visibilities: dict[int, tuple[float, float]] | None = None,
     brightness_scale: float = 1.0,
     include_merged: bool = True,
-    merge_dead_time: float | None = None,
     accidental_delay: float = 2e-7,
 ) -> PointResult:
     """Run the full Monte Carlo pipeline at one loss value.
@@ -262,13 +272,14 @@ def simulate_point(
 
     merged_result = None
     if include_merged and len(chans) >= 2:
-        dead = detector.dead_time if merge_dead_time is None else merge_dead_time
         merged_blocks = []
         for basis in (Basis.HV, Basis.DA):
             blk_of = {idx: blocks[_BLOCK_OF_BASIS[basis]]
                       for idx, blocks in per_channel_blocks.items()}
-            alice = _merge_side([b.alice for b in blk_of.values()], dead, 1000)
-            bob = _merge_side([b.bob for b in blk_of.values()], dead, 1100)
+            alice = _merge_side([b.alice for b in blk_of.values()],
+                                detector.dead_time, 1000)
+            bob = _merge_side([b.bob for b in blk_of.values()],
+                              detector.dead_time, 1100)
             merged_blocks.append(BlockTags(basis, alice, bob))
         merged_result = _analyze(MERGED_LABEL, merged_blocks, window, 0,
                                  accidental_delay)

@@ -79,15 +79,6 @@ class SourceConfig:
         """Gaussian standard deviation of the spectrum (nm)."""
         return _gaussian_sigma(self.spectral_fwhm)
 
-    def systematic_visibility(self, basis) -> float:
-        """Visibility for a basis ('HV'/'DA' or a Basis enum value)."""
-        name = getattr(basis, "value", basis)
-        if name == "HV":
-            return self.systematic_visibility_hv
-        if name == "DA":
-            return self.systematic_visibility_da
-        raise ValueError(f"unknown basis {basis!r}")
-
     def with_pair_rate(self, pair_rate: float) -> "SourceConfig":
         return replace(self, pair_rate=pair_rate)
 

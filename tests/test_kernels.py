@@ -1,8 +1,9 @@
 """Property tests of the array kernels against scalar or brute-force
-oracles: the coincidence matcher, the k-way detector merge of the
-non-multiplexed baseline, the dead-time filter, the canonical tag order
-of the detector output, and the batched pair-rate optimizer behind the
-fig3d projection."""
+oracles: the coincidence matcher and the delayed-window accidental
+estimate, the k-way detector merge of the non-multiplexed baseline, the
+dead-time filter, the canonical tag order of the detector output, the
+batched pair-rate optimizer behind the fig3d projection, and the refined
+analytic predictor of the channels and the merged baseline."""
 
 import math
 from dataclasses import replace
@@ -13,8 +14,11 @@ from hypothesis import strategies as st
 
 from test_coincidence import brute_force_greedy, make_tags
 from wmqkd import calibration as calib
-from wmqkd.calibration import FROZEN_CALIBRATION, fig3d_model
-from wmqkd.coincidence import CoincidenceWindow, find_coincidences
+from wmqkd.calibration import (ChannelPrediction, FROZEN_CALIBRATION, fig3d_model,
+                               predict_channel, predict_merged, predict_rows,
+                               window_efficiency)
+from wmqkd.coincidence import (CoincidenceWindow, accidental_estimate,
+                               find_coincidences)
 from wmqkd.detection import (DetectorConfig, TagStream, _dead_time_filter,
                              detect)
 from wmqkd.keyrate import (AnalyticLinkModel, PairRateOptimum, analytic_rates,
@@ -96,6 +100,15 @@ def test_matcher_agrees_with_greedy_oracle(ta, tb, half):
     m = find_coincidences(make_tags(ta), make_tags(tb),
                           CoincidenceWindow((2 * half + 1) * TICK))
     assert sorted(zip(m.idx_a.tolist(), m.idx_b.tolist())) == brute_force_greedy(ta, tb, half)
+
+
+@given(sorted_ticks, sorted_ticks, st.integers(0, 3), st.integers(-500, 500))
+def test_accidental_estimate_matches_shifted_stream(ta, tb, half, shift):
+    a, b = make_tags(ta), make_tags(tb)
+    shifted = make_tags(np.asarray(tb, dtype=np.int64) + shift)
+    window = CoincidenceWindow((2 * half + 1) * TICK)
+    assert accidental_estimate(a, b, window, shift * TICK) == \
+        len(find_coincidences(a, shifted, window))
 
 
 @given(module_streams(), st.integers(0, 40))
@@ -281,3 +294,122 @@ def test_fig3d_rows_equal_per_loss_scalar_rows(tmp_path):
             })
     assert report["scaling_rows"] == scaling
     assert report["bandwidth_rows"] == bandwidth
+
+
+def _port_rate(rate, dead_time):
+    return rate / (1.0 + rate * dead_time)
+
+
+def scalar_predict_channel(pair_rate_in_band, arrival_eff_alice, arrival_eff_bob,
+                           detector, window, q_sys, f_ec=1.1):
+    """Reference prediction of one channel in scalar Python arithmetic,
+    as written before the array predictor."""
+    w_eff = window.effective_width(detector.tick)
+    eta_w = window_efficiency(detector.jitter_sigma, w_eff)
+    preds = []
+    rhos = []
+    for eta in (arrival_eff_alice, arrival_eff_bob):
+        photon = pair_rate_in_band * eta * detector.efficiency
+        port_in = photon / 2.0 + detector.dark_rate
+        rho = _port_rate(port_in, detector.dead_time) / port_in \
+            if port_in > 0 else 1.0
+        preds.append(2.0 * port_in * rho)
+        rhos.append(rho)
+    s_a, s_b = preds
+    cc_true = (pair_rate_in_band * arrival_eff_alice * arrival_eff_bob
+               * detector.efficiency**2 * rhos[0] * rhos[1] * eta_w)
+    cc_acc = s_a * s_b * w_eff
+    total = cc_true + cc_acc
+    q = (q_sys * cc_true + 0.5 * cc_acc) / total if total > 0 else float("nan")
+    key = max(0.0, total * 0.5 * (1.0 - (1.0 + f_ec) * binary_entropy(q))) \
+        if total > 0 else 0.0
+    return ChannelPrediction(s_a, s_b, cc_true, cc_acc, q, key)
+
+
+def scalar_predict_merged(per_channel, detector, window, q_sys_by_channel,
+                          f_ec=1.1):
+    """Reference prediction of the merged baseline in scalar Python
+    arithmetic, as written before the array predictor."""
+    dead = detector.dead_time
+    w_eff = window.effective_width(detector.tick)
+    eta_w = window_efficiency(detector.jitter_sigma, w_eff)
+
+    port_out = []
+    rho_det = []
+    for b, ea, eb in per_channel:
+        row_out, row_rho = [], []
+        for eta in (ea, eb):
+            photon = b * eta * detector.efficiency
+            port_in = photon / 2.0 + detector.dark_rate
+            rho = _port_rate(port_in, dead) / port_in if port_in > 0 else 1.0
+            row_out.append(port_in * rho)
+            row_rho.append(rho)
+        port_out.append(row_out)
+        rho_det.append(row_rho)
+
+    singles = []
+    rho_merge = []
+    for side in (0, 1):
+        rates = [row[side] for row in port_out]
+        tot = sum(rates)
+        singles.append(2.0 * sum(r / (1.0 + (tot - r) * dead) for r in rates))
+        rho_merge.append([1.0 / (1.0 + (tot - r) * dead) for r in rates])
+    s_a, s_b = singles
+
+    cc_true = 0.0
+    q_weighted = 0.0
+    for k, (b, ea, eb) in enumerate(per_channel):
+        t_k = (b * ea * eb * detector.efficiency**2
+               * rho_det[k][0] * rho_det[k][1]
+               * rho_merge[0][k] * rho_merge[1][k] * eta_w)
+        cc_true += t_k
+        q_weighted += q_sys_by_channel[k] * t_k
+    cc_acc = s_a * s_b * w_eff
+    total = cc_true + cc_acc
+    q = (q_weighted + 0.5 * cc_acc) / total if total > 0 else float("nan")
+    key = max(0.0, total * 0.5 * (1.0 - (1.0 + f_ec) * binary_entropy(q))) \
+        if total > 0 else 0.0
+    return ChannelPrediction(s_a, s_b, cc_true, cc_acc, q, key)
+
+
+def same_prediction(got, want):
+    """Field-by-field ``==``, with NaN equal to NaN."""
+    return all(g == w or (math.isnan(g) and math.isnan(w))
+               for g, w in zip(vars(got).values(), vars(want).values()))
+
+
+@st.composite
+def prediction_setups(draw):
+    n = draw(st.integers(1, 32))
+    rows = [(draw(st.one_of(st.just(0.0), log_uniform(1e3, 1e9))),
+             draw(log_uniform(1e-5, 1.0)), draw(log_uniform(1e-5, 1.0)))
+            for _ in range(n)]
+    q_sys = [draw(st.floats(0.0, 0.5)) for _ in range(n)]
+    detector = DetectorConfig(
+        efficiency=draw(st.floats(0.05, 1.0)),
+        dark_rate=draw(st.one_of(st.just(0.0), log_uniform(1.0, 1e5))),
+        jitter_sigma=draw(st.one_of(st.just(0.0), log_uniform(1e-12, 1e-9))),
+        dead_time=draw(st.one_of(st.just(0.0), log_uniform(1e-9, 1e-6))),
+    )
+    window = CoincidenceWindow(draw(log_uniform(1e-10, 1e-8)))
+    return rows, q_sys, detector, window, draw(st.floats(1.0, 1.5))
+
+
+@given(prediction_setups())
+def test_predictor_equals_scalar_oracles(setup):
+    rows, q_sys, detector, window, f_ec = setup
+    channels, merged = predict_rows(rows, q_sys, detector, window, f_ec)
+    assert len(channels) == len(rows)
+    for row, q, got in zip(rows, q_sys, channels):
+        want = scalar_predict_channel(*row, detector, window, q, f_ec)
+        assert same_prediction(got, want)
+        assert same_prediction(predict_channel(*row, detector, window, q, f_ec), want)
+    want = scalar_predict_merged(rows, detector, window, q_sys, f_ec)
+    assert same_prediction(merged, want)
+    assert same_prediction(predict_merged(rows, detector, window, q_sys, f_ec), want)
+
+
+def test_predictor_of_no_rows():
+    channels, merged = predict_rows([], [], DetectorConfig(), CoincidenceWindow())
+    assert channels == []
+    assert (merged.cc_true, merged.cc_accidental, merged.key_rate) == (0.0, 0.0, 0.0)

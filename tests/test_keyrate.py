@@ -258,17 +258,3 @@ def test_channel_result_assembles_report_fields():
     assert r.secure_key_bits > 0
     assert r.secure_key_rate == pytest.approx(r.secure_key_bits / 2.0)
 
-
-def test_report_serialization():
-    from wmqkd.keyrate import KeyRateReport, report_to_csv
-    hv = counts(19, 481, 481, 19)
-    da = counts(10, 490, 490, 10, basis=Basis.DA)
-    rep = KeyRateReport(channels=[channel_result(hv, da, 1e5, 1.2e5, 42.0)])
-    d = rep.to_dict()
-    assert d["total_secure_key_bits"] == pytest.approx(rep.channels[0].secure_key_bits)
-    import json
-    json.dumps(d)
-    text = report_to_csv(rep)
-    lines = text.splitlines()
-    assert lines[0].startswith("channel_pair,visibility_hv")
-    assert len(lines) == 2

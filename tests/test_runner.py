@@ -129,6 +129,24 @@ def test_within_4_sigma_judges_defined_z_scores():
     assert not within_4_sigma({"z_qber": float("nan"), "z_key_rate": float("nan")})
 
 
+def test_within_4_sigma_fails_missing_counts_without_key():
+    # No key is predicted (q_sys = 0.5), so the key rate cannot fail the
+    # row; over 10k coincidences were expected and none came.
+    cfg = RunConfig()
+    zero = {"cc_mc": 0, "qber_mc": float("nan"), "key_rate_bps_mc": 0.0}
+    pred = predict_channel(1e7, 1e-1, 1e-1, cfg.detector, cfg.window, 0.5)
+    n = pred.cc_true + pred.cc_accidental
+    assert pred.key_rate == 0.0 and n > 1e4
+    z = consistency_sigmas(pred, zero, 1.0, cfg.f_ec)
+    assert z["z_key_rate"] == 0.0 and math.isnan(z["z_qber"])
+    assert not within_4_sigma(z)
+    assert z["z_cc"] < -100.0
+    # The expected count seen: consistent.
+    seen = {"cc_mc": n, "qber_mc": pred.qber, "key_rate_bps_mc": 0.0}
+    z = consistency_sigmas(pred, seen, 1.0, cfg.f_ec)
+    assert z["z_cc"] == 0.0 and within_4_sigma(z)
+
+
 def test_run_custom_byte_determinism(tmp_path):
     d1, d2 = tmp_path / "a", tmp_path / "b"
     run_custom(small_custom(), str(d1))

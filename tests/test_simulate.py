@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from wmqkd.calibration import (DEFAULT_DETECTOR, FROZEN_CALIBRATION,
-                               derive_calibration, predict_channel,
-                               window_efficiency)
-from wmqkd.channels import ChannelPlan, WavelengthChannel, build_table1_plan
+                               REFERENCE_LOSS_DB, derive_calibration,
+                               predict_channel, window_efficiency)
+from wmqkd.channels import (ChannelPlan, WavelengthChannel, build_table1_plan,
+                            table1_source_config)
 from wmqkd.coincidence import CoincidenceWindow, find_coincidences, tabulate
 from wmqkd.detection import (Basis, DetectorConfig, detect,
                              measure_pair_outcomes, measure_single_outcomes,
@@ -219,10 +220,9 @@ def test_frozen_calibration_matches_derivation():
 
 def test_calibration_reproduces_reference_qber():
     cal = FROZEN_CALIBRATION
-    from wmqkd.calibration import _reference_geometry
-    rows = _reference_geometry(DEFAULT_DETECTOR, CoincidenceWindow(1e-9),
-                               cal.full_spectrum_pair_rate)
-    b1, ea1, eb1, _ = rows[0]
+    source = table1_source_config(pair_rate=cal.full_spectrum_pair_rate)
+    chans = resolve_channels(source, build_table1_plan(), REFERENCE_LOSS_DB)
+    b1, ea1, eb1 = chans[0].geometry
     pred = predict_channel(b1, ea1, eb1, DEFAULT_DETECTOR, CoincidenceWindow(1e-9),
                            cal.q_sys_channel1)
     assert pred.qber == pytest.approx(0.038, abs=1e-9)
