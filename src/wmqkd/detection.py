@@ -248,7 +248,8 @@ def _dead_time_filter(times: np.ndarray, dead: float) -> np.ndarray:
     every cluster is kept and the second is dropped.  Clusters of three
     or more events are walked with ``searchsorted``, all at once, one
     kept event per step, so a burst costs O(n + kept · log n) rather
-    than quadratic time.
+    than quadratic time.  A walk that leaves its cluster lands on the
+    next cluster's first event, which is already kept, and stops there.
     """
     n = times.size
     if n < 2 or dead < 0:
@@ -256,14 +257,11 @@ def _dead_time_filter(times: np.ndarray, dead: float) -> np.ndarray:
     keep = np.empty(n, dtype=bool)
     keep[0] = True
     np.greater(times[1:], times[:-1] + dead, out=keep[1:])
-    first = np.flatnonzero(keep)
-    end = np.append(first[1:], n)
-    longer = end - first > 2
-    cur, end = first[longer], end[longer]
+    cur = np.flatnonzero(keep[:-2] & ~keep[1:-1] & ~keep[2:])
     while cur.size:
         cur = np.searchsorted(times, times[cur] + dead, side="right")
-        inside = cur < end
-        cur, end = cur[inside], end[inside]
+        cur = cur[cur < n]
+        cur = cur[~keep[cur]]
         keep[cur] = True
     return keep
 
@@ -274,10 +272,11 @@ def _port_dead_time_filter(times: np.ndarray, port: np.ndarray, dead: float,
 
     ``times`` must be non-decreasing and ``port`` holds int8 labels in
     ``range(ports)``.  A stable sort by port groups each port's events,
-    still in time order, into one slice for :func:`_dead_time_filter`.
+    still in time order, into one slice for :func:`_dead_time_filter`,
+    which compares them as float64.
     """
     by_port = np.argsort(port, kind="stable")
-    t = times[by_port]
+    t = times[by_port].astype(np.float64, copy=False)
     edges = np.cumsum(np.bincount(port, minlength=ports))
     keep = np.empty(times.size, dtype=bool)
     keep[by_port] = np.concatenate([
@@ -393,27 +392,45 @@ def _merge_streams(streams: list[TagStream], global_dead_time: float,
     stream either came from.  The output keeps the original detector
     ids, in that order; callers relabel them.
     """
-    union = _union(streams)
-    port = (union.detector_ids % ports).astype(np.int8)
+    tick_s = _common_tick(streams)
+    ticks = np.concatenate([s.ticks for s in streams])
     # The input is a few sorted runs, which a stable sort merges cheaply;
     # only equal ticks still need the (port, detector_id) order.
-    order = np.argsort(union.ticks, kind="stable")
-    t = union.ticks[order]
-    port_t = port[order]
-    pos, src = _tie_order(t, port_t, union.detector_ids[order])
-    order[pos], port_t[pos] = order[src], port_t[src]
-    keep = _port_dead_time_filter(t.astype(np.float64), port_t,
-                                  global_dead_time / union.tick_seconds, ports)
-    return union.take(order[keep])
+    order = np.argsort(ticks, kind="stable")
+    t = ticks[order]
+    del ticks
+    det = np.concatenate([s.detector_ids for s in streams])[order]
+    port = (det % ports).astype(np.int8)
+    pos, src = _tie_order(t, port, det)
+    del det
+    order[pos], port[pos] = order[src], port[src]
+    keep = _port_dead_time_filter(t, port, global_dead_time / tick_s, ports)
+    # Reordering within groups of equal ticks leaves ``t`` as it was, so
+    # only the other fields are gathered from the inputs.
+    idx = order[keep]
+    del order, port
+
+    def gather(field):
+        return np.concatenate([getattr(s, field) for s in streams])[idx]
+
+    return TagStream(t[keep], gather("outcomes"), gather("detector_ids"),
+                     gather("channel_indices"), gather("dark"),
+                     tick_s, max(s.duration for s in streams))
 
 
-def _union(streams: list[TagStream]) -> TagStream:
-    """All tags of several streams, in no particular order."""
+def _common_tick(streams: list[TagStream]) -> float:
+    """The tick resolution shared by several streams."""
     if not streams:
         raise ValueError("no streams to concatenate")
     tick_s = streams[0].tick_seconds
     if any(s.tick_seconds != tick_s for s in streams):
         raise ValueError("tick resolution mismatch between streams")
+    return tick_s
+
+
+def concatenate_streams(streams: list[TagStream]) -> TagStream:
+    """Union of several tag streams, re-sorted canonically."""
+    tick_s = _common_tick(streams)
     return TagStream(
         np.concatenate([s.ticks for s in streams]),
         np.concatenate([s.outcomes for s in streams]),
@@ -421,12 +438,7 @@ def _union(streams: list[TagStream]) -> TagStream:
         np.concatenate([s.channel_indices for s in streams]),
         np.concatenate([s.dark for s in streams]),
         tick_s, max(s.duration for s in streams),
-    )
-
-
-def concatenate_streams(streams: list[TagStream]) -> TagStream:
-    """Union of several tag streams, re-sorted canonically."""
-    return _union(streams).sorted()
+    ).sorted()
 
 
 TAG_CSV_COLUMNS = ("detector_id", "tick_time", "outcome", "channel_index")

@@ -94,6 +94,8 @@ class RunConfig:
         table1 = build_table1_plan()
         if self.plan is None:
             self.plan = table1
+        if not self.plan.pairs:
+            raise ConfigError("plan.pairs", "must hold at least one channel pair")
         if self.channel_visibilities is None:
             # The fitted visibilities belong to the measured channels; any
             # other plan uses the source's systematic visibility throughout.

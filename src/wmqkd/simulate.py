@@ -12,10 +12,23 @@ The wavelength-multiplexed pipeline analyzes each channel pair with its
 own detectors; the non-multiplexed baseline merges the recorded tag
 streams of corresponding detectors (post-processing, as a hardware
 merge would) and re-runs coincidence analysis on the merged streams.
+
+A point is recorded as an HV and a DA block, and each basis is one
+self-contained unit of work (:func:`simulate_basis`): every channel's
+block in that basis, its per-channel matching and accidental estimate,
+and that basis's merged baseline.  A unit hands back counts only, so
+its tag streams are freed when it returns.  :func:`simulate_point` runs
+the two units on two threads.  Scheduling cannot change the result:
+every random draw comes from a sub-seed named by channel, block and
+component, and the units' counts are joined in a fixed HV-then-DA
+order.  The merged baseline's temporaries are a unit's memory peak, so
+the two units take turns in that section under a lock.
 """
 
 from __future__ import annotations
 
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -208,27 +221,88 @@ class PointResult:
     merged: PipelineResult | None
 
 
-def _analyze(label, blocks: list[BlockTags], window: CoincidenceWindow,
-             channel_pair: int, delay: float) -> PipelineResult:
-    counts = {}
-    singles_a = singles_b = 0.0
-    acc = 0.0
-    total_t = 0.0
-    for blk in blocks:
-        matches = find_coincidences(blk.alice, blk.bob, window)
-        counts[blk.basis] = tabulate(matches, blk.basis, channel_pair,
-                                     blk.alice.duration)
-        singles_a += len(blk.alice)
-        singles_b += len(blk.bob)
-        acc += accidental_estimate(blk.alice, blk.bob, window, delay)
-        total_t += blk.alice.duration
+@dataclass(frozen=True)
+class BlockCounts:
+    """What one pipeline records in one basis block: its coincidence
+    table, tag counts, delayed-window accidental count and duration."""
+
+    counts: CountsMatrix
+    singles_alice: int
+    singles_bob: int
+    accidentals: int
+    duration: float
+
+
+def _count_block(alice: TagStream, bob: TagStream, basis: Basis,
+                 window: CoincidenceWindow, channel_pair: int,
+                 delay: float) -> BlockCounts:
+    matches = find_coincidences(alice, bob, window)
+    return BlockCounts(
+        counts=tabulate(matches, basis, channel_pair, alice.duration),
+        singles_alice=len(alice),
+        singles_bob=len(bob),
+        accidentals=accidental_estimate(alice, bob, window, delay),
+        duration=alice.duration,
+    )
+
+
+def simulate_basis(
+    chans: list[ChannelScenario],
+    basis: Basis,
+    detector: DetectorConfig,
+    window: CoincidenceWindow,
+    block_duration: float,
+    seed: int,
+    accidental_delay: float,
+    merge_lock: threading.Lock | None,
+) -> dict[int | str, BlockCounts]:
+    """Simulate and count one basis block of every channel.
+
+    Each channel's block is matched and its accidentals estimated at
+    once.  With a ``merge_lock`` the channels' streams are also kept,
+    merged into the non-multiplexed baseline under that lock, and
+    counted under the key ``MERGED_LABEL``.  Only counts are returned;
+    no tag stream outlives the call.
+    """
+    out: dict[int | str, BlockCounts] = {}
+    alice: list[TagStream] = []
+    bob: list[TagStream] = []
+    for slot, ch in enumerate(chans):
+        blk = simulate_channel_block(ch, basis, detector, block_duration,
+                                     seed, slot)
+        out[ch.index] = _count_block(blk.alice, blk.bob, basis, window,
+                                     ch.index, accidental_delay)
+        if merge_lock is not None:
+            alice.append(blk.alice)
+            bob.append(blk.bob)
+        del blk   # the lists alone hold the streams, so the merge can free them
+    if merge_lock is not None:
+        # The merge's temporaries are the largest allocation of a basis
+        # block, so the two bases take turns here.
+        with merge_lock:
+            merged_alice = _merge_side(alice, detector.dead_time, 1000)
+            del alice
+            merged_bob = _merge_side(bob, detector.dead_time, 1100)
+            del bob
+            out[MERGED_LABEL] = _count_block(merged_alice, merged_bob, basis,
+                                             window, 0, accidental_delay)
+    return out
+
+
+def _pipeline(label: str, hv: BlockCounts, da: BlockCounts) -> PipelineResult:
+    """Join a pipeline's HV and DA block counts into rates.
+
+    The counts are integers, so each sum is exact and the rates are the
+    same whichever block finished first.
+    """
+    total_t = hv.duration + da.duration
     return PipelineResult(
         label=label,
-        counts_hv=counts[Basis.HV],
-        counts_da=counts[Basis.DA],
-        singles_alice=singles_a / total_t,
-        singles_bob=singles_b / total_t,
-        accidental_rate=acc / total_t,
+        counts_hv=hv.counts,
+        counts_da=da.counts,
+        singles_alice=(hv.singles_alice + da.singles_alice) / total_t,
+        singles_bob=(hv.singles_bob + da.singles_bob) / total_t,
+        accidental_rate=(hv.accidentals + da.accidentals) / total_t,
     )
 
 
@@ -247,45 +321,42 @@ def simulate_point(
 ) -> PointResult:
     """Run the full Monte Carlo pipeline at one loss value.
 
-    Records equal-duration HV and DA blocks per channel pair, analyzes
-    each channel separately, and (optionally) merges corresponding
-    detectors across channels into a non-multiplexed baseline.  All
-    randomness derives from ``seed`` through named sub-seeds, so channel
-    and block order never affects the result.
+    Every channel pair records an HV and a DA block of ``duration / 2``
+    each.  Each basis is one unit of work (:func:`simulate_basis`): it
+    simulates that block of every channel, analyzes each channel on its
+    own and, when ``include_merged`` is set and there are at least two
+    channels, merges corresponding detectors across channels into the
+    non-multiplexed baseline.  The two units run on two threads; numpy
+    releases the interpreter lock in the sorts, random fills and array
+    arithmetic that make up their work.
+
+    Scheduling cannot change the result.  All randomness derives from
+    ``seed`` through sub-seeds named by channel, block and component,
+    so neither the order nor the thread in which blocks run matters,
+    and the units' counts are joined in a fixed HV-then-DA order.  The
+    units share only a lock around the merged baseline, whose
+    temporaries are each unit's memory peak; holding it keeps the two
+    peaks from coinciding.
     """
     if duration <= 0:
         raise ValueError(f"duration must be > 0, got {duration}")
     chans = resolve_channels(source, plan, loss_db, channel_visibilities,
                              brightness_scale)
-    block_t = duration / 2.0
-    per_channel_blocks: dict[int, list[BlockTags]] = {}
-    for slot, ch in enumerate(chans):
-        per_channel_blocks[ch.index] = [
-            simulate_channel_block(ch, basis, detector, block_t, seed, slot)
+    merge_lock = threading.Lock() if include_merged and len(chans) >= 2 else None
+    with ThreadPoolExecutor(max_workers=len(_BLOCK_OF_BASIS)) as pool:
+        futures = [
+            pool.submit(simulate_basis, chans, basis, detector, window,
+                        duration / 2.0, seed, accidental_delay, merge_lock)
             for basis in (Basis.HV, Basis.DA)
         ]
-
-    results = {
-        idx: _analyze(f"ch{idx}", blocks, window, idx, accidental_delay)
-        for idx, blocks in per_channel_blocks.items()
-    }
-
-    merged_result = None
-    if include_merged and len(chans) >= 2:
-        merged_blocks = []
-        for basis in (Basis.HV, Basis.DA):
-            blk_of = {idx: blocks[_BLOCK_OF_BASIS[basis]]
-                      for idx, blocks in per_channel_blocks.items()}
-            alice = _merge_side([b.alice for b in blk_of.values()],
-                                detector.dead_time, 1000)
-            bob = _merge_side([b.bob for b in blk_of.values()],
-                              detector.dead_time, 1100)
-            merged_blocks.append(BlockTags(basis, alice, bob))
-        merged_result = _analyze(MERGED_LABEL, merged_blocks, window, 0,
-                                 accidental_delay)
-
-    return PointResult(loss_db=loss_db, duration=duration,
-                       channels=results, merged=merged_result)
+        hv, da = (f.result() for f in futures)
+    return PointResult(
+        loss_db=loss_db, duration=duration,
+        channels={ch.index: _pipeline(f"ch{ch.index}", hv[ch.index], da[ch.index])
+                  for ch in chans},
+        merged=(_pipeline(MERGED_LABEL, hv[MERGED_LABEL], da[MERGED_LABEL])
+                if merge_lock is not None else None),
+    )
 
 
 def _merge_side(streams: list[TagStream], dead: float, id_base: int) -> TagStream:

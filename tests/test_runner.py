@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from wmqkd.calibration import FROZEN_CALIBRATION, predict_channel
+from wmqkd.channels import ChannelPlan
 from wmqkd.cli import main as cli_main
 from wmqkd.runner import (ConfigError, RunConfig, config_from_dict,
                           consistency_sigmas, default_config, load_config,
@@ -284,3 +285,21 @@ def test_plan_specifications_in_config():
         config_from_dict({"scenario": "custom", "plan": {"grid": {}}})
     with pytest.raises(ConfigError, match="plan"):
         config_from_dict({"scenario": "custom", "plan": "tableX"})
+
+
+@pytest.mark.parametrize("scenario", ["fig3b", "custom"])
+def test_plan_without_pairs_rejected(scenario, tmp_path, capsys):
+    raw = {"scenario": scenario, "mode": "analytic",
+           "plan": {"pairs": [], "spdc_center": 810.0}}
+    with pytest.raises(ConfigError, match="plan.pairs"):
+        config_from_dict(raw)
+    with pytest.raises(ConfigError, match="plan.pairs"):
+        RunConfig(scenario=scenario, mode="analytic",
+                  plan=ChannelPlan(pairs=(), spdc_center=810.0))
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    rc = cli_main([scenario, "--config", str(cfgfile), "--out", str(out)])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err.strip())["field"] == "plan.pairs"
+    assert not out.exists()

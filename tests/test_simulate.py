@@ -3,20 +3,25 @@ the explicit sample/transmit/measure path, agreement with the analytic
 model, the merged-baseline error excess, determinism, and the frozen
 calibration."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+import wmqkd.simulate
 from wmqkd.calibration import (DEFAULT_DETECTOR, FROZEN_CALIBRATION,
                                REFERENCE_LOSS_DB, derive_calibration,
                                predict_channel, window_efficiency)
-from wmqkd.channels import (ChannelPlan, WavelengthChannel, build_table1_plan,
-                            table1_source_config)
+from wmqkd.channels import (ChannelPlan, WavelengthChannel, build_grid_plan,
+                            build_table1_plan, table1_source_config)
 from wmqkd.coincidence import CoincidenceWindow, find_coincidences, tabulate
 from wmqkd.detection import (Basis, DetectorConfig, detect,
                              measure_pair_outcomes, measure_single_outcomes,
                              transmit)
 from wmqkd.keyrate import AnalyticLinkModel, analytic_rates
-from wmqkd.simulate import (BlockTags, resolve_channels, simulate_channel_block,
+from wmqkd.simulate import (MERGED_LABEL, BlockTags, resolve_channels,
+                            simulate_basis, simulate_channel_block,
                             simulate_point)
 from wmqkd.source import SourceConfig, _rng, band_fraction, sample_pair_stream
 
@@ -197,6 +202,86 @@ def test_channel_results_independent_of_companions():
     m = find_coincidences(solo.alice, solo.bob, CoincidenceWindow(1e-9))
     counts_solo = tabulate(m, Basis.HV, 2)
     assert np.array_equal(counts_solo.cc, full.channels[2].counts_hv.cc)
+
+
+def sequential_point(src, plan, loss, duration, seed, include_merged, **kwargs):
+    """The HV and DA units run one after the other in the calling thread,
+    their counts summed from 0.0 in HV-then-DA order."""
+    chans = resolve_channels(src, plan, loss, **kwargs)
+    lock = threading.Lock() if include_merged and len(chans) >= 2 else None
+    units = [simulate_basis(chans, basis, DEFAULT_DETECTOR, CoincidenceWindow(1e-9),
+                            duration / 2.0, seed, 2e-7, lock)
+             for basis in (Basis.HV, Basis.DA)]
+    out = {}
+    for key in units[0]:
+        singles_a = singles_b = acc = total_t = 0.0
+        for unit in units:
+            singles_a += unit[key].singles_alice
+            singles_b += unit[key].singles_bob
+            acc += unit[key].accidentals
+            total_t += unit[key].duration
+        out[key] = ([unit[key].counts for unit in units],
+                    singles_a / total_t, singles_b / total_t, acc / total_t)
+    return out
+
+
+def small_grid_plan():
+    plan, _ = build_grid_plan(805.0, 815.0, 400e9, 50e9, 810.05)
+    return plan
+
+
+@pytest.mark.parametrize("include_merged", [True, False])
+@pytest.mark.parametrize("plan_of, kwargs", [
+    (build_table1_plan,
+     {"channel_visibilities": FROZEN_CALIBRATION.channel_visibilities()}),
+    (small_grid_plan, {}),
+])
+def test_threaded_point_equals_sequential_units(plan_of, kwargs, include_merged):
+    src, plan, loss, duration, seed = FROZEN_CALIBRATION.source(), plan_of(), 30.0, 0.1, 4
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = simulate_point(src, plan, loss, DEFAULT_DETECTOR,
+                                  CoincidenceWindow(1e-9), duration, seed,
+                                  include_merged=include_merged, **kwargs)
+    finally:
+        sys.setswitchinterval(interval)
+    want = sequential_point(src, plan, loss, duration, seed, include_merged,
+                            **kwargs)
+    got = dict(threaded.channels)
+    if include_merged:
+        got[MERGED_LABEL] = threaded.merged
+    else:
+        assert threaded.merged is None
+    assert set(got) == set(want)
+    for key, r in got.items():
+        counts, singles_a, singles_b, acc = want[key]
+        for have, expect in zip((r.counts_hv, r.counts_da), counts):
+            assert have.basis == expect.basis
+            assert np.array_equal(have.cc, expect.cc)
+            assert have.channel_pair == expect.channel_pair
+            assert have.duration == expect.duration
+        assert r.singles_alice == singles_a
+        assert r.singles_bob == singles_b
+        assert r.accidental_rate == acc
+
+
+def test_error_in_a_basis_unit_reaches_the_caller(monkeypatch):
+    real_detect = wmqkd.simulate.detect
+
+    def failing_detect(*args, **kwargs):
+        if kwargs["basis"] is Basis.DA:
+            raise RuntimeError("detector fault in the DA block")
+        return real_detect(*args, **kwargs)
+
+    monkeypatch.setattr(wmqkd.simulate, "detect", failing_detect)
+    before = threading.active_count()
+    cal = FROZEN_CALIBRATION
+    with pytest.raises(RuntimeError, match="DA block"):
+        simulate_point(cal.source(), build_table1_plan(), 30.0, DEFAULT_DETECTOR,
+                       CoincidenceWindow(1e-9), 0.05, seed=3,
+                       channel_visibilities=cal.channel_visibilities())
+    assert threading.active_count() == before
 
 
 def test_window_efficiency_formula():
