@@ -3,19 +3,22 @@
 Two tag streams are matched with a greedy earliest-first one-to-one
 policy inside a symmetric timing window: tags pair when their time
 difference is at most half the window, so the total window width equals
-the configured value.  An accidental-rate estimator re-runs the match
-kernel with one stream delayed far outside the window.
+the configured value.  An accidental-rate estimator counts the matches
+with one stream delayed far outside the window.  Streams that arrive in
+time chunks are matched stretch by stretch (:class:`ChunkedPair`), with
+exactly the result of matching them whole.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import Basis, TagStream
+from .detection import Basis, TagStream, _chain
 
 
 @dataclass(frozen=True)
@@ -25,8 +28,8 @@ class CoincidenceWindow:
     t_c: float = 1e-9
 
     def __post_init__(self):
-        if self.t_c <= 0:
-            raise ValueError(f"t_c must be > 0, got {self.t_c}")
+        if not (self.t_c > 0 and math.isfinite(self.t_c)):
+            raise ValueError(f"t_c must be finite and > 0, got {self.t_c}")
 
     def half_width_ticks(self, tick_seconds: float) -> int:
         """Largest integer tick difference counted as coincident.
@@ -113,52 +116,86 @@ def _half_window_ticks(tags_a: TagStream, tags_b: TagStream,
     return window.half_width_ticks(tags_a.tick_seconds)
 
 
-def _match_indices(ta: np.ndarray, tb: np.ndarray, half: int):
-    """Indices of the greedy matches of two sorted tick arrays, in no
-    particular order."""
-    na = ta.size
-    e = np.empty(0, dtype=np.int64)
-    if na == 0 or tb.size == 0:
-        return e, e
+def _close_runs(ta: np.ndarray, tb: np.ndarray, half: int):
+    """The merged time order of two sorted tick arrays and its runs of
+    close links, or None when no run exists.
 
-    # Merge both streams in time order.  A match needs a chain of
-    # consecutive gaps of at most the half window between its tags, so
-    # only runs of such "close" links can hold matches; they are a small
-    # share of the tags at realistic rates.
+    A match needs a chain of consecutive gaps of at most the half window
+    between its tags, so only runs of such "close" links can hold
+    matches; they are a small share of the tags at realistic rates.
+    Returns ``(order, first, last)``: ``order`` indexes the concatenation
+    of ``ta`` and ``tb``, and each run spans ``order[first[i]:last[i] + 1]``.
+    """
+    if ta.size == 0 or tb.size == 0:
+        return None
     t_all = np.concatenate([ta, tb])
     order = np.argsort(t_all, kind="stable")   # two sorted runs; ties put Alice first
     t_all = t_all[order]
     close = np.flatnonzero(np.diff(t_all) <= half)   # link k joins tags k and k + 1
     if close.size == 0:
-        return e, e
+        return None
     brk = np.flatnonzero(np.diff(close) != 1) + 1
     first = close[np.concatenate(([0], brk))]
     last = close[np.concatenate((brk - 1, [close.size - 1]))] + 1
+    return order, first, last
 
-    out_a: list[np.ndarray] = []
-    out_b: list[np.ndarray] = []
 
-    # Runs of one link with one tag per side match directly.
-    single = last - first == 1
+def _one_link_pairs(order: np.ndarray, first: np.ndarray, single: np.ndarray,
+                    na: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two tags of each one-link run that joins an Alice and a Bob tag,
+    earlier one first; such a run is one match."""
     early, late = order[first[single]], order[first[single] + 1]
     mixed = (early < na) != (late < na)
-    early, late = early[mixed], late[mixed]
-    a_first = early < na
-    out_a.append(np.where(a_first, early, late))
-    out_b.append(np.where(a_first, late, early) - na)
+    return early[mixed], late[mixed]
 
-    # Longer runs fall back to the explicit greedy walk.
+
+def _long_runs(ta: np.ndarray, tb: np.ndarray, order: np.ndarray,
+               first: np.ndarray, last: np.ndarray, single: np.ndarray):
+    """Each run of two or more links with tags of both sides, as its Alice
+    and Bob indices; these fall back to the explicit greedy walk."""
+    na = ta.size
     for lo, hi in zip(first[~single].tolist(), last[~single].tolist()):
         seg = order[lo:hi + 1]
         ia = seg[seg < na]
         ib = seg[seg >= na] - na
         if ia.size and ib.size:
-            sub_a, sub_b = _greedy_two_pointer(ta[ia], tb[ib], half)
-            if sub_a:
-                out_a.append(ia[np.asarray(sub_a)])
-                out_b.append(ib[np.asarray(sub_b)])
+            yield ia, ib
 
+
+def _match_indices(ta: np.ndarray, tb: np.ndarray, half: int):
+    """Indices of the greedy matches of two sorted tick arrays, in no
+    particular order."""
+    e = np.empty(0, dtype=np.int64)
+    runs = _close_runs(ta, tb, half)
+    if runs is None:
+        return e, e
+    order, first, last = runs
+    na = ta.size
+    single = last - first == 1
+    early, late = _one_link_pairs(order, first, single, na)
+    a_first = early < na
+    out_a = [np.where(a_first, early, late)]
+    out_b = [np.where(a_first, late, early) - na]
+    for ia, ib in _long_runs(ta, tb, order, first, last, single):
+        sub_a, sub_b = _greedy_two_pointer(ta[ia], tb[ib], half)
+        if sub_a:
+            out_a.append(ia[np.asarray(sub_a)])
+            out_b.append(ib[np.asarray(sub_b)])
     return np.concatenate(out_a), np.concatenate(out_b)
+
+
+def _match_count(ta: np.ndarray, tb: np.ndarray, half: int) -> int:
+    """Number of greedy matches of two sorted tick arrays, counted without
+    building their index arrays."""
+    runs = _close_runs(ta, tb, half)
+    if runs is None:
+        return 0
+    order, first, last = runs
+    single = last - first == 1
+    n = _one_link_pairs(order, first, single, ta.size)[0].size
+    for ia, ib in _long_runs(ta, tb, order, first, last, single):
+        n += len(_greedy_two_pointer(ta[ia], tb[ib], half)[0])
+    return n
 
 
 @dataclass
@@ -222,13 +259,16 @@ def tabulate(matches: Matches, basis: Basis, channel_pair: int = 0,
     want = basis is Basis.DA
     if ((oa >= 2) != want).any() or ((ob >= 2) != want).any():
         raise ValueError(f"matched outcomes are not all in the {basis.value} basis")
-    bits_a = (oa & 1).astype(np.int64)
-    bits_b = (ob & 1).astype(np.int64)
-    cc = np.zeros((2, 2), dtype=np.int64)
-    np.add.at(cc, (bits_a, bits_b), 1)
+    cell = 2 * (oa & 1).astype(np.intp) + (ob & 1)
+    cc = np.bincount(cell, minlength=4).reshape(2, 2)
     if duration is None:
         duration = max(matches.tags_a.duration, matches.tags_b.duration)
     return CountsMatrix(basis, cc, channel_pair, duration)
+
+
+def delay_ticks(delay: float, tick_seconds: float) -> int:
+    """A delay (s) as a whole number of ticks."""
+    return int(np.rint(delay / tick_seconds))
 
 
 def accidental_estimate(tags_a: TagStream, tags_b: TagStream,
@@ -242,5 +282,75 @@ def accidental_estimate(tags_a: TagStream, tags_b: TagStream,
     so the streams are validated once, unshifted.
     """
     half = _half_window_ticks(tags_a, tags_b, window)
-    shift = int(np.rint(delay / tags_b.tick_seconds))
-    return _match_indices(tags_a.ticks, tags_b.ticks + shift, half)[0].size
+    shift = delay_ticks(delay, tags_b.tick_seconds)
+    return _match_count(tags_a.ticks, tags_b.ticks + shift, half)
+
+
+class ChunkedPair:
+    """An Alice and a Bob tag stream that arrive in time chunks, handed on
+    in stretches whose greedy matching is final.
+
+    A gap wider than the half window ends every match, so the matching of
+    the tags before such a gap does not depend on any tag after it.  Each
+    chunk is joined to the tags held from the previous one; the tags
+    after the last such gap before the frontier are held again, and the
+    rest is handed on.  Matching each stretch on its own then gives
+    exactly the matches of the whole streams.  Bob's ticks are compared
+    shifted by ``shift``, which serves the delayed window.
+    """
+
+    def __init__(self, half: int, shift: int = 0):
+        self.half = half
+        self.shift = shift
+        self.held: tuple[TagStream, TagStream] | None = None
+
+    def push(self, alice: TagStream, bob: TagStream,
+             frontier: int | None) -> tuple[TagStream, TagStream]:
+        """Add the next chunk of both streams, whose later tags all lie at
+        or above the ``frontier`` tick (None: there are none); returns the
+        stretch of each stream whose matches are now final."""
+        if self.held is not None:
+            alice = _after(self.held[0], alice)
+            bob = _after(self.held[1], bob)
+        if frontier is None:
+            self.held = None
+            return alice, bob
+        cut = _final_cut(alice.ticks, bob.ticks, self.shift,
+                         min(frontier, frontier + self.shift), self.half)
+        ia = int(np.searchsorted(alice.ticks, cut))
+        ib = int(np.searchsorted(bob.ticks, cut - self.shift))
+        # Copies, so the few held tags do not keep the chunk alive.
+        self.held = (alice.take(np.arange(ia, len(alice))),
+                     bob.take(np.arange(ib, len(bob))))
+        return alice.take(slice(None, ia)), bob.take(slice(None, ib))
+
+
+def _after(held: TagStream, new: TagStream) -> TagStream:
+    return new if len(held) == 0 else _chain([held, new])
+
+
+def _final_cut(ta: np.ndarray, tb: np.ndarray, shift: int, bound: int,
+               half: int) -> int:
+    """Largest tick ``c <= bound`` such that every tag below ``c`` is more
+    than ``half`` ticks from every tag at or above it.
+
+    Bob's ticks count shifted by ``shift``, and every tag not yet seen
+    lies at or above ``bound``.  ``c`` is the first tag after the last
+    gap wider than ``half`` before ``bound``, or ``bound`` itself.  Only
+    the last few tags of each stream are looked at, more as needed.
+    """
+    ia = int(np.searchsorted(ta, bound))
+    ib = int(np.searchsorted(tb, bound - shift))
+    m = 16
+    while True:
+        a0, b0 = max(ia - m, 0), max(ib - m, 0)
+        u = np.sort(np.concatenate((ta[a0:ia], tb[b0:ib] + shift, [bound])))
+        # Below the earliest tag looked at of a stream that has earlier
+        # tags, the union is incomplete and its gaps are not real.
+        floor = max(ta[a0] if a0 else u[0], tb[b0] + shift if b0 else u[0])
+        gaps = np.flatnonzero((np.diff(u) > half) & (u[:-1] >= floor))
+        if gaps.size:
+            return int(u[gaps[-1] + 1])
+        if a0 == 0 and b0 == 0:
+            return int(u[0])
+        m *= 4

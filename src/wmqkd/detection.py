@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import math
 import os
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -20,6 +21,11 @@ import numpy as np
 from .source import PairStream, _rng
 
 DEFAULT_TICK_S = 1.0 / 12.15e9
+
+# A chunk of a record emits its tags up to a frontier this many jitter
+# widths before the chunk's end, so that no later arrival's jitter can
+# land a tag below it.
+JITTER_MARGIN_SIGMAS = 40.0
 
 
 class Basis(enum.Enum):
@@ -57,6 +63,9 @@ class DetectorConfig:
     tick: float = DEFAULT_TICK_S
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value}")
         if not 0.0 < self.efficiency <= 1.0:
             raise ValueError(f"efficiency must be in (0, 1], got {self.efficiency}")
         if self.dark_rate < 0:
@@ -239,51 +248,93 @@ def measure_single_outcomes(n: int, rng) -> np.ndarray:
     return rng.integers(0, 2, size=n, dtype=np.int8)
 
 
-def _dead_time_filter(times: np.ndarray, dead: float) -> np.ndarray:
+def _dead_time_filter(times: np.ndarray, dead: float,
+                      last: float = -np.inf) -> np.ndarray:
     """Boolean keep-mask for a non-paralyzable dead-time filter.
 
     ``times`` must be non-decreasing.  An event is kept iff it is
-    strictly later than the last kept event plus ``dead``.  Gaps larger
-    than ``dead`` split the times into clusters: the first event of
-    every cluster is kept and the second is dropped.  Clusters of three
-    or more events are walked with ``searchsorted``, all at once, one
-    kept event per step, so a burst costs O(n + kept · log n) rather
-    than quadratic time.  A walk that leaves its cluster lands on the
-    next cluster's first event, which is already kept, and stops there.
+    strictly later than the last kept event plus ``dead``; ``last`` is
+    the time of the last event kept before these, in an earlier chunk of
+    the record.  Gaps larger than ``dead`` split the times into clusters:
+    the first event of every cluster is kept and the second is dropped.
+    Clusters of three or more events are walked with ``searchsorted``,
+    all at once, one kept event per step, so a burst costs
+    O(n + kept · log n) rather than quadratic time.  A walk that leaves
+    its cluster lands on the next cluster's first event, which is
+    already kept, and stops there.
     """
-    n = times.size
-    if n < 2 or dead < 0:
-        return np.ones(n, dtype=bool)
-    keep = np.empty(n, dtype=bool)
-    keep[0] = True
-    np.greater(times[1:], times[:-1] + dead, out=keep[1:])
-    cur = np.flatnonzero(keep[:-2] & ~keep[1:-1] & ~keep[2:])
+    if dead < 0:
+        return np.ones(times.size, dtype=bool)
+    keep = np.zeros(times.size, dtype=bool)
+    # The events still dead after ``last`` are a prefix; the rest is
+    # filtered on its own.
+    lo = int(np.searchsorted(times, last + dead, side="right"))
+    t, k = times[lo:], keep[lo:]
+    n = t.size
+    if n == 0:
+        return keep
+    k[0] = True
+    np.greater(t[1:], t[:-1] + dead, out=k[1:])
+    cur = np.flatnonzero(k[:-2] & ~k[1:-1] & ~k[2:])
     while cur.size:
-        cur = np.searchsorted(times, times[cur] + dead, side="right")
+        cur = np.searchsorted(t, t[cur] + dead, side="right")
         cur = cur[cur < n]
-        cur = cur[~keep[cur]]
-        keep[cur] = True
+        cur = cur[~k[cur]]
+        k[cur] = True
     return keep
 
 
 def _port_dead_time_filter(times: np.ndarray, port: np.ndarray, dead: float,
-                           ports: int) -> np.ndarray:
+                           ports: int, last: np.ndarray | None = None) -> np.ndarray:
     """Keep-mask of one dead-time filter per port.
 
     ``times`` must be non-decreasing and ``port`` holds int8 labels in
     ``range(ports)``.  A stable sort by port groups each port's events,
     still in time order, into one slice for :func:`_dead_time_filter`,
-    which compares them as float64.
+    which compares them as float64.  ``last``, when given, holds each
+    port's last kept time from earlier chunks and is updated in place.
     """
     by_port = np.argsort(port, kind="stable")
     t = times[by_port].astype(np.float64, copy=False)
     edges = np.cumsum(np.bincount(port, minlength=ports))
+    parts = []
+    for p, (lo, hi) in enumerate(zip(np.concatenate(([0], edges[:-1])), edges)):
+        k = _dead_time_filter(t[lo:hi], dead, -np.inf if last is None else last[p])
+        if last is not None and k.any():
+            last[p] = t[lo + k.size - 1 - np.argmax(k[::-1])]
+        parts.append(k)
     keep = np.empty(times.size, dtype=bool)
-    keep[by_port] = np.concatenate([
-        _dead_time_filter(t[lo:hi], dead)
-        for lo, hi in zip(np.concatenate(([0], edges[:-1])), edges)
-    ])
+    keep[by_port] = np.concatenate(parts)
     return keep
+
+
+class DetectorCarry:
+    """What one analyzer module carries from a time chunk of its record to
+    the next.
+
+    ``held`` are the jittered events (times, port bits, dark flags) at or
+    above the last frontier, which a later chunk's events may still
+    precede; ``last_kept`` is each port's last kept time, from which its
+    dead time runs on; ``frontier`` is the tick below which every tag has
+    been emitted.
+    """
+
+    def __init__(self):
+        self.held = (np.empty(0), np.empty(0, dtype=np.int8),
+                     np.empty(0, dtype=bool))
+        self.last_kept = np.full(2, -np.inf)
+        self.frontier: int | None = None
+
+
+def emit_frontier(config: DetectorConfig, end: float) -> int:
+    """Tick below which the tags of a chunk ending at ``end`` are final.
+
+    It lies ``JITTER_MARGIN_SIGMAS`` jitter widths before ``end``, so no
+    arrival at or after ``end`` is jittered below it in practice; if one
+    ever is, :func:`detect` raises instead of emitting tags out of order.
+    """
+    return int(np.floor((end - JITTER_MARGIN_SIGMAS * config.jitter_sigma)
+                        / config.tick))
 
 
 def detect(
@@ -295,6 +346,9 @@ def detect(
     channel_index: int = 0,
     basis: Basis = Basis.HV,
     detector_ids: tuple[int, int] = (0, 1),
+    start: float = 0.0,
+    carry: DetectorCarry | None = None,
+    frontier: int | None = None,
 ) -> TagStream:
     """Convert photon arrivals at one analyzer module into time tags.
 
@@ -305,7 +359,16 @@ def detect(
     detector; (6) quantize to ticks.
 
     ``outcome_bits`` selects the output port (0 or 1) for each arrival;
-    ``detector_ids`` names the two physical detectors.
+    ``detector_ids`` names the two physical detectors.  The arrivals and
+    dark counts lie in ``[start, start + duration)``.
+
+    With a ``carry`` the call is one time chunk of a longer record: the
+    events held from the previous chunk join this one's, only tags below
+    the ``frontier`` tick are emitted and the rest are held again (a
+    ``frontier`` of None, for the record's last chunk, emits them all),
+    and each port's dead time runs on from its last kept tag.  The chunks'
+    outputs then follow each other in canonical order and together equal
+    the one-shot output for the same events.
     """
     arrival_times = np.asarray(arrival_times, dtype=np.float64)
     outcome_bits = np.asarray(outcome_bits, dtype=np.int8)
@@ -326,23 +389,50 @@ def detect(
 
     n_dark = rng.poisson(2.0 * config.dark_rate * duration)
     if n_dark:
-        t = np.concatenate([t, rng.uniform(0.0, duration, n_dark)])
+        t = np.concatenate([t, rng.uniform(start, start + duration, n_dark)])
         bits = np.concatenate([bits, rng.integers(0, 2, n_dark, dtype=np.int8)])
         dark = np.concatenate([dark, np.ones(n_dark, dtype=bool)])
 
     if config.jitter_sigma > 0 and t.size:
         t = t + rng.normal(0.0, config.jitter_sigma, t.size)
+    return _emit(t, bits, dark, config, channel_index, basis, detector_ids,
+                 duration, carry, frontier)
+
+
+def _emit(t: np.ndarray, bits: np.ndarray, dark: np.ndarray,
+          config: DetectorConfig, channel_index: int, basis: Basis,
+          detector_ids: tuple[int, int], duration: float,
+          carry: DetectorCarry | None, frontier: int | None) -> TagStream:
+    """Steps (4) to (6) of :func:`detect`, on jittered event times."""
+    if carry is not None:
+        if (carry.frontier is not None and t.size
+                and np.rint(t.min() / config.tick) < carry.frontier):
+            raise ValueError("jitter moved a tag below the frontier already "
+                             "emitted; the chunk margin is too small")
+        held_t, held_bits, held_dark = carry.held
+        t = np.concatenate([held_t, t])
+        bits = np.concatenate([held_bits, bits])
+        dark = np.concatenate([held_dark, dark])
 
     order = np.argsort(t, kind="stable")
     t, bits, dark = t[order], bits[order], dark[order]
-
-    keep = _port_dead_time_filter(t, bits, config.dead_time, 2)
-    t, bits, dark = t[keep], bits[keep], dark[keep]
-
     # Rounding keeps the time order, so the ticks are non-decreasing and
     # only tags of the two detectors that share a tick may be out of
     # canonical (tick, detector_id) order.
     ticks = np.rint(t / config.tick).astype(np.int64)
+    if carry is not None:
+        # Held tags share no tick with emitted ones, so the canonical
+        # order never spans two chunks.
+        n = ticks.size if frontier is None else int(np.searchsorted(ticks, frontier))
+        # Copies, so the few held events do not keep the chunk alive.
+        carry.held = (t[n:].copy(), bits[n:].copy(), dark[n:].copy())
+        carry.frontier = frontier
+        t, ticks, bits, dark = t[:n], ticks[:n], bits[:n], dark[:n]
+
+    keep = _port_dead_time_filter(t, bits, config.dead_time, 2,
+                                  None if carry is None else carry.last_kept)
+    ticks, bits, dark = ticks[keep], bits[keep], dark[keep]
+
     det = np.where(bits == 0, detector_ids[0], detector_ids[1]).astype(np.int32)
     pos, src = _tie_order(ticks, det)
     bits[pos], dark[pos], det[pos] = bits[src], dark[src], det[src]
@@ -350,7 +440,7 @@ def detect(
     outcomes = np.where(bits == 0, np.int8(o0.value), np.int8(o1.value))
     return TagStream(
         ticks, outcomes, det,
-        np.full(t.size, channel_index, dtype=np.int32), dark,
+        np.full(ticks.size, channel_index, dtype=np.int32), dark,
         config.tick, duration,
     )
 
@@ -381,7 +471,7 @@ def merge_detectors(
 
 
 def _merge_streams(streams: list[TagStream], global_dead_time: float,
-                   ports: int) -> TagStream:
+                   ports: int, last: np.ndarray | None = None) -> TagStream:
     """Merge k streams into one effective detector per output port.
 
     Tags whose detector ids are equal modulo ``ports`` belong to the
@@ -389,8 +479,10 @@ def _merge_streams(streams: list[TagStream], global_dead_time: float,
     and every port then passes one non-paralyzable dead-time filter
     with ``global_dead_time``: a tag survives iff it is strictly later
     than every kept tag of its port plus the dead time, whichever
-    stream either came from.  The output keeps the original detector
-    ids, in that order; callers relabel them.
+    stream either came from.  ``last``, when given, holds each port's
+    last kept tick from earlier chunks of the streams and is updated in
+    place.  The output keeps the original detector ids, in that order;
+    callers relabel them.
     """
     tick_s = _common_tick(streams)
     ticks = np.concatenate([s.ticks for s in streams])
@@ -398,17 +490,14 @@ def _merge_streams(streams: list[TagStream], global_dead_time: float,
     # only equal ticks still need the (port, detector_id) order.
     order = np.argsort(ticks, kind="stable")
     t = ticks[order]
-    del ticks
     det = np.concatenate([s.detector_ids for s in streams])[order]
     port = (det % ports).astype(np.int8)
     pos, src = _tie_order(t, port, det)
-    del det
     order[pos], port[pos] = order[src], port[src]
-    keep = _port_dead_time_filter(t, port, global_dead_time / tick_s, ports)
+    keep = _port_dead_time_filter(t, port, global_dead_time / tick_s, ports, last)
     # Reordering within groups of equal ticks leaves ``t`` as it was, so
     # only the other fields are gathered from the inputs.
     idx = order[keep]
-    del order, port
 
     def gather(field):
         return np.concatenate([getattr(s, field) for s in streams])[idx]
@@ -428,8 +517,8 @@ def _common_tick(streams: list[TagStream]) -> float:
     return tick_s
 
 
-def concatenate_streams(streams: list[TagStream]) -> TagStream:
-    """Union of several tag streams, re-sorted canonically."""
+def _chain(streams: list[TagStream]) -> TagStream:
+    """The streams' tags one after the other, without re-sorting."""
     tick_s = _common_tick(streams)
     return TagStream(
         np.concatenate([s.ticks for s in streams]),
@@ -438,7 +527,12 @@ def concatenate_streams(streams: list[TagStream]) -> TagStream:
         np.concatenate([s.channel_indices for s in streams]),
         np.concatenate([s.dark for s in streams]),
         tick_s, max(s.duration for s in streams),
-    ).sorted()
+    )
+
+
+def concatenate_streams(streams: list[TagStream]) -> TagStream:
+    """Union of several tag streams, re-sorted canonically."""
+    return _chain(streams).sorted()
 
 
 TAG_CSV_COLUMNS = ("detector_id", "tick_time", "outcome", "channel_index")

@@ -81,9 +81,17 @@ class RunConfig:
             raise ConfigError("mode", f"must be one of {MODES}, got {self.mode!r}")
         if not isinstance(self.seed, int):
             raise ConfigError("seed", f"must be an integer, got {self.seed!r}")
+        if self.seed < 0:
+            raise ConfigError("seed", f"must be >= 0, got {self.seed}")
+        losses = tuple(float(x) for x in self.loss_grid_db)
+        # The detector and window reject non-finite fields themselves.
+        for name, values in (("duration", [self.duration]), ("loss_grid_db", losses),
+                             ("f_ec", [self.f_ec])):
+            bad = [x for x in values if not math.isfinite(x)]
+            if bad:
+                raise ConfigError(name, f"must be a finite number, got {bad[0]}")
         if self.duration <= 0:
             raise ConfigError("duration", f"must be > 0, got {self.duration}")
-        losses = tuple(float(x) for x in self.loss_grid_db)
         if len(losses) == 0:
             raise ConfigError("loss_grid_db", "must be a non-empty ascending list")
         if any(b < a for a, b in zip(losses, losses[1:])) or any(x < 0 for x in losses):
@@ -107,8 +115,8 @@ class RunConfig:
                     "brightness",
                     f"must be a scale factor or one of {BRIGHTNESS_POLICIES}",
                 )
-        elif not self.brightness > 0:
-            raise ConfigError("brightness", "scale factor must be > 0")
+        elif not (self.brightness > 0 and math.isfinite(self.brightness)):
+            raise ConfigError("brightness", "scale factor must be finite and > 0")
         if self.f_ec < 1.0:
             raise ConfigError("f_ec", f"must be >= 1, got {self.f_ec}")
 

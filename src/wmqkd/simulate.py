@@ -16,39 +16,51 @@ merge would) and re-runs coincidence analysis on the merged streams.
 A point is recorded as an HV and a DA block, and each basis is one
 self-contained unit of work (:func:`simulate_basis`): every channel's
 block in that basis, its per-channel matching and accidental estimate,
-and that basis's merged baseline.  A unit hands back counts only, so
-its tag streams are freed when it returns.  :func:`simulate_point` runs
-the two units on two threads.  Scheduling cannot change the result:
-every random draw comes from a sub-seed named by channel, block and
-component, and the units' counts are joined in a fixed HV-then-DA
-order.  The merged baseline's temporaries are a unit's memory peak, so
-the two units take turns in that section under a lock.
+and that basis's merged baseline.  A unit generates and reduces its
+block in time chunks, so its memory does not grow with the duration:
+the chunk length follows from the analytic singles (``CHUNK_TAGS``
+expected arrivals per side per chunk, all channels together), every
+channel and the merged baseline step through the same chunks, and only
+counts and a few tags near each chunk's end cross to the next chunk
+(the tags jitter may still pass, each port's last kept time for the
+dead time, and the tail the matchers may still join).  A unit hands
+back counts only.  :func:`simulate_point` runs the two units on two
+threads.  Scheduling cannot change the result: every random draw comes
+from a sub-seed named by channel, block, component and chunk, and the
+units' counts are joined in a fixed HV-then-DA order.
 """
 
 from __future__ import annotations
 
-import threading
+import math
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import ChannelPlan
-from .coincidence import (CoincidenceWindow, CountsMatrix, accidental_estimate,
-                          find_coincidences, tabulate)
-from .detection import (Basis, DetectorConfig, TagStream, _merge_streams, detect,
+from .coincidence import (ChunkedPair, CoincidenceWindow, CountsMatrix,
+                          accidental_estimate, delay_ticks, find_coincidences,
+                          tabulate)
+from .detection import (Basis, DetectorCarry, DetectorConfig, TagStream,
+                        _merge_streams, detect, emit_frontier,
                         measure_pair_outcomes, measure_single_outcomes)
 from .keyrate import ChannelResult, channel_result
 from .source import SourceConfig, _rng, band_fraction, child_seed
 
 MERGED_LABEL = "merged"
 
-# Stable sub-seed component ids.
-_SEED_BOTH, _SEED_A_ONLY, _SEED_B_ONLY = 0, 1, 2
-_SEED_OUT_BOTH, _SEED_OUT_A, _SEED_OUT_B = 3, 4, 5
-_SEED_DETECT_A, _SEED_DETECT_B = 6, 7
+# Stable sub-seed component ids: the three emission processes, each with
+# its outcome draws, and the two detector modules.
+_SEED_BOTH, _SEED_A_ONLY, _SEED_B_ONLY, _SEED_DETECT_A, _SEED_DETECT_B = range(5)
 
 _BLOCK_OF_BASIS = {Basis.HV: 0, Basis.DA: 1}
+
+# Expected photon arrivals and dark counts per side in one time chunk of
+# a basis block, all channels together.  A unit's memory peak scales
+# with it; the per-chunk Python work is small at this size.
+CHUNK_TAGS = 500_000
 
 
 @dataclass(frozen=True)
@@ -130,6 +142,36 @@ class BlockTags:
     bob: TagStream
 
 
+@dataclass(frozen=True)
+class Chunk:
+    """One time chunk ``[start, end)`` of a basis block.
+
+    ``frontier`` is the tick below which the chunk's tags are final; it
+    is None for the block's last chunk, which releases everything held.
+    """
+
+    index: int
+    start: float
+    end: float
+    frontier: int | None
+
+
+def block_chunks(chans: list[ChannelScenario], detector: DetectorConfig,
+                 block_duration: float) -> Iterator[Chunk]:
+    """Equal time chunks of a basis block, in order, each expected to hold
+    about ``CHUNK_TAGS`` arrivals and dark counts on the busier side,
+    summed over all channels (from the analytic rates of
+    ``resolve_channels``)."""
+    per_side = max(sum(c.pair_rate_in_band * c.arrival_efficiency_signal for c in chans),
+                   sum(c.pair_rate_in_band * c.arrival_efficiency_idler for c in chans))
+    per_side += 2.0 * detector.dark_rate * len(chans)
+    n = max(1, math.ceil(per_side * block_duration / CHUNK_TAGS))
+    for k in range(n - 1):
+        end = block_duration * (k + 1) / n
+        yield Chunk(k, block_duration * k / n, end, emit_frontier(detector, end))
+    yield Chunk(n - 1, block_duration * (n - 1) / n, block_duration, None)
+
+
 def simulate_channel_block(
     ch: ChannelScenario,
     basis: Basis,
@@ -137,54 +179,64 @@ def simulate_channel_block(
     block_duration: float,
     seed: int,
     channel_slot: int,
+    chunk: Chunk | None = None,
+    carry: tuple[DetectorCarry, DetectorCarry] | None = None,
 ) -> BlockTags:
-    """Simulate one basis block of one channel pair.
+    """Simulate one basis block of one channel pair, or one time chunk
+    of it.
 
     Emission of surviving pairs and half-pairs is sampled as three
     independent Poisson processes; polarization outcomes follow the
     anti-correlated joint distribution for full pairs and uniform
     marginals for lone photons; both sides then pass through the
-    detector chain.
+    detector chain.  Without a ``chunk`` the whole block is one chunk.
+    With one, only that chunk is sampled, and ``carry`` holds Alice's and
+    Bob's detector state from the previous chunk; the tags returned are
+    those below the chunk's frontier.  Every draw is seeded by channel,
+    block, component and chunk index.
     """
+    if chunk is None:
+        chunk = Chunk(0, 0.0, block_duration, None)
+    carry_a, carry_b = carry if carry is not None else (None, None)
     block = _BLOCK_OF_BASIS[basis]
+
+    def sub_seed(comp):
+        return child_seed(seed, ch.index, block, comp, chunk.index)
+
     b = ch.pair_rate_in_band
     ea, eb = ch.arrival_efficiency_signal, ch.arrival_efficiency_idler
-    rates = (b * ea * eb, b * ea * (1.0 - eb), b * (1.0 - ea) * eb)
-    seeds = [child_seed(seed, ch.index, block, comp)
-             for comp in (_SEED_BOTH, _SEED_A_ONLY, _SEED_B_ONLY)]
-    t_both, t_aonly, t_bonly = (
-        _poisson_times(rate, block_duration, s) for rate, s in zip(rates, seeds)
-    )
-
-    rng_both = _rng(child_seed(seed, ch.index, block, _SEED_OUT_BOTH))
+    rng_both, rng_a, rng_b = (_rng(sub_seed(comp))
+                              for comp in (_SEED_BOTH, _SEED_A_ONLY, _SEED_B_ONLY))
+    t_both = _poisson_times(b * ea * eb, chunk.start, chunk.end, rng_both)
     bits_s, bits_i = measure_pair_outcomes(t_both.size, ch.v_sys(basis), rng_both)
-    bits_aonly = measure_single_outcomes(
-        t_aonly.size, _rng(child_seed(seed, ch.index, block, _SEED_OUT_A)))
-    bits_bonly = measure_single_outcomes(
-        t_bonly.size, _rng(child_seed(seed, ch.index, block, _SEED_OUT_B)))
+    t_aonly = _poisson_times(b * ea * (1.0 - eb), chunk.start, chunk.end, rng_a)
+    bits_aonly = measure_single_outcomes(t_aonly.size, rng_a)
+    t_bonly = _poisson_times(b * (1.0 - ea) * eb, chunk.start, chunk.end, rng_b)
+    bits_bonly = measure_single_outcomes(t_bonly.size, rng_b)
 
     t_a, bits_a = _merge_arrivals((t_both, bits_s), (t_aonly, bits_aonly))
     t_b, bits_b = _merge_arrivals((t_both, bits_i), (t_bonly, bits_bonly))
 
+    span = chunk.end - chunk.start
     alice = detect(
-        t_a, bits_a, detector, block_duration,
-        child_seed(seed, ch.index, block, _SEED_DETECT_A),
+        t_a, bits_a, detector, span, sub_seed(_SEED_DETECT_A),
         channel_index=ch.index, basis=basis,
         detector_ids=detector_ids(channel_slot, 0),
+        start=chunk.start, carry=carry_a, frontier=chunk.frontier,
     )
     bob = detect(
-        t_b, bits_b, detector, block_duration,
-        child_seed(seed, ch.index, block, _SEED_DETECT_B),
+        t_b, bits_b, detector, span, sub_seed(_SEED_DETECT_B),
         channel_index=ch.index, basis=basis,
         detector_ids=detector_ids(channel_slot, 1),
+        start=chunk.start, carry=carry_b, frontier=chunk.frontier,
     )
     return BlockTags(basis, alice, bob)
 
 
-def _poisson_times(rate: float, duration: float, seed) -> np.ndarray:
-    rng = _rng(seed)
-    n = rng.poisson(rate * duration) if rate > 0 else 0
-    return np.sort(rng.uniform(0.0, duration, n))
+def _poisson_times(rate: float, start: float, end: float,
+                   rng: np.random.Generator) -> np.ndarray:
+    n = rng.poisson(rate * (end - start)) if rate > 0 else 0
+    return np.sort(rng.uniform(start, end, n))
 
 
 def _merge_arrivals(*parts):
@@ -233,17 +285,38 @@ class BlockCounts:
     duration: float
 
 
-def _count_block(alice: TagStream, bob: TagStream, basis: Basis,
-                 window: CoincidenceWindow, channel_pair: int,
-                 delay: float) -> BlockCounts:
-    matches = find_coincidences(alice, bob, window)
-    return BlockCounts(
-        counts=tabulate(matches, basis, channel_pair, alice.duration),
-        singles_alice=len(alice),
-        singles_bob=len(bob),
-        accidentals=accidental_estimate(alice, bob, window, delay),
-        duration=alice.duration,
-    )
+class _BlockCounter:
+    """One pipeline's counts in one basis block, fed its Alice and Bob
+    tags in time chunks: the coincidence table, the tag counts and the
+    delayed-window accidental count."""
+
+    def __init__(self, basis: Basis, window: CoincidenceWindow,
+                 detector: DetectorConfig, delay: float, channel_pair: int,
+                 duration: float):
+        half = window.half_width_ticks(detector.tick)
+        self.basis, self.window, self.delay = basis, window, delay
+        self.channel_pair, self.duration = channel_pair, duration
+        self.matched = ChunkedPair(half)
+        self.delayed = ChunkedPair(half, delay_ticks(delay, detector.tick))
+        self.cc = np.zeros((2, 2), dtype=np.int64)
+        self.singles_alice = self.singles_bob = self.accidentals = 0
+
+    def push(self, alice: TagStream, bob: TagStream, frontier: int | None):
+        self.singles_alice += len(alice)
+        self.singles_bob += len(bob)
+        a, b = self.matched.push(alice, bob, frontier)
+        self.cc += tabulate(find_coincidences(a, b, self.window), self.basis).cc
+        a, b = self.delayed.push(alice, bob, frontier)
+        self.accidentals += accidental_estimate(a, b, self.window, self.delay)
+
+    def counts(self) -> BlockCounts:
+        return BlockCounts(
+            counts=CountsMatrix(self.basis, self.cc, self.channel_pair, self.duration),
+            singles_alice=self.singles_alice,
+            singles_bob=self.singles_bob,
+            accidentals=self.accidentals,
+            duration=self.duration,
+        )
 
 
 def simulate_basis(
@@ -254,38 +327,43 @@ def simulate_basis(
     block_duration: float,
     seed: int,
     accidental_delay: float,
-    merge_lock: threading.Lock | None,
+    include_merged: bool,
 ) -> dict[int | str, BlockCounts]:
-    """Simulate and count one basis block of every channel.
+    """Simulate and count one basis block of every channel, in time chunks.
 
-    Each channel's block is matched and its accidentals estimated at
-    once.  With a ``merge_lock`` the channels' streams are also kept,
-    merged into the non-multiplexed baseline under that lock, and
-    counted under the key ``MERGED_LABEL``.  Only counts are returned;
-    no tag stream outlives the call.
+    All channels step through the same chunks (:func:`block_chunks`).
+    Each channel's chunk is matched and its accidentals estimated at
+    once; with ``include_merged`` the channels' chunks for the same time
+    span are also merged into the non-multiplexed baseline, which is
+    counted under the key ``MERGED_LABEL``.  Only counts are returned,
+    and no chunk's tags outlive the next chunk.
     """
-    out: dict[int | str, BlockCounts] = {}
-    alice: list[TagStream] = []
-    bob: list[TagStream] = []
-    for slot, ch in enumerate(chans):
-        blk = simulate_channel_block(ch, basis, detector, block_duration,
-                                     seed, slot)
-        out[ch.index] = _count_block(blk.alice, blk.bob, basis, window,
-                                     ch.index, accidental_delay)
-        if merge_lock is not None:
-            alice.append(blk.alice)
-            bob.append(blk.bob)
-        del blk   # the lists alone hold the streams, so the merge can free them
-    if merge_lock is not None:
-        # The merge's temporaries are the largest allocation of a basis
-        # block, so the two bases take turns here.
-        with merge_lock:
-            merged_alice = _merge_side(alice, detector.dead_time, 1000)
-            del alice
-            merged_bob = _merge_side(bob, detector.dead_time, 1100)
-            del bob
-            out[MERGED_LABEL] = _count_block(merged_alice, merged_bob, basis,
-                                             window, 0, accidental_delay)
+    def counter(channel_pair):
+        return _BlockCounter(basis, window, detector, accidental_delay,
+                             channel_pair, block_duration)
+
+    counters = {ch.index: counter(ch.index) for ch in chans}
+    carries = [(DetectorCarry(), DetectorCarry()) for _ in chans]
+    if include_merged:
+        merged = counter(0)
+        # Each merged port's last kept tick, for its dead time.
+        last_alice, last_bob = np.full(2, -np.inf), np.full(2, -np.inf)
+    for chunk in block_chunks(chans, detector, block_duration):
+        alice, bob = [], []
+        for slot, ch in enumerate(chans):
+            blk = simulate_channel_block(ch, basis, detector, block_duration,
+                                         seed, slot, chunk, carries[slot])
+            counters[ch.index].push(blk.alice, blk.bob, chunk.frontier)
+            if include_merged:
+                alice.append(blk.alice)
+                bob.append(blk.bob)
+        if include_merged:
+            merged.push(_merge_side(alice, detector.dead_time, 1000, last_alice),
+                        _merge_side(bob, detector.dead_time, 1100, last_bob),
+                        chunk.frontier)
+    out: dict[int | str, BlockCounts] = {k: c.counts() for k, c in counters.items()}
+    if include_merged:
+        out[MERGED_LABEL] = merged.counts()
     return out
 
 
@@ -323,30 +401,28 @@ def simulate_point(
 
     Every channel pair records an HV and a DA block of ``duration / 2``
     each.  Each basis is one unit of work (:func:`simulate_basis`): it
-    simulates that block of every channel, analyzes each channel on its
-    own and, when ``include_merged`` is set and there are at least two
-    channels, merges corresponding detectors across channels into the
-    non-multiplexed baseline.  The two units run on two threads; numpy
-    releases the interpreter lock in the sorts, random fills and array
-    arithmetic that make up their work.
+    simulates that block of every channel in time chunks, analyzes each
+    channel on its own and, when ``include_merged`` is set and there are
+    at least two channels, merges corresponding detectors across
+    channels into the non-multiplexed baseline.  The two units run on
+    two threads; numpy releases the interpreter lock in the sorts,
+    random fills and array arithmetic that make up their work.
 
     Scheduling cannot change the result.  All randomness derives from
-    ``seed`` through sub-seeds named by channel, block and component,
-    so neither the order nor the thread in which blocks run matters,
-    and the units' counts are joined in a fixed HV-then-DA order.  The
-    units share only a lock around the merged baseline, whose
-    temporaries are each unit's memory peak; holding it keeps the two
-    peaks from coinciding.
+    ``seed`` through sub-seeds named by channel, block, component and
+    chunk, so neither the order nor the thread in which blocks run
+    matters, and the units' counts are joined in a fixed HV-then-DA
+    order.  The units share nothing.
     """
-    if duration <= 0:
-        raise ValueError(f"duration must be > 0, got {duration}")
+    if not (duration > 0 and math.isfinite(duration)):
+        raise ValueError(f"duration must be finite and > 0, got {duration}")
     chans = resolve_channels(source, plan, loss_db, channel_visibilities,
                              brightness_scale)
-    merge_lock = threading.Lock() if include_merged and len(chans) >= 2 else None
+    merged = include_merged and len(chans) >= 2
     with ThreadPoolExecutor(max_workers=len(_BLOCK_OF_BASIS)) as pool:
         futures = [
             pool.submit(simulate_basis, chans, basis, detector, window,
-                        duration / 2.0, seed, accidental_delay, merge_lock)
+                        duration / 2.0, seed, accidental_delay, merged)
             for basis in (Basis.HV, Basis.DA)
         ]
         hv, da = (f.result() for f in futures)
@@ -355,18 +431,21 @@ def simulate_point(
         channels={ch.index: _pipeline(f"ch{ch.index}", hv[ch.index], da[ch.index])
                   for ch in chans},
         merged=(_pipeline(MERGED_LABEL, hv[MERGED_LABEL], da[MERGED_LABEL])
-                if merge_lock is not None else None),
+                if merged else None),
     )
 
 
-def _merge_side(streams: list[TagStream], dead: float, id_base: int) -> TagStream:
+def _merge_side(streams: list[TagStream], dead: float, id_base: int,
+                last: np.ndarray | None = None) -> TagStream:
     """Merge corresponding detector ports across channels on one side.
 
     Port 0 tags of all channels become one effective detector with id
     ``id_base``, port 1 tags another with id ``id_base + 1``; each sees
     one dead time ``dead`` across all channels, as a single physical
     detector would.  The side's stream is their canonically sorted union.
+    ``last``, when given, holds each port's last kept tick from earlier
+    chunks and is updated in place.
     """
-    out = _merge_streams(streams, dead, ports=2)
+    out = _merge_streams(streams, dead, ports=2, last=last)
     out.detector_ids = (id_base + out.detector_ids % 2).astype(np.int32)
     return out

@@ -55,6 +55,24 @@ def test_bad_nested_fields_named():
         config_from_dict({"scenario": "custom", "duration": "long"})
 
 
+@pytest.mark.parametrize("raw, field, what", [
+    ({"duration": float("nan")}, "duration", "finite"),
+    ({"duration": float("inf")}, "duration", "finite"),
+    ({"loss_grid_db": [20.0, float("nan")]}, "loss_grid_db", "finite"),
+    ({"f_ec": float("nan")}, "f_ec", "finite"),
+    ({"brightness": float("inf")}, "brightness", "finite"),
+    ({"window": {"t_c": float("inf")}}, "window", "t_c"),
+    ({"detector": {"dead_time": float("nan")}}, "detector", "dead_time"),
+    ({"detector": {"dark_rate": float("inf")}}, "detector", "dark_rate"),
+    ({"detector": {"jitter_sigma": float("nan")}}, "detector", "jitter_sigma"),
+    ({"seed": -1}, "seed", ">= 0"),
+])
+def test_non_finite_numbers_and_negative_seed_rejected(raw, field, what):
+    with pytest.raises(ConfigError, match=what) as exc:
+        config_from_dict({"scenario": "custom", **raw})
+    assert exc.value.field == field
+
+
 def test_config_file_roundtrip(tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps({

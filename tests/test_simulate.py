@@ -5,6 +5,7 @@ calibration."""
 
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,9 +21,9 @@ from wmqkd.detection import (Basis, DetectorConfig, detect,
                              measure_pair_outcomes, measure_single_outcomes,
                              transmit)
 from wmqkd.keyrate import AnalyticLinkModel, analytic_rates
-from wmqkd.simulate import (MERGED_LABEL, BlockTags, resolve_channels,
-                            simulate_basis, simulate_channel_block,
-                            simulate_point)
+from wmqkd.simulate import (MERGED_LABEL, BlockTags, Chunk, block_chunks,
+                            resolve_channels, simulate_basis,
+                            simulate_channel_block, simulate_point)
 from wmqkd.source import SourceConfig, _rng, band_fraction, sample_pair_stream
 
 TICK = 1.0 / 12.15e9
@@ -187,12 +188,16 @@ def test_simulation_deterministic():
 
 
 def test_channel_results_independent_of_companions():
-    # Seeding is keyed by channel index, so a channel's tags are the
-    # same whether it is simulated alone or alongside others.
+    # Seeding is keyed by channel index and chunk, so a channel's tags
+    # are the same whether it is simulated alone or alongside others,
+    # wherever the block is cut into the same chunks (here: one).
     cal = FROZEN_CALIBRATION
     src = cal.source()
     plan = build_table1_plan()
     chans = resolve_channels(src, plan, 30.0, cal.channel_visibilities())
+    assert list(block_chunks(chans, DEFAULT_DETECTOR, 0.05)) \
+        == list(block_chunks(chans[1:], DEFAULT_DETECTOR, 0.05)) \
+        == [Chunk(0, 0.0, 0.05, None)]
     solo = simulate_channel_block(chans[1], Basis.HV, DEFAULT_DETECTOR, 0.05,
                                   seed=9, channel_slot=1)
     full = simulate_point(src, plan, 30.0, DEFAULT_DETECTOR,
@@ -208,9 +213,9 @@ def sequential_point(src, plan, loss, duration, seed, include_merged, **kwargs):
     """The HV and DA units run one after the other in the calling thread,
     their counts summed from 0.0 in HV-then-DA order."""
     chans = resolve_channels(src, plan, loss, **kwargs)
-    lock = threading.Lock() if include_merged and len(chans) >= 2 else None
+    merged = include_merged and len(chans) >= 2
     units = [simulate_basis(chans, basis, DEFAULT_DETECTOR, CoincidenceWindow(1e-9),
-                            duration / 2.0, seed, 2e-7, lock)
+                            duration / 2.0, seed, 2e-7, merged)
              for basis in (Basis.HV, Basis.DA)]
     out = {}
     for key in units[0]:
@@ -282,6 +287,26 @@ def test_error_in_a_basis_unit_reaches_the_caller(monkeypatch):
                        CoincidenceWindow(1e-9), 0.05, seed=3,
                        channel_visibilities=cal.channel_visibilities())
     assert threading.active_count() == before
+
+
+def test_peak_memory_is_flat_in_duration():
+    # Chunking holds a block's memory to a few chunks of tags, so four
+    # times the duration may not peak much higher.  At 30 dB the two
+    # durations split each block into 1 and 4 chunks of equal length.
+    cal = FROZEN_CALIBRATION
+
+    def traced_peak(duration):
+        tracemalloc.start()
+        try:
+            simulate_point(cal.source(), build_table1_plan(), 30.0, DEFAULT_DETECTOR,
+                           CoincidenceWindow(1e-9), duration, seed=8,
+                           channel_visibilities=cal.channel_visibilities())
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short, long = traced_peak(0.35), traced_peak(1.4)
+    assert long <= 1.3 * short, f"{long / 2**20:.1f} MB vs {short / 2**20:.1f} MB"
 
 
 def test_window_efficiency_formula():
