@@ -34,9 +34,9 @@ from scipy.special import erf
 
 from .channels import build_table1_plan, table1_source_config
 from .coincidence import CoincidenceWindow
-from .detection import DetectorConfig
-from .keyrate import (DEFAULT_F_EC, AnalyticLinkModel, analytic_rates, qber_threshold,
-                      secure_key_from_rates)
+from .detection import DetectorConfig, side_transmittance
+from .keyrate import (DEFAULT_F_EC, AnalyticLinkModel, analytic_rates, coincidence_mix,
+                      qber_threshold)
 from .simulate import resolve_channels
 from .source import SourceConfig, band_fraction
 
@@ -144,11 +144,7 @@ def predict_rows(
 
 def _predictions(s_a, s_b, cc_true, q_weighted, w_eff, f_ec):
     s_a, s_b, cc_true, q_weighted = np.atleast_1d(s_a, s_b, cc_true, q_weighted)
-    cc_acc = s_a * s_b * w_eff
-    total = cc_true + cc_acc
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q = np.where(total > 0, (q_weighted + 0.5 * cc_acc) / total, np.nan)
-    key = secure_key_from_rates(total, q, f_ec)
+    cc_acc, q, key = coincidence_mix(s_a, s_b, cc_true, q_weighted, w_eff, f_ec)
     return [ChannelPrediction(*row) for row in zip(
         *(x.tolist() for x in (s_a, s_b, cc_true, cc_acc, q, key)))]
 
@@ -211,15 +207,6 @@ class Calibration:
             2: (self.v_sys_channel2, self.v_sys_channel2),
         }
 
-    def to_dict(self) -> dict:
-        return {
-            "version": self.version,
-            "full_spectrum_pair_rate": self.full_spectrum_pair_rate,
-            "v_sys_channel1": self.v_sys_channel1,
-            "v_sys_channel2": self.v_sys_channel2,
-            "fig3d_pair_rate_per_channel": self.fig3d_pair_rate_per_channel,
-        }
-
 
 def derive_calibration(detector: DetectorConfig = DEFAULT_DETECTOR,
                        window: CoincidenceWindow = CoincidenceWindow(1e-9)) -> Calibration:
@@ -262,7 +249,7 @@ def derive_calibration(detector: DetectorConfig = DEFAULT_DETECTOR,
 def _fig3d_reference_pair_rate(q_sys: float) -> float:
     """Per-channel pair rate of the fixed-source projection, anchored so
     the key vanishes exactly at the threshold bandwidth."""
-    eta = 10.0 ** (-(FIG3D_TOTAL_LOSS_DB / 2.0) / 10.0)
+    eta = side_transmittance(FIG3D_TOTAL_LOSS_DB)
     thr = qber_threshold(1.1, tol=1e-9)
     scale = FIG3D_BANDWIDTH_THRESHOLD_GHZ / FIG3D_REFERENCE_BANDWIDTH_GHZ
 
@@ -287,7 +274,7 @@ def fig3d_model(calibration: Calibration, loss_db: float = FIG3D_TOTAL_LOSS_DB,
     The per-channel pair rate scales linearly with bandwidth at fixed
     source spectral density.
     """
-    eta = 10.0 ** (-(loss_db / 2.0) / 10.0)
+    eta = side_transmittance(loss_db)
     scale = bandwidth_ghz / FIG3D_REFERENCE_BANDWIDTH_GHZ
     return AnalyticLinkModel(
         pair_rate_in_band=calibration.fig3d_pair_rate_per_channel * scale,

@@ -364,21 +364,22 @@ def demux(pair_or_stream, plan: ChannelPlan, signal_cwl: float | None = None):
 
 def demux_wavelength(signal_wavelength: float, plan: ChannelPlan):
     """Channel-pair index for one absolute signal wavelength, or None."""
-    for s, _ in plan.pairs:
-        lo, hi = s.passband
-        if lo <= signal_wavelength <= hi:
-            return s.index
-    return None
+    index = int(_demux_wavelengths(np.float64(signal_wavelength), plan))
+    return None if index < 0 else index
 
 
 def demux_stream(stream: PairStream, plan: ChannelPlan) -> np.ndarray:
     """Vectorized demux: per-event channel-pair index, -1 for no match."""
-    wl = stream.signal_wavelengths
-    out = np.full(wl.shape, -1, dtype=np.int64)
+    return _demux_wavelengths(stream.signal_wavelengths, plan)
+
+
+def _demux_wavelengths(wl: np.ndarray, plan: ChannelPlan) -> np.ndarray:
+    """Channel-pair index of each absolute signal wavelength, -1 for none;
+    at a wavelength on two touching passbands the later pair wins."""
+    out = np.full(np.shape(wl), -1, dtype=np.int64)
     for s, _ in plan.pairs:
         lo, hi = s.passband
-        inside = (wl >= lo) & (wl <= hi)
-        out[inside] = s.index
+        out[(wl >= lo) & (wl <= hi)] = s.index
     return out
 
 

@@ -98,22 +98,21 @@ def find_coincidences(tags_a: TagStream, tags_b: TagStream,
     merged timeline at gaps larger than the half window, inside which no
     match can cross.
     """
-    half = _half_window_ticks(tags_a, tags_b, window)
+    _check_pair(tags_a, tags_b)
+    half = window.half_width_ticks(tags_a.tick_seconds)
     idx_a, idx_b = _match_indices(tags_a.ticks, tags_b.ticks, half)
     order = np.argsort(idx_a, kind="stable")
     return Matches(tags_a, tags_b, idx_a[order], idx_b[order])
 
 
-def _half_window_ticks(tags_a: TagStream, tags_b: TagStream,
-                       window: CoincidenceWindow) -> int:
-    """Validate a stream pair for matching; the window's half width in
-    their common ticks."""
+def _check_pair(tags_a: TagStream, tags_b: TagStream):
+    """Raise unless both streams are in canonical order and share one
+    tick."""
     for s in (tags_a, tags_b):
         if not s.is_sorted():
             raise ValueError("input tag streams must be sorted")
     if tags_a.tick_seconds != tags_b.tick_seconds:
         raise ValueError("tick resolution mismatch between streams")
-    return window.half_width_ticks(tags_a.tick_seconds)
 
 
 def _close_runs(ta: np.ndarray, tb: np.ndarray, half: int):
@@ -281,7 +280,8 @@ def accidental_estimate(tags_a: TagStream, tags_b: TagStream,
     both the window and the timing jitter.  The shift keeps Bob's order,
     so the streams are validated once, unshifted.
     """
-    half = _half_window_ticks(tags_a, tags_b, window)
+    _check_pair(tags_a, tags_b)
+    half = window.half_width_ticks(tags_a.tick_seconds)
     shift = delay_ticks(delay, tags_b.tick_seconds)
     return _match_count(tags_a.ticks, tags_b.ticks + shift, half)
 

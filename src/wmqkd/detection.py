@@ -100,11 +100,6 @@ class TagStream:
             if arr.size != n:
                 raise ValueError("all tag arrays must have the same length")
 
-    @classmethod
-    def empty(cls, tick_seconds: float, duration: float) -> "TagStream":
-        z = np.empty(0)
-        return cls(z, z, z, z, z, tick_seconds, duration)
-
     def __len__(self) -> int:
         return self.ticks.size
 
@@ -178,6 +173,12 @@ class Survival(NamedTuple):
         return ~self.signal & self.idler
 
 
+def side_transmittance(loss_db: float) -> float:
+    """Survival probability of one photon when ``loss_db`` of two-sided
+    link loss is split evenly between the sides."""
+    return 10.0 ** (-(loss_db / 2.0) / 10.0)
+
+
 def transmit(
     stream: PairStream,
     total_loss_db: float,
@@ -198,7 +199,7 @@ def transmit(
                     ("extra_idler_loss", extra_idler_loss)):
         if not 0.0 <= x <= 1.0:
             raise ValueError(f"{name} must be in [0, 1], got {x}")
-    p_side = 10.0 ** (-(total_loss_db / 2.0) / 10.0)
+    p_side = side_transmittance(total_loss_db)
     p_signal = p_side * (1.0 - extra_signal_loss)
     p_idler = p_side * (1.0 - extra_idler_loss)
     rng = _rng(seed)
@@ -285,22 +286,23 @@ def _dead_time_filter(times: np.ndarray, dead: float,
 
 
 def _port_dead_time_filter(times: np.ndarray, port: np.ndarray, dead: float,
-                           ports: int, last: np.ndarray | None = None) -> np.ndarray:
+                           ports: int, last: np.ndarray) -> np.ndarray:
     """Keep-mask of one dead-time filter per port.
 
     ``times`` must be non-decreasing and ``port`` holds int8 labels in
     ``range(ports)``.  A stable sort by port groups each port's events,
     still in time order, into one slice for :func:`_dead_time_filter`,
-    which compares them as float64.  ``last``, when given, holds each
-    port's last kept time from earlier chunks and is updated in place.
+    which compares them as float64.  ``last`` holds each port's last
+    kept time from earlier chunks (-inf for none) and is updated in
+    place.
     """
     by_port = np.argsort(port, kind="stable")
     t = times[by_port].astype(np.float64, copy=False)
     edges = np.cumsum(np.bincount(port, minlength=ports))
     parts = []
     for p, (lo, hi) in enumerate(zip(np.concatenate(([0], edges[:-1])), edges)):
-        k = _dead_time_filter(t[lo:hi], dead, -np.inf if last is None else last[p])
-        if last is not None and k.any():
+        k = _dead_time_filter(t[lo:hi], dead, last[p])
+        if k.any():
             last[p] = t[lo + k.size - 1 - np.argmax(k[::-1])]
         parts.append(k)
     keep = np.empty(times.size, dtype=bool)
@@ -368,7 +370,8 @@ def detect(
     ``frontier`` of None, for the record's last chunk, emits them all),
     and each port's dead time runs on from its last kept tag.  The chunks'
     outputs then follow each other in canonical order and together equal
-    the one-shot output for the same events.
+    the one-shot output for the same events.  Without one the call is a
+    whole record: one chunk with a fresh carry.
     """
     arrival_times = np.asarray(arrival_times, dtype=np.float64)
     outcome_bits = np.asarray(outcome_bits, dtype=np.int8)
@@ -396,23 +399,22 @@ def detect(
     if config.jitter_sigma > 0 and t.size:
         t = t + rng.normal(0.0, config.jitter_sigma, t.size)
     return _emit(t, bits, dark, config, channel_index, basis, detector_ids,
-                 duration, carry, frontier)
+                 duration, carry or DetectorCarry(), frontier)
 
 
 def _emit(t: np.ndarray, bits: np.ndarray, dark: np.ndarray,
           config: DetectorConfig, channel_index: int, basis: Basis,
           detector_ids: tuple[int, int], duration: float,
-          carry: DetectorCarry | None, frontier: int | None) -> TagStream:
+          carry: DetectorCarry, frontier: int | None) -> TagStream:
     """Steps (4) to (6) of :func:`detect`, on jittered event times."""
-    if carry is not None:
-        if (carry.frontier is not None and t.size
-                and np.rint(t.min() / config.tick) < carry.frontier):
-            raise ValueError("jitter moved a tag below the frontier already "
-                             "emitted; the chunk margin is too small")
-        held_t, held_bits, held_dark = carry.held
-        t = np.concatenate([held_t, t])
-        bits = np.concatenate([held_bits, bits])
-        dark = np.concatenate([held_dark, dark])
+    if (carry.frontier is not None and t.size
+            and np.rint(t.min() / config.tick) < carry.frontier):
+        raise ValueError("jitter moved a tag below the frontier already "
+                         "emitted; the chunk margin is too small")
+    held_t, held_bits, held_dark = carry.held
+    t = np.concatenate([held_t, t])
+    bits = np.concatenate([held_bits, bits])
+    dark = np.concatenate([held_dark, dark])
 
     order = np.argsort(t, kind="stable")
     t, bits, dark = t[order], bits[order], dark[order]
@@ -420,17 +422,15 @@ def _emit(t: np.ndarray, bits: np.ndarray, dark: np.ndarray,
     # only tags of the two detectors that share a tick may be out of
     # canonical (tick, detector_id) order.
     ticks = np.rint(t / config.tick).astype(np.int64)
-    if carry is not None:
-        # Held tags share no tick with emitted ones, so the canonical
-        # order never spans two chunks.
-        n = ticks.size if frontier is None else int(np.searchsorted(ticks, frontier))
-        # Copies, so the few held events do not keep the chunk alive.
-        carry.held = (t[n:].copy(), bits[n:].copy(), dark[n:].copy())
-        carry.frontier = frontier
-        t, ticks, bits, dark = t[:n], ticks[:n], bits[:n], dark[:n]
+    # Held tags share no tick with emitted ones, so the canonical order
+    # never spans two chunks.
+    n = ticks.size if frontier is None else int(np.searchsorted(ticks, frontier))
+    # Copies, so the few held events do not keep the chunk alive.
+    carry.held = (t[n:].copy(), bits[n:].copy(), dark[n:].copy())
+    carry.frontier = frontier
+    t, ticks, bits, dark = t[:n], ticks[:n], bits[:n], dark[:n]
 
-    keep = _port_dead_time_filter(t, bits, config.dead_time, 2,
-                                  None if carry is None else carry.last_kept)
+    keep = _port_dead_time_filter(t, bits, config.dead_time, 2, carry.last_kept)
     ticks, bits, dark = ticks[keep], bits[keep], dark[keep]
 
     det = np.where(bits == 0, detector_ids[0], detector_ids[1]).astype(np.int32)
@@ -462,7 +462,7 @@ def merge_detectors(
     for s in (tags_a, tags_b):
         if not s.is_sorted():
             raise ValueError("input tag streams must be sorted")
-    out = _merge_streams([tags_a, tags_b], global_dead_time, ports=1)
+    out = _merge_streams([tags_a, tags_b], global_dead_time, 1, np.full(1, -np.inf))
     if merged_detector_id is None and len(out):
         merged_detector_id = int(out.detector_ids.min())
     if merged_detector_id is not None:
@@ -471,7 +471,7 @@ def merge_detectors(
 
 
 def _merge_streams(streams: list[TagStream], global_dead_time: float,
-                   ports: int, last: np.ndarray | None = None) -> TagStream:
+                   ports: int, last: np.ndarray) -> TagStream:
     """Merge k streams into one effective detector per output port.
 
     Tags whose detector ids are equal modulo ``ports`` belong to the
@@ -479,8 +479,8 @@ def _merge_streams(streams: list[TagStream], global_dead_time: float,
     and every port then passes one non-paralyzable dead-time filter
     with ``global_dead_time``: a tag survives iff it is strictly later
     than every kept tag of its port plus the dead time, whichever
-    stream either came from.  ``last``, when given, holds each port's
-    last kept tick from earlier chunks of the streams and is updated in
+    stream either came from.  ``last`` holds each port's last kept tick
+    from earlier chunks of the streams (-inf for none) and is updated in
     place.  The output keeps the original detector ids, in that order;
     callers relabel them.
     """

@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .coincidence import CountsMatrix
+from .detection import side_transmittance
 
 DEFAULT_F_EC = 1.1
 
@@ -24,14 +25,14 @@ DEFAULT_F_EC = 1.1
 def binary_entropy(x) -> np.ndarray | float:
     """Binary Shannon entropy ``-x log2 x - (1-x) log2 (1-x)`` in bits.
 
-    Defined by continuity at the endpoints: H2(0) = H2(1) = 0.  Raises
-    for arguments outside [0, 1].
+    Defined by continuity at the endpoints: H2(0) = H2(1) = 0.  NaN (an
+    undefined QBER) gives NaN.  Raises for arguments outside [0, 1].
     """
     arr = np.asarray(x, dtype=np.float64)
     if np.any(arr < 0.0) or np.any(arr > 1.0):
         raise ValueError(f"binary_entropy argument must be in [0, 1], got {x}")
     inner = (arr > 0.0) & (arr < 1.0)
-    out = np.zeros_like(arr)
+    out = np.where(np.isnan(arr), np.nan, 0.0)
     a = arr[inner]
     out[inner] = -a * np.log2(a) - (1.0 - a) * np.log2(1.0 - a)
     return out if out.ndim else float(out)
@@ -176,6 +177,22 @@ class AnalyticRates:
     key_rate_total: float
 
 
+def coincidence_mix(s_a, s_b, cc_true, q_weighted, t_c, f_ec):
+    """Accidentals, QBER and key of a pipeline with singles ``s_a`` and
+    ``s_b``, true coincidences ``cc_true`` (of which ``q_weighted`` are
+    errors) and a window of width ``t_c``.
+
+    Accidentals are ``S_A S_B t_c``, each wrong half the time; the QBER
+    of no coincidences is NaN.  Returns ``(cc_acc, qber, key)`` as
+    arrays.
+    """
+    cc_acc = s_a * s_b * t_c
+    total = cc_true + cc_acc
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = np.where(total > 0, (q_weighted + 0.5 * cc_acc) / total, np.nan)
+    return cc_acc, q, secure_key_from_rates(total, q, f_ec)
+
+
 def analytic_rate_arrays(pair_rate_in_band, transmittance_alice,
                          transmittance_bob, dark_rate_alice, dark_rate_bob,
                          t_c, q_sys, n_channels, f_ec,
@@ -192,11 +209,8 @@ def analytic_rate_arrays(pair_rate_in_band, transmittance_alice,
     s_a = b * transmittance_alice + dark_rate_alice
     s_b = b * transmittance_bob + dark_rate_bob
     cc_true = b * transmittance_alice * transmittance_bob * window_efficiency
-    cc_acc = s_a * s_b * t_c
-    total = cc_true + cc_acc
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q = np.where(total > 0, (q_sys * cc_true + 0.5 * cc_acc) / total, np.nan)
-    per_channel = secure_key_from_rates(total, q, f_ec)
+    cc_acc, q, per_channel = coincidence_mix(s_a, s_b, cc_true, q_sys * cc_true,
+                                             t_c, f_ec)
     return AnalyticRates(
         cc_true=cc_true,
         cc_accidental=cc_acc,
@@ -243,6 +257,11 @@ class PairRateOptimum:
 
 _NO_INTERIOR = "no interior optimum on the bracket; returning best sample"
 
+# The brightness search: log-spaced scan points over the bracket, and the
+# golden-section refinement's final bracket width in log10 units.
+_N_GRID = 121
+_LOG_TOL = 1e-3
+
 
 def _pow10(log_b: np.ndarray) -> np.ndarray:
     # Python's ``10.0 ** x`` per element: np.power differs from it in
@@ -253,8 +272,6 @@ def _pow10(log_b: np.ndarray) -> np.ndarray:
 def optimize_pair_rates(
     models,
     bracket: tuple[float, float] = (1e2, 1e12),
-    n_grid: int = 121,
-    tol: float = 1e-3,
 ) -> list[PairRateOptimum]:
     """Maximize each model's aggregate key rate over its in-band pair rate.
 
@@ -276,18 +293,18 @@ def optimize_pair_rates(
     def rate_at(log_b: np.ndarray) -> np.ndarray:
         return analytic_rate_arrays(_pow10(log_b), **cols).key_rate_total
 
-    grid = np.linspace(math.log10(lo), math.log10(hi), n_grid)
+    grid = np.linspace(math.log10(lo), math.log10(hi), _N_GRID)
     # One row per grid point, one column per model.
     vals = analytic_rate_arrays(_pow10(grid)[:, None], **cols).key_rate_total
     k = np.argmax(vals, axis=0)
-    interior = (k > 0) & (k < n_grid - 1)
+    interior = (k > 0) & (k < _N_GRID - 1)
     # Edge models get clipped, unused brackets and stay inactive.
     a = grid.take(k - 1, mode="clip")
     b = grid.take(k + 1, mode="clip")
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = rate_at(c), rate_at(d)
-    active = interior & (b - a > tol)
+    active = interior & (b - a > _LOG_TOL)
     while active.any():
         left = fc >= fd
         # Left: b, d, fd = d, c, fc and a new c.  Right: a, c, fc = c, d,
@@ -307,7 +324,7 @@ def optimize_pair_rates(
         d = np.where(active, d_new, d)
         fc = np.where(active, fc_new, fc)
         fd = np.where(active, fd_new, fd)
-        active &= b - a > tol
+        active &= b - a > _LOG_TOL
     log_opt = 0.5 * (a + b)
     best = _pow10(log_opt)
     f_best = rate_at(log_opt)
@@ -326,12 +343,10 @@ def optimize_pair_rates(
 def optimize_pair_rate(
     model: AnalyticLinkModel,
     bracket: tuple[float, float] = (1e2, 1e12),
-    n_grid: int = 121,
-    tol: float = 1e-3,
 ) -> PairRateOptimum:
     """Maximize the aggregate key rate of one model over the in-band pair
     rate; see :func:`optimize_pair_rates`."""
-    return optimize_pair_rates([model], bracket, n_grid, tol)[0]
+    return optimize_pair_rates([model], bracket)[0]
 
 
 def scaling_curve(model: AnalyticLinkModel, n_values, loss_grid_db,
@@ -341,34 +356,28 @@ def scaling_curve(model: AnalyticLinkModel, n_values, loss_grid_db,
     """Aggregate key rate versus channel count and total link loss.
 
     For each loss the per-side transmittance is the base value times
-    ``10**(-(loss/2)/10)``; the aggregate rate is exactly linear in the
-    channel count under the identical-channel assumption.  With
+    :func:`side_transmittance`; the aggregate rate is exactly linear in
+    the channel count under the identical-channel assumption.  With
     ``optimize_b`` the per-channel pair rate is re-optimized per loss.
     """
     losses = list(loss_grid_db)
-    models = []
-    for loss in losses:
-        eta = 10.0 ** (-(loss / 2.0) / 10.0)
-        models.append(replace(
-            model,
-            transmittance_alice=base_transmittance_alice * eta,
-            transmittance_bob=base_transmittance_bob * eta,
-            n_channels=1,
-        ))
+    models = [replace(model, transmittance_alice=base_transmittance_alice * eta,
+                      transmittance_bob=base_transmittance_bob * eta, n_channels=1)
+              for eta in map(side_transmittance, losses)]
     if optimize_b:
         models = [replace(m, pair_rate_in_band=opt.pair_rate)
                   for m, opt in zip(models, optimize_pair_rates(models))]
-    rows = []
-    for loss, m in zip(losses, models):
-        res = analytic_rates(m)
-        for n in n_values:
-            rows.append({
-                "n": int(n),
-                "loss_db": float(loss),
-                "qber": res.qber,
-                "key_rate_bps": n * res.key_rate_per_channel,
-            })
-    return rows
+    return scaling_rows(n_values, losses, analytic_rate_arrays(**model_fields(models)))
+
+
+def scaling_rows(n_values, losses, rates: AnalyticRates) -> list[dict]:
+    """Rows ``(n, loss_db, qber, key_rate_bps)``: for each loss, in order,
+    one row per channel count ``n`` at ``n`` times the per-channel key of
+    ``rates`` (array fields, one element per loss)."""
+    return [{"n": int(n), "loss_db": float(loss), "qber": q, "key_rate_bps": n * key}
+            for loss, q, key in zip(losses, rates.qber.tolist(),
+                                    rates.key_rate_per_channel.tolist())
+            for n in n_values]
 
 
 @dataclass

@@ -20,7 +20,7 @@ import io
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
@@ -33,7 +33,7 @@ from .channels import (ChannelPlan, build_grid_plan, build_table1_plan, grid_til
 from .coincidence import CoincidenceWindow
 from .detection import DetectorConfig
 from .keyrate import (analytic_rate_arrays, binary_entropy, model_fields,
-                      optimize_pair_rates, qber_threshold)
+                      optimize_pair_rates, qber_threshold, scaling_rows)
 from .simulate import PipelineResult, resolve_channels, simulate_point
 from .source import SourceConfig
 
@@ -41,8 +41,9 @@ MODES = ("montecarlo", "analytic", "both")
 SCENARIOS = ("fig3b", "fig3d", "custom")
 BRIGHTNESS_POLICIES = ("calibrated", "near_saturation")
 MIN_EXPECTED_EVENTS = 1e3
-
-FIG3B_CONFIGURATIONS = ("ch1", "ch2", "wm_sum", "no_wm")
+# The near-saturation brightness puts the best channel's predicted QBER
+# at this fraction of the key threshold.
+NEAR_SATURATION_QBER_FRACTION = 0.8
 
 
 class ConfigError(ValueError):
@@ -121,91 +122,71 @@ class RunConfig:
             raise ConfigError("f_ec", f"must be >= 1, got {self.f_ec}")
 
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "mode": self.mode,
-            "duration": self.duration,
-            "loss_grid_db": list(self.loss_grid_db),
-            "source": asdict(self.source),
-            "plan": plan_to_dict(self.plan),
-            "detector": asdict(self.detector),
-            "window": {"t_c": self.window.t_c},
-            "channel_visibilities": {
-                str(k): list(v) for k, v in sorted(self.channel_visibilities.items())
-            },
-            "brightness": self.brightness,
-            "f_ec": self.f_ec,
-            "fig3d_n_values": list(self.fig3d_n_values),
-            "fig3d_bandwidths_ghz": list(self.fig3d_bandwidths_ghz),
-            "fig3d_loss_grid_db": list(self.fig3d_loss_grid_db),
-            "calibration": FROZEN_CALIBRATION.to_dict(),
-        }
+        """Every field as plain JSON data, and the frozen calibration."""
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "plan":
+                value = plan_to_dict(value)
+            elif f.name == "channel_visibilities":
+                value = {str(k): list(v) for k, v in sorted(value.items())}
+            elif is_dataclass(value):
+                value = asdict(value)
+            elif isinstance(value, tuple):
+                value = list(value)
+            out[f.name] = value
+        return {**out, "calibration": asdict(FROZEN_CALIBRATION)}
 
 
 def config_from_dict(raw: dict) -> RunConfig:
-    """Build a RunConfig from parsed JSON, validating field by field."""
+    """Build a RunConfig from parsed JSON, validating field by field.
+
+    Each field given is parsed by its entry in ``_PARSERS``, in the order
+    of the ``RunConfig`` fields; one without an entry is passed on as it
+    is, for ``RunConfig`` to check.  A parser's error becomes a
+    ``ConfigError`` on its field.
+    """
     if not isinstance(raw, dict):
         raise ConfigError("<root>", "configuration must be a JSON object")
-    known = {
-        "scenario", "seed", "mode", "duration", "loss_grid_db", "source",
-        "plan", "detector", "window", "channel_visibilities", "brightness",
-        "f_ec", "fig3d_n_values", "fig3d_bandwidths_ghz", "fig3d_loss_grid_db",
-    }
+    names = [f.name for f in fields(RunConfig)]
     for key in raw:
-        if key not in known:
+        if key not in names:
             raise ConfigError(key, "unknown configuration field")
     kwargs = {}
-    for key in ("scenario", "mode", "brightness", "f_ec"):
-        if key in raw:
-            kwargs[key] = raw[key]
-    if "seed" in raw:
-        kwargs["seed"] = raw["seed"]
-    if "duration" in raw:
-        kwargs["duration"] = _as_number("duration", raw["duration"])
-    if "loss_grid_db" in raw:
-        if not isinstance(raw["loss_grid_db"], (list, tuple)):
-            raise ConfigError("loss_grid_db", "must be a list of dB values")
-        kwargs["loss_grid_db"] = tuple(
-            _as_number("loss_grid_db", x) for x in raw["loss_grid_db"]
-        )
-    if "source" in raw:
+    for key in (name for name in names if name in raw):
         try:
-            kwargs["source"] = FROZEN_CALIBRATION.source(**raw["source"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("source", str(exc)) from exc
-    if "plan" in raw:
-        kwargs["plan"] = _parse_plan(raw["plan"])
-    if "detector" in raw:
-        try:
-            kwargs["detector"] = replace(calib.DEFAULT_DETECTOR, **raw["detector"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("detector", str(exc)) from exc
-    if "window" in raw:
-        try:
-            kwargs["window"] = CoincidenceWindow(**raw["window"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("window", str(exc)) from exc
-    if "channel_visibilities" in raw:
-        try:
-            kwargs["channel_visibilities"] = {
-                int(k): (float(v[0]), float(v[1]))
-                for k, v in raw["channel_visibilities"].items()
-            }
+            kwargs[key] = _PARSERS.get(key, lambda x: x)(raw[key])
+        except ConfigError:
+            raise
         except (TypeError, ValueError, IndexError, AttributeError) as exc:
-            raise ConfigError("channel_visibilities", str(exc)) from exc
-    for key in ("fig3d_n_values", "fig3d_bandwidths_ghz", "fig3d_loss_grid_db"):
-        if key in raw:
-            if not isinstance(raw[key], (list, tuple)) or not raw[key]:
-                raise ConfigError(key, "must be a non-empty list")
-            kwargs[key] = tuple(raw[key])
+            raise ConfigError(key, str(exc)) from exc
     return RunConfig(**kwargs)
 
 
-def _as_number(name: str, x) -> float:
+def _number(x) -> float:
     if not isinstance(x, (int, float)) or isinstance(x, bool):
-        raise ConfigError(name, f"must be a number, got {x!r}")
+        raise TypeError(f"must be a number, got {x!r}")
     return float(x)
+
+
+def _numbers(x) -> tuple[float, ...]:
+    if not isinstance(x, (list, tuple)):
+        raise TypeError("must be a list of dB values")
+    return tuple(_number(v) for v in x)
+
+
+def _non_empty_list(x) -> tuple:
+    if not isinstance(x, (list, tuple)) or not x:
+        raise TypeError("must be a non-empty list")
+    return tuple(x)
+
+
+def _visibilities(x) -> dict[int, tuple[float, float]]:
+    out = {int(k): (float(v[0]), float(v[1])) for k, v in x.items()}
+    bad = [v for pair in out.values() for v in pair if not math.isfinite(v)]
+    if bad:
+        raise ValueError(f"visibilities must be finite numbers, got {bad[0]}")
+    return out
 
 
 def _parse_plan(spec) -> ChannelPlan:
@@ -230,6 +211,21 @@ def _parse_plan(spec) -> ChannelPlan:
     raise ConfigError("plan", "must be 'table1', {'grid': ...} or {'pairs': ...}")
 
 
+# The parser of each configuration field that needs one; see config_from_dict.
+_PARSERS = {
+    "duration": _number,
+    "loss_grid_db": _numbers,
+    "source": lambda x: FROZEN_CALIBRATION.source(**x),
+    "plan": _parse_plan,
+    "detector": lambda x: replace(calib.DEFAULT_DETECTOR, **x),
+    "window": lambda x: CoincidenceWindow(**x),
+    "channel_visibilities": _visibilities,
+    "fig3d_n_values": _non_empty_list,
+    "fig3d_bandwidths_ghz": _non_empty_list,
+    "fig3d_loss_grid_db": _non_empty_list,
+}
+
+
 def load_config(path: str) -> RunConfig:
     with open(path) as fh:
         try:
@@ -243,19 +239,18 @@ def load_config(path: str) -> RunConfig:
 # Brightness policies
 
 
-def near_saturation_scale(config: RunConfig, loss_db: float,
-                          fraction: float = 0.8) -> float:
+def near_saturation_scale(config: RunConfig, loss_db: float) -> float:
     """Brightness scale emulating operation near the maximum tolerable
     source rate at high loss.
 
     Solves, on the high-brightness branch, for the scale at which the
-    best channel's predicted QBER reaches ``fraction`` of the key
-    threshold; beyond that the accidental load erases the key.
+    best channel's predicted QBER reaches ``NEAR_SATURATION_QBER_FRACTION``
+    of the key threshold; beyond that the accidental load erases the key.
     """
     ch = resolve_channels(config.source, config.plan, loss_db,
                           config.channel_visibilities)[0]
     b1, ea1, eb1 = ch.geometry
-    thr = fraction * qber_threshold(config.f_ec)
+    thr = NEAR_SATURATION_QBER_FRACTION * qber_threshold(config.f_ec)
 
     def q_of(scale):
         return predict_channel(b1 * scale, ea1, eb1, config.detector,
@@ -552,15 +547,10 @@ def run_fig3d(config: RunConfig, out_dir: str) -> dict:
     broad = analytic_rate_arrays(**model_fields(broad_models))
     broad_rows = iter(zip(broad_models, broad.qber.tolist(),
                           broad.key_rate_per_channel.tolist()))
-    scaling_rows = []
+    scaling = scaling_rows(config.fig3d_n_values, losses, best)
     bandwidth_rows = []
     for loss, opt, q, key in zip(losses, opts, best.qber.tolist(),
                                  best.key_rate_per_channel.tolist()):
-        for n in config.fig3d_n_values:
-            scaling_rows.append({
-                "n": int(n), "loss_db": float(loss), "qber": q,
-                "key_rate_bps": n * key,
-            })
         bandwidth_rows.append({
             "bandwidth_ghz": calib.FIG3D_REFERENCE_BANDWIDTH_GHZ,
             "loss_db": float(loss), "qber": q, "key_rate_bps": key,
@@ -588,12 +578,12 @@ def run_fig3d(config: RunConfig, out_dir: str) -> dict:
                 "and is reported alongside, not reproduced"
             ),
         },
-        "scaling_rows": scaling_rows,
+        "scaling_rows": scaling,
         "bandwidth_rows": bandwidth_rows,
         "qber_threshold": qber_threshold(config.f_ec),
     }
     _write(os.path.join(out_dir, "fig3d_scaling.csv"),
-           _csv_bytes(FIG3D_SCALING_COLUMNS, scaling_rows, config))
+           _csv_bytes(FIG3D_SCALING_COLUMNS, scaling, config))
     _write(os.path.join(out_dir, "fig3d_bandwidth.csv"),
            _csv_bytes(FIG3D_BANDWIDTH_COLUMNS, bandwidth_rows, config))
     _write(os.path.join(out_dir, "fig3d_report.json"),

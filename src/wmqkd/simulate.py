@@ -40,12 +40,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ChannelPlan
-from .coincidence import (ChunkedPair, CoincidenceWindow, CountsMatrix,
-                          accidental_estimate, delay_ticks, find_coincidences,
-                          tabulate)
+from .coincidence import (ChunkedPair, CoincidenceWindow, CountsMatrix, Matches,
+                          _check_pair, _match_count, _match_indices,
+                          delay_ticks, tabulate)
 from .detection import (Basis, DetectorCarry, DetectorConfig, TagStream,
                         _merge_streams, detect, emit_frontier,
-                        measure_pair_outcomes, measure_single_outcomes)
+                        measure_pair_outcomes, measure_single_outcomes,
+                        side_transmittance)
 from .keyrate import ChannelResult, channel_result
 from .source import SourceConfig, _rng, band_fraction, child_seed
 
@@ -61,6 +62,10 @@ _BLOCK_OF_BASIS = {Basis.HV: 0, Basis.DA: 1}
 # a basis block, all channels together.  A unit's memory peak scales
 # with it; the per-chunk Python work is small at this size.
 CHUNK_TAGS = 500_000
+
+# Bob's shift (s) for the delayed-window accidental estimate: far outside
+# the window and the jitter.
+ACCIDENTAL_DELAY = 2e-7
 
 
 @dataclass(frozen=True)
@@ -103,7 +108,7 @@ def resolve_channels(
     evenly between the sides and multiplied by each side's filter
     diffraction efficiency.
     """
-    eta_link = 10.0 ** (-(loss_db / 2.0) / 10.0)
+    eta_link = side_transmittance(loss_db)
     out = []
     for sig, idl in plan.pairs:
         det = sig.center - source.center_wavelength_signal
@@ -195,9 +200,8 @@ def simulate_channel_block(
     those below the chunk's frontier.  Every draw is seeded by channel,
     block, component and chunk index.
     """
-    if chunk is None:
-        chunk = Chunk(0, 0.0, block_duration, None)
-    carry_a, carry_b = carry if carry is not None else (None, None)
+    chunk = chunk or Chunk(0, 0.0, block_duration, None)
+    carry_a, carry_b = carry or (None, None)
     block = _BLOCK_OF_BASIS[basis]
 
     def sub_seed(comp):
@@ -291,23 +295,26 @@ class _BlockCounter:
     delayed-window accidental count."""
 
     def __init__(self, basis: Basis, window: CoincidenceWindow,
-                 detector: DetectorConfig, delay: float, channel_pair: int,
-                 duration: float):
-        half = window.half_width_ticks(detector.tick)
-        self.basis, self.window, self.delay = basis, window, delay
-        self.channel_pair, self.duration = channel_pair, duration
-        self.matched = ChunkedPair(half)
-        self.delayed = ChunkedPair(half, delay_ticks(delay, detector.tick))
+                 detector: DetectorConfig, channel_pair: int, duration: float):
+        self.half = window.half_width_ticks(detector.tick)
+        self.basis, self.channel_pair, self.duration = basis, channel_pair, duration
+        self.matched = ChunkedPair(self.half)
+        self.delayed = ChunkedPair(self.half, delay_ticks(ACCIDENTAL_DELAY, detector.tick))
         self.cc = np.zeros((2, 2), dtype=np.int64)
         self.singles_alice = self.singles_bob = self.accidentals = 0
 
     def push(self, alice: TagStream, bob: TagStream, frontier: int | None):
+        """Count the next chunk.  The chunk is validated here, once; the
+        stretches handed on keep its order, so they are matched as they
+        are."""
+        _check_pair(alice, bob)
         self.singles_alice += len(alice)
         self.singles_bob += len(bob)
         a, b = self.matched.push(alice, bob, frontier)
-        self.cc += tabulate(find_coincidences(a, b, self.window), self.basis).cc
+        matches = Matches(a, b, *_match_indices(a.ticks, b.ticks, self.half))
+        self.cc += tabulate(matches, self.basis).cc
         a, b = self.delayed.push(alice, bob, frontier)
-        self.accidentals += accidental_estimate(a, b, self.window, self.delay)
+        self.accidentals += _match_count(a.ticks, b.ticks + self.delayed.shift, self.half)
 
     def counts(self) -> BlockCounts:
         return BlockCounts(
@@ -326,43 +333,38 @@ def simulate_basis(
     window: CoincidenceWindow,
     block_duration: float,
     seed: int,
-    accidental_delay: float,
-    include_merged: bool,
 ) -> dict[int | str, BlockCounts]:
     """Simulate and count one basis block of every channel, in time chunks.
 
     All channels step through the same chunks (:func:`block_chunks`).
     Each channel's chunk is matched and its accidentals estimated at
-    once; with ``include_merged`` the channels' chunks for the same time
-    span are also merged into the non-multiplexed baseline, which is
-    counted under the key ``MERGED_LABEL``.  Only counts are returned,
-    and no chunk's tags outlive the next chunk.
+    once; with two or more channels the channels' chunks for the same
+    time span are also merged into the non-multiplexed baseline, which
+    is counted under the key ``MERGED_LABEL``.  Only counts are
+    returned, and no chunk's tags outlive the next chunk.
     """
     def counter(channel_pair):
-        return _BlockCounter(basis, window, detector, accidental_delay,
-                             channel_pair, block_duration)
+        return _BlockCounter(basis, window, detector, channel_pair, block_duration)
 
     counters = {ch.index: counter(ch.index) for ch in chans}
     carries = [(DetectorCarry(), DetectorCarry()) for _ in chans]
-    if include_merged:
-        merged = counter(0)
-        # Each merged port's last kept tick, for its dead time.
-        last_alice, last_bob = np.full(2, -np.inf), np.full(2, -np.inf)
+    merged = counter(0) if len(chans) >= 2 else None
+    # Each merged port's last kept tick, for its dead time.
+    last_alice, last_bob = np.full(2, -np.inf), np.full(2, -np.inf)
     for chunk in block_chunks(chans, detector, block_duration):
         alice, bob = [], []
         for slot, ch in enumerate(chans):
             blk = simulate_channel_block(ch, basis, detector, block_duration,
                                          seed, slot, chunk, carries[slot])
             counters[ch.index].push(blk.alice, blk.bob, chunk.frontier)
-            if include_merged:
-                alice.append(blk.alice)
-                bob.append(blk.bob)
-        if include_merged:
+            alice.append(blk.alice)
+            bob.append(blk.bob)
+        if merged is not None:
             merged.push(_merge_side(alice, detector.dead_time, 1000, last_alice),
                         _merge_side(bob, detector.dead_time, 1100, last_bob),
                         chunk.frontier)
     out: dict[int | str, BlockCounts] = {k: c.counts() for k, c in counters.items()}
-    if include_merged:
+    if merged is not None:
         out[MERGED_LABEL] = merged.counts()
     return out
 
@@ -394,17 +396,15 @@ def simulate_point(
     seed: int,
     channel_visibilities: dict[int, tuple[float, float]] | None = None,
     brightness_scale: float = 1.0,
-    include_merged: bool = True,
-    accidental_delay: float = 2e-7,
 ) -> PointResult:
     """Run the full Monte Carlo pipeline at one loss value.
 
     Every channel pair records an HV and a DA block of ``duration / 2``
     each.  Each basis is one unit of work (:func:`simulate_basis`): it
     simulates that block of every channel in time chunks, analyzes each
-    channel on its own and, when ``include_merged`` is set and there are
-    at least two channels, merges corresponding detectors across
-    channels into the non-multiplexed baseline.  The two units run on
+    channel on its own and, when there are at least two channels, merges
+    corresponding detectors across channels into the non-multiplexed
+    baseline.  The two units run on
     two threads; numpy releases the interpreter lock in the sorts,
     random fills and array arithmetic that make up their work.
 
@@ -418,34 +418,31 @@ def simulate_point(
         raise ValueError(f"duration must be finite and > 0, got {duration}")
     chans = resolve_channels(source, plan, loss_db, channel_visibilities,
                              brightness_scale)
-    merged = include_merged and len(chans) >= 2
     with ThreadPoolExecutor(max_workers=len(_BLOCK_OF_BASIS)) as pool:
-        futures = [
-            pool.submit(simulate_basis, chans, basis, detector, window,
-                        duration / 2.0, seed, accidental_delay, merged)
-            for basis in (Basis.HV, Basis.DA)
-        ]
+        futures = [pool.submit(simulate_basis, chans, basis, detector, window,
+                               duration / 2.0, seed)
+                   for basis in (Basis.HV, Basis.DA)]
         hv, da = (f.result() for f in futures)
     return PointResult(
         loss_db=loss_db, duration=duration,
         channels={ch.index: _pipeline(f"ch{ch.index}", hv[ch.index], da[ch.index])
                   for ch in chans},
         merged=(_pipeline(MERGED_LABEL, hv[MERGED_LABEL], da[MERGED_LABEL])
-                if merged else None),
+                if MERGED_LABEL in hv else None),
     )
 
 
 def _merge_side(streams: list[TagStream], dead: float, id_base: int,
-                last: np.ndarray | None = None) -> TagStream:
+                last: np.ndarray) -> TagStream:
     """Merge corresponding detector ports across channels on one side.
 
     Port 0 tags of all channels become one effective detector with id
     ``id_base``, port 1 tags another with id ``id_base + 1``; each sees
     one dead time ``dead`` across all channels, as a single physical
     detector would.  The side's stream is their canonically sorted union.
-    ``last``, when given, holds each port's last kept tick from earlier
-    chunks and is updated in place.
+    ``last`` holds each port's last kept tick from earlier chunks (-inf
+    for none) and is updated in place.
     """
-    out = _merge_streams(streams, dead, ports=2, last=last)
+    out = _merge_streams(streams, dead, 2, last)
     out.detector_ids = (id_base + out.detector_ids % 2).astype(np.int32)
     return out

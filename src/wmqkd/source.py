@@ -9,6 +9,7 @@ rates in events per second.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -56,6 +57,9 @@ class SourceConfig:
     systematic_visibility_da: float = 0.975
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value}")
         if self.spectral_fwhm <= 0:
             raise ValueError(f"spectral_fwhm must be > 0, got {self.spectral_fwhm}")
         if self.pair_rate <= 0:

@@ -97,7 +97,8 @@ def test_chunked_dead_time_equals_one_shot(int_times, ports, dead, cuts):
         _port_dead_time_filter(times[lo:hi], port[lo:hi], dead, 2, last)
         for lo, hi in zip([0] + edges, edges + [times.size])
     ])
-    assert np.array_equal(got, _port_dead_time_filter(times, port, dead, 2))
+    assert np.array_equal(got, _port_dead_time_filter(times, port, dead, 2,
+                                                      np.full(2, -np.inf)))
     for p in (0, 1):
         assert np.array_equal(got[port == p],
                               fixed_point_dead_time_filter(times[port == p], dead))
@@ -110,7 +111,7 @@ def test_chunked_merge_equals_one_shot(streams, dead_int, cuts):
     parts = [_merge_side(list(chunk), dead, 1000, last)
              for chunk in zip(*(pieces(s, cuts) for s in streams))]
     got = _chain(parts)
-    whole = _merge_side(streams, dead, 1000)
+    whole = _merge_side(streams, dead, 1000, np.full(2, -np.inf))
     for field in ("ticks", "outcomes", "detector_ids", "channel_indices", "dark"):
         assert np.array_equal(getattr(got, field), getattr(whole, field))
     assert got.is_sorted()
@@ -155,7 +156,7 @@ def test_chunked_detector_equals_one_shot(record):
     parts = [emit(slice(lo, hi), carry, f)
              for lo, hi, f in zip([0] + edges, edges + [t.size], fronts)]
     got = _chain(parts)
-    whole = emit(slice(None), None, None)
+    whole = emit(slice(None), DetectorCarry(), None)
     for field in ("ticks", "outcomes", "detector_ids", "dark"):
         assert np.array_equal(getattr(got, field), getattr(whole, field))
     assert got.is_sorted()
@@ -179,12 +180,11 @@ def test_chunked_block_counts_equal_one_shot_reduction(monkeypatch):
     plan, _ = build_grid_plan(805.0, 815.0, 400e9, 50e9, 810.05)
     chans = resolve_channels(FROZEN_CALIBRATION.source(), plan, 10.0,
                              brightness_scale=20.0)
-    window, delay, block, seed = CoincidenceWindow(1e-9), 2e-7, 0.01, 21
+    window, delay, block, seed = CoincidenceWindow(1e-9), simulate.ACCIDENTAL_DELAY, 0.01, 21
     chunks = list(block_chunks(chans, DEFAULT_DETECTOR, block))
     assert len(chunks) > 10 and chunks[-1].end == block
     assert all(a.end == b.start for a, b in zip(chunks, chunks[1:]))
-    got = simulate_basis(chans, Basis.DA, DEFAULT_DETECTOR, window, block, seed,
-                         delay, True)
+    got = simulate_basis(chans, Basis.DA, DEFAULT_DETECTOR, window, block, seed)
 
     alice, bob = [], []
     for slot, ch in enumerate(chans):
@@ -193,8 +193,8 @@ def test_chunked_block_counts_equal_one_shot_reduction(monkeypatch):
                                        slot, chunk, carry) for chunk in chunks]
         alice.append(_chain([b.alice for b in blks]))
         bob.append(_chain([b.bob for b in blks]))
-    merged = (_merge_side(alice, DEFAULT_DETECTOR.dead_time, 1000),
-              _merge_side(bob, DEFAULT_DETECTOR.dead_time, 1100))
+    merged = (_merge_side(alice, DEFAULT_DETECTOR.dead_time, 1000, np.full(2, -np.inf)),
+              _merge_side(bob, DEFAULT_DETECTOR.dead_time, 1100, np.full(2, -np.inf)))
     for key, a, b in [(ch.index, a, b) for ch, a, b in zip(chans, alice, bob)] \
             + [(MERGED_LABEL, *merged)]:
         assert a.is_sorted() and b.is_sorted()

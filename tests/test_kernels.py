@@ -114,7 +114,7 @@ def test_accidental_estimate_matches_shifted_stream(ta, tb, half, shift):
 @given(module_streams(), st.integers(0, 40))
 def test_kway_merge_agrees_with_quadratic_oracle(streams, dead_int):
     dead = dead_int * TICK
-    merged = _merge_side(streams, dead, 1000)
+    merged = _merge_side(streams, dead, 1000, np.full(2, -np.inf))
     got = list(zip(merged.ticks.tolist(), merged.detector_ids.tolist(),
                    merged.channel_indices.tolist(), merged.dark.tolist()))
     assert got == brute_force_merge_side(streams, dead / TICK, 1000)

@@ -8,8 +8,8 @@ from scipy.optimize import brentq
 
 from wmqkd.coincidence import CountsMatrix
 from wmqkd.detection import Basis
-from wmqkd.keyrate import (AnalyticLinkModel, analytic_rates, binary_entropy,
-                           channel_result, optimize_pair_rate, qber,
+from wmqkd.keyrate import (AnalyticLinkModel, analytic_rate_arrays, analytic_rates,
+                           binary_entropy, channel_result, optimize_pair_rate, qber,
                            qber_threshold, scaling_curve, secure_key,
                            secure_key_from_rates, visibility)
 from dataclasses import replace
@@ -149,6 +149,20 @@ def test_threshold_monotone_and_limit():
     ts = [qber_threshold(f) for f in fs]
     assert all(a > b for a, b in zip(ts, ts[1:]))
     assert qber_threshold(500.0) < 0.01
+
+
+def test_undefined_qber_gives_no_key():
+    # A NaN QBER (no coincidences, or a NaN visibility) has no entropy
+    # and yields no key, whatever the coincidence rate.
+    assert np.isnan(binary_entropy(float("nan")))
+    h = binary_entropy(np.array([0.0, np.nan, 0.5]))
+    assert h[0] == 0.0 and np.isnan(h[1]) and h[2] == 1.0
+    assert secure_key_from_rates(1e4, float("nan")) == 0.0
+    assert secure_key_from_rates([1e4, 1e4], [float("nan"), 0.02]).tolist() == \
+        [0.0, secure_key_from_rates(1e4, 0.02)]
+    rates = analytic_rate_arrays(**{**vars(base_model()), "q_sys": float("nan")})
+    assert np.isnan(rates.qber)
+    assert rates.key_rate_per_channel == rates.key_rate_total == 0.0
 
 
 def test_key_positive_below_threshold_only():

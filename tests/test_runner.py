@@ -1,6 +1,7 @@
 """Runner and CLI tests: configuration validation, scenario outputs,
 byte determinism, and error records."""
 
+import hashlib
 import json
 import math
 import os
@@ -66,6 +67,12 @@ def test_bad_nested_fields_named():
     ({"detector": {"dark_rate": float("inf")}}, "detector", "dark_rate"),
     ({"detector": {"jitter_sigma": float("nan")}}, "detector", "jitter_sigma"),
     ({"seed": -1}, "seed", ">= 0"),
+    ({"source": {"pair_rate": float("nan")}}, "source", "pair_rate"),
+    ({"source": {"spectral_fwhm": float("inf")}}, "source", "spectral_fwhm"),
+    ({"channel_visibilities": {"1": [float("nan"), 0.9]}}, "channel_visibilities",
+     "finite"),
+    ({"channel_visibilities": {"2": [0.9, float("inf")]}}, "channel_visibilities",
+     "finite"),
 ])
 def test_non_finite_numbers_and_negative_seed_rejected(raw, field, what):
     with pytest.raises(ConfigError, match=what) as exc:
@@ -263,6 +270,36 @@ def test_cli_custom_runs(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "custom" in out
     assert (tmp_path / "custom_curve.csv").exists()
+
+
+# sha256 of the default CLI outputs.  The files are deterministic, so a
+# pure refactor must leave them byte for byte as they are; a change that
+# alters the random draws or the physics updates these values and says
+# why in CHANGES.md.
+DEFAULT_OUTPUT_SHA256 = {
+    "fig3d": {
+        "fig3d_bandwidth.csv":
+            "4beaf67553658ac4a9c950eff09d6fdb78a5e757c89534564e26bf326b97b54a",
+        "fig3d_report.json":
+            "6a61778318aad6e2c0471e16376ef125283e552e5cda37143ef30ebc0845afda",
+        "fig3d_scaling.csv":
+            "23f793e913c8b2e322d0b954af6d7bc78bf6ba0b119f0b6400bbb2f837d61a65",
+    },
+    "custom": {
+        "custom_curve.csv":
+            "5388385e3798c5cfe2c51cc3190f5565fb670a963bd0a36fdcc4c101c3ffce56",
+        "custom_report.json":
+            "7e575e590e981988352e754d0432ba1694ef1d6c442d258473a95af613b1e9c5",
+    },
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(DEFAULT_OUTPUT_SHA256))
+def test_default_cli_outputs_are_byte_identical(scenario, tmp_path):
+    assert cli_main([scenario, "--out", str(tmp_path)]) == 0
+    got = {name: hashlib.sha256(read(tmp_path / name)).hexdigest()
+           for name in sorted(os.listdir(tmp_path))}
+    assert got == DEFAULT_OUTPUT_SHA256[scenario]
 
 
 def test_cli_reports_config_errors(tmp_path, capsys):

@@ -202,20 +202,18 @@ def test_channel_results_independent_of_companions():
                                   seed=9, channel_slot=1)
     full = simulate_point(src, plan, 30.0, DEFAULT_DETECTOR,
                           CoincidenceWindow(1e-9), 0.1, seed=9,
-                          channel_visibilities=cal.channel_visibilities(),
-                          include_merged=False)
+                          channel_visibilities=cal.channel_visibilities())
     m = find_coincidences(solo.alice, solo.bob, CoincidenceWindow(1e-9))
     counts_solo = tabulate(m, Basis.HV, 2)
     assert np.array_equal(counts_solo.cc, full.channels[2].counts_hv.cc)
 
 
-def sequential_point(src, plan, loss, duration, seed, include_merged, **kwargs):
+def sequential_point(src, plan, loss, duration, seed, **kwargs):
     """The HV and DA units run one after the other in the calling thread,
     their counts summed from 0.0 in HV-then-DA order."""
     chans = resolve_channels(src, plan, loss, **kwargs)
-    merged = include_merged and len(chans) >= 2
     units = [simulate_basis(chans, basis, DEFAULT_DETECTOR, CoincidenceWindow(1e-9),
-                            duration / 2.0, seed, 2e-7, merged)
+                            duration / 2.0, seed)
              for basis in (Basis.HV, Basis.DA)]
     out = {}
     for key in units[0]:
@@ -235,26 +233,28 @@ def small_grid_plan():
     return plan
 
 
-@pytest.mark.parametrize("include_merged", [True, False])
+@pytest.mark.parametrize("merged", [True, False])
 @pytest.mark.parametrize("plan_of, kwargs", [
     (build_table1_plan,
      {"channel_visibilities": FROZEN_CALIBRATION.channel_visibilities()}),
     (small_grid_plan, {}),
 ])
-def test_threaded_point_equals_sequential_units(plan_of, kwargs, include_merged):
+def test_threaded_point_equals_sequential_units(plan_of, kwargs, merged):
+    # The merged baseline runs with two or more channels; without
+    # ``merged`` the plan is cut to its first pair.
     src, plan, loss, duration, seed = FROZEN_CALIBRATION.source(), plan_of(), 30.0, 0.1, 4
+    if not merged:
+        plan = ChannelPlan(plan.pairs[:1], plan.spdc_center, plan.tolerance)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         threaded = simulate_point(src, plan, loss, DEFAULT_DETECTOR,
-                                  CoincidenceWindow(1e-9), duration, seed,
-                                  include_merged=include_merged, **kwargs)
+                                  CoincidenceWindow(1e-9), duration, seed, **kwargs)
     finally:
         sys.setswitchinterval(interval)
-    want = sequential_point(src, plan, loss, duration, seed, include_merged,
-                            **kwargs)
+    want = sequential_point(src, plan, loss, duration, seed, **kwargs)
     got = dict(threaded.channels)
-    if include_merged:
+    if merged:
         got[MERGED_LABEL] = threaded.merged
     else:
         assert threaded.merged is None
