@@ -29,8 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import erf
 
 from .channels import build_table1_plan, table1_source_config
 from .coincidence import CoincidenceWindow
@@ -38,7 +36,7 @@ from .detection import DetectorConfig, side_transmittance
 from .keyrate import (DEFAULT_F_EC, AnalyticLinkModel, analytic_rates, coincidence_mix,
                       qber_threshold)
 from .simulate import resolve_channels
-from .source import SourceConfig, band_fraction
+from .source import SourceConfig, _erf, band_fraction
 
 CALIBRATION_VERSION = "1"
 
@@ -79,7 +77,7 @@ def window_efficiency(jitter_sigma: float, width: float) -> float:
     inside a window of total ``width`` given per-detector normal jitter."""
     if jitter_sigma <= 0:
         return 1.0
-    return float(erf(width / (4.0 * jitter_sigma)))
+    return _erf(width / (4.0 * jitter_sigma))
 
 
 def _port_rate_after_dead_time(rate, dead_time):
@@ -211,6 +209,8 @@ class Calibration:
 def derive_calibration(detector: DetectorConfig = DEFAULT_DETECTOR,
                        window: CoincidenceWindow = CoincidenceWindow(1e-9)) -> Calibration:
     """Re-derive every frozen parameter from its anchor."""
+    from scipy.optimize import brentq  # imported here to keep scipy off the import path
+
     src0 = table1_source_config(pair_rate=1.0)
     in_band = FILTERED_BRIGHTNESS_CPS_PER_MW * PUMP_POWER_MW
     full_rate = in_band / band_fraction(src0, 0.0, BRIGHTNESS_FILTER_FWHM_NM)
@@ -249,6 +249,8 @@ def derive_calibration(detector: DetectorConfig = DEFAULT_DETECTOR,
 def _fig3d_reference_pair_rate(q_sys: float) -> float:
     """Per-channel pair rate of the fixed-source projection, anchored so
     the key vanishes exactly at the threshold bandwidth."""
+    from scipy.optimize import brentq
+
     eta = side_transmittance(FIG3D_TOTAL_LOSS_DB)
     thr = qber_threshold(1.1, tol=1e-9)
     scale = FIG3D_BANDWIDTH_THRESHOLD_GHZ / FIG3D_REFERENCE_BANDWIDTH_GHZ

@@ -23,7 +23,6 @@ import os
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from . import calibration as calib
 from .calibration import (ChannelPrediction, FROZEN_CALIBRATION, fig3d_model,
@@ -247,6 +246,8 @@ def near_saturation_scale(config: RunConfig, loss_db: float) -> float:
     best channel's predicted QBER reaches ``NEAR_SATURATION_QBER_FRACTION``
     of the key threshold; beyond that the accidental load erases the key.
     """
+    from scipy.optimize import brentq, minimize_scalar
+
     ch = resolve_channels(config.source, config.plan, loss_db,
                           config.channel_visibilities)[0]
     b1, ea1, eb1 = ch.geometry

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import erf, ndtri
 
 # Speed of light in nm*Hz (wavelength in nm <-> frequency in Hz).
 C_NM_HZ = 2.99792458e17
@@ -24,6 +23,62 @@ _FWHM_PER_SIGMA = 2.0 * np.sqrt(2.0 * np.log(2.0))
 
 def _gaussian_sigma(fwhm: float) -> float:
     return fwhm / _FWHM_PER_SIGMA
+
+
+# Scalar erf ported from cephes ndtr.c, coefficients and evaluation
+# order included, so it returns the same doubles as scipy.special.erf
+# without importing scipy.  U, Q and S carry the leading 1 that cephes
+# leaves implied (its p1evl); 1.0 * x + c is x + c exactly.
+_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1,
+          2.23200534594684319226E3, 7.00332514112805075473E3,
+          5.55923013010394962768E4)
+_ERF_U = (1.0, 3.35617141647503099647E1, 5.21357949780152679795E2,
+          4.59432382970980127987E3, 2.26290000613890934246E4,
+          4.92673942608635921086E4)
+_ERFC_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1,
+           7.46321056442269912687E0, 4.86371970985681366614E1,
+           1.96520832956077098242E2, 5.26445194995477358631E2,
+           9.34528527171957607540E2, 1.02755188689515710272E3,
+           5.57535335369399327526E2)
+_ERFC_Q = (1.0, 1.32281951154744992508E1, 8.67072140885989742329E1,
+           3.54937778887819891062E2, 9.75708501743205489753E2,
+           1.82390916687909736289E3, 2.24633760818710981792E3,
+           1.65666309194161350182E3, 5.57535340817727675546E2)
+_ERFC_R = (5.64189583547755073984E-1, 1.27536670759978104416E0,
+           5.01905042251180477414E0, 6.16021097993053585195E0,
+           7.40974269950448939160E0, 2.97886665372100240670E0)
+_ERFC_S = (1.0, 2.26052863220117276590E0, 9.39603524938001434673E0,
+           1.20489539808096656605E1, 1.70814450747565897222E1,
+           9.60896809063285878198E0, 3.36907645100081516050E0)
+_MAXLOG = 7.09782712893383996843E2
+
+
+def _polevl(x: float, coef: tuple) -> float:
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _erf(x: float) -> float:
+    """Error function of one float, equal bit for bit to cephes ``erf``."""
+    x = float(x)
+    if math.isnan(x):
+        return math.nan
+    if x < 0.0:
+        return -_erf(-x)
+    if x > 1.0:
+        # 1 - erfc(x); erfc underflows to 0 once x*x exceeds MAXLOG.
+        z = -x * x
+        if z < -_MAXLOG:
+            return 1.0
+        if x < 8.0:
+            p, q = _polevl(x, _ERFC_P), _polevl(x, _ERFC_Q)
+        else:
+            p, q = _polevl(x, _ERFC_R), _polevl(x, _ERFC_S)
+        return 1.0 - (math.exp(z) * p) / q
+    z = x * x
+    return x * _polevl(z, _ERF_T) / _polevl(z, _ERF_U)
 
 
 @dataclass(frozen=True)
@@ -187,7 +242,7 @@ def band_fraction(config: SourceConfig, band_center: float, band_fwhm: float) ->
     s = config.sigma * np.sqrt(2.0)
     lo = band_center - band_fwhm / 2.0
     hi = band_center + band_fwhm / 2.0
-    return float(0.5 * (erf(hi / s) - erf(lo / s)))
+    return float(0.5 * (_erf(hi / s) - _erf(lo / s)))
 
 
 def sample_pair_stream(
@@ -223,9 +278,10 @@ def sample_pair_stream(
     else:
         lo, hi = band
         s = config.sigma * np.sqrt(2.0)
-        u_lo = 0.5 * (1.0 + erf(lo / s))
-        u_hi = 0.5 * (1.0 + erf(hi / s))
+        u_lo = 0.5 * (1.0 + _erf(lo / s))
+        u_hi = 0.5 * (1.0 + _erf(hi / s))
         u = rng.uniform(u_lo, u_hi, n)
+        from scipy.special import ndtri  # imported here to keep scipy off the import path
         detunings = config.sigma * ndtri(u)
     return PairStream(config, duration, times, detunings)
 

@@ -5,6 +5,9 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -358,3 +361,36 @@ def test_plan_without_pairs_rejected(scenario, tmp_path, capsys):
     assert rc == 2
     assert json.loads(capsys.readouterr().err.strip())["field"] == "plan.pairs"
     assert not out.exists()
+
+
+# --- import cost ---------------------------------------------------------------
+
+# Runs in a fresh interpreter: imports the package, then runs the default
+# fig3d scenario and a short calibrated fig3b Monte Carlo run, and prints
+# every scipy module that got loaded.
+NO_SCIPY_SCRIPT = """
+import json, os, sys
+import wmqkd, wmqkd.runner, wmqkd.cli
+from wmqkd.cli import main
+out = sys.argv[1]
+cfg = os.path.join(out, "fig3b.json")
+with open(cfg, "w") as fh:
+    json.dump({"scenario": "fig3b", "mode": "both", "duration": 0.05,
+               "brightness": "calibrated"}, fh)
+assert main(["fig3d", "--out", os.path.join(out, "fig3d")]) == 0
+assert main(["fig3b", "--config", cfg, "--out", os.path.join(out, "fig3b")]) == 0
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def test_scenarios_run_without_importing_scipy(tmp_path):
+    """scipy costs about 0.6 s of every process's start-up; only the
+    near-saturation brightness, ``derive_calibration`` and band-limited
+    ``sample_pair_stream`` may load it."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == []
+    assert sorted(os.listdir(tmp_path / "fig3b")) == ["fig3b_curve.csv", "fig3b_report.json"]

@@ -1,11 +1,16 @@
 """Source model tests: spectrum shape, band fractions against a
-quadrature oracle, and Poisson emission statistics."""
+quadrature oracle, Poisson emission statistics, and the in-house erf
+against scipy's."""
+
+import math
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import integrate, special, stats
 
-from wmqkd.source import (SourceConfig, band_fraction, sample_pair_stream,
+from wmqkd.source import (SourceConfig, _erf, band_fraction, sample_pair_stream,
                           spectral_density, spectral_integral)
 
 
@@ -171,3 +176,38 @@ def test_pair_event_indexing():
     ev = stream[5]
     assert ev.correlation_id == 5
     assert ev.emission_time == stream.times[5]
+
+
+# --- erf against scipy.special.erf, bit for bit ------------------------------
+
+def assert_same_double(x):
+    got, want = _erf(x), float(special.erf(x))
+    if math.isnan(want):
+        assert math.isnan(got)
+    else:
+        assert got == want
+        assert math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+@settings(max_examples=3000)
+@given(st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
+       | st.floats(-30.0, 30.0))
+def test_erf_matches_scipy_on_finite_floats(x):
+    assert_same_double(x)
+
+
+def _around(x):
+    return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+
+
+MAXLOG_EDGE = math.sqrt(7.09782712893383996843e2)  # ~26.64: erfc underflows past it
+ERF_EDGE_CASES = (
+    [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+     1e-9 / (4.0 * 250e-12)]  # the last is window_efficiency(250e-12, 1e-9)'s argument
+    + [s * v for s in (1.0, -1.0) for e in (1.0, 8.0, MAXLOG_EDGE) for v in _around(e)]
+)
+
+
+@pytest.mark.parametrize("x", ERF_EDGE_CASES)
+def test_erf_matches_scipy_at_edges(x):
+    assert_same_double(x)
