@@ -409,6 +409,36 @@ def test_predictor_equals_scalar_oracles(setup):
     assert same_prediction(predict_merged(rows, detector, window, q_sys, f_ec), want)
 
 
+@st.composite
+def ideal_detector_setups(draw):
+    n = draw(st.integers(1, 8))
+    rows = [(draw(log_uniform(1e3, 1e9)), draw(log_uniform(1e-5, 1.0)),
+             draw(log_uniform(1e-5, 1.0))) for _ in range(n)]
+    q_sys = [draw(st.floats(0.0, 0.5)) for _ in range(n)]
+    dark = draw(st.one_of(st.just(0.0), log_uniform(1.0, 1e5)))
+    detector = DetectorConfig(efficiency=1.0, dark_rate=dark / 2.0,
+                              jitter_sigma=0.0, dead_time=0.0)
+    window = CoincidenceWindow(draw(log_uniform(1e-10, 1e-8)))
+    return rows, q_sys, dark, detector, window, draw(st.floats(1.0, 1.5))
+
+
+@given(ideal_detector_setups())
+def test_predictor_of_ideal_detectors_is_the_link_model(setup):
+    """With unit efficiency, no dead time and no jitter, each channel's
+    prediction is the basic link model with the side's dark rate (two
+    ports of ``dark / 2``) and the window's effective width."""
+    rows, q_sys, dark, detector, window, f_ec = setup
+    t_c = window.effective_width(detector.tick)
+    channels, _ = predict_rows(rows, q_sys, detector, window, f_ec)
+    for (b, ea, eb), q, got in zip(rows, q_sys, channels):
+        want = analytic_rates(AnalyticLinkModel(b, ea, eb, dark, dark, t_c=t_c,
+                                                q_sys=q, f_ec=f_ec))
+        assert (got.singles_alice, got.singles_bob, got.cc_true, got.cc_accidental,
+                got.qber, got.key_rate) == (
+            want.singles_alice, want.singles_bob, want.cc_true, want.cc_accidental,
+            want.qber, want.key_rate_per_channel)
+
+
 def test_predictor_of_no_rows():
     channels, merged = predict_rows([], [], DetectorConfig(), CoincidenceWindow())
     assert channels == []

@@ -18,7 +18,7 @@ from wmqkd.cli import main as cli_main
 from wmqkd.runner import (ConfigError, RunConfig, config_from_dict,
                           consistency_sigmas, default_config, load_config,
                           near_saturation_scale, predict_point, run_custom,
-                          run_fig3b, run_fig3d, within_4_sigma)
+                          run_fig3b, run_fig3d, run_scenario, within_4_sigma)
 
 
 def read(path):
@@ -297,12 +297,51 @@ DEFAULT_OUTPUT_SHA256 = {
 }
 
 
+# Ports of a table-1 style grid: 795-825 nm, 400 GHz pitch, 50 GHz
+# passbands, mirrored about 810.05 nm, which pairs 17 channels.
+WDM_GRID_PLAN = {"grid": {
+    "window_low_nm": 795.0, "window_high_nm": 825.0,
+    "channel_spacing_hz": 400e9, "channel_bandwidth_hz": 50e9,
+    "spdc_center_nm": 810.05}}
+
+# sha256 of analytic runs the defaults leave out: the near-saturation
+# brightness solve, and a plan of many channels with its merged baseline.
+ANALYTIC_OUTPUT_SHA256 = {
+    "near_saturation": (
+        {"scenario": "custom", "mode": "analytic", "brightness": "near_saturation",
+         "loss_grid_db": [60.0, 89.0]},
+        {"custom_curve.csv":
+            "15dd1aa1a1b9dab769555da3a641e1a7fe287d24717126340c31a72f3c591470",
+         "custom_report.json":
+            "9ca7e9c3fd1f08fcaa9f2e90c0c2e21ad40195e6154e1e4e3460999c50f20ca2"},
+    ),
+    "wdm_grid": (
+        {"scenario": "custom", "mode": "analytic", "plan": WDM_GRID_PLAN,
+         "loss_grid_db": [20.0, 30.0, 45.0]},
+        {"custom_curve.csv":
+            "11e55f0b127bb14ed7b0bf6eb7360dedf85b9b12f4cf45a4685a5c38ff4f08dc",
+         "custom_report.json":
+            "1a8cde77b6472845203b0f3dbefb43bb8a29e65443119dfefc43cf08d7d1fffe"},
+    ),
+}
+
+
+def output_sha256(out_dir):
+    return {name: hashlib.sha256(read(out_dir / name)).hexdigest()
+            for name in sorted(os.listdir(out_dir))}
+
+
+@pytest.mark.parametrize("case", sorted(ANALYTIC_OUTPUT_SHA256))
+def test_analytic_outputs_are_byte_identical(case, tmp_path):
+    raw, want = ANALYTIC_OUTPUT_SHA256[case]
+    run_scenario(config_from_dict(raw), str(tmp_path))
+    assert output_sha256(tmp_path) == want
+
+
 @pytest.mark.parametrize("scenario", sorted(DEFAULT_OUTPUT_SHA256))
 def test_default_cli_outputs_are_byte_identical(scenario, tmp_path):
     assert cli_main([scenario, "--out", str(tmp_path)]) == 0
-    got = {name: hashlib.sha256(read(tmp_path / name)).hexdigest()
-           for name in sorted(os.listdir(tmp_path))}
-    assert got == DEFAULT_OUTPUT_SHA256[scenario]
+    assert output_sha256(tmp_path) == DEFAULT_OUTPUT_SHA256[scenario]
 
 
 def test_cli_reports_config_errors(tmp_path, capsys):

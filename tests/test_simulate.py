@@ -326,6 +326,8 @@ def test_frozen_calibration_matches_derivation():
     assert derived.v_sys_channel2 == pytest.approx(frozen.v_sys_channel2, abs=1e-9)
     assert derived.fig3d_pair_rate_per_channel == pytest.approx(
         frozen.fig3d_pair_rate_per_channel, rel=1e-6)
+    # The frozen numbers are the derivation's own, to the last bit.
+    assert derived == frozen
 
 
 def test_calibration_reproduces_reference_qber():
