@@ -2,9 +2,11 @@
 scenario calibration.
 
 :func:`predict_rows` predicts every wavelength channel of a plan and the
-merged (non-multiplexed) baseline in one array call;
-:func:`predict_channel` and :func:`predict_merged` are its one-row and
-merged-only calls.
+merged (non-multiplexed) baseline in one array call.  Each channel is
+``keyrate.link_rates`` with the configured detector and the
+tick-quantized window; this module adds only the merged baseline's
+cross-channel blocking.  :func:`predict_channel` and
+:func:`predict_merged` are its one-row and merged-only forms.
 
 The experiment's absolute settings are pinned once here and reused by
 every scenario run, so no comparison can tune parameters per claim:
@@ -33,8 +35,8 @@ import numpy as np
 from .channels import build_table1_plan, table1_source_config
 from .coincidence import CoincidenceWindow
 from .detection import DetectorConfig, side_transmittance
-from .keyrate import (DEFAULT_F_EC, AnalyticLinkModel, analytic_rates, coincidence_mix,
-                      qber_threshold)
+from .keyrate import (DEFAULT_F_EC, AnalyticLinkModel, AnalyticRates, analytic_rates,
+                      coincidence_mix, link_rates, qber_threshold)
 from .simulate import resolve_channels
 from .source import SourceConfig, _erf, band_fraction
 
@@ -60,29 +62,12 @@ DEFAULT_DETECTOR = DetectorConfig(
 )
 
 
-@dataclass(frozen=True)
-class ChannelPrediction:
-    """Semi-analytic per-pipeline rates (all per second)."""
-
-    singles_alice: float
-    singles_bob: float
-    cc_true: float
-    cc_accidental: float
-    qber: float
-    key_rate: float
-
-
 def window_efficiency(jitter_sigma: float, width: float) -> float:
     """Probability that a true pair's detection-time difference falls
     inside a window of total ``width`` given per-detector normal jitter."""
     if jitter_sigma <= 0:
         return 1.0
     return _erf(width / (4.0 * jitter_sigma))
-
-
-def _port_rate_after_dead_time(rate, dead_time):
-    """Non-paralyzable throughput of one detector at incident rate."""
-    return rate / (1.0 + rate * dead_time)
 
 
 def _total(x: np.ndarray) -> float:
@@ -97,54 +82,52 @@ def predict_rows(
     detector: DetectorConfig,
     window: CoincidenceWindow,
     f_ec: float = DEFAULT_F_EC,
-) -> tuple[list[ChannelPrediction], ChannelPrediction]:
+) -> tuple[list[AnalyticRates], AnalyticRates]:
     """Predict every wavelength channel and the merged baseline at once.
 
     ``rows`` holds ``(pair_rate, eta_alice, eta_bob)`` per channel and
-    ``q_sys`` each channel's systematic error fraction.  A channel chains
-    detector efficiency, per-port dead time, jitter window efficiency and
-    the tick-quantized effective window width onto the basic
-    singles/true/accidental decomposition.  The merged (non-multiplexed)
-    baseline joins corresponding detector ports per side: a tag of one
-    channel additionally dies when a kept tag of another channel precedes
-    it within the dead time.  Returns the per-channel predictions and the
-    merged one; with one row the two agree.
+    ``q_sys`` each channel's systematic error fraction.  A channel is
+    :func:`~wmqkd.keyrate.link_rates` with the detector's efficiency,
+    dark counts (``dark_rate`` per port) and dead time, the jitter
+    window efficiency and the tick-quantized effective window width.
+    The merged (non-multiplexed) baseline joins corresponding detector
+    ports per side: a tag of one channel additionally dies when a kept
+    tag of another channel precedes it within the dead time.  Returns
+    the per-channel rates and the merged ones, each for one channel
+    (``n_channels`` 1); with one row the two agree.
     """
     b, ea, eb = np.asarray(rows, dtype=np.float64).reshape(-1, 3).T
     q_sys = np.asarray(q_sys, dtype=np.float64)
     w_eff = window.effective_width(detector.tick)
     eta_w = window_efficiency(detector.jitter_sigma, w_eff)
     dead = detector.dead_time
+    dark = 2.0 * detector.dark_rate
+    channels, pre_window = link_rates(
+        b, ea, eb, dark, dark, detector.efficiency, dead, w_eff, eta_w, q_sys, f_ec)
 
-    port_in = [b * eta * detector.efficiency / 2.0 + detector.dark_rate
-               for eta in (ea, eb)]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rho = [np.where(p > 0, _port_rate_after_dead_time(p, dead) / p, 1.0)
-               for p in port_in]
-    base = b * ea * eb * detector.efficiency**2 * rho[0] * rho[1]
-
-    # Cross-channel blocking in the merged stream (per side, per port).
+    # Cross-channel blocking in the merged stream (per side, per port;
+    # a port puts out half its side's singles).
     merged_singles, rho_merge = [], []
-    for p, r in zip(port_in, rho):
-        out = p * r
+    for singles in (channels.singles_alice, channels.singles_bob):
+        out = singles / 2.0
         denom = 1.0 + (_total(out) - out) * dead
         merged_singles.append(2.0 * _total(out / denom))
         rho_merge.append(1.0 / denom)
-    t = base * rho_merge[0] * rho_merge[1] * eta_w
-
-    s_a, s_b = (2.0 * p * r for p, r in zip(port_in, rho))
-    channels = _predictions(s_a, s_b, base * eta_w, q_sys * (base * eta_w),
-                            w_eff, f_ec)
-    [merged] = _predictions(*merged_singles, _total(t), _total(q_sys * t),
-                            w_eff, f_ec)
-    return channels, merged
-
-
-def _predictions(s_a, s_b, cc_true, q_weighted, w_eff, f_ec):
-    s_a, s_b, cc_true, q_weighted = np.atleast_1d(s_a, s_b, cc_true, q_weighted)
+    t = pre_window * rho_merge[0] * rho_merge[1] * eta_w
+    # One-element arrays: coincidence_mix divides by the total everywhere
+    # and keeps only positive totals, so on floats an all-zero row would
+    # raise ZeroDivisionError.
+    s_a, s_b, cc_true, q_weighted = np.atleast_1d(*merged_singles, _total(t),
+                                                  _total(q_sys * t))
     cc_acc, q, key = coincidence_mix(s_a, s_b, cc_true, q_weighted, w_eff, f_ec)
-    return [ChannelPrediction(*row) for row in zip(
-        *(x.tolist() for x in (s_a, s_b, cc_true, cc_acc, q, key)))]
+    [merged] = _records(AnalyticRates(cc_true, cc_acc, s_a, s_b, q, key, key))
+    return _records(channels), merged
+
+
+def _records(rates: AnalyticRates) -> list[AnalyticRates]:
+    """One record of floats per element of array-valued ``rates``."""
+    columns = (x.tolist() for x in vars(rates).values())
+    return [AnalyticRates(*row) for row in zip(*columns)]
 
 
 def predict_channel(
@@ -155,7 +138,7 @@ def predict_channel(
     window: CoincidenceWindow,
     q_sys: float,
     f_ec: float = DEFAULT_F_EC,
-) -> ChannelPrediction:
+) -> AnalyticRates:
     """Predict one wavelength channel's measured rates; the one-row call
     of :func:`predict_rows`."""
     rows = [(pair_rate_in_band, arrival_eff_alice, arrival_eff_bob)]
@@ -168,7 +151,7 @@ def predict_merged(
     window: CoincidenceWindow,
     q_sys_by_channel,
     f_ec: float = DEFAULT_F_EC,
-) -> ChannelPrediction:
+) -> AnalyticRates:
     """Predict the merged (non-multiplexed) baseline of the channel
     ``rows``; see :func:`predict_rows`."""
     return predict_rows(rows, q_sys_by_channel, detector, window, f_ec)[1]
@@ -218,20 +201,20 @@ def derive_calibration(detector: DetectorConfig = DEFAULT_DETECTOR,
     chans = resolve_channels(table1_source_config(pair_rate=full_rate),
                              build_table1_plan(), REFERENCE_LOSS_DB)
     rows = [c.geometry for c in chans]
-    b1, ea1, eb1 = rows[0]
 
-    def qber_of_q1(q1):
-        return predict_channel(b1, ea1, eb1, detector, window, q1).qber
+    def channel1(q1):
+        return predict_rows(rows[:1], [q1], detector, window)[0][0]
 
-    q1 = brentq(lambda q: qber_of_q1(q) - TARGET_QBER_CH1, 0.0, 0.2, xtol=1e-10)
+    q1 = brentq(lambda q: channel1(q).qber - TARGET_QBER_CH1, 0.0, 0.2, xtol=1e-10)
 
-    ch1 = predict_channel(b1, ea1, eb1, detector, window, q1)
+    ch1 = channel1(q1)
 
     def ratio_gap(q2):
         # Zero where ch1.key / merged.key equals the target ratio; stays
         # finite when the merged key is clamped to zero.
-        merged = predict_merged(rows, detector, window, [q1, q2])
-        return ch1.key_rate - TARGET_RATIO_CH1_OVER_MERGED * merged.key_rate
+        merged = predict_rows(rows, [q1, q2], detector, window)[1]
+        return (ch1.key_rate_per_channel
+                - TARGET_RATIO_CH1_OVER_MERGED * merged.key_rate_per_channel)
 
     q2 = brentq(ratio_gap, q1, 0.4, xtol=1e-10)
 
@@ -270,8 +253,9 @@ def _fig3d_reference_pair_rate(q_sys: float) -> float:
 
 def fig3d_model(calibration: Calibration, loss_db: float = FIG3D_TOTAL_LOSS_DB,
                 bandwidth_ghz: float = FIG3D_REFERENCE_BANDWIDTH_GHZ,
-                n_channels: int = 1) -> AnalyticLinkModel:
-    """Analytic model of one projection channel at the frozen settings.
+                n_channels: int = 1, f_ec: float = DEFAULT_F_EC) -> AnalyticLinkModel:
+    """Analytic model of one projection channel at the frozen settings,
+    with error-correction efficiency ``f_ec``.
 
     The per-channel pair rate scales linearly with bandwidth at fixed
     source spectral density.
@@ -287,6 +271,7 @@ def fig3d_model(calibration: Calibration, loss_db: float = FIG3D_TOTAL_LOSS_DB,
         t_c=1e-9,
         q_sys=calibration.q_sys_channel1,
         n_channels=n_channels,
+        f_ec=f_ec,
     )
 
 

@@ -2,6 +2,13 @@
 formula, the analytic link model, pair-rate optimization, and n-channel
 scaling projections.
 
+:func:`link_rates` holds the link arithmetic once: detector efficiency,
+per-port dead time and the window's efficiency on the basic
+singles/true/accidental decomposition.  The fig3d projections evaluate
+it with ideal detectors through :class:`AnalyticLinkModel`;
+``calibration.predict_rows`` evaluates it with the configured detector
+and adds the merged baseline's cross-channel blocking.
+
 The secure-key estimate per basis block is
 ``CC * 1/2 * (1 - (1 + f) * H2(Q))`` with negative per-basis terms
 clamped to zero; ``f`` is the bidirectional error-correction efficiency
@@ -193,6 +200,39 @@ def coincidence_mix(s_a, s_b, cc_true, q_weighted, t_c, f_ec):
     return cc_acc, q, secure_key_from_rates(total, q, f_ec)
 
 
+def link_rates(pair_rate_in_band, transmittance_alice, transmittance_bob,
+               dark_rate_alice, dark_rate_bob, efficiency, dead_time, t_c,
+               window_efficiency, q_sys, f_ec, n_channels=1):
+    """Rates of one channel's link, element by element over arrays.
+
+    Each side spreads its detected photons ``B eta eff`` and its dark
+    counts ``d`` evenly over two detector ports, so a port sees
+    ``p = B eta eff/2 + d/2``.  Non-paralyzable dead time ``tau`` keeps
+    the fraction ``rho`` of a port's events: its throughput
+    ``p/(1 + p tau)`` over ``p``, and 1 for an idle port.  Singles
+    per side are ``2 p rho``; true coincidences are
+    ``B eta_A eta_B eff^2 rho_A rho_B`` before the window and that times
+    ``window_efficiency`` inside it; :func:`coincidence_mix` adds the
+    accidentals of a window of width ``t_c``, the QBER and the key.
+
+    The arguments are numbers or arrays (unvalidated) that broadcast
+    against each other.  Returns the :class:`AnalyticRates` of the
+    broadcast shape and the true coincidences before the window.
+    """
+    b = np.asarray(pair_rate_in_band, dtype=np.float64)
+    ports = [b * eta * efficiency / 2.0 + dark / 2.0
+             for eta, dark in ((transmittance_alice, dark_rate_alice),
+                               (transmittance_bob, dark_rate_bob))]
+    rho = [np.divide(p / (1.0 + p * dead_time), p, out=np.ones_like(p), where=p > 0)
+           for p in ports]
+    s_a, s_b = (2.0 * p * r for p, r in zip(ports, rho))
+    pre_window = (b * transmittance_alice * transmittance_bob * efficiency**2
+                  * rho[0] * rho[1])
+    cc_true = pre_window * window_efficiency
+    cc_acc, q, key = coincidence_mix(s_a, s_b, cc_true, q_sys * cc_true, t_c, f_ec)
+    return AnalyticRates(cc_true, cc_acc, s_a, s_b, q, key, n_channels * key), pre_window
+
+
 def analytic_rate_arrays(pair_rate_in_band, transmittance_alice,
                          transmittance_bob, dark_rate_alice, dark_rate_bob,
                          t_c, q_sys, n_channels, f_ec,
@@ -202,24 +242,13 @@ def analytic_rate_arrays(pair_rate_in_band, transmittance_alice,
     Takes the fields of :class:`AnalyticLinkModel` as numbers or arrays
     (unvalidated) that broadcast against each other, for example from
     :func:`model_fields`; every field of the result is an array of the
-    broadcast shape.  The arithmetic is that of the link model operation
-    for operation, so each element equals a scalar evaluation exactly.
+    broadcast shape.  This is :func:`link_rates` with ideal detectors
+    (efficiency 1, no dead time), where each side's singles are exactly
+    ``B eta + d``, so each element equals a scalar evaluation exactly.
     """
-    b = np.asarray(pair_rate_in_band, dtype=np.float64)
-    s_a = b * transmittance_alice + dark_rate_alice
-    s_b = b * transmittance_bob + dark_rate_bob
-    cc_true = b * transmittance_alice * transmittance_bob * window_efficiency
-    cc_acc, q, per_channel = coincidence_mix(s_a, s_b, cc_true, q_sys * cc_true,
-                                             t_c, f_ec)
-    return AnalyticRates(
-        cc_true=cc_true,
-        cc_accidental=cc_acc,
-        singles_alice=s_a,
-        singles_bob=s_b,
-        qber=q,
-        key_rate_per_channel=per_channel,
-        key_rate_total=n_channels * per_channel,
-    )
+    return link_rates(pair_rate_in_band, transmittance_alice, transmittance_bob,
+                      dark_rate_alice, dark_rate_bob, 1.0, 0.0, t_c,
+                      window_efficiency, q_sys, f_ec, n_channels)[0]
 
 
 def model_fields(models) -> dict[str, np.ndarray]:

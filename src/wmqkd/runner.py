@@ -25,14 +25,13 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 import numpy as np
 
 from . import calibration as calib
-from .calibration import (ChannelPrediction, FROZEN_CALIBRATION, fig3d_model,
-                          predict_channel, predict_rows)
+from .calibration import FROZEN_CALIBRATION, fig3d_model, predict_rows
 from .channels import (ChannelPlan, build_grid_plan, build_table1_plan, grid_tiling,
                        plan_from_dict, plan_to_dict)
 from .coincidence import CoincidenceWindow
 from .detection import DetectorConfig
-from .keyrate import (analytic_rate_arrays, binary_entropy, model_fields,
-                      optimize_pair_rates, qber_threshold, scaling_rows)
+from .keyrate import (AnalyticRates, analytic_rate_arrays, binary_entropy,
+                      model_fields, optimize_pair_rates, qber_threshold, scaling_rows)
 from .simulate import PipelineResult, resolve_channels, simulate_point
 from .source import SourceConfig
 
@@ -40,8 +39,8 @@ MODES = ("montecarlo", "analytic", "both")
 SCENARIOS = ("fig3b", "fig3d", "custom")
 BRIGHTNESS_POLICIES = ("calibrated", "near_saturation")
 MIN_EXPECTED_EVENTS = 1e3
-# The near-saturation brightness puts the best channel's predicted QBER
-# at this fraction of the key threshold.
+# The near-saturation brightness puts the predicted QBER of the plan's
+# first channel pair at this fraction of the key threshold.
 NEAR_SATURATION_QBER_FRACTION = 0.8
 
 
@@ -79,7 +78,7 @@ class RunConfig:
             raise ConfigError("scenario", f"must be one of {SCENARIOS}, got {self.scenario!r}")
         if self.mode not in MODES:
             raise ConfigError("mode", f"must be one of {MODES}, got {self.mode!r}")
-        if not isinstance(self.seed, int):
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise ConfigError("seed", f"must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise ConfigError("seed", f"must be >= 0, got {self.seed}")
@@ -119,6 +118,14 @@ class RunConfig:
             raise ConfigError("brightness", "scale factor must be finite and > 0")
         if self.f_ec < 1.0:
             raise ConfigError("f_ec", f"must be >= 1, got {self.f_ec}")
+        for name, rule, ok in (
+                ("fig3d_n_values", "integers >= 1",
+                 lambda n: isinstance(n, int) and not isinstance(n, bool) and n >= 1),
+                ("fig3d_bandwidths_ghz", "finite and > 0", lambda x: 0 < x < math.inf),
+                ("fig3d_loss_grid_db", "finite and >= 0", lambda x: 0 <= x < math.inf)):
+            values = list(getattr(self, name))
+            if not all(map(ok, values)):
+                raise ConfigError(name, f"must be {rule}, got {values}")
 
     def to_dict(self) -> dict:
         """Every field as plain JSON data, and the frozen calibration."""
@@ -170,7 +177,7 @@ def _number(x) -> float:
 
 def _numbers(x) -> tuple[float, ...]:
     if not isinstance(x, (list, tuple)):
-        raise TypeError("must be a list of dB values")
+        raise TypeError("must be a list of numbers")
     return tuple(_number(v) for v in x)
 
 
@@ -182,9 +189,9 @@ def _non_empty_list(x) -> tuple:
 
 def _visibilities(x) -> dict[int, tuple[float, float]]:
     out = {int(k): (float(v[0]), float(v[1])) for k, v in x.items()}
-    bad = [v for pair in out.values() for v in pair if not math.isfinite(v)]
+    bad = [v for pair in out.values() for v in pair if not 0.0 <= v <= 1.0]
     if bad:
-        raise ValueError(f"visibilities must be finite numbers, got {bad[0]}")
+        raise ValueError(f"visibilities must be finite numbers in [0, 1], got {bad[0]}")
     return out
 
 
@@ -219,9 +226,11 @@ _PARSERS = {
     "detector": lambda x: replace(calib.DEFAULT_DETECTOR, **x),
     "window": lambda x: CoincidenceWindow(**x),
     "channel_visibilities": _visibilities,
+    "brightness": lambda x: x if isinstance(x, str) else _number(x),
+    "f_ec": _number,
     "fig3d_n_values": _non_empty_list,
-    "fig3d_bandwidths_ghz": _non_empty_list,
-    "fig3d_loss_grid_db": _non_empty_list,
+    "fig3d_bandwidths_ghz": lambda x: _numbers(_non_empty_list(x)),
+    "fig3d_loss_grid_db": lambda x: _numbers(_non_empty_list(x)),
 }
 
 
@@ -243,8 +252,11 @@ def near_saturation_scale(config: RunConfig, loss_db: float) -> float:
     source rate at high loss.
 
     Solves, on the high-brightness branch, for the scale at which the
-    best channel's predicted QBER reaches ``NEAR_SATURATION_QBER_FRACTION``
-    of the key threshold; beyond that the accidental load erases the key.
+    predicted QBER of the plan's first channel pair (channel 1 of the
+    table-1 plan) reaches ``NEAR_SATURATION_QBER_FRACTION`` of the key
+    threshold; beyond that the accidental load erases the key.  Raises
+    ``ConfigError`` on ``brightness`` when no scale in the search range
+    gets that channel's QBER to the target.
     """
     from scipy.optimize import brentq, minimize_scalar
 
@@ -254,17 +266,19 @@ def near_saturation_scale(config: RunConfig, loss_db: float) -> float:
     thr = NEAR_SATURATION_QBER_FRACTION * qber_threshold(config.f_ec)
 
     def q_of(scale):
-        return predict_channel(b1 * scale, ea1, eb1, config.detector,
-                               config.window, ch.q_sys, config.f_ec).qber
+        return predict_rows([(b1 * scale, ea1, eb1)], [ch.q_sys], config.detector,
+                            config.window, config.f_ec)[0][0].qber
 
     res = minimize_scalar(lambda s: q_of(math.exp(s)),
                           bounds=(math.log(1e-4), math.log(1e4)), method="bounded")
     s_min = math.exp(res.x)
-    if q_of(s_min) >= thr:
-        raise ValueError(
-            f"no brightness reaches QBER {thr:.4f} at {loss_db} dB; "
-            f"minimum is {q_of(s_min):.4f}"
-        )
+    q_min, q_top = q_of(s_min), q_of(1e6)
+    if not q_min < thr <= q_top:
+        raise ConfigError(
+            "brightness",
+            f"near_saturation: channel {ch.index} at {loss_db} dB cannot reach "
+            f"QBER {thr:.4f}: its QBER is {q_min:.4f} at the minimum and "
+            f"{q_top:.4f} at brightness scale 1e6")
     return float(brentq(lambda s: q_of(s) - thr, s_min, 1e6, xtol=1e-8))
 
 
@@ -280,7 +294,7 @@ def _brightness_scale(config: RunConfig, loss_db: float) -> float:
 # Analytic predictions for the configured plan
 
 
-def predict_point(config: RunConfig, loss_db: float, scale: float) -> dict[str, ChannelPrediction]:
+def predict_point(config: RunConfig, loss_db: float, scale: float) -> dict[str, AnalyticRates]:
     """Refined analytic prediction for every pipeline at one loss."""
     chans = resolve_channels(config.source, config.plan, loss_db,
                              config.channel_visibilities, scale)
@@ -320,16 +334,16 @@ def _pipeline_row(result: PipelineResult, f_ec: float) -> dict:
     }
 
 
-def _prediction_row(pred: ChannelPrediction, duration: float) -> dict:
+def _prediction_row(pred: AnalyticRates, duration: float) -> dict:
     total = pred.cc_true + pred.cc_accidental
     return {
         "cc_an": total * duration,
         "qber_an": pred.qber,
-        "key_rate_bps_an": pred.key_rate,
+        "key_rate_bps_an": pred.key_rate_per_channel,
     }
 
 
-def consistency_sigmas(pred: ChannelPrediction, mc_row: dict, duration: float,
+def consistency_sigmas(pred: AnalyticRates, mc_row: dict, duration: float,
                        f_ec: float) -> dict:
     """z-scores of MC minus analytic for the coincidence count, QBER and
     key rate.
@@ -353,7 +367,7 @@ def consistency_sigmas(pred: ChannelPrediction, mc_row: dict, duration: float,
     var_b = (0.5 * kernel) ** 2 * n_b \
         + (n_b * 0.5 * dk_dq) ** 2 * (q * (1.0 - q) / n_b)
     sigma_key_rate = math.sqrt(2.0 * var_b) / duration
-    z_r = (mc_row["key_rate_bps_mc"] - pred.key_rate) / sigma_key_rate \
+    z_r = (mc_row["key_rate_bps_mc"] - pred.key_rate_per_channel) / sigma_key_rate \
         if sigma_key_rate > 0 else float("nan")
     return {"z_cc": z_cc, "z_qber": z_q, "z_key_rate": z_r,
             "sigma_qber": sigma_q, "sigma_key_rate": sigma_key_rate}
@@ -510,7 +524,7 @@ def _point_rows(config: RunConfig, loss: float, wm_sum: bool,
             "cc_an": sum(t * config.duration for t in totals),
             "qber_an": sum(preds[l].qber * t for l, t in zip(labels, totals))
             / sum(totals),
-            "key_rate_bps_an": sum(preds[l].key_rate for l in labels),
+            "key_rate_bps_an": sum(preds[l].key_rate_per_channel for l in labels),
         })
     if mc is not None:
         parts = [_pipeline_row(mc.channels[int(l[2:])], config.f_ec) for l in labels]
@@ -539,11 +553,11 @@ def run_fig3d(config: RunConfig, out_dir: str) -> dict:
     cal = FROZEN_CALIBRATION
     losses = config.fig3d_loss_grid_db
     bandwidths = config.fig3d_bandwidths_ghz
-    bases = [fig3d_model(cal, loss_db=loss) for loss in losses]
+    bases = [fig3d_model(cal, loss_db=loss, f_ec=config.f_ec) for loss in losses]
     opts = optimize_pair_rates(bases)
     best = analytic_rate_arrays(**model_fields(
         [replace(m, pair_rate_in_band=o.pair_rate) for m, o in zip(bases, opts)]))
-    broad_models = [fig3d_model(cal, loss_db=loss, bandwidth_ghz=bw)
+    broad_models = [fig3d_model(cal, loss_db=loss, bandwidth_ghz=bw, f_ec=config.f_ec)
                     for loss in losses for bw in bandwidths]
     broad = analytic_rate_arrays(**model_fields(broad_models))
     broad_rows = iter(zip(broad_models, broad.qber.tolist(),

@@ -14,15 +14,14 @@ from hypothesis import strategies as st
 
 from test_coincidence import brute_force_greedy, make_tags
 from wmqkd import calibration as calib
-from wmqkd.calibration import (ChannelPrediction, FROZEN_CALIBRATION, fig3d_model,
-                               predict_channel, predict_merged, predict_rows,
-                               window_efficiency)
+from wmqkd.calibration import (FROZEN_CALIBRATION, fig3d_model, predict_channel,
+                               predict_merged, predict_rows, window_efficiency)
 from wmqkd.coincidence import (CoincidenceWindow, accidental_estimate,
                                find_coincidences)
 from wmqkd.detection import (DetectorConfig, TagStream, _dead_time_filter,
                              detect)
-from wmqkd.keyrate import (AnalyticLinkModel, PairRateOptimum, analytic_rates,
-                           binary_entropy, optimize_pair_rate,
+from wmqkd.keyrate import (AnalyticLinkModel, AnalyticRates, PairRateOptimum,
+                           analytic_rates, binary_entropy, optimize_pair_rate,
                            optimize_pair_rates)
 from wmqkd.runner import default_config, run_fig3d
 from wmqkd.simulate import _merge_side, detector_ids
@@ -323,7 +322,9 @@ def scalar_predict_channel(pair_rate_in_band, arrival_eff_alice, arrival_eff_bob
     q = (q_sys * cc_true + 0.5 * cc_acc) / total if total > 0 else float("nan")
     key = max(0.0, total * 0.5 * (1.0 - (1.0 + f_ec) * binary_entropy(q))) \
         if total > 0 else 0.0
-    return ChannelPrediction(s_a, s_b, cc_true, cc_acc, q, key)
+    return AnalyticRates(singles_alice=s_a, singles_bob=s_b, cc_true=cc_true,
+                         cc_accidental=cc_acc, qber=q, key_rate_per_channel=key,
+                         key_rate_total=key)
 
 
 def scalar_predict_merged(per_channel, detector, window, q_sys_by_channel,
@@ -369,7 +370,9 @@ def scalar_predict_merged(per_channel, detector, window, q_sys_by_channel,
     q = (q_weighted + 0.5 * cc_acc) / total if total > 0 else float("nan")
     key = max(0.0, total * 0.5 * (1.0 - (1.0 + f_ec) * binary_entropy(q))) \
         if total > 0 else 0.0
-    return ChannelPrediction(s_a, s_b, cc_true, cc_acc, q, key)
+    return AnalyticRates(singles_alice=s_a, singles_bob=s_b, cc_true=cc_true,
+                         cc_accidental=cc_acc, qber=q, key_rate_per_channel=key,
+                         key_rate_total=key)
 
 
 def same_prediction(got, want):
@@ -433,13 +436,11 @@ def test_predictor_of_ideal_detectors_is_the_link_model(setup):
     for (b, ea, eb), q, got in zip(rows, q_sys, channels):
         want = analytic_rates(AnalyticLinkModel(b, ea, eb, dark, dark, t_c=t_c,
                                                 q_sys=q, f_ec=f_ec))
-        assert (got.singles_alice, got.singles_bob, got.cc_true, got.cc_accidental,
-                got.qber, got.key_rate) == (
-            want.singles_alice, want.singles_bob, want.cc_true, want.cc_accidental,
-            want.qber, want.key_rate_per_channel)
+        assert got == want
 
 
 def test_predictor_of_no_rows():
     channels, merged = predict_rows([], [], DetectorConfig(), CoincidenceWindow())
     assert channels == []
-    assert (merged.cc_true, merged.cc_accidental, merged.key_rate) == (0.0, 0.0, 0.0)
+    assert (merged.cc_true, merged.cc_accidental, merged.key_rate_per_channel) \
+        == (0.0, 0.0, 0.0)

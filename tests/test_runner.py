@@ -26,6 +26,14 @@ def read(path):
         return fh.read()
 
 
+# Ports of a table-1 style grid: 795-825 nm, 400 GHz pitch, 50 GHz
+# passbands, mirrored about 810.05 nm, which pairs 17 channels.
+WDM_GRID_PLAN = {"grid": {
+    "window_low_nm": 795.0, "window_high_nm": 825.0,
+    "channel_spacing_hz": 400e9, "channel_bandwidth_hz": 50e9,
+    "spdc_center_nm": 810.05}}
+
+
 # --- configuration -----------------------------------------------------------
 
 def test_empty_loss_grid_rejected():
@@ -76,6 +84,18 @@ def test_bad_nested_fields_named():
      "finite"),
     ({"channel_visibilities": {"2": [0.9, float("inf")]}}, "channel_visibilities",
      "finite"),
+    ({"brightness": [1]}, "brightness", "number"),
+    ({"brightness": None}, "brightness", "number"),
+    ({"brightness": True}, "brightness", "number"),
+    ({"f_ec": "1.2"}, "f_ec", "number"),
+    ({"f_ec": True}, "f_ec", "number"),
+    ({"seed": True}, "seed", "integer"),
+    ({"fig3d_n_values": [0, -5]}, "fig3d_n_values", ">= 1"),
+    ({"fig3d_n_values": ["a"]}, "fig3d_n_values", "integers"),
+    ({"fig3d_bandwidths_ghz": [-1.0]}, "fig3d_bandwidths_ghz", "> 0"),
+    ({"fig3d_loss_grid_db": [float("nan")]}, "fig3d_loss_grid_db", "finite"),
+    ({"channel_visibilities": {"1": [1.5, 0.9]}}, "channel_visibilities",
+     r"\[0, 1\]"),
 ])
 def test_non_finite_numbers_and_negative_seed_rejected(raw, field, what):
     with pytest.raises(ConfigError, match=what) as exc:
@@ -102,10 +122,7 @@ def test_fitted_visibilities_apply_to_the_table1_plan_only():
     assert RunConfig().channel_visibilities == FROZEN_CALIBRATION.channel_visibilities()
     assert config_from_dict({"plan": "table1"}).channel_visibilities \
         == FROZEN_CALIBRATION.channel_visibilities()
-    cfg = config_from_dict({"plan": {"grid": {
-        "window_low_nm": 795.0, "window_high_nm": 825.0,
-        "channel_spacing_hz": 400e9, "channel_bandwidth_hz": 50e9,
-        "spdc_center_nm": 810.05}}})
+    cfg = config_from_dict({"plan": WDM_GRID_PLAN})
     assert cfg.channel_visibilities == {}
     # Every grid channel gets the source's systematic visibility, so
     # neighbouring channels of similar brightness predict similar QBERs
@@ -165,7 +182,7 @@ def test_within_4_sigma_fails_missing_counts_without_key():
     zero = {"cc_mc": 0, "qber_mc": float("nan"), "key_rate_bps_mc": 0.0}
     pred = predict_channel(1e7, 1e-1, 1e-1, cfg.detector, cfg.window, 0.5)
     n = pred.cc_true + pred.cc_accidental
-    assert pred.key_rate == 0.0 and n > 1e4
+    assert pred.key_rate_per_channel == 0.0 and n > 1e4
     z = consistency_sigmas(pred, zero, 1.0, cfg.f_ec)
     assert z["z_key_rate"] == 0.0 and math.isnan(z["z_qber"])
     assert not within_4_sigma(z)
@@ -265,6 +282,30 @@ def test_near_saturation_scale_monotone_qber():
     assert scale > 1.0
 
 
+def test_near_saturation_out_of_reach_is_a_config_error():
+    # The grid plan's first pair is its faintest edge channel: even at
+    # the top of the brightness search its QBER stays under the target.
+    cfg = config_from_dict({"scenario": "custom", "mode": "analytic",
+                            "plan": WDM_GRID_PLAN, "brightness": "near_saturation",
+                            "loss_grid_db": [60.0]})
+    with pytest.raises(ConfigError, match="channel 1 at 60.0 dB") as exc:
+        near_saturation_scale(cfg, 60.0)
+    assert exc.value.field == "brightness"
+    assert "0.0818" in str(exc.value) and "0.0526" in str(exc.value)
+
+
+def test_fig3d_keys_use_the_configured_f_ec(tmp_path):
+    cfg = config_from_dict({"scenario": "fig3d", "f_ec": 1.5,
+                            "fig3d_loss_grid_db": [70.0]})
+    rep = run_fig3d(cfg, str(tmp_path))
+    threshold = rep["qber_threshold"]
+    rows = rep["scaling_rows"] + rep["bandwidth_rows"]
+    assert any(r["qber"] >= threshold for r in rows)
+    for r in rows:
+        if r["qber"] >= threshold:
+            assert r["key_rate_bps"] == 0.0
+
+
 # --- CLI ---------------------------------------------------------------------
 
 def test_cli_custom_runs(tmp_path, capsys):
@@ -296,13 +337,6 @@ DEFAULT_OUTPUT_SHA256 = {
     },
 }
 
-
-# Ports of a table-1 style grid: 795-825 nm, 400 GHz pitch, 50 GHz
-# passbands, mirrored about 810.05 nm, which pairs 17 channels.
-WDM_GRID_PLAN = {"grid": {
-    "window_low_nm": 795.0, "window_high_nm": 825.0,
-    "channel_spacing_hz": 400e9, "channel_bandwidth_hz": 50e9,
-    "spdc_center_nm": 810.05}}
 
 # sha256 of analytic runs the defaults leave out: the near-saturation
 # brightness solve, and a plan of many channels with its merged baseline.
