@@ -339,8 +339,27 @@ DEFAULT_OUTPUT_SHA256 = {
 
 
 # sha256 of analytic runs the defaults leave out: the near-saturation
-# brightness solve, and a plan of many channels with its merged baseline.
+# brightness solve, a plan of many channels with its merged baseline, the
+# fig3d projection on a fine loss grid (multiples of 0.25 dB are exact
+# floats), and the fig3b writer with its wm_sum rows.
 ANALYTIC_OUTPUT_SHA256 = {
+    "fig3b": (
+        {"scenario": "fig3b", "mode": "analytic", "loss_grid_db": [30.0, 60.0, 89.0]},
+        {"fig3b_curve.csv":
+            "6db81eedc9c8c0c55c4f8683f1bf807a1b084a8004025a73d8eca8b8ea1c270f",
+         "fig3b_report.json":
+            "48407e536a5923aa40721eba7a3f5242d7415808f70d926b394f59ef152eb403"},
+    ),
+    "fig3d_fine": (
+        {"scenario": "fig3d", "mode": "analytic",
+         "fig3d_loss_grid_db": [40.0 + 0.25 * k for k in range(241)]},
+        {"fig3d_bandwidth.csv":
+            "b23ab17b778cedecc8c347adac750e70db326d02c9a0586dbe6ba228695c08bc",
+         "fig3d_report.json":
+            "27e81c80e2f4bc36e643a1eb507345977ee4da8d7ac27c1c6e7ca4194209c006",
+         "fig3d_scaling.csv":
+            "21f3992b1a51b444d8dfd9b50d07737262837bb6185f3386412fdef4b862f367"},
+    ),
     "near_saturation": (
         {"scenario": "custom", "mode": "analytic", "brightness": "near_saturation",
          "loss_grid_db": [60.0, 89.0]},
