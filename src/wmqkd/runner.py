@@ -392,25 +392,62 @@ def within_4_sigma(z: dict) -> bool:
 
 
 def _csv_bytes(columns: tuple[str, ...], rows: list[dict], config: RunConfig) -> str:
+    """The config line, the header and one line per row.
+
+    A float cell (numpy's included) is written ``.10g``, which writes
+    every NaN as ``nan``; a missing cell or ``None`` is empty, as the
+    csv module writes ``None``; any other cell is written by the csv
+    module.  Rows are formatted column by column and written in one
+    call.
+    """
     buf = io.StringIO()
     buf.write("# config: " + _json_compact(config.to_dict()) + "\n")
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(columns)
-    for r in rows:
-        w.writerow([_cell(r.get(c)) for c in columns])
+    w.writerows(zip(*([f"{x:.10g}" if isinstance(x, float) else x
+                       for x in [r.get(c) for r in rows]] for c in columns)))
     return buf.getvalue()
-
-
-def _cell(x):
-    if x is None:
-        return ""
-    if isinstance(x, float):
-        return "nan" if math.isnan(x) else f"{x:.10g}"
-    return x
 
 
 def _json_compact(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+_JSON_SCALARS = (str, int, float, type(None))
+
+
+def _json_indent1(obj, ind: str = "\n") -> str:
+    """``json.dumps(obj, sort_keys=True, indent=1)`` for ``obj`` whose
+    closing bracket goes after ``ind`` (a newline and its indent).
+
+    The C encoder writes each container of scalars, and each list of
+    non-empty flat dicts, in one call; only the levels above them
+    recurse in Python.  The encoder escapes newlines inside strings, so
+    every newline it writes is a separator of the given ones: in a list
+    of flat dicts written with ``"," + ind + "  "`` between all items,
+    the seam ``"}," + ind + "  {"`` can only be a row boundary.
+    """
+    if not isinstance(obj, (dict, list, tuple)) or not obj:
+        return json.dumps(obj)
+    inner = ind + " "
+    is_dict = isinstance(obj, dict)
+    if all(isinstance(v, _JSON_SCALARS) for v in (obj.values() if is_dict else obj)):
+        text = json.dumps(obj, sort_keys=True, separators=("," + inner, ": "))
+        return text[0] + inner + text[1:-1] + ind + text[-1]
+    if is_dict:
+        if not all(isinstance(k, str) for k in obj):
+            # Other keys are converted to text after sorting; leave them to json.
+            return json.dumps(obj, sort_keys=True, indent=1).replace("\n", ind)
+        body = ("," + inner).join(json.dumps(k) + ": " + _json_indent1(obj[k], inner)
+                                  for k in sorted(obj))
+        return "{" + inner + body + ind + "}"
+    if all(isinstance(r, dict) and r and all(isinstance(v, _JSON_SCALARS) for v in r.values())
+           for r in obj):
+        row = inner + " "
+        text = json.dumps(obj, sort_keys=True, separators=("," + row, ": "))
+        body = text[2:-2].replace("}," + row + "{", inner + "}," + inner + "{" + row)
+        return "[" + inner + "{" + row + body + inner + "}" + ind + "]"
+    return "[" + inner + ("," + inner).join(_json_indent1(v, inner) for v in obj) + ind + "]"
 
 
 def _write(path: str, text: str):
@@ -422,7 +459,7 @@ def _write(path: str, text: str):
 def _report_json(config: RunConfig, payload: dict) -> str:
     doc = {"config": config.to_dict()}
     doc.update(payload)
-    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+    return _json_indent1(doc) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Runner and CLI tests: configuration validation, scenario outputs,
 byte determinism, and error records."""
 
+import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -11,11 +13,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from wmqkd.calibration import FROZEN_CALIBRATION, predict_channel
 from wmqkd.channels import ChannelPlan
 from wmqkd.cli import main as cli_main
-from wmqkd.runner import (ConfigError, RunConfig, config_from_dict,
+from wmqkd.runner import (ConfigError, RunConfig, _csv_bytes, _json_compact,
+                          _json_indent1, _report_json, config_from_dict,
                           consistency_sigmas, default_config, load_config,
                           near_saturation_scale, predict_point, run_custom,
                           run_fig3b, run_fig3d, run_scenario, within_4_sigma)
@@ -395,6 +400,94 @@ def test_analytic_outputs_are_byte_identical(case, tmp_path):
 def test_default_cli_outputs_are_byte_identical(scenario, tmp_path):
     assert cli_main([scenario, "--out", str(tmp_path)]) == 0
     assert output_sha256(tmp_path) == DEFAULT_OUTPUT_SHA256[scenario]
+
+
+# --- output writers ------------------------------------------------------------
+
+def report_json_oracle(config, payload):
+    """Reference report writer: json's pure-Python ``indent`` path."""
+    doc = {"config": config.to_dict()}
+    doc.update(payload)
+    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+
+
+def oracle_cell(x):
+    if x is None:
+        return ""
+    if isinstance(x, float):
+        return "nan" if math.isnan(x) else f"{x:.10g}"
+    return x
+
+
+def csv_bytes_oracle(columns, rows, config):
+    """Reference CSV writer: one ``writerow`` per row, each cell through
+    ``oracle_cell``."""
+    buf = io.StringIO()
+    buf.write("# config: " + _json_compact(config.to_dict()) + "\n")
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(columns)
+    for r in rows:
+        w.writerow([oracle_cell(r.get(c)) for c in columns])
+    return buf.getvalue()
+
+
+def outcome(fn, *args):
+    """The result of ``fn(*args)``, or the type of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # compared with the oracle's, not handled
+        return type(exc)
+
+
+WRITER_CONFIG = default_config("fig3d")
+# Text that the writers must escape or quote, and the row seam of the
+# report writer as literal text.
+TRICKY_TEXT = st.sampled_from(['"', "\\", "},\n {", "},\n  {", "\n", "\r\n", "\t\x00\x1f",
+                               ",", "é☃𝄞", "\ud800", ""])
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-2**80, 2**80),
+    st.floats(), st.floats().map(np.float64), st.text(), TRICKY_TEXT)
+JSON_KEYS = st.one_of(st.text(max_size=4), TRICKY_TEXT)
+FLAT_ROWS = st.lists(st.dictionaries(JSON_KEYS, JSON_SCALARS, min_size=1), max_size=4)
+JSON_DOCS = st.recursive(
+    JSON_SCALARS | FLAT_ROWS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(JSON_KEYS, inner, max_size=4),
+        st.dictionaries(st.integers(-3, 3), inner, max_size=3)),
+    max_leaves=30)
+
+
+@given(JSON_DOCS)
+@example({"b": float("nan"), "a": [float("inf"), -float("inf"), -0.0, 2**100],
+          "c": {"z": (True, False, None), "y": {}, "x": [], "w": ["é", "},\n {"]}})
+@example([{"a": 1}, {}, {"b": [1]}, {"c": "},\n  {"}])
+@example({"rows": [{"k": np.float64(0.1), "j": float("nan")}], "warnings": []})
+@example({1: {"b": 1, "a": [2]}})
+def test_report_writer_equals_pure_python_json(doc):
+    want = outcome(lambda d: json.dumps(d, sort_keys=True, indent=1), doc)
+    assert outcome(_json_indent1, doc) == want
+    if isinstance(doc, dict) and all(isinstance(k, str) for k in doc):
+        assert _report_json(WRITER_CONFIG, doc) == report_json_oracle(WRITER_CONFIG, doc)
+
+
+@st.composite
+def csv_tables(draw):
+    columns = tuple(draw(st.lists(st.text(min_size=1, max_size=4) | TRICKY_TEXT,
+                                  min_size=1, max_size=5, unique=True)))
+    cells = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                      st.floats().map(np.float64), st.text(max_size=5), TRICKY_TEXT)
+    rows = draw(st.lists(st.dictionaries(st.sampled_from(columns), cells), max_size=6))
+    return columns, rows
+
+
+@given(csv_tables())
+@example((("a", "b"), [{"a": np.float64("nan"), "b": -float("nan")}, {"a": None},
+                       {"a": True, "b": 10**30}, {"b": "x,\"y\"\n"}, {}]))
+def test_csv_writer_equals_per_row_writer(table):
+    columns, rows = table
+    assert _csv_bytes(columns, rows, WRITER_CONFIG) == \
+        csv_bytes_oracle(columns, rows, WRITER_CONFIG)
 
 
 def test_cli_reports_config_errors(tmp_path, capsys):
