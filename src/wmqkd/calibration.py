@@ -36,7 +36,7 @@ from .channels import build_table1_plan, table1_source_config
 from .coincidence import CoincidenceWindow
 from .detection import DetectorConfig, side_transmittance
 from .keyrate import (DEFAULT_F_EC, AnalyticLinkModel, AnalyticRates, analytic_rates,
-                      coincidence_mix, link_rates, qber_threshold)
+                      check_model_fields, coincidence_mix, link_rates, qber_threshold)
 from .simulate import resolve_channels
 from .source import SourceConfig, _erf, band_fraction
 
@@ -251,28 +251,48 @@ def _fig3d_reference_pair_rate(q_sys: float) -> float:
                         xtol=1e-2))
 
 
+def fig3d_fields(calibration: Calibration, loss_db, bandwidth_ghz=FIG3D_REFERENCE_BANDWIDTH_GHZ,
+                 f_ec: float = DEFAULT_F_EC) -> dict[str, np.ndarray]:
+    """Fields of the projection channel's model at the frozen settings,
+    with error-correction efficiency ``f_ec``, as float64 arrays over
+    ``loss_db`` and ``bandwidth_ghz`` broadcast against each other, keyed
+    as ``keyrate.model_fields`` gives them and checked as
+    :class:`AnalyticLinkModel` checks its fields.
+
+    The per-channel pair rate scales linearly with bandwidth at fixed
+    source spectral density.  Each transmittance is Python's
+    ``10.0 ** x`` of :func:`side_transmittance`; ``np.power`` differs
+    from it in the last bit.
+    """
+    loss = np.asarray(loss_db, dtype=np.float64)
+    eta = np.array([side_transmittance(x) for x in loss.ravel().tolist()],
+                   dtype=np.float64).reshape(loss.shape)
+    scale = np.asarray(bandwidth_ghz, dtype=np.float64) / FIG3D_REFERENCE_BANDWIDTH_GHZ
+    values = {
+        "pair_rate_in_band": calibration.fig3d_pair_rate_per_channel * scale,
+        "transmittance_alice": eta,
+        "transmittance_bob": eta,
+        "dark_rate_alice": FIG3D_DARK_PER_SIDE,
+        "dark_rate_bob": FIG3D_DARK_PER_SIDE,
+        "t_c": 1e-9,
+        "q_sys": calibration.q_sys_channel1,
+        "n_channels": 1.0,
+        "f_ec": f_ec,
+        "window_efficiency": 1.0,
+    }
+    fields = dict(zip(values, np.broadcast_arrays(
+        *(np.asarray(v, dtype=np.float64) for v in values.values()))))
+    check_model_fields(fields)
+    return fields
+
+
 def fig3d_model(calibration: Calibration, loss_db: float = FIG3D_TOTAL_LOSS_DB,
                 bandwidth_ghz: float = FIG3D_REFERENCE_BANDWIDTH_GHZ,
                 n_channels: int = 1, f_ec: float = DEFAULT_F_EC) -> AnalyticLinkModel:
-    """Analytic model of one projection channel at the frozen settings,
-    with error-correction efficiency ``f_ec``.
-
-    The per-channel pair rate scales linearly with bandwidth at fixed
-    source spectral density.
-    """
-    eta = side_transmittance(loss_db)
-    scale = bandwidth_ghz / FIG3D_REFERENCE_BANDWIDTH_GHZ
-    return AnalyticLinkModel(
-        pair_rate_in_band=calibration.fig3d_pair_rate_per_channel * scale,
-        transmittance_alice=eta,
-        transmittance_bob=eta,
-        dark_rate_alice=FIG3D_DARK_PER_SIDE,
-        dark_rate_bob=FIG3D_DARK_PER_SIDE,
-        t_c=1e-9,
-        q_sys=calibration.q_sys_channel1,
-        n_channels=n_channels,
-        f_ec=f_ec,
-    )
+    """Analytic model of one projection channel; see :func:`fig3d_fields`."""
+    fields = fig3d_fields(calibration, loss_db, bandwidth_ghz, f_ec)
+    return AnalyticLinkModel(**{**{k: v.item() for k, v in fields.items()},
+                                "n_channels": n_channels})
 
 
 # Frozen output of derive_calibration() with the default detector and a

@@ -156,18 +156,35 @@ class AnalyticLinkModel:
     window_efficiency: float = 1.0
 
     def __post_init__(self):
-        for name in ("transmittance_alice", "transmittance_bob"):
-            v = getattr(self, name)
-            if not 0.0 < v <= 1.0:
-                raise ValueError(f"{name} must be in (0, 1], got {v}")
-        if not 0.0 <= self.q_sys <= 0.5:
-            raise ValueError(f"q_sys must be in [0, 0.5], got {self.q_sys}")
-        if self.n_channels < 1:
-            raise ValueError(f"n_channels must be >= 1, got {self.n_channels}")
-        if self.pair_rate_in_band < 0:
-            raise ValueError("pair_rate_in_band must be >= 0")
-        if not 0.0 < self.window_efficiency <= 1.0:
-            raise ValueError("window_efficiency must be in (0, 1]")
+        check_model_fields(vars(self))
+
+
+def _in_unit_interval(v):
+    return (0.0 < v) & (v <= 1.0)
+
+
+# The rule of each checked field of AnalyticLinkModel: a test of an
+# array, true where an element keeps the rule, and its wording.
+_FIELD_RULES = (
+    ("transmittance_alice", _in_unit_interval, "in (0, 1]"),
+    ("transmittance_bob", _in_unit_interval, "in (0, 1]"),
+    ("q_sys", lambda v: (0.0 <= v) & (v <= 0.5), "in [0, 0.5]"),
+    ("n_channels", lambda v: v >= 1, ">= 1"),
+    ("pair_rate_in_band", lambda v: v >= 0, ">= 0"),
+    ("window_efficiency", _in_unit_interval, "in (0, 1]"),
+)
+
+
+def check_model_fields(fields) -> None:
+    """Raise ``ValueError``, naming the field and its first bad value,
+    unless every element of the fields of :class:`AnalyticLinkModel`
+    (numbers or arrays, keyed as :func:`model_fields` gives them) keeps
+    the model's rules.  NaN keeps none of them."""
+    for name, ok, rule in _FIELD_RULES:
+        v = np.asarray(fields[name])
+        bad = ~ok(v)
+        if bad.any():
+            raise ValueError(f"{name} must be {rule}, got {v[bad][0].item()}")
 
 
 @dataclass(frozen=True)
@@ -299,10 +316,14 @@ def _pow10(log_b: np.ndarray) -> np.ndarray:
 
 
 def optimize_pair_rates(
-    models,
+    fields,
     bracket: tuple[float, float] = (1e2, 1e12),
 ) -> list[PairRateOptimum]:
     """Maximize each model's aggregate key rate over its in-band pair rate.
+
+    ``fields`` holds the models' fields as 1-D arrays, one element per
+    model, keyed as :func:`model_fields` gives them (unvalidated; any
+    ``pair_rate_in_band`` is ignored).
 
     Scans a log-spaced grid over ``bracket`` to locate each model's best
     sample, then refines with golden-section search in log space.  When
@@ -316,8 +337,7 @@ def optimize_pair_rates(
     lo, hi = bracket
     if not 0 < lo < hi:
         raise ValueError("bracket must satisfy 0 < lo < hi")
-    cols = model_fields(models)
-    del cols["pair_rate_in_band"]
+    cols = {k: v for k, v in fields.items() if k != "pair_rate_in_band"}
 
     def rate_at(log_b: np.ndarray) -> np.ndarray:
         return analytic_rate_arrays(_pow10(log_b), **cols).key_rate_total
@@ -358,14 +378,14 @@ def optimize_pair_rates(
     best = _pow10(log_opt)
     f_best = rate_at(log_opt)
     edge = _pow10(grid[k])
-    f_edge = vals[k, np.arange(len(models))]
+    f_edge = vals[k, np.arange(k.size)]
     return [
         PairRateOptimum(pair_rate=float(best[i]), key_rate_total=float(f_best[i]),
                         interior=True)
         if interior[i] else
         PairRateOptimum(pair_rate=float(edge[i]), key_rate_total=float(f_edge[i]),
                         interior=False, warning=_NO_INTERIOR)
-        for i in range(len(models))
+        for i in range(k.size)
     ]
 
 
@@ -375,7 +395,7 @@ def optimize_pair_rate(
 ) -> PairRateOptimum:
     """Maximize the aggregate key rate of one model over the in-band pair
     rate; see :func:`optimize_pair_rates`."""
-    return optimize_pair_rates([model], bracket)[0]
+    return optimize_pair_rates(model_fields([model]), bracket)[0]
 
 
 def scaling_curve(model: AnalyticLinkModel, n_values, loss_grid_db,
@@ -395,7 +415,7 @@ def scaling_curve(model: AnalyticLinkModel, n_values, loss_grid_db,
               for eta in map(side_transmittance, losses)]
     if optimize_b:
         models = [replace(m, pair_rate_in_band=opt.pair_rate)
-                  for m, opt in zip(models, optimize_pair_rates(models))]
+                  for m, opt in zip(models, optimize_pair_rates(model_fields(models)))]
     return scaling_rows(n_values, losses, analytic_rate_arrays(**model_fields(models)))
 
 

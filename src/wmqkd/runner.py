@@ -25,13 +25,13 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 import numpy as np
 
 from . import calibration as calib
-from .calibration import FROZEN_CALIBRATION, fig3d_model, predict_rows
+from .calibration import FROZEN_CALIBRATION, fig3d_fields, predict_rows
 from .channels import (ChannelPlan, build_grid_plan, build_table1_plan, grid_tiling,
                        plan_from_dict, plan_to_dict)
 from .coincidence import CoincidenceWindow
-from .detection import DetectorConfig
+from .detection import DetectorConfig, side_transmittance
 from .keyrate import (AnalyticRates, analytic_rate_arrays, binary_entropy,
-                      model_fields, optimize_pair_rates, qber_threshold, scaling_rows)
+                      optimize_pair_rates, qber_threshold, scaling_rows)
 from .simulate import PipelineResult, resolve_channels, simulate_point
 from .source import SourceConfig
 
@@ -122,7 +122,10 @@ class RunConfig:
                 ("fig3d_n_values", "integers >= 1",
                  lambda n: isinstance(n, int) and not isinstance(n, bool) and n >= 1),
                 ("fig3d_bandwidths_ghz", "finite and > 0", lambda x: 0 < x < math.inf),
-                ("fig3d_loss_grid_db", "finite and >= 0", lambda x: 0 <= x < math.inf)):
+                ("fig3d_loss_grid_db",
+                 "finite and >= 0, and below the loss where a side's transmittance "
+                 "10**(-x/20) underflows to 0 (about 6472 dB)",
+                 lambda x: 0 <= x < math.inf and side_transmittance(x) > 0)):
             values = list(getattr(self, name))
             if not all(map(ok, values)):
                 raise ConfigError(name, f"must be {rule}, got {values}")
@@ -590,31 +593,28 @@ def run_fig3d(config: RunConfig, out_dir: str) -> dict:
     cal = FROZEN_CALIBRATION
     losses = config.fig3d_loss_grid_db
     bandwidths = config.fig3d_bandwidths_ghz
-    bases = [fig3d_model(cal, loss_db=loss, f_ec=config.f_ec) for loss in losses]
-    opts = optimize_pair_rates(bases)
-    best = analytic_rate_arrays(**model_fields(
-        [replace(m, pair_rate_in_band=o.pair_rate) for m, o in zip(bases, opts)]))
-    broad_models = [fig3d_model(cal, loss_db=loss, bandwidth_ghz=bw, f_ec=config.f_ec)
-                    for loss in losses for bw in bandwidths]
-    broad = analytic_rate_arrays(**model_fields(broad_models))
-    broad_rows = iter(zip(broad_models, broad.qber.tolist(),
-                          broad.key_rate_per_channel.tolist()))
+    base = fig3d_fields(cal, losses, f_ec=config.f_ec)
+    opts = optimize_pair_rates(base)
+    best = analytic_rate_arrays(**{**base, "pair_rate_in_band": np.array(
+        [o.pair_rate for o in opts])})
+    # One row per loss, one column per bandwidth.
+    broad_fields = fig3d_fields(cal, np.array(losses)[:, None], bandwidths, config.f_ec)
+    broad = analytic_rate_arrays(**broad_fields)
+    broad_pair_rates = broad_fields["pair_rate_in_band"][0].tolist()
     scaling = scaling_rows(config.fig3d_n_values, losses, best)
     bandwidth_rows = []
-    for loss, opt, q, key in zip(losses, opts, best.qber.tolist(),
-                                 best.key_rate_per_channel.tolist()):
+    for loss, opt, q, key, q_bw, key_bw in zip(
+            losses, opts, best.qber.tolist(), best.key_rate_per_channel.tolist(),
+            broad.qber.tolist(), broad.key_rate_per_channel.tolist()):
         bandwidth_rows.append({
             "bandwidth_ghz": calib.FIG3D_REFERENCE_BANDWIDTH_GHZ,
             "loss_db": float(loss), "qber": q, "key_rate_bps": key,
             "pair_rate_per_channel": opt.pair_rate, "optimized": True,
         })
-        for bw in bandwidths:
-            m, q_bw, key_bw = next(broad_rows)
-            bandwidth_rows.append({
-                "bandwidth_ghz": float(bw), "loss_db": float(loss),
-                "qber": q_bw, "key_rate_bps": key_bw,
-                "pair_rate_per_channel": m.pair_rate_in_band, "optimized": False,
-            })
+        bandwidth_rows.extend({
+            "bandwidth_ghz": float(bw), "loss_db": float(loss), "qber": q_b,
+            "key_rate_bps": key_b, "pair_rate_per_channel": b, "optimized": False,
+        } for bw, q_b, key_b, b in zip(bandwidths, q_bw, key_bw, broad_pair_rates))
 
     tiling = grid_tiling(761.0, 970.0, 6.25e9)
     report = {

@@ -21,8 +21,8 @@ from wmqkd.coincidence import (CoincidenceWindow, accidental_estimate,
 from wmqkd.detection import (DetectorConfig, TagStream, _dead_time_filter,
                              detect)
 from wmqkd.keyrate import (AnalyticLinkModel, AnalyticRates, PairRateOptimum,
-                           analytic_rates, binary_entropy, optimize_pair_rate,
-                           optimize_pair_rates)
+                           analytic_rates, binary_entropy, model_fields,
+                           optimize_pair_rate, optimize_pair_rates)
 from wmqkd.runner import default_config, run_fig3d
 from wmqkd.simulate import _merge_side, detector_ids
 
@@ -252,18 +252,18 @@ def assert_same_optima(got, models):
 
 @given(st.lists(link_models(), min_size=1, max_size=6))
 def test_batched_optimizer_equals_scalar_oracle(models):
-    assert_same_optima(optimize_pair_rates(models), models)
+    assert_same_optima(optimize_pair_rates(model_fields(models)), models)
 
 
 def test_batched_optimizer_edges_equal_scalar_oracle():
     models = list(EDGE_MODELS) + [fig3d_model(FROZEN_CALIBRATION, loss_db=70.0)]
-    got = optimize_pair_rates(models)
+    got = optimize_pair_rates(model_fields(models))
     assert_same_optima(got, models)
     assert [g.interior for g in got] == [False, False, False, True]
     assert got[0].pair_rate == 1e12 and got[1].pair_rate == 1e2
     assert got[1].key_rate_total > 0.0 and got[2].key_rate_total == 0.0
     assert optimize_pair_rate(models[1]) == got[1]
-    assert optimize_pair_rates([]) == []
+    assert optimize_pair_rates(model_fields([])) == []
 
 
 def test_fig3d_rows_equal_per_loss_scalar_rows(tmp_path):
