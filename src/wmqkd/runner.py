@@ -589,6 +589,10 @@ def run_fig3d(config: RunConfig, out_dir: str) -> dict:
     for all losses in one batched solve; the broad-channel cases hold the
     source spectral density fixed at the frozen reference so wider
     channels collect proportionally more pairs (and more accidentals).
+    The report's ``warnings`` name each loss whose optimum is not
+    interior to the search bracket, as at the frozen settings from about
+    110 dB, where no pair rate gives a key; its row is still the one
+    marked ``optimized``.
     """
     cal = FROZEN_CALIBRATION
     losses = config.fig3d_loss_grid_db
@@ -633,6 +637,9 @@ def run_fig3d(config: RunConfig, out_dir: str) -> dict:
         "scaling_rows": scaling,
         "bandwidth_rows": bandwidth_rows,
         "qber_threshold": qber_threshold(config.f_ec),
+        "warnings": [f"loss {loss} dB: {opt.warning} (pair rate {opt.pair_rate:g} "
+                     f"per channel, key {opt.key_rate_total:g} bps)"
+                     for loss, opt in zip(losses, opts) if not opt.interior],
     }
     _write(os.path.join(out_dir, "fig3d_scaling.csv"),
            _csv_bytes(FIG3D_SCALING_COLUMNS, scaling, config))

@@ -248,8 +248,22 @@ def test_run_fig3d_outputs(tmp_path):
     bw = {(r["bandwidth_ghz"], r["loss_db"]): r["key_rate_bps"]
           for r in rep["bandwidth_rows"]}
     assert all(bw[(22.0, loss)] == 0.0 for loss in cfg.fig3d_loss_grid_db)
+    assert rep["warnings"] == []
     assert os.path.exists(tmp_path / "fig3d_scaling.csv")
     assert os.path.exists(tmp_path / "fig3d_bandwidth.csv")
+
+
+def test_fig3d_report_warns_of_optima_on_the_bracket_edge(tmp_path):
+    cfg = config_from_dict({"scenario": "fig3d", "mode": "analytic",
+                            "fig3d_loss_grid_db": [70.0, 120.0]})
+    run_fig3d(cfg, str(tmp_path))
+    report = json.loads(read(tmp_path / "fig3d_report.json"))
+    assert report["warnings"] == [
+        "loss 120.0 dB: no interior optimum on the bracket; returning best sample "
+        "(pair rate 100 per channel, key 0 bps)"]
+    optimized = [r for r in report["bandwidth_rows"] if r["optimized"]]
+    assert [r["loss_db"] for r in optimized] == [70.0, 120.0]
+    assert optimized[1]["pair_rate_per_channel"] == 100.0
 
 
 def test_run_fig3d_deterministic(tmp_path):
@@ -331,7 +345,7 @@ DEFAULT_OUTPUT_SHA256 = {
         "fig3d_bandwidth.csv":
             "4beaf67553658ac4a9c950eff09d6fdb78a5e757c89534564e26bf326b97b54a",
         "fig3d_report.json":
-            "6a61778318aad6e2c0471e16376ef125283e552e5cda37143ef30ebc0845afda",
+            "8bbe0daa5c199550699e06e3d4148ba61ec81274d9c4bb7cb132ac5386958823",
         "fig3d_scaling.csv":
             "23f793e913c8b2e322d0b954af6d7bc78bf6ba0b119f0b6400bbb2f837d61a65",
     },
@@ -362,7 +376,7 @@ ANALYTIC_OUTPUT_SHA256 = {
         {"fig3d_bandwidth.csv":
             "b23ab17b778cedecc8c347adac750e70db326d02c9a0586dbe6ba228695c08bc",
          "fig3d_report.json":
-            "27e81c80e2f4bc36e643a1eb507345977ee4da8d7ac27c1c6e7ca4194209c006",
+            "f2570de24a6e79f7054367a5473f620cb538996cfbfcdc2aa1d730c0b2f09e8a",
          "fig3d_scaling.csv":
             "21f3992b1a51b444d8dfd9b50d07737262837bb6185f3386412fdef4b862f367"},
     ),
