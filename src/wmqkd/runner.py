@@ -416,7 +416,8 @@ def _json_compact(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-_JSON_SCALARS = (str, int, float, type(None))
+def _all_scalars(values) -> bool:
+    return all(isinstance(v, (str, int, float, type(None))) for v in values)
 
 
 def _json_indent1(obj, ind: str = "\n") -> str:
@@ -434,7 +435,7 @@ def _json_indent1(obj, ind: str = "\n") -> str:
         return json.dumps(obj)
     inner = ind + " "
     is_dict = isinstance(obj, dict)
-    if all(isinstance(v, _JSON_SCALARS) for v in (obj.values() if is_dict else obj)):
+    if _all_scalars(obj.values() if is_dict else obj):
         text = json.dumps(obj, sort_keys=True, separators=("," + inner, ": "))
         return text[0] + inner + text[1:-1] + ind + text[-1]
     if is_dict:
@@ -444,8 +445,7 @@ def _json_indent1(obj, ind: str = "\n") -> str:
         body = ("," + inner).join(json.dumps(k) + ": " + _json_indent1(obj[k], inner)
                                   for k in sorted(obj))
         return "{" + inner + body + ind + "}"
-    if all(isinstance(r, dict) and r and all(isinstance(v, _JSON_SCALARS) for v in r.values())
-           for r in obj):
+    if all(isinstance(r, dict) and r and _all_scalars(r.values()) for r in obj):
         row = inner + " "
         text = json.dumps(obj, sort_keys=True, separators=("," + row, ": "))
         body = text[2:-2].replace("}," + row + "{", inner + "}," + inner + "{" + row)
