@@ -99,9 +99,9 @@ def test_bad_nested_fields_named():
     ({"fig3d_n_values": ["a"]}, "fig3d_n_values", "integers"),
     ({"fig3d_bandwidths_ghz": [-1.0]}, "fig3d_bandwidths_ghz", "> 0"),
     ({"fig3d_loss_grid_db": [float("nan")]}, "fig3d_loss_grid_db", "finite"),
-    ({"fig3d_loss_grid_db": [70.0, 7000.0]}, "fig3d_loss_grid_db", "transmittance"),
     ({"channel_visibilities": {"1": [1.5, 0.9]}}, "channel_visibilities",
      r"\[0, 1\]"),
+    ({"fig3d_loss_grid_db": [70.0, 7000.0]}, "fig3d_loss_grid_db", "transmittance"),
 ])
 def test_non_finite_numbers_and_negative_seed_rejected(raw, field, what):
     with pytest.raises(ConfigError, match=what) as exc:
