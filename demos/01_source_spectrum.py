@@ -3,11 +3,10 @@ spectral band fractions, and seeded sampling of pair emission."""
 
 import numpy as np
 
-from wmqkd import SourceConfig, band_fraction, sample_pair_stream, spectral_density
+from wmqkd import band_fraction, sample_pair_stream, spectral_density
+from wmqkd.calibration import FROZEN_CALIBRATION
 
-cfg = SourceConfig.from_filtered_brightness(
-    brightness_cps_per_mw=7.8e5, pump_power_mw=50.0, filter_fwhm_nm=0.1,
-)
+cfg = FROZEN_CALIBRATION.source()
 print("Source configuration")
 print(f"  signal / idler centers : {cfg.center_wavelength_signal} / "
       f"{cfg.center_wavelength_idler} nm about {cfg.spdc_center} nm")
@@ -27,9 +26,8 @@ for center, width in ((0.0, 0.1), (-0.26, 0.12), (+0.26, 0.12), (0.0, 20.0)):
 print("\nSampling 1 ms of emission (seeded):")
 stream = sample_pair_stream(cfg.with_pair_rate(2e6), duration=1e-3, seed=42)
 print(f"  {len(stream)} pairs (expected {2e6 * 1e-3:.0f})")
-ev = stream[0]
-print(f"  first event: t = {ev.emission_time * 1e6:.2f} us, "
-      f"detuning = {ev.detuning:+.3f} nm")
+print(f"  first event: t = {stream.times[0] * 1e6:.2f} us, "
+      f"detuning = {stream.detunings[0]:+.3f} nm")
 off = (stream.signal_wavelengths - cfg.center_wavelength_signal
        + stream.idler_wavelengths - cfg.center_wavelength_idler)
 print(f"  wavelength anticorrelation residual: max |offset| = {np.max(np.abs(off))}")

@@ -28,7 +28,7 @@ bits = np.zeros(arrivals.size, np.int8)
 bits[1::2] = 1
 tags = detect(arrivals, bits, cfg, duration=1.0, seed=10, basis=Basis.HV)
 print(f"  {arrivals.size} arrivals -> {len(tags)} tags "
-      f"({int(tags.dark.sum())} dark); rate {tags.singles_rate():.0f}/s")
+      f"({int(tags.dark.sum())} dark); rate {len(tags) / tags.duration:.0f}/s")
 print(f"  expected ~ {arrivals.size * 0.6 + 2 * 100:.0f} "
       "(efficiency x arrivals + darks)")
 print(f"  tick resolution {cfg.tick*1e12:.2f} ps; first tags "

@@ -10,18 +10,17 @@ and scenario runners plus the command line interface (:mod:`.runner`,
 :mod:`.cli`).
 """
 
-from .source import (PairEvent, PairStream, SourceConfig, band_fraction,
-                     sample_pair_stream, spectral_density, spectral_integral)
+from .source import (PairStream, SourceConfig, band_fraction, sample_pair_stream,
+                     spectral_density)
 from .channels import (ChannelPlan, WavelengthChannel, build_grid_plan,
-                       build_table1_plan, coherence_time, demux, demux_stream,
-                       demux_wavelength, energy_mismatches,
+                       build_table1_plan, coherence_time, demux, energy_mismatches,
                        table1_labeling_report, table1_source_config)
 from .detection import (Basis, DetectorConfig, Outcome, TagStream, detect,
-                        measure_polarization, merge_detectors, transmit)
+                        merge_detectors, transmit)
 from .coincidence import (CoincidenceWindow, CountsMatrix, Matches,
                           accidental_estimate, find_coincidences, tabulate)
-from .keyrate import (AnalyticLinkModel, AnalyticRates, analytic_rate_arrays,
-                      analytic_rates, binary_entropy, optimize_pair_rate,
+from .keyrate import (AnalyticLinkModel, AnalyticRates, analytic_rates,
+                      binary_entropy, optimize_pair_rate,
                       optimize_pair_rates, qber, qber_threshold, scaling_curve,
                       secure_key, visibility)
 from .simulate import PointResult, simulate_point

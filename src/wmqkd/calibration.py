@@ -7,6 +7,9 @@ merged (non-multiplexed) baseline in one array call.  Each channel is
 tick-quantized window; this module adds only the merged baseline's
 cross-channel blocking.  :func:`predict_channel` and
 :func:`predict_merged` are its one-row and merged-only forms.
+:func:`fig3d_model` gives the fig3d projection channel as one
+``keyrate.AnalyticLinkModel``, of numbers or of arrays over losses and
+bandwidths.
 
 The experiment's absolute settings are pinned once here and reused by
 every scenario run, so no comparison can tune parameters per claim:
@@ -36,7 +39,7 @@ from .channels import build_table1_plan, table1_source_config
 from .coincidence import CoincidenceWindow
 from .detection import DetectorConfig, side_transmittance
 from .keyrate import (DEFAULT_F_EC, AnalyticLinkModel, AnalyticRates, analytic_rates,
-                      check_model_fields, coincidence_mix, link_rates, qber_threshold)
+                      coincidence_mix, link_rates, qber_threshold)
 from .simulate import resolve_channels
 from .source import SourceConfig, _erf, band_fraction
 
@@ -251,48 +254,29 @@ def _fig3d_reference_pair_rate(q_sys: float) -> float:
                         xtol=1e-2))
 
 
-def fig3d_fields(calibration: Calibration, loss_db, bandwidth_ghz=FIG3D_REFERENCE_BANDWIDTH_GHZ,
-                 f_ec: float = DEFAULT_F_EC) -> dict[str, np.ndarray]:
-    """Fields of the projection channel's model at the frozen settings,
-    with error-correction efficiency ``f_ec``, as float64 arrays over
-    ``loss_db`` and ``bandwidth_ghz`` broadcast against each other, keyed
-    as ``keyrate.model_fields`` gives them and checked as
-    :class:`AnalyticLinkModel` checks its fields.
+def fig3d_model(calibration: Calibration, loss_db=FIG3D_TOTAL_LOSS_DB,
+                bandwidth_ghz=FIG3D_REFERENCE_BANDWIDTH_GHZ,
+                n_channels: int = 1, f_ec: float = DEFAULT_F_EC) -> AnalyticLinkModel:
+    """Analytic model of the projection channel at the frozen settings,
+    with ``n_channels`` channels and error-correction efficiency ``f_ec``.
 
-    The per-channel pair rate scales linearly with bandwidth at fixed
-    source spectral density.  Each transmittance is Python's
-    ``10.0 ** x`` of :func:`side_transmittance`; ``np.power`` differs
-    from it in the last bit.
+    ``loss_db`` and ``bandwidth_ghz`` are numbers (one model) or arrays
+    (one model per element of their broadcast).  The per-channel pair
+    rate scales linearly with bandwidth at fixed source spectral
+    density.  Each transmittance is Python's ``10.0 ** x`` of
+    :func:`side_transmittance`; ``np.power`` differs from it in the last
+    bit.
     """
     loss = np.asarray(loss_db, dtype=np.float64)
-    eta = np.array([side_transmittance(x) for x in loss.ravel().tolist()],
-                   dtype=np.float64).reshape(loss.shape)
-    scale = np.asarray(bandwidth_ghz, dtype=np.float64) / FIG3D_REFERENCE_BANDWIDTH_GHZ
-    values = {
-        "pair_rate_in_band": calibration.fig3d_pair_rate_per_channel * scale,
-        "transmittance_alice": eta,
-        "transmittance_bob": eta,
-        "dark_rate_alice": FIG3D_DARK_PER_SIDE,
-        "dark_rate_bob": FIG3D_DARK_PER_SIDE,
-        "t_c": 1e-9,
-        "q_sys": calibration.q_sys_channel1,
-        "n_channels": 1.0,
-        "f_ec": f_ec,
-        "window_efficiency": 1.0,
-    }
-    fields = dict(zip(values, np.broadcast_arrays(
-        *(np.asarray(v, dtype=np.float64) for v in values.values()))))
-    check_model_fields(fields)
-    return fields
-
-
-def fig3d_model(calibration: Calibration, loss_db: float = FIG3D_TOTAL_LOSS_DB,
-                bandwidth_ghz: float = FIG3D_REFERENCE_BANDWIDTH_GHZ,
-                n_channels: int = 1, f_ec: float = DEFAULT_F_EC) -> AnalyticLinkModel:
-    """Analytic model of one projection channel; see :func:`fig3d_fields`."""
-    fields = fig3d_fields(calibration, loss_db, bandwidth_ghz, f_ec)
-    return AnalyticLinkModel(**{**{k: v.item() for k, v in fields.items()},
-                                "n_channels": n_channels})
+    eta = [side_transmittance(x) for x in loss.ravel().tolist()]
+    eta = np.array(eta).reshape(loss.shape) if loss.ndim else eta[0]
+    return AnalyticLinkModel(
+        pair_rate_in_band=calibration.fig3d_pair_rate_per_channel
+        * (bandwidth_ghz / FIG3D_REFERENCE_BANDWIDTH_GHZ),
+        transmittance_alice=eta, transmittance_bob=eta,
+        dark_rate_alice=FIG3D_DARK_PER_SIDE, dark_rate_bob=FIG3D_DARK_PER_SIDE,
+        t_c=1e-9, q_sys=calibration.q_sys_channel1, n_channels=n_channels, f_ec=f_ec,
+    )
 
 
 # Frozen output of derive_calibration() with the default detector and a

@@ -3,9 +3,8 @@ grids, deterministic demultiplexing, and coherence-time estimates.
 
 A channel plan is a set of energy-matched (signal, idler) passband pairs
 about the down-conversion center.  Demultiplexing assigns each pair
-event to the channel whose signal passband contains its signal
-wavelength (top-hat passbands); events outside all passbands are
-dropped.
+to the channel whose signal passband contains its signal wavelength
+(top-hat passbands); a pair outside all passbands gets none (-1).
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .source import C_NM_HZ, PairStream, SourceConfig
+from .source import C_NM_HZ, SourceConfig
 
 # Calibration constant in tau = K / delta_nu, chosen so a 6.25 GHz
 # channel gives a 50 ps coherence time.
@@ -346,37 +345,12 @@ def build_grid_plan(
     return plan, counts
 
 
-def demux(pair_or_stream, plan: ChannelPlan, signal_cwl: float | None = None):
-    """Assign pair events to channel pairs by signal wavelength.
-
-    Accepts a :class:`PairStream` (vectorized; returns an index array
-    with -1 for unassigned) or a single :class:`PairEvent` (returns the
-    pair index or ``None``).  For a lone event the absolute signal
-    wavelength is ``signal_cwl + detuning``; the plan's signal-side
-    center is used when no source center is given.
-    """
-    if isinstance(pair_or_stream, PairStream):
-        return demux_stream(pair_or_stream, plan)
-    if signal_cwl is None:
-        signal_cwl = plan.signal_cwl
-    return demux_wavelength(signal_cwl + pair_or_stream.detuning, plan)
-
-
-def demux_wavelength(signal_wavelength: float, plan: ChannelPlan):
-    """Channel-pair index for one absolute signal wavelength, or None."""
-    index = int(_demux_wavelengths(np.float64(signal_wavelength), plan))
-    return None if index < 0 else index
-
-
-def demux_stream(stream: PairStream, plan: ChannelPlan) -> np.ndarray:
-    """Vectorized demux: per-event channel-pair index, -1 for no match."""
-    return _demux_wavelengths(stream.signal_wavelengths, plan)
-
-
-def _demux_wavelengths(wl: np.ndarray, plan: ChannelPlan) -> np.ndarray:
-    """Channel-pair index of each absolute signal wavelength, -1 for none;
-    at a wavelength on two touching passbands the later pair wins."""
-    out = np.full(np.shape(wl), -1, dtype=np.int64)
+def demux(signal_wavelengths, plan: ChannelPlan) -> np.ndarray:
+    """Channel-pair index of each absolute signal wavelength (nm), -1 for
+    none; at a wavelength on two touching passbands the later pair wins.
+    A pair stream's are ``stream.signal_wavelengths``."""
+    wl = np.asarray(signal_wavelengths, dtype=np.float64)
+    out = np.full(wl.shape, -1, dtype=np.int64)
     for s, _ in plan.pairs:
         lo, hi = s.passband
         out[(wl >= lo) & (wl <= hi)] = s.index

@@ -139,31 +139,14 @@ def _close_runs(ta: np.ndarray, tb: np.ndarray, half: int):
     return order, first, last
 
 
-def _one_link_pairs(order: np.ndarray, first: np.ndarray, single: np.ndarray,
-                    na: int) -> tuple[np.ndarray, np.ndarray]:
-    """The two tags of each one-link run that joins an Alice and a Bob tag,
-    earlier one first; such a run is one match."""
-    early, late = order[first[single]], order[first[single] + 1]
-    mixed = (early < na) != (late < na)
-    return early[mixed], late[mixed]
-
-
-def _long_runs(ta: np.ndarray, tb: np.ndarray, order: np.ndarray,
-               first: np.ndarray, last: np.ndarray, single: np.ndarray):
-    """Each run of two or more links with tags of both sides, as its Alice
-    and Bob indices; these fall back to the explicit greedy walk."""
-    na = ta.size
-    for lo, hi in zip(first[~single].tolist(), last[~single].tolist()):
-        seg = order[lo:hi + 1]
-        ia = seg[seg < na]
-        ib = seg[seg >= na] - na
-        if ia.size and ib.size:
-            yield ia, ib
-
-
 def _match_indices(ta: np.ndarray, tb: np.ndarray, half: int):
     """Indices of the greedy matches of two sorted tick arrays, in no
-    particular order."""
+    particular order.
+
+    A run of one close link that joins an Alice and a Bob tag is one
+    match; each longer run falls back to the explicit greedy walk over
+    its Alice and Bob tags.
+    """
     e = np.empty(0, dtype=np.int64)
     runs = _close_runs(ta, tb, half)
     if runs is None:
@@ -171,30 +154,21 @@ def _match_indices(ta: np.ndarray, tb: np.ndarray, half: int):
     order, first, last = runs
     na = ta.size
     single = last - first == 1
-    early, late = _one_link_pairs(order, first, single, na)
+    early, late = order[first[single]], order[first[single] + 1]
+    mixed = (early < na) != (late < na)
+    early, late = early[mixed], late[mixed]
     a_first = early < na
     out_a = [np.where(a_first, early, late)]
     out_b = [np.where(a_first, late, early) - na]
-    for ia, ib in _long_runs(ta, tb, order, first, last, single):
+    for lo, hi in zip(first[~single].tolist(), last[~single].tolist()):
+        seg = order[lo:hi + 1]
+        ia = seg[seg < na]
+        ib = seg[seg >= na] - na
         sub_a, sub_b = _greedy_two_pointer(ta[ia], tb[ib], half)
         if sub_a:
             out_a.append(ia[np.asarray(sub_a)])
             out_b.append(ib[np.asarray(sub_b)])
     return np.concatenate(out_a), np.concatenate(out_b)
-
-
-def _match_count(ta: np.ndarray, tb: np.ndarray, half: int) -> int:
-    """Number of greedy matches of two sorted tick arrays, counted without
-    building their index arrays."""
-    runs = _close_runs(ta, tb, half)
-    if runs is None:
-        return 0
-    order, first, last = runs
-    single = last - first == 1
-    n = _one_link_pairs(order, first, single, ta.size)[0].size
-    for ia, ib in _long_runs(ta, tb, order, first, last, single):
-        n += len(_greedy_two_pointer(ta[ia], tb[ib], half)[0])
-    return n
 
 
 @dataclass
@@ -283,7 +257,7 @@ def accidental_estimate(tags_a: TagStream, tags_b: TagStream,
     _check_pair(tags_a, tags_b)
     half = window.half_width_ticks(tags_a.tick_seconds)
     shift = delay_ticks(delay, tags_b.tick_seconds)
-    return _match_count(tags_a.ticks, tags_b.ticks + shift, half)
+    return _match_indices(tags_a.ticks, tags_b.ticks + shift, half)[0].size
 
 
 class ChunkedPair:

@@ -103,11 +103,6 @@ class TagStream:
     def __len__(self) -> int:
         return self.ticks.size
 
-    @property
-    def times(self) -> np.ndarray:
-        """Tag times in seconds."""
-        return self.ticks * self.tick_seconds
-
     def is_sorted(self) -> bool:
         if len(self) < 2:
             return True
@@ -127,9 +122,6 @@ class TagStream:
             self.channel_indices[idx], self.dark[idx],
             self.tick_seconds, self.duration,
         )
-
-    def singles_rate(self) -> float:
-        return len(self) / self.duration if self.duration > 0 else 0.0
 
 
 def _tie_order(ticks: np.ndarray, *keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -222,18 +214,6 @@ def joint_outcome_probabilities(v_sys: float) -> np.ndarray:
     anti = (1.0 + v_sys) / 4.0
     corr = (1.0 - v_sys) / 4.0
     return np.array([corr, anti, anti, corr])
-
-
-def measure_polarization(pair, basis: Basis, v_sys: float, seed=0):
-    """Joint polarization outcome of one surviving pair.
-
-    Returns ``(outcome_signal, outcome_idler)`` drawn from the
-    anti-correlated joint distribution in the chosen basis.
-    """
-    s_bits, i_bits = measure_pair_outcomes(1, v_sys, _rng(seed))
-    o0, o1 = BASIS_OUTCOMES[basis]
-    pick = (o0, o1)
-    return pick[int(s_bits[0])], pick[int(i_bits[0])]
 
 
 def measure_pair_outcomes(n: int, v_sys: float, rng) -> tuple[np.ndarray, np.ndarray]:

@@ -5,9 +5,12 @@ scaling projections.
 :func:`link_rates` holds the link arithmetic once: detector efficiency,
 per-port dead time and the window's efficiency on the basic
 singles/true/accidental decomposition.  The fig3d projections evaluate
-it with ideal detectors through :class:`AnalyticLinkModel`;
-``calibration.predict_rows`` evaluates it with the configured detector
-and adds the merged baseline's cross-channel blocking.
+it with ideal detectors through :func:`analytic_rates`, on one
+:class:`AnalyticLinkModel` value whose fields are numbers (one model)
+or arrays that broadcast (many models at once, each element evaluated
+exactly as alone); ``calibration.predict_rows`` evaluates it with the
+configured detector and adds the merged baseline's cross-channel
+blocking.
 
 The secure-key estimate per basis block is
 ``CC * 1/2 * (1 - (1 + f) * H2(Q))`` with negative per-basis terms
@@ -17,7 +20,6 @@ clamped to zero; ``f`` is the bidirectional error-correction efficiency
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, replace
 
@@ -123,6 +125,9 @@ def qber_threshold(f_ec: float = DEFAULT_F_EC, tol: float = 1e-6) -> float:
 class AnalyticLinkModel:
     """Closed-form per-channel link model.
 
+    Each field is a number or an array; arrays broadcast against each
+    other, and a model of arrays is one model per element.
+
     Parameters
     ----------
     pair_rate_in_band : float
@@ -156,7 +161,12 @@ class AnalyticLinkModel:
     window_efficiency: float = 1.0
 
     def __post_init__(self):
-        check_model_fields(vars(self))
+        # Every element keeps its field's rule; NaN keeps none of them.
+        for name, ok, rule in _FIELD_RULES:
+            v = np.asarray(getattr(self, name))
+            bad = ~ok(v)
+            if bad.any():
+                raise ValueError(f"{name} must be {rule}, got {v[bad][0].item()}")
 
 
 def _in_unit_interval(v):
@@ -173,18 +183,6 @@ _FIELD_RULES = (
     ("pair_rate_in_band", lambda v: v >= 0, ">= 0"),
     ("window_efficiency", _in_unit_interval, "in (0, 1]"),
 )
-
-
-def check_model_fields(fields) -> None:
-    """Raise ``ValueError``, naming the field and its first bad value,
-    unless every element of the fields of :class:`AnalyticLinkModel`
-    (numbers or arrays, keyed as :func:`model_fields` gives them) keeps
-    the model's rules.  NaN keeps none of them."""
-    for name, ok, rule in _FIELD_RULES:
-        v = np.asarray(fields[name])
-        bad = ~ok(v)
-        if bad.any():
-            raise ValueError(f"{name} must be {rule}, got {v[bad][0].item()}")
 
 
 @dataclass(frozen=True)
@@ -250,42 +248,22 @@ def link_rates(pair_rate_in_band, transmittance_alice, transmittance_bob,
     return AnalyticRates(cc_true, cc_acc, s_a, s_b, q, key, n_channels * key), pre_window
 
 
-def analytic_rate_arrays(pair_rate_in_band, transmittance_alice,
-                         transmittance_bob, dark_rate_alice, dark_rate_bob,
-                         t_c, q_sys, n_channels, f_ec,
-                         window_efficiency) -> AnalyticRates:
-    """Array form of :func:`analytic_rates`.
-
-    Takes the fields of :class:`AnalyticLinkModel` as numbers or arrays
-    (unvalidated) that broadcast against each other, for example from
-    :func:`model_fields`; every field of the result is an array of the
-    broadcast shape.  This is :func:`link_rates` with ideal detectors
-    (efficiency 1, no dead time), where each side's singles are exactly
-    ``B eta + d``, so each element equals a scalar evaluation exactly.
-    """
-    return link_rates(pair_rate_in_band, transmittance_alice, transmittance_bob,
-                      dark_rate_alice, dark_rate_bob, 1.0, 0.0, t_c,
-                      window_efficiency, q_sys, f_ec, n_channels)[0]
-
-
-def model_fields(models) -> dict[str, np.ndarray]:
-    """Each field of the models as one float64 array over the models,
-    keyed as :func:`analytic_rate_arrays` takes them."""
-    return {f.name: np.array([getattr(m, f.name) for m in models], dtype=np.float64)
-            for f in dataclasses.fields(AnalyticLinkModel)}
-
-
 def analytic_rates(model: AnalyticLinkModel) -> AnalyticRates:
     """Evaluate the analytic link model for one channel and scale by n.
 
-    Singles per side are ``B eta + d``; true coincidences
+    This is :func:`link_rates` with ideal detectors (efficiency 1, no
+    dead time): singles per side are ``B eta + d``; true coincidences
     ``B eta_A eta_B`` (times the window efficiency); accidentals
     ``S_A S_B t_c``.  The QBER mixes the systematic error on true pairs
     with the 50% error rate of accidentals; the key applies the secure
-    key formula with counts split evenly across the two bases.
+    key formula with counts split evenly across the two bases.  A model
+    of numbers gives floats; a model of arrays gives arrays of the
+    broadcast shape, each element exactly the rates of that element's
+    model.
     """
-    rates = analytic_rate_arrays(**vars(model))
-    return AnalyticRates(**{k: float(v) for k, v in vars(rates).items()})
+    rates = link_rates(**vars(model), efficiency=1.0, dead_time=0.0)[0]
+    return AnalyticRates(**{k: v if np.ndim(v) else float(v)
+                            for k, v in vars(rates).items()})
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -316,14 +294,14 @@ def _pow10(log_b: np.ndarray) -> np.ndarray:
 
 
 def optimize_pair_rates(
-    fields,
+    model: AnalyticLinkModel,
     bracket: tuple[float, float] = (1e2, 1e12),
 ) -> list[PairRateOptimum]:
     """Maximize each model's aggregate key rate over its in-band pair rate.
 
-    ``fields`` holds the models' fields as 1-D arrays, one element per
-    model, keyed as :func:`model_fields` gives them (unvalidated; any
-    ``pair_rate_in_band`` is ignored).
+    ``model`` holds one model per element of its fields, which broadcast
+    to one axis (a model of numbers is one model); its
+    ``pair_rate_in_band`` is ignored.
 
     Scans a log-spaced grid over ``bracket`` to locate each model's best
     sample, then refines with golden-section search in log space.  When
@@ -337,14 +315,14 @@ def optimize_pair_rates(
     lo, hi = bracket
     if not 0 < lo < hi:
         raise ValueError("bracket must satisfy 0 < lo < hi")
-    cols = {k: v for k, v in fields.items() if k != "pair_rate_in_band"}
 
     def rate_at(log_b: np.ndarray) -> np.ndarray:
-        return analytic_rate_arrays(_pow10(log_b), **cols).key_rate_total
+        return analytic_rates(replace(model, pair_rate_in_band=_pow10(log_b))
+                              ).key_rate_total
 
     grid = np.linspace(math.log10(lo), math.log10(hi), _N_GRID)
     # One row per grid point, one column per model.
-    vals = analytic_rate_arrays(_pow10(grid)[:, None], **cols).key_rate_total
+    vals = rate_at(grid[:, None])
     k = np.argmax(vals, axis=0)
     interior = (k > 0) & (k < _N_GRID - 1)
     # Edge models get clipped, unused brackets and stay inactive.
@@ -395,7 +373,7 @@ def optimize_pair_rate(
 ) -> PairRateOptimum:
     """Maximize the aggregate key rate of one model over the in-band pair
     rate; see :func:`optimize_pair_rates`."""
-    return optimize_pair_rates(model_fields([model]), bracket)[0]
+    return optimize_pair_rates(model, bracket)[0]
 
 
 def scaling_curve(model: AnalyticLinkModel, n_values, loss_grid_db,
@@ -410,13 +388,13 @@ def scaling_curve(model: AnalyticLinkModel, n_values, loss_grid_db,
     ``optimize_b`` the per-channel pair rate is re-optimized per loss.
     """
     losses = list(loss_grid_db)
-    models = [replace(model, transmittance_alice=base_transmittance_alice * eta,
-                      transmittance_bob=base_transmittance_bob * eta, n_channels=1)
-              for eta in map(side_transmittance, losses)]
+    eta = np.array([side_transmittance(x) for x in losses], dtype=np.float64)
+    models = replace(model, transmittance_alice=base_transmittance_alice * eta,
+                     transmittance_bob=base_transmittance_bob * eta, n_channels=1)
     if optimize_b:
-        models = [replace(m, pair_rate_in_band=opt.pair_rate)
-                  for m, opt in zip(models, optimize_pair_rates(model_fields(models)))]
-    return scaling_rows(n_values, losses, analytic_rate_arrays(**model_fields(models)))
+        models = replace(models, pair_rate_in_band=np.array(
+            [opt.pair_rate for opt in optimize_pair_rates(models)]))
+    return scaling_rows(n_values, losses, analytic_rates(models))
 
 
 def scaling_rows(n_values, losses, rates: AnalyticRates) -> list[dict]:

@@ -25,12 +25,12 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 import numpy as np
 
 from . import calibration as calib
-from .calibration import FROZEN_CALIBRATION, fig3d_fields, predict_rows
+from .calibration import FROZEN_CALIBRATION, fig3d_model, predict_rows
 from .channels import (ChannelPlan, build_grid_plan, build_table1_plan, grid_tiling,
                        plan_from_dict, plan_to_dict)
 from .coincidence import CoincidenceWindow
 from .detection import DetectorConfig, side_transmittance
-from .keyrate import (AnalyticRates, analytic_rate_arrays, binary_entropy,
+from .keyrate import (AnalyticRates, analytic_rates, binary_entropy,
                       optimize_pair_rates, qber_threshold, scaling_rows)
 from .simulate import PipelineResult, resolve_channels, simulate_point
 from .source import SourceConfig
@@ -127,6 +127,8 @@ class RunConfig:
                  "10**(-x/20) underflows to 0 (about 6472 dB)",
                  lambda x: 0 <= x < math.inf and side_transmittance(x) > 0)):
             values = list(getattr(self, name))
+            if not values:
+                raise ConfigError(name, "must be a non-empty list")
             if not all(map(ok, values)):
                 raise ConfigError(name, f"must be {rule}, got {values}")
 
@@ -178,16 +180,26 @@ def _number(x) -> float:
     return float(x)
 
 
-def _numbers(x) -> tuple[float, ...]:
+def _list(x) -> tuple:
     if not isinstance(x, (list, tuple)):
-        raise TypeError("must be a list of numbers")
-    return tuple(_number(v) for v in x)
-
-
-def _non_empty_list(x) -> tuple:
-    if not isinstance(x, (list, tuple)) or not x:
-        raise TypeError("must be a non-empty list")
+        raise TypeError("must be a list")
     return tuple(x)
+
+
+def _numbers(x) -> tuple[float, ...]:
+    return tuple(_number(v) for v in _list(x))
+
+
+def _number_fields(x) -> dict[str, float]:
+    """Each value of a JSON object through :func:`_number`; an error names
+    its key."""
+    out = {}
+    for key, value in x.items():
+        try:
+            out[key] = _number(value)
+        except TypeError as exc:
+            raise TypeError(f"{key} {exc}") from None
+    return out
 
 
 def _visibilities(x) -> dict[int, tuple[float, float]]:
@@ -224,16 +236,16 @@ def _parse_plan(spec) -> ChannelPlan:
 _PARSERS = {
     "duration": _number,
     "loss_grid_db": _numbers,
-    "source": lambda x: FROZEN_CALIBRATION.source(**x),
+    "source": lambda x: FROZEN_CALIBRATION.source(**_number_fields(x)),
     "plan": _parse_plan,
-    "detector": lambda x: replace(calib.DEFAULT_DETECTOR, **x),
-    "window": lambda x: CoincidenceWindow(**x),
+    "detector": lambda x: replace(calib.DEFAULT_DETECTOR, **_number_fields(x)),
+    "window": lambda x: CoincidenceWindow(**_number_fields(x)),
     "channel_visibilities": _visibilities,
     "brightness": lambda x: x if isinstance(x, str) else _number(x),
     "f_ec": _number,
-    "fig3d_n_values": _non_empty_list,
-    "fig3d_bandwidths_ghz": lambda x: _numbers(_non_empty_list(x)),
-    "fig3d_loss_grid_db": lambda x: _numbers(_non_empty_list(x)),
+    "fig3d_n_values": _list,
+    "fig3d_bandwidths_ghz": _numbers,
+    "fig3d_loss_grid_db": _numbers,
 }
 
 
@@ -597,14 +609,16 @@ def run_fig3d(config: RunConfig, out_dir: str) -> dict:
     cal = FROZEN_CALIBRATION
     losses = config.fig3d_loss_grid_db
     bandwidths = config.fig3d_bandwidths_ghz
-    base = fig3d_fields(cal, losses, f_ec=config.f_ec)
+    loss_array = np.array(losses, dtype=np.float64)
+    base = fig3d_model(cal, loss_array, f_ec=config.f_ec)
     opts = optimize_pair_rates(base)
-    best = analytic_rate_arrays(**{**base, "pair_rate_in_band": np.array(
-        [o.pair_rate for o in opts])})
+    best = analytic_rates(replace(base, pair_rate_in_band=np.array(
+        [o.pair_rate for o in opts])))
     # One row per loss, one column per bandwidth.
-    broad_fields = fig3d_fields(cal, np.array(losses)[:, None], bandwidths, config.f_ec)
-    broad = analytic_rate_arrays(**broad_fields)
-    broad_pair_rates = broad_fields["pair_rate_in_band"][0].tolist()
+    broad_model = fig3d_model(cal, loss_array[:, None],
+                              np.array(bandwidths, dtype=np.float64), f_ec=config.f_ec)
+    broad = analytic_rates(broad_model)
+    broad_pair_rates = broad_model.pair_rate_in_band.tolist()
     scaling = scaling_rows(config.fig3d_n_values, losses, best)
     bandwidth_rows = []
     for loss, opt, q, key, q_bw, key_bw in zip(

@@ -41,7 +41,7 @@ import numpy as np
 
 from .channels import ChannelPlan
 from .coincidence import (ChunkedPair, CoincidenceWindow, CountsMatrix, Matches,
-                          _check_pair, _match_count, _match_indices,
+                          _check_pair, _match_indices,
                           delay_ticks, tabulate)
 from .detection import (Basis, DetectorCarry, DetectorConfig, TagStream,
                         _merge_streams, detect, emit_frontier,
@@ -314,7 +314,8 @@ class _BlockCounter:
         matches = Matches(a, b, *_match_indices(a.ticks, b.ticks, self.half))
         self.cc += tabulate(matches, self.basis).cc
         a, b = self.delayed.push(alice, bob, frontier)
-        self.accidentals += _match_count(a.ticks, b.ticks + self.delayed.shift, self.half)
+        self.accidentals += _match_indices(a.ticks, b.ticks + self.delayed.shift,
+                                           self.half)[0].size
 
     def counts(self) -> BlockCounts:
         return BlockCounts(

@@ -141,45 +141,14 @@ class SourceConfig:
     def with_pair_rate(self, pair_rate: float) -> "SourceConfig":
         return replace(self, pair_rate=pair_rate)
 
-    @classmethod
-    def from_filtered_brightness(
-        cls,
-        brightness_cps_per_mw: float = 7.8e5,
-        pump_power_mw: float = 50.0,
-        filter_fwhm_nm: float = 0.1,
-        **kwargs,
-    ) -> "SourceConfig":
-        """Build a config whose full-spectrum rate is derived from the
-        pair rate measured in one narrow filtered band at band center.
-
-        The measured in-band rate is scaled back to the full spectrum by
-        dividing by the band's spectral fraction.
-        """
-        cfg = cls(pair_rate=1.0, **kwargs)
-        in_band = brightness_cps_per_mw * pump_power_mw
-        frac = band_fraction(cfg, 0.0, filter_fwhm_nm)
-        return replace(cfg, pair_rate=in_band / frac)
-
-
-@dataclass(frozen=True)
-class PairEvent:
-    """One emitted photon pair.
-
-    ``detuning`` is the offset of the signal photon from the signal
-    center wavelength; the idler is exactly anticorrelated:
-    ``signal = signal_center + detuning``, ``idler = idler_center - detuning``.
-    """
-
-    emission_time: float
-    detuning: float
-    correlation_id: int
-
 
 class PairStream:
-    """A time-ordered sequence of :class:`PairEvent`, stored as arrays.
+    """Time-ordered photon pairs, stored as arrays.
 
-    Behaves as a sequence of PairEvent while exposing ``times`` and
-    ``detunings`` arrays for vectorized processing.
+    ``times`` holds each pair's emission time (s) and ``detunings`` the
+    offset (nm) of its signal photon from the signal center wavelength;
+    the idler is exactly anticorrelated: ``signal = signal_center +
+    detuning``, ``idler = idler_center - detuning``.
     """
 
     def __init__(self, config: SourceConfig, duration: float,
@@ -197,13 +166,6 @@ class PairStream:
 
     def __len__(self) -> int:
         return self.times.size
-
-    def __getitem__(self, i: int) -> PairEvent:
-        return PairEvent(float(self.times[i]), float(self.detunings[i]), int(i))
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
 
     @property
     def signal_wavelengths(self) -> np.ndarray:
@@ -223,11 +185,6 @@ def spectral_density(config: SourceConfig, detuning) -> np.ndarray | float:
     d = np.asarray(detuning, dtype=np.float64)
     out = np.exp(-0.5 * (d / config.sigma) ** 2)
     return out if out.ndim else float(out)
-
-
-def spectral_integral(config: SourceConfig) -> float:
-    """Integral of the normalized spectrum over all detunings (nm)."""
-    return config.sigma * np.sqrt(2.0 * np.pi)
 
 
 def band_fraction(config: SourceConfig, band_center: float, band_fwhm: float) -> float:

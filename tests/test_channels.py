@@ -7,8 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from wmqkd.channels import (ChannelPlan, GridTiling, WavelengthChannel,
-                            build_grid_plan, build_table1_plan, coherence_time, demux_stream,
-                            demux_wavelength, energy_mismatches, plan_from_dict,
+                            build_grid_plan, build_table1_plan, coherence_time, demux,
+                            energy_mismatches, plan_from_dict,
                             plan_to_csv, plan_to_dict, table1_labeling_report,
                             table1_source_config)
 from wmqkd.source import C_NM_HZ, band_fraction, sample_pair_stream
@@ -156,17 +156,17 @@ def test_grid_signal_side_is_higher_frequency():
 
 def test_demux_center_containment_and_outside():
     plan = build_table1_plan()
-    assert demux_wavelength(798.80, plan) == 1
-    assert demux_wavelength(799.32, plan) == 2
-    assert demux_wavelength(810.0, plan) is None
-    assert demux_wavelength(798.80 + 0.07, plan) is None  # just past the edge
+    assert demux(798.80, plan) == 1
+    assert demux(799.32, plan) == 2
+    assert demux(810.0, plan) == -1
+    assert demux(798.80 + 0.07, plan) == -1  # just past the edge
 
 
 def test_demux_monte_carlo_fraction_matches_band_fraction():
     src = table1_source_config(pair_rate=4e6)
     plan = build_table1_plan()
     stream = sample_pair_stream(src, 1.0, seed=17)
-    assigned = demux_stream(stream, plan)
+    assigned = demux(stream.signal_wavelengths, plan)
     n = len(stream)
     for sig, _ in plan.pairs:
         p = band_fraction(src, sig.center - src.center_wavelength_signal, sig.fwhm)
@@ -182,7 +182,7 @@ def test_demux_no_double_assignment():
     for sig, _ in plan.pairs:
         lo, hi = sig.passband
         inside = (wl >= lo) & (wl <= hi)
-        got = demux_stream(stream, plan)
+        got = demux(wl, plan)
         assert np.all(got[inside] == sig.index)
 
 
@@ -192,7 +192,7 @@ def test_demux_partner_lands_in_idler_passband():
     src = table1_source_config(pair_rate=2e6)
     plan = build_table1_plan()
     stream = sample_pair_stream(src, 0.5, seed=23)
-    assigned = demux_stream(stream, plan)
+    assigned = demux(stream.signal_wavelengths, plan)
     idler_wl = stream.idler_wavelengths
     for sig, idl in plan.pairs:
         sel = assigned == sig.index
@@ -224,11 +224,7 @@ def test_plan_csv_and_dict_roundtrip():
 
 
 def test_demux_single_pair_event():
-    from wmqkd.channels import demux
-    from wmqkd.source import PairEvent
     plan = build_table1_plan()
-    # detuning placing the signal at channel 1's center
-    ev = PairEvent(0.0, 798.80 - plan.signal_cwl, 0)
-    assert demux(ev, plan) == 1
-    far = PairEvent(0.0, 5.0, 1)
-    assert demux(far, plan) is None
+    # one pair at channel 1's center, one 5 nm off the plan's signal center
+    assert demux(798.80, plan).shape == ()
+    assert demux([798.80, plan.signal_cwl + 5.0], plan).tolist() == [1, -1]

@@ -7,7 +7,7 @@ import pytest
 
 from wmqkd.detection import (Basis, DetectorConfig, Outcome, TagStream,
                              detect, joint_outcome_probabilities,
-                             measure_pair_outcomes, measure_polarization,
+                             measure_pair_outcomes,
                              merge_detectors, transmit)
 from wmqkd.source import SourceConfig, sample_pair_stream
 
@@ -103,13 +103,6 @@ def test_joint_probabilities_shape():
     assert p.sum() == pytest.approx(1.0)
     assert p[1] == p[2] == (1 + 0.6) / 4
     assert p[0] == p[3] == (1 - 0.6) / 4
-
-
-def test_measure_polarization_scalar():
-    s, i = measure_polarization(None, Basis.HV, 1.0, seed=9)
-    assert {s, i} == {Outcome.H, Outcome.V}
-    s, i = measure_polarization(None, Basis.DA, 1.0, seed=10)
-    assert {s, i} == {Outcome.D, Outcome.A}
 
 
 # --- detect ------------------------------------------------------------------

@@ -6,9 +6,10 @@ batched pair-rate optimizer behind the fig3d projection, and the refined
 analytic predictor of the channels and the merged baseline."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -21,8 +22,8 @@ from wmqkd.coincidence import (CoincidenceWindow, accidental_estimate,
 from wmqkd.detection import (DetectorConfig, TagStream, _dead_time_filter,
                              detect)
 from wmqkd.keyrate import (AnalyticLinkModel, AnalyticRates, PairRateOptimum,
-                           analytic_rates, binary_entropy, model_fields,
-                           optimize_pair_rate, optimize_pair_rates)
+                           analytic_rates, binary_entropy, optimize_pair_rate,
+                           optimize_pair_rates)
 from wmqkd.runner import default_config, run_fig3d
 from wmqkd.simulate import _merge_side, detector_ids
 
@@ -242,6 +243,34 @@ EDGE_MODELS = (
 )
 
 
+def stacked(models):
+    """One array model of the models, one element per model."""
+    return AnalyticLinkModel(**{
+        f.name: np.array([getattr(m, f.name) for m in models], dtype=np.float64)
+        for f in fields(AnalyticLinkModel)})
+
+
+@given(st.lists(link_models(), min_size=1, max_size=6),
+       st.lists(log_uniform(1e-3, 1e12), min_size=6, max_size=6))
+def test_array_model_rates_equal_each_number_model(models, pair_rates):
+    models = [replace(m, pair_rate_in_band=b) for m, b in zip(models, pair_rates)]
+    got = analytic_rates(stacked(models))
+    for i, m in enumerate(models):
+        want = analytic_rates(m)
+        for f in fields(want):
+            assert type(getattr(want, f.name)) is float
+            assert getattr(got, f.name)[i] == getattr(want, f.name), f.name
+
+
+def test_bad_element_of_an_array_field_named():
+    with pytest.raises(ValueError, match=r"transmittance_bob must be in \(0, 1\], got 1.5"):
+        AnalyticLinkModel(np.array([1.0, 2.0]), 0.1, np.array([0.5, 1.5]))
+    with pytest.raises(ValueError, match=r"q_sys must be in \[0, 0.5\], got nan"):
+        AnalyticLinkModel(1.0, 0.1, 0.1, q_sys=np.array([[0.1], [np.nan]]))
+    with pytest.raises(ValueError, match="n_channels must be >= 1, got 0"):
+        AnalyticLinkModel(1.0, 0.1, 0.1, n_channels=np.array([3, 0, -1]))
+
+
 def assert_same_optima(got, models):
     assert len(got) == len(models)
     for g, m in zip(got, models):
@@ -252,18 +281,18 @@ def assert_same_optima(got, models):
 
 @given(st.lists(link_models(), min_size=1, max_size=6))
 def test_batched_optimizer_equals_scalar_oracle(models):
-    assert_same_optima(optimize_pair_rates(model_fields(models)), models)
+    assert_same_optima(optimize_pair_rates(stacked(models)), models)
 
 
 def test_batched_optimizer_edges_equal_scalar_oracle():
     models = list(EDGE_MODELS) + [fig3d_model(FROZEN_CALIBRATION, loss_db=70.0)]
-    got = optimize_pair_rates(model_fields(models))
+    got = optimize_pair_rates(stacked(models))
     assert_same_optima(got, models)
     assert [g.interior for g in got] == [False, False, False, True]
     assert got[0].pair_rate == 1e12 and got[1].pair_rate == 1e2
     assert got[1].key_rate_total > 0.0 and got[2].key_rate_total == 0.0
     assert optimize_pair_rate(models[1]) == got[1]
-    assert optimize_pair_rates(model_fields([])) == []
+    assert optimize_pair_rates(stacked([])) == []
 
 
 def test_fig3d_rows_equal_per_loss_scalar_rows(tmp_path):

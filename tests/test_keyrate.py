@@ -8,7 +8,7 @@ from scipy.optimize import brentq
 
 from wmqkd.coincidence import CountsMatrix
 from wmqkd.detection import Basis
-from wmqkd.keyrate import (AnalyticLinkModel, analytic_rate_arrays, analytic_rates,
+from wmqkd.keyrate import (AnalyticLinkModel, analytic_rates,
                            binary_entropy, channel_result, optimize_pair_rate, qber,
                            qber_threshold, scaling_curve, secure_key,
                            secure_key_from_rates, visibility)
@@ -160,9 +160,14 @@ def test_undefined_qber_gives_no_key():
     assert secure_key_from_rates(1e4, float("nan")) == 0.0
     assert secure_key_from_rates([1e4, 1e4], [float("nan"), 0.02]).tolist() == \
         [0.0, secure_key_from_rates(1e4, 0.02)]
-    rates = analytic_rate_arrays(**{**vars(base_model()), "q_sys": float("nan")})
+    # The link model has no coincidences without pairs and darks; a NaN
+    # systematic error is not a model.
+    rates = analytic_rates(base_model(pair_rate_in_band=0.0, dark_rate_alice=0.0,
+                                      dark_rate_bob=0.0))
     assert np.isnan(rates.qber)
     assert rates.key_rate_per_channel == rates.key_rate_total == 0.0
+    with pytest.raises(ValueError, match="q_sys must be in"):
+        base_model(q_sys=float("nan"))
 
 
 def test_key_positive_below_threshold_only():

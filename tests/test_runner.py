@@ -102,11 +102,27 @@ def test_bad_nested_fields_named():
     ({"channel_visibilities": {"1": [1.5, 0.9]}}, "channel_visibilities",
      r"\[0, 1\]"),
     ({"fig3d_loss_grid_db": [70.0, 7000.0]}, "fig3d_loss_grid_db", "transmittance"),
+    ({"detector": {"dead_time": True}}, "detector", "dead_time must be a number"),
+    ({"detector": {"tick": True}}, "detector", "tick must be a number"),
+    ({"window": {"t_c": True}}, "window", "t_c must be a number"),
+    ({"source": {"systematic_visibility_hv": False}}, "source",
+     "systematic_visibility_hv must be a number"),
 ])
 def test_non_finite_numbers_and_negative_seed_rejected(raw, field, what):
     with pytest.raises(ConfigError, match=what) as exc:
         config_from_dict({"scenario": "custom", **raw})
     assert exc.value.field == field
+
+
+@pytest.mark.parametrize("name", ["fig3d_n_values", "fig3d_bandwidths_ghz",
+                                  "fig3d_loss_grid_db"])
+def test_empty_fig3d_lists_rejected(name):
+    with pytest.raises(ConfigError, match="non-empty") as exc:
+        RunConfig(scenario="fig3d", mode="analytic", **{name: ()})
+    assert exc.value.field == name
+    with pytest.raises(ConfigError, match="non-empty") as exc:
+        config_from_dict({"scenario": "fig3d", "mode": "analytic", name: []})
+    assert exc.value.field == name
 
 
 def test_config_file_roundtrip(tmp_path):

@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
+from wmqkd.calibration import FROZEN_CALIBRATION
 from wmqkd.source import (SourceConfig, _erf, band_fraction, sample_pair_stream,
-                          spectral_density, spectral_integral)
+                          spectral_density)
 
 
 def make_config(**kw):
@@ -38,7 +39,6 @@ def test_integral_matches_quadrature_oracle():
     assert err < 1e-9
     # Gaussian integral is FWHM * 1.0645 to the quoted precision.
     assert oracle == pytest.approx(cfg.spectral_fwhm * 1.0645, rel=1e-4)
-    assert spectral_integral(cfg) == pytest.approx(oracle, rel=1e-9)
 
 
 def test_band_fraction_full_coverage():
@@ -53,7 +53,7 @@ def test_band_fraction_additivity():
     both_halves = left + right
     oracle = (integrate.quad(lambda d: spectral_density(cfg, d), -1.4, -0.6)[0]
               + integrate.quad(lambda d: spectral_density(cfg, d), 0.6, 1.4)[0])
-    oracle /= spectral_integral(cfg)
+    oracle /= cfg.sigma * math.sqrt(2.0 * math.pi)
     assert both_halves == pytest.approx(oracle, rel=1e-9)
 
 
@@ -165,17 +165,11 @@ def test_config_invariants():
                     center_wavelength_idler=822.0, spdc_center=810.0)
 
 
-def test_from_filtered_brightness_inverts_band_fraction():
-    cfg = SourceConfig.from_filtered_brightness(7.8e5, 50.0, 0.1)
+def test_calibrated_source_inverts_band_fraction():
+    # 7.8e5 cps/mW x 50 mW measured in a 0.1 nm band at band center.
+    cfg = FROZEN_CALIBRATION.source()
     frac = band_fraction(cfg, 0.0, 0.1)
     assert cfg.pair_rate * frac == pytest.approx(3.9e7, rel=1e-12)
-
-
-def test_pair_event_indexing():
-    stream = sample_pair_stream(make_config(), 0.001, seed=13)
-    ev = stream[5]
-    assert ev.correlation_id == 5
-    assert ev.emission_time == stream.times[5]
 
 
 # --- erf against scipy.special.erf, bit for bit ------------------------------
