@@ -348,7 +348,7 @@ def build_grid_plan(
 def demux(signal_wavelengths, plan: ChannelPlan) -> np.ndarray:
     """Channel-pair index of each absolute signal wavelength (nm), -1 for
     none; at a wavelength on two touching passbands the later pair wins.
-    A pair stream's are ``stream.signal_wavelengths``."""
+    A :class:`~wmqkd.source.PairStream` gives ``stream.signal_wavelengths``."""
     wl = np.asarray(signal_wavelengths, dtype=np.float64)
     out = np.full(wl.shape, -1, dtype=np.int64)
     for s, _ in plan.pairs:

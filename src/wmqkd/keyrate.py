@@ -188,7 +188,8 @@ _FIELD_RULES = (
 @dataclass(frozen=True)
 class AnalyticRates:
     """Per-channel rates predicted by the analytic model (all per second)
-    plus the aggregate key rate over all channels."""
+    plus the aggregate key rate over all channels: floats for one model,
+    arrays for a model of arrays."""
 
     cc_true: float
     cc_accidental: float

@@ -193,6 +193,8 @@ def _numbers(x) -> tuple[float, ...]:
 def _number_fields(x) -> dict[str, float]:
     """Each value of a JSON object through :func:`_number`; an error names
     its key."""
+    if not isinstance(x, dict):
+        raise TypeError(f"must be a JSON object, got {x!r}")
     out = {}
     for key, value in x.items():
         try:

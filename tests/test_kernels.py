@@ -263,7 +263,8 @@ def test_array_model_rates_equal_each_number_model(models, pair_rates):
 
 
 def test_bad_element_of_an_array_field_named():
-    with pytest.raises(ValueError, match=r"transmittance_bob must be in \(0, 1\], got 1.5"):
+    with pytest.raises(ValueError,
+                       match=r"transmittance_bob must be in \(0, 1\], got 1.5"):
         AnalyticLinkModel(np.array([1.0, 2.0]), 0.1, np.array([0.5, 1.5]))
     with pytest.raises(ValueError, match=r"q_sys must be in \[0, 0.5\], got nan"):
         AnalyticLinkModel(1.0, 0.1, 0.1, q_sys=np.array([[0.1], [np.nan]]))

@@ -107,6 +107,7 @@ def test_bad_nested_fields_named():
     ({"window": {"t_c": True}}, "window", "t_c must be a number"),
     ({"source": {"systematic_visibility_hv": False}}, "source",
      "systematic_visibility_hv must be a number"),
+    ({"detector": 5}, "detector", "must be a JSON object"),
 ])
 def test_non_finite_numbers_and_negative_seed_rejected(raw, field, what):
     with pytest.raises(ConfigError, match=what) as exc:
