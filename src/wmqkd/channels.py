@@ -61,15 +61,6 @@ class WavelengthChannel:
         """Top-hat passband (lo, hi) in nm."""
         return (self.center - self.fwhm / 2.0, self.center + self.fwhm / 2.0)
 
-    @property
-    def center_frequency(self) -> float:
-        return C_NM_HZ / self.center
-
-    @property
-    def bandwidth_hz(self) -> float:
-        """Passband width converted to frequency (Hz)."""
-        return C_NM_HZ * self.fwhm / self.center**2
-
 
 @dataclass(frozen=True)
 class ChannelPlan:

@@ -407,44 +407,3 @@ def scaling_rows(n_values, losses, rates: AnalyticRates) -> list[dict]:
                                     rates.key_rate_per_channel.tolist())
             for n in n_values]
 
-
-@dataclass
-class ChannelResult:
-    """Measured quantities for one channel pair (or a merged pipeline)."""
-
-    channel_pair: int
-    visibility_hv: float
-    visibility_da: float
-    qber_hv: float
-    qber_da: float
-    secure_key_bits: float
-    secure_key_rate: float
-    cc_hv: int
-    cc_da: int
-    singles_alice: float
-    singles_bob: float
-    accidental_estimate: float
-    duration: float
-
-
-def channel_result(counts_hv: CountsMatrix, counts_da: CountsMatrix,
-                   singles_alice: float, singles_bob: float,
-                   accidental: float, f_ec: float = DEFAULT_F_EC) -> ChannelResult:
-    """Assemble the per-channel report entry from two basis blocks."""
-    duration = counts_hv.duration + counts_da.duration
-    bits = secure_key(counts_hv, counts_da, f_ec)
-    return ChannelResult(
-        channel_pair=counts_hv.channel_pair,
-        visibility_hv=visibility(counts_hv),
-        visibility_da=visibility(counts_da),
-        qber_hv=qber(counts_hv),
-        qber_da=qber(counts_da),
-        secure_key_bits=bits,
-        secure_key_rate=bits / duration if duration > 0 else 0.0,
-        cc_hv=counts_hv.total,
-        cc_da=counts_da.total,
-        singles_alice=singles_alice,
-        singles_bob=singles_bob,
-        accidental_estimate=accidental,
-        duration=duration,
-    )

@@ -31,7 +31,8 @@ from .channels import (ChannelPlan, build_grid_plan, build_table1_plan, grid_til
 from .coincidence import CoincidenceWindow
 from .detection import DetectorConfig, side_transmittance
 from .keyrate import (AnalyticRates, analytic_rates, binary_entropy,
-                      optimize_pair_rates, qber_threshold, scaling_rows)
+                      optimize_pair_rates, qber, qber_threshold, scaling_rows,
+                      secure_key)
 from .simulate import PipelineResult, resolve_channels, simulate_point
 from .source import SourceConfig
 
@@ -74,6 +75,11 @@ class RunConfig:
 
     def __post_init__(self):
         cal = FROZEN_CALIBRATION
+        for name, rule in _FIELD_TYPES:
+            try:
+                setattr(self, name, rule(getattr(self, name)))
+            except TypeError as exc:
+                raise ConfigError(name, str(exc)) from exc
         if self.scenario not in SCENARIOS:
             raise ConfigError("scenario", f"must be one of {SCENARIOS}, got {self.scenario!r}")
         if self.mode not in MODES:
@@ -82,7 +88,7 @@ class RunConfig:
             raise ConfigError("seed", f"must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise ConfigError("seed", f"must be >= 0, got {self.seed}")
-        losses = tuple(float(x) for x in self.loss_grid_db)
+        losses = self.loss_grid_db
         # The detector and window reject non-finite fields themselves.
         for name, values in (("duration", [self.duration]), ("loss_grid_db", losses),
                              ("f_ec", [self.f_ec])):
@@ -95,7 +101,6 @@ class RunConfig:
             raise ConfigError("loss_grid_db", "must be a non-empty ascending list")
         if any(b < a for a, b in zip(losses, losses[1:])) or any(x < 0 for x in losses):
             raise ConfigError("loss_grid_db", "must be ascending and non-negative")
-        self.loss_grid_db = losses
         if self.source is None:
             self.source = cal.source()
         table1 = build_table1_plan()
@@ -234,20 +239,25 @@ def _parse_plan(spec) -> ChannelPlan:
     raise ConfigError("plan", "must be 'table1', {'grid': ...} or {'pairs': ...}")
 
 
-# The parser of each configuration field that needs one; see config_from_dict.
+# The type rule of each plain field, applied by RunConfig to JSON input
+# and to directly built configs alike; a TypeError names the field.
+_FIELD_TYPES = (
+    ("duration", _number),
+    ("loss_grid_db", _numbers),
+    ("brightness", lambda x: x if isinstance(x, str) else _number(x)),
+    ("f_ec", _number),
+    ("fig3d_n_values", _list),
+    ("fig3d_bandwidths_ghz", _numbers),
+    ("fig3d_loss_grid_db", _numbers),
+)
+
+# The parser of each nested configuration object; see config_from_dict.
 _PARSERS = {
-    "duration": _number,
-    "loss_grid_db": _numbers,
     "source": lambda x: FROZEN_CALIBRATION.source(**_number_fields(x)),
     "plan": _parse_plan,
     "detector": lambda x: replace(calib.DEFAULT_DETECTOR, **_number_fields(x)),
     "window": lambda x: CoincidenceWindow(**_number_fields(x)),
     "channel_visibilities": _visibilities,
-    "brightness": lambda x: x if isinstance(x, str) else _number(x),
-    "f_ec": _number,
-    "fig3d_n_values": _list,
-    "fig3d_bandwidths_ghz": _numbers,
-    "fig3d_loss_grid_db": _numbers,
 }
 
 
@@ -340,14 +350,15 @@ def _weighted_qber(parts) -> float:
 
 
 def _pipeline_row(result: PipelineResult, f_ec: float) -> dict:
-    r = result.to_channel_result(f_ec)
+    """The Monte Carlo columns of one pipeline's row."""
+    hv, da = result.counts_hv, result.counts_da
     return {
-        "cc_mc": r.cc_hv + r.cc_da,
-        "qber_mc": _weighted_qber([(r.qber_hv, r.cc_hv), (r.qber_da, r.cc_da)]),
-        "key_rate_bps_mc": r.secure_key_rate,
-        "singles_alice_mc": r.singles_alice,
-        "singles_bob_mc": r.singles_bob,
-        "accidentals_per_s_mc": r.accidental_estimate,
+        "cc_mc": hv.total + da.total,
+        "qber_mc": _weighted_qber([(qber(hv), hv.total), (qber(da), da.total)]),
+        "key_rate_bps_mc": secure_key(hv, da, f_ec) / (hv.duration + da.duration),
+        "singles_alice_mc": result.singles_alice,
+        "singles_bob_mc": result.singles_bob,
+        "accidentals_per_s_mc": result.accidental_rate,
     }
 
 
@@ -581,7 +592,8 @@ def _point_rows(config: RunConfig, loss: float, wm_sum: bool,
             "key_rate_bps_an": sum(preds[l].key_rate_per_channel for l in labels),
         })
     if mc is not None:
-        parts = [_pipeline_row(mc.channels[int(l[2:])], config.f_ec) for l in labels]
+        # The channels' rows already hold their Monte Carlo columns.
+        parts = [row for row in rows if row["configuration"] in labels]
         sum_row.update({
             "cc_mc": sum(p["cc_mc"] for p in parts),
             "qber_mc": _weighted_qber([(p["qber_mc"], p["cc_mc"]) for p in parts]),

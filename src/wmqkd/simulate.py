@@ -24,10 +24,12 @@ channel and the merged baseline step through the same chunks, and only
 counts and a few tags near each chunk's end cross to the next chunk
 (the tags jitter may still pass, each port's last kept time for the
 dead time, and the tail the matchers may still join).  A unit hands
-back counts only.  :func:`simulate_point` runs the two units on two
-threads.  Scheduling cannot change the result: every random draw comes
-from a sub-seed named by channel, block, component and chunk, and the
-units' counts are joined in a fixed HV-then-DA order.
+back one block counter per pipeline, which holds counts only.
+:func:`simulate_point` runs the two units on two threads and joins each
+pipeline's HV and DA counters into its one record, a
+:class:`PipelineResult`.  Scheduling cannot change the result: every
+random draw comes from a sub-seed named by channel, block, component and
+chunk, and the units' counts are joined in a fixed HV-then-DA order.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ from .detection import (Basis, DetectorCarry, DetectorConfig, TagStream,
                         _merge_streams, detect, emit_frontier,
                         measure_pair_outcomes, measure_single_outcomes,
                         side_transmittance)
-from .keyrate import ChannelResult, channel_result
 from .source import SourceConfig, _rng, band_fraction, child_seed
 
 MERGED_LABEL = "merged"
@@ -138,15 +139,6 @@ def detector_ids(channel_slot: int, side: int) -> tuple[int, int]:
     return (base, base + 1)
 
 
-@dataclass
-class BlockTags:
-    """Alice and Bob tag streams of one channel in one basis block."""
-
-    basis: Basis
-    alice: TagStream
-    bob: TagStream
-
-
 @dataclass(frozen=True)
 class Chunk:
     """One time chunk ``[start, end)`` of a basis block.
@@ -186,9 +178,9 @@ def simulate_channel_block(
     channel_slot: int,
     chunk: Chunk | None = None,
     carry: tuple[DetectorCarry, DetectorCarry] | None = None,
-) -> BlockTags:
+) -> tuple[TagStream, TagStream]:
     """Simulate one basis block of one channel pair, or one time chunk
-    of it.
+    of it, and return Alice's and Bob's tags.
 
     Emission of surviving pairs and half-pairs is sampled as three
     independent Poisson processes; polarization outcomes follow the
@@ -234,7 +226,7 @@ def simulate_channel_block(
         detector_ids=detector_ids(channel_slot, 1),
         start=chunk.start, carry=carry_b, frontier=chunk.frontier,
     )
-    return BlockTags(basis, alice, bob)
+    return alice, bob
 
 
 def _poisson_times(rate: float, start: float, end: float,
@@ -252,55 +244,38 @@ def _merge_arrivals(*parts):
 
 @dataclass
 class PipelineResult:
-    """Counts and diagnostics of one analysis pipeline at one point."""
+    """Counts and diagnostics of one analysis pipeline at one point: its
+    HV and DA coincidence tables, and its singles and delayed-window
+    accidental rates over both blocks."""
 
-    label: str
     counts_hv: CountsMatrix
     counts_da: CountsMatrix
     singles_alice: float
     singles_bob: float
     accidental_rate: float
 
-    def to_channel_result(self, f_ec: float) -> ChannelResult:
-        return channel_result(self.counts_hv, self.counts_da,
-                              self.singles_alice, self.singles_bob,
-                              self.accidental_rate, f_ec)
-
 
 @dataclass
 class PointResult:
     """Monte Carlo outcome of one scenario point (one loss value)."""
 
-    loss_db: float
-    duration: float
     channels: dict[int, PipelineResult]
     merged: PipelineResult | None
 
 
-@dataclass(frozen=True)
-class BlockCounts:
-    """What one pipeline records in one basis block: its coincidence
-    table, tag counts, delayed-window accidental count and duration."""
-
-    counts: CountsMatrix
-    singles_alice: int
-    singles_bob: int
-    accidentals: int
-    duration: float
-
-
 class _BlockCounter:
     """One pipeline's counts in one basis block, fed its Alice and Bob
-    tags in time chunks: the coincidence table, the tag counts and the
-    delayed-window accidental count."""
+    tags in time chunks: the coincidence table ``counts``, the tag counts
+    and the delayed-window accidental count."""
 
     def __init__(self, basis: Basis, window: CoincidenceWindow,
                  detector: DetectorConfig, channel_pair: int, duration: float):
         self.half = window.half_width_ticks(detector.tick)
-        self.basis, self.channel_pair, self.duration = basis, channel_pair, duration
+        self.basis, self.duration = basis, duration
         self.matched = ChunkedPair(self.half)
         self.delayed = ChunkedPair(self.half, delay_ticks(ACCIDENTAL_DELAY, detector.tick))
-        self.cc = np.zeros((2, 2), dtype=np.int64)
+        self.counts = CountsMatrix(basis, np.zeros((2, 2), dtype=np.int64),
+                                   channel_pair, duration)
         self.singles_alice = self.singles_bob = self.accidentals = 0
 
     def push(self, alice: TagStream, bob: TagStream, frontier: int | None):
@@ -312,19 +287,10 @@ class _BlockCounter:
         self.singles_bob += len(bob)
         a, b = self.matched.push(alice, bob, frontier)
         matches = Matches(a, b, *_match_indices(a.ticks, b.ticks, self.half))
-        self.cc += tabulate(matches, self.basis).cc
+        self.counts.cc += tabulate(matches, self.basis).cc
         a, b = self.delayed.push(alice, bob, frontier)
         self.accidentals += _match_indices(a.ticks, b.ticks + self.delayed.shift,
                                            self.half)[0].size
-
-    def counts(self) -> BlockCounts:
-        return BlockCounts(
-            counts=CountsMatrix(self.basis, self.cc, self.channel_pair, self.duration),
-            singles_alice=self.singles_alice,
-            singles_bob=self.singles_bob,
-            accidentals=self.accidentals,
-            duration=self.duration,
-        )
 
 
 def simulate_basis(
@@ -334,20 +300,21 @@ def simulate_basis(
     window: CoincidenceWindow,
     block_duration: float,
     seed: int,
-) -> dict[int | str, BlockCounts]:
+) -> dict[int | str, _BlockCounter]:
     """Simulate and count one basis block of every channel, in time chunks.
 
     All channels step through the same chunks (:func:`block_chunks`).
     Each channel's chunk is matched and its accidentals estimated at
     once; with two or more channels the channels' chunks for the same
     time span are also merged into the non-multiplexed baseline, which
-    is counted under the key ``MERGED_LABEL``.  Only counts are
-    returned, and no chunk's tags outlive the next chunk.
+    is counted under the key ``MERGED_LABEL``.  The block counters are
+    returned; they hold counts only, and no chunk's tags outlive the
+    next chunk.
     """
     def counter(channel_pair):
         return _BlockCounter(basis, window, detector, channel_pair, block_duration)
 
-    counters = {ch.index: counter(ch.index) for ch in chans}
+    counters: dict[int | str, _BlockCounter] = {ch.index: counter(ch.index) for ch in chans}
     carries = [(DetectorCarry(), DetectorCarry()) for _ in chans]
     merged = counter(0) if len(chans) >= 2 else None
     # Each merged port's last kept tick, for its dead time.
@@ -355,22 +322,21 @@ def simulate_basis(
     for chunk in block_chunks(chans, detector, block_duration):
         alice, bob = [], []
         for slot, ch in enumerate(chans):
-            blk = simulate_channel_block(ch, basis, detector, block_duration,
-                                         seed, slot, chunk, carries[slot])
-            counters[ch.index].push(blk.alice, blk.bob, chunk.frontier)
-            alice.append(blk.alice)
-            bob.append(blk.bob)
+            a, b = simulate_channel_block(ch, basis, detector, block_duration,
+                                          seed, slot, chunk, carries[slot])
+            counters[ch.index].push(a, b, chunk.frontier)
+            alice.append(a)
+            bob.append(b)
         if merged is not None:
             merged.push(_merge_side(alice, detector.dead_time, 1000, last_alice),
                         _merge_side(bob, detector.dead_time, 1100, last_bob),
                         chunk.frontier)
-    out: dict[int | str, BlockCounts] = {k: c.counts() for k, c in counters.items()}
     if merged is not None:
-        out[MERGED_LABEL] = merged.counts()
-    return out
+        counters[MERGED_LABEL] = merged
+    return counters
 
 
-def _pipeline(label: str, hv: BlockCounts, da: BlockCounts) -> PipelineResult:
+def _pipeline(hv: _BlockCounter, da: _BlockCounter) -> PipelineResult:
     """Join a pipeline's HV and DA block counts into rates.
 
     The counts are integers, so each sum is exact and the rates are the
@@ -378,7 +344,6 @@ def _pipeline(label: str, hv: BlockCounts, da: BlockCounts) -> PipelineResult:
     """
     total_t = hv.duration + da.duration
     return PipelineResult(
-        label=label,
         counts_hv=hv.counts,
         counts_da=da.counts,
         singles_alice=(hv.singles_alice + da.singles_alice) / total_t,
@@ -425,10 +390,8 @@ def simulate_point(
                    for basis in (Basis.HV, Basis.DA)]
         hv, da = (f.result() for f in futures)
     return PointResult(
-        loss_db=loss_db, duration=duration,
-        channels={ch.index: _pipeline(f"ch{ch.index}", hv[ch.index], da[ch.index])
-                  for ch in chans},
-        merged=(_pipeline(MERGED_LABEL, hv[MERGED_LABEL], da[MERGED_LABEL])
+        channels={ch.index: _pipeline(hv[ch.index], da[ch.index]) for ch in chans},
+        merged=(_pipeline(hv[MERGED_LABEL], da[MERGED_LABEL])
                 if MERGED_LABEL in hv else None),
     )
 

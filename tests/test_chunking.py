@@ -191,8 +191,8 @@ def test_chunked_block_counts_equal_one_shot_reduction(monkeypatch):
         carry = (DetectorCarry(), DetectorCarry())
         blks = [simulate_channel_block(ch, Basis.DA, DEFAULT_DETECTOR, block, seed,
                                        slot, chunk, carry) for chunk in chunks]
-        alice.append(_chain([b.alice for b in blks]))
-        bob.append(_chain([b.bob for b in blks]))
+        alice.append(_chain([a for a, _ in blks]))
+        bob.append(_chain([b for _, b in blks]))
     merged = (_merge_side(alice, DEFAULT_DETECTOR.dead_time, 1000, np.full(2, -np.inf)),
               _merge_side(bob, DEFAULT_DETECTOR.dead_time, 1100, np.full(2, -np.inf)))
     for key, a, b in [(ch.index, a, b) for ch, a, b in zip(chans, alice, bob)] \

@@ -9,7 +9,7 @@ from scipy.optimize import brentq
 from wmqkd.coincidence import CountsMatrix
 from wmqkd.detection import Basis
 from wmqkd.keyrate import (AnalyticLinkModel, analytic_rates,
-                           binary_entropy, channel_result, optimize_pair_rate, qber,
+                           binary_entropy, optimize_pair_rate, qber,
                            qber_threshold, scaling_curve, secure_key,
                            secure_key_from_rates, visibility)
 from dataclasses import replace
@@ -265,15 +265,3 @@ def test_scaling_linearity_exact():
     for loss, table in by_loss.items():
         for n in (2, 80, 1000, 15000):
             assert table[n] == n * table[1]
-
-
-def test_channel_result_assembles_report_fields():
-    hv = counts(19, 481, 481, 19)
-    da = counts(10, 490, 490, 10, basis=Basis.DA)
-    r = channel_result(hv, da, 1e5, 1.2e5, 42.0)
-    assert r.qber_hv == pytest.approx(0.038)
-    assert r.qber_da == pytest.approx(0.02)
-    assert r.cc_hv == 1000 and r.cc_da == 1000
-    assert r.secure_key_bits > 0
-    assert r.secure_key_rate == pytest.approx(r.secure_key_bits / 2.0)
-

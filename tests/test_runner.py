@@ -19,11 +19,15 @@ from hypothesis import strategies as st
 from wmqkd.calibration import FROZEN_CALIBRATION, predict_channel
 from wmqkd.channels import ChannelPlan
 from wmqkd.cli import main as cli_main
+from wmqkd.coincidence import CountsMatrix
+from wmqkd.detection import Basis
+from wmqkd.keyrate import secure_key
 from wmqkd.runner import (ConfigError, RunConfig, _csv_bytes, _json_compact,
-                          _json_indent1, _report_json, config_from_dict,
+                          _json_indent1, _pipeline_row, _report_json, config_from_dict,
                           consistency_sigmas, default_config, load_config,
                           near_saturation_scale, predict_point, run_custom,
                           run_fig3b, run_fig3d, run_scenario, within_4_sigma)
+from wmqkd.simulate import PipelineResult
 
 
 def read(path):
@@ -115,6 +119,28 @@ def test_non_finite_numbers_and_negative_seed_rejected(raw, field, what):
     assert exc.value.field == field
 
 
+@pytest.mark.parametrize("kwargs, field", [
+    ({"loss_grid_db": 30.0}, "loss_grid_db"),
+    ({"scenario": "fig3d", "fig3d_n_values": 5}, "fig3d_n_values"),
+    ({"fig3d_bandwidths_ghz": None}, "fig3d_bandwidths_ghz"),
+    ({"fig3d_loss_grid_db": 5.0}, "fig3d_loss_grid_db"),
+    ({"duration": "1"}, "duration"),
+    ({"f_ec": None}, "f_ec"),
+    ({"brightness": None}, "brightness"),
+])
+def test_directly_built_config_of_wrong_type_names_the_field(kwargs, field):
+    with pytest.raises(ConfigError) as exc:
+        RunConfig(**kwargs)
+    assert exc.value.field == field
+
+
+def test_directly_built_config_echoes_numbers_as_json_input_does():
+    raw = {"duration": 1, "f_ec": 2, "loss_grid_db": [30], "fig3d_bandwidths_ghz": [20]}
+    cfg = RunConfig(**raw)
+    assert type(cfg.duration) is float and type(cfg.f_ec) is float
+    assert cfg.to_dict() == config_from_dict(raw).to_dict()
+
+
 @pytest.mark.parametrize("name", ["fig3d_n_values", "fig3d_bandwidths_ghz",
                                   "fig3d_loss_grid_db"])
 def test_empty_fig3d_lists_rejected(name):
@@ -179,6 +205,18 @@ def test_run_custom_outputs_and_flags(tmp_path):
         assert row["within_4_sigma"] in (True, False)
     labels = {r["configuration"] for r in rep["rows"]}
     assert labels == {"ch1", "ch2", "no_wm"}
+
+
+def test_pipeline_row_reads_the_monte_carlo_record():
+    hv = CountsMatrix(Basis.HV, [[19, 481], [481, 19]], 1, 1.0)
+    da = CountsMatrix(Basis.DA, [[10, 490], [490, 10]], 1, 1.0)
+    row = _pipeline_row(PipelineResult(hv, da, 1e5, 1.2e5, 42.0), 1.1)
+    assert row["cc_mc"] == 2000
+    assert row["qber_mc"] == pytest.approx(0.029)
+    assert row["key_rate_bps_mc"] == secure_key(hv, da, 1.1) / 2.0
+    assert row["key_rate_bps_mc"] > 0
+    assert (row["singles_alice_mc"], row["singles_bob_mc"],
+            row["accidentals_per_s_mc"]) == (1e5, 1.2e5, 42.0)
 
 
 def test_within_4_sigma_judges_defined_z_scores():

@@ -21,7 +21,7 @@ from wmqkd.detection import (Basis, DetectorConfig, detect,
                              measure_pair_outcomes, measure_single_outcomes,
                              transmit)
 from wmqkd.keyrate import AnalyticLinkModel, analytic_rates
-from wmqkd.simulate import (MERGED_LABEL, BlockTags, Chunk, block_chunks,
+from wmqkd.simulate import (MERGED_LABEL, Chunk, block_chunks,
                             resolve_channels, simulate_basis,
                             simulate_channel_block, simulate_point)
 from wmqkd.source import SourceConfig, _rng, band_fraction, sample_pair_stream
@@ -54,8 +54,8 @@ def test_resolve_channels_rates_and_efficiencies():
 
 def explicit_path_block(src, plan, loss_db, detector, basis, duration, seed):
     """Spec-surface pipeline: sample the in-band stream, apply per-photon
-    loss, draw outcomes, and detect; used as the reference for the
-    thinned sampler."""
+    loss, draw outcomes, and detect Alice's and Bob's tags; used as the
+    reference for the thinned sampler."""
     sig, idl = plan.pairs[0]
     band = (sig.passband[0] - src.center_wavelength_signal,
             sig.passband[1] - src.center_wavelength_signal)
@@ -80,7 +80,7 @@ def explicit_path_block(src, plan, loss_db, detector, basis, duration, seed):
     order = np.argsort(t_bob, kind="stable")
     bob = detect(t_bob[order], bits_b[order], detector, duration, seed + 4,
                  channel_index=1, basis=basis, detector_ids=(2, 3))
-    return BlockTags(basis, alice, bob)
+    return alice, bob
 
 
 def test_thinned_sampler_matches_explicit_path_statistics():
@@ -94,16 +94,16 @@ def test_thinned_sampler_matches_explicit_path_statistics():
     window = CoincidenceWindow(1e-9)
     loss, duration = 13.0, 0.5
 
-    explicit = explicit_path_block(src, plan, loss, detector, Basis.HV,
-                                   duration, seed=1000)
+    explicit_alice, explicit_bob = explicit_path_block(
+        src, plan, loss, detector, Basis.HV, duration, seed=1000)
     chans = resolve_channels(src, plan, loss)
-    thinned = simulate_channel_block(chans[0], Basis.HV, detector, duration,
-                                     seed=2000, channel_slot=0)
+    thinned_alice, thinned_bob = simulate_channel_block(
+        chans[0], Basis.HV, detector, duration, seed=2000, channel_slot=0)
 
-    m_e = find_coincidences(explicit.alice, explicit.bob, window)
-    m_t = find_coincidences(thinned.alice, thinned.bob, window)
-    for name, a, b in (("alice singles", len(explicit.alice), len(thinned.alice)),
-                       ("bob singles", len(explicit.bob), len(thinned.bob)),
+    m_e = find_coincidences(explicit_alice, explicit_bob, window)
+    m_t = find_coincidences(thinned_alice, thinned_bob, window)
+    for name, a, b in (("alice singles", len(explicit_alice), len(thinned_alice)),
+                       ("bob singles", len(explicit_bob), len(thinned_bob)),
                        ("coincidences", len(m_e), len(m_t))):
         sigma = np.sqrt(a + b)
         assert abs(a - b) < 5 * sigma, f"{name}: {a} vs {b}"
@@ -198,12 +198,12 @@ def test_channel_results_independent_of_companions():
     assert list(block_chunks(chans, DEFAULT_DETECTOR, 0.05)) \
         == list(block_chunks(chans[1:], DEFAULT_DETECTOR, 0.05)) \
         == [Chunk(0, 0.0, 0.05, None)]
-    solo = simulate_channel_block(chans[1], Basis.HV, DEFAULT_DETECTOR, 0.05,
-                                  seed=9, channel_slot=1)
+    solo_alice, solo_bob = simulate_channel_block(chans[1], Basis.HV, DEFAULT_DETECTOR,
+                                                  0.05, seed=9, channel_slot=1)
     full = simulate_point(src, plan, 30.0, DEFAULT_DETECTOR,
                           CoincidenceWindow(1e-9), 0.1, seed=9,
                           channel_visibilities=cal.channel_visibilities())
-    m = find_coincidences(solo.alice, solo.bob, CoincidenceWindow(1e-9))
+    m = find_coincidences(solo_alice, solo_bob, CoincidenceWindow(1e-9))
     counts_solo = tabulate(m, Basis.HV, 2)
     assert np.array_equal(counts_solo.cc, full.channels[2].counts_hv.cc)
 
