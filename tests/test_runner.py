@@ -454,6 +454,30 @@ ANALYTIC_OUTPUT_SHA256 = {
 }
 
 
+# sha256 of short Monte Carlo runs the defaults leave out: the table-1
+# plan at its calibrated brightness, whose 30 dB blocks span two chunks
+# each and whose two channels feed the merged baseline, and the 17
+# channels of a grid plan with their merged baseline.
+MONTE_CARLO_OUTPUT_SHA256 = {
+    "fig3b": (
+        {"scenario": "fig3b", "mode": "both", "plan": "table1",
+         "brightness": "calibrated", "loss_grid_db": [30.0, 80.0], "duration": 0.5},
+        {"fig3b_curve.csv":
+            "a2fedf4e55627186386439f37500fc3801e9a4b4c4d7cd6ed5baba390869ffff",
+         "fig3b_report.json":
+            "fe21bbd1de8cf44f984a2c8a805284525f2cc55cc6a060edafe6632a101fe9a0"},
+    ),
+    "wdm_grid": (
+        {"scenario": "custom", "mode": "both", "plan": WDM_GRID_PLAN,
+         "brightness": "calibrated", "loss_grid_db": [30.0], "duration": 0.2},
+        {"custom_curve.csv":
+            "29c63e411e95d84dc271abde74a66e8da0d1fbb7864ffdb2794b68be311f7b80",
+         "custom_report.json":
+            "0b95883163092257bc20c5a56d5685a57e4f766ec037f838f09a8bb0686ded37"},
+    ),
+}
+
+
 def output_sha256(out_dir):
     return {name: hashlib.sha256(read(out_dir / name)).hexdigest()
             for name in sorted(os.listdir(out_dir))}
@@ -462,6 +486,13 @@ def output_sha256(out_dir):
 @pytest.mark.parametrize("case", sorted(ANALYTIC_OUTPUT_SHA256))
 def test_analytic_outputs_are_byte_identical(case, tmp_path):
     raw, want = ANALYTIC_OUTPUT_SHA256[case]
+    run_scenario(config_from_dict(raw), str(tmp_path))
+    assert output_sha256(tmp_path) == want
+
+
+@pytest.mark.parametrize("case", sorted(MONTE_CARLO_OUTPUT_SHA256))
+def test_monte_carlo_outputs_are_byte_identical(case, tmp_path):
+    raw, want = MONTE_CARLO_OUTPUT_SHA256[case]
     run_scenario(config_from_dict(raw), str(tmp_path))
     assert output_sha256(tmp_path) == want
 
