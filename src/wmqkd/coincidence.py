@@ -4,9 +4,22 @@ Two tag streams are matched with a greedy earliest-first one-to-one
 policy inside a symmetric timing window: tags pair when their time
 difference is at most half the window, so the total window width equals
 the configured value.  An accidental-rate estimator counts the matches
-with one stream delayed far outside the window.  Streams that arrive in
-time chunks are matched stretch by stretch (:class:`ChunkedPair`), with
-exactly the result of matching them whole.
+with one stream delayed far outside the window.
+
+Tags are matched as packed int64 keys, ``tick << 2 | side << 1 | port``:
+side 0 is Alice and 1 is Bob, and the port bit is the low bit of the
+outcome.  One matcher kernel (:func:`match_keys`) sorts an Alice and a
+Bob run of keys stably into one and walks it on ``key >> 2``.  The key
+order is the tie order of the greedy policy: on a shared tick Alice
+comes first, and each side keeps its own canonical (tick, detector_id)
+order, because a module's two detector ids rise with the port bit.  The
+Monte Carlo block counters read each match's 2x2 cell from the port bits
+(:func:`key_table`) and count the delayed window as the same call with
+Bob's keys shifted; :func:`find_coincidences` and
+:func:`accidental_estimate` pack a zero port bit, which leaves each
+side's ties in stream order, and call the same kernel.  Runs of keys that
+arrive in time chunks are matched stretch by stretch
+(:class:`ChunkedPair`), with exactly the result of matching them whole.
 """
 
 from __future__ import annotations
@@ -18,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import Basis, TagStream, _chain
+from .detection import Basis, TagStream
 
 
 @dataclass(frozen=True)
@@ -94,15 +107,17 @@ def find_coincidences(tags_a: TagStream, tags_b: TagStream,
 
     A pair matches iff ``|t_a - t_b| <= t_c/2``; matching is greedy
     earliest-first and one-to-one, with ties resolved by the canonical
-    (tick, detector_id) stream order.  Runs in O(n) by splitting the
-    merged timeline at gaps larger than the half window, inside which no
-    match can cross.
+    (tick, detector_id) stream order.  The streams are matched as keys
+    with a zero port bit (:func:`match_keys`); each side's index is its
+    position in the sorted union less the other side's tags before it.
     """
     _check_pair(tags_a, tags_b)
     half = window.half_width_ticks(tags_a.tick_seconds)
-    idx_a, idx_b = _match_indices(tags_a.ticks, tags_b.ticks, half)
-    order = np.argsort(idx_a, kind="stable")
-    return Matches(tags_a, tags_b, idx_a[order], idx_b[order])
+    keys, pos_a, pos_b = match_keys(tags_a.ticks << 2, tags_b.ticks << 2 | 2, half)
+    bobs = np.cumsum(keys >> 1 & 1)   # Bob tags at or before each position
+    idx_a = pos_a - bobs[pos_a]
+    order = np.argsort(idx_a)
+    return Matches(tags_a, tags_b, idx_a[order], bobs[pos_b[order]] - 1)
 
 
 def _check_pair(tags_a: TagStream, tags_b: TagStream):
@@ -115,60 +130,63 @@ def _check_pair(tags_a: TagStream, tags_b: TagStream):
         raise ValueError("tick resolution mismatch between streams")
 
 
-def _close_runs(ta: np.ndarray, tb: np.ndarray, half: int):
-    """The merged time order of two sorted tick arrays and its runs of
-    close links, or None when no run exists.
+def tag_keys(tags: TagStream, side: int) -> np.ndarray:
+    """A stream's packed keys, ``tick << 2 | side << 1 | port``, where
+    ``side`` is 0 for Alice and 1 for Bob and the port bit is the low
+    bit of the outcome."""
+    keys = tags.ticks << 2
+    keys |= tags.outcomes & 1
+    if side:
+        keys |= 2
+    return keys
 
-    A match needs a chain of consecutive gaps of at most the half window
-    between its tags, so only runs of such "close" links can hold
-    matches; they are a small share of the tags at realistic rates.
-    Returns ``(order, first, last)``: ``order`` indexes the concatenation
-    of ``ta`` and ``tb``, and each run spans ``order[first[i]:last[i] + 1]``.
+
+def match_keys(ka: np.ndarray, kb: np.ndarray, half: int):
+    """The greedy matches of a sorted run of Alice keys and one of Bob
+    keys whose ticks match within ``half``.
+
+    Returns ``(keys, pos_a, pos_b)``: both runs in one stable sort, and
+    the positions in it of each match's Alice and Bob tag, in no
+    particular order.  On a shared tick the sort puts Alice first and
+    keeps each side's own order, the tie order of the greedy policy.  A
+    match needs a chain of consecutive gaps of at most ``half`` between
+    its tags, so only runs of such "close" links can hold matches; they
+    are a small share of the tags at realistic rates.  A run of one link
+    that joins an Alice and a Bob tag is one match; each longer run
+    falls back to the explicit greedy walk over its Alice and Bob tags.
     """
-    if ta.size == 0 or tb.size == 0:
-        return None
-    t_all = np.concatenate([ta, tb])
-    order = np.argsort(t_all, kind="stable")   # two sorted runs; ties put Alice first
-    t_all = t_all[order]
-    close = np.flatnonzero(np.diff(t_all) <= half)   # link k joins tags k and k + 1
-    if close.size == 0:
-        return None
+    keys = np.sort(np.concatenate((ka, kb)), kind="stable")
+    none = np.empty(0, dtype=np.intp)
+    t = keys >> 2
+    close = np.flatnonzero(np.diff(t) <= half)   # link k joins tags k and k + 1
+    if ka.size == 0 or kb.size == 0 or close.size == 0:
+        return keys, none, none
     brk = np.flatnonzero(np.diff(close) != 1) + 1
     first = close[np.concatenate(([0], brk))]
     last = close[np.concatenate((brk - 1, [close.size - 1]))] + 1
-    return order, first, last
-
-
-def _match_indices(ta: np.ndarray, tb: np.ndarray, half: int):
-    """Indices of the greedy matches of two sorted tick arrays, in no
-    particular order.
-
-    A run of one close link that joins an Alice and a Bob tag is one
-    match; each longer run falls back to the explicit greedy walk over
-    its Alice and Bob tags.
-    """
-    e = np.empty(0, dtype=np.int64)
-    runs = _close_runs(ta, tb, half)
-    if runs is None:
-        return e, e
-    order, first, last = runs
-    na = ta.size
     single = last - first == 1
-    early, late = order[first[single]], order[first[single] + 1]
-    mixed = (early < na) != (late < na)
-    early, late = early[mixed], late[mixed]
-    a_first = early < na
-    out_a = [np.where(a_first, early, late)]
-    out_b = [np.where(a_first, late, early) - na]
+    early = first[single]
+    bob_first = keys[early] & 2
+    mixed = bob_first != keys[early + 1] & 2
+    early, a_first = early[mixed], bob_first[mixed] == 0
+    pos_a = [np.where(a_first, early, early + 1)]
+    pos_b = [np.where(a_first, early + 1, early)]
     for lo, hi in zip(first[~single].tolist(), last[~single].tolist()):
-        seg = order[lo:hi + 1]
-        ia = seg[seg < na]
-        ib = seg[seg >= na] - na
-        sub_a, sub_b = _greedy_two_pointer(ta[ia], tb[ib], half)
+        bob = keys[lo:hi + 1] & 2 != 0
+        ia = lo + np.flatnonzero(~bob)
+        ib = lo + np.flatnonzero(bob)
+        sub_a, sub_b = _greedy_two_pointer(t[ia], t[ib], half)
         if sub_a:
-            out_a.append(ia[np.asarray(sub_a)])
-            out_b.append(ib[np.asarray(sub_b)])
-    return np.concatenate(out_a), np.concatenate(out_b)
+            pos_a.append(ia[np.asarray(sub_a)])
+            pos_b.append(ib[np.asarray(sub_b)])
+    return keys, np.concatenate(pos_a), np.concatenate(pos_b)
+
+
+def key_table(keys: np.ndarray, pos_a: np.ndarray, pos_b: np.ndarray) -> np.ndarray:
+    """The 2x2 table of matches read from their port bits: Alice's bit
+    picks the row and Bob's the column."""
+    cell = 2 * (keys[pos_a] & 1) + (keys[pos_b] & 1)
+    return np.bincount(cell, minlength=4).reshape(2, 2)
 
 
 @dataclass
@@ -229,14 +247,19 @@ def tabulate(matches: Matches, basis: Basis, channel_pair: int = 0,
     """
     oa = matches.tags_a.outcomes[matches.idx_a]
     ob = matches.tags_b.outcomes[matches.idx_b]
-    want = basis is Basis.DA
-    if ((oa >= 2) != want).any() or ((ob >= 2) != want).any():
-        raise ValueError(f"matched outcomes are not all in the {basis.value} basis")
+    check_basis(basis, oa, ob)
     cell = 2 * (oa & 1).astype(np.intp) + (ob & 1)
     cc = np.bincount(cell, minlength=4).reshape(2, 2)
     if duration is None:
         duration = max(matches.tags_a.duration, matches.tags_b.duration)
     return CountsMatrix(basis, cc, channel_pair, duration)
+
+
+def check_basis(basis: Basis, *outcomes: np.ndarray):
+    """Raise unless every outcome belongs to ``basis``."""
+    want = basis is Basis.DA
+    if any(((o >= 2) != want).any() for o in outcomes):
+        raise ValueError(f"outcomes are not all in the {basis.value} basis")
 
 
 def delay_ticks(delay: float, tick_seconds: float) -> int:
@@ -257,53 +280,53 @@ def accidental_estimate(tags_a: TagStream, tags_b: TagStream,
     _check_pair(tags_a, tags_b)
     half = window.half_width_ticks(tags_a.tick_seconds)
     shift = delay_ticks(delay, tags_b.tick_seconds)
-    return _match_indices(tags_a.ticks, tags_b.ticks + shift, half)[0].size
+    return match_keys(tags_a.ticks << 2, (tags_b.ticks + shift) << 2 | 2, half)[1].size
 
 
 class ChunkedPair:
-    """An Alice and a Bob tag stream that arrive in time chunks, handed on
-    in stretches whose greedy matching is final.
+    """An Alice and a Bob run of sorted keys (:func:`tag_keys`) that
+    arrive in time chunks, handed on in stretches whose greedy matching
+    is final.
 
     A gap wider than the half window ends every match, so the matching of
     the tags before such a gap does not depend on any tag after it.  Each
-    chunk is joined to the tags held from the previous one; the tags
+    chunk is joined to the keys held from the previous one; the keys
     after the last such gap before the frontier are held again, and the
     rest is handed on.  Matching each stretch on its own then gives
-    exactly the matches of the whole streams.  Bob's ticks are compared
+    exactly the matches of the whole runs.  Bob's ticks are compared
     shifted by ``shift``, which serves the delayed window.
     """
 
     def __init__(self, half: int, shift: int = 0):
         self.half = half
         self.shift = shift
-        self.held: tuple[TagStream, TagStream] | None = None
+        self.held: tuple[np.ndarray, np.ndarray] | None = None
 
-    def push(self, alice: TagStream, bob: TagStream,
-             frontier: int | None) -> tuple[TagStream, TagStream]:
-        """Add the next chunk of both streams, whose later tags all lie at
-        or above the ``frontier`` tick (None: there are none); returns the
-        stretch of each stream whose matches are now final."""
+    def push(self, ka: np.ndarray, kb: np.ndarray,
+             frontier: int | None) -> tuple[np.ndarray, np.ndarray]:
+        """Add the next chunk of both runs, whose later keys all have a
+        tick at or above ``frontier`` (None: there are none); returns the
+        stretch of each run whose matches are now final."""
         if self.held is not None:
-            alice = _after(self.held[0], alice)
-            bob = _after(self.held[1], bob)
+            ka = _after(self.held[0], ka)
+            kb = _after(self.held[1], kb)
         if frontier is None:
             self.held = None
-            return alice, bob
-        cut = _final_cut(alice.ticks, bob.ticks, self.shift,
-                         min(frontier, frontier + self.shift), self.half)
-        ia = int(np.searchsorted(alice.ticks, cut))
-        ib = int(np.searchsorted(bob.ticks, cut - self.shift))
-        # Copies, so the few held tags do not keep the chunk alive.
-        self.held = (alice.take(np.arange(ia, len(alice))),
-                     bob.take(np.arange(ib, len(bob))))
-        return alice.take(slice(None, ia)), bob.take(slice(None, ib))
+            return ka, kb
+        cut = _final_cut(ka, kb, self.shift, min(frontier, frontier + self.shift),
+                         self.half)
+        ia = int(np.searchsorted(ka, cut << 2))
+        ib = int(np.searchsorted(kb, (cut - self.shift) << 2))
+        # Copies, so the few held keys do not keep the chunk alive.
+        self.held = (ka[ia:].copy(), kb[ib:].copy())
+        return ka[:ia], kb[:ib]
 
 
-def _after(held: TagStream, new: TagStream) -> TagStream:
-    return new if len(held) == 0 else _chain([held, new])
+def _after(held: np.ndarray, new: np.ndarray) -> np.ndarray:
+    return new if held.size == 0 else np.concatenate((held, new))
 
 
-def _final_cut(ta: np.ndarray, tb: np.ndarray, shift: int, bound: int,
+def _final_cut(ka: np.ndarray, kb: np.ndarray, shift: int, bound: int,
                half: int) -> int:
     """Largest tick ``c <= bound`` such that every tag below ``c`` is more
     than ``half`` ticks from every tag at or above it.
@@ -311,17 +334,18 @@ def _final_cut(ta: np.ndarray, tb: np.ndarray, shift: int, bound: int,
     Bob's ticks count shifted by ``shift``, and every tag not yet seen
     lies at or above ``bound``.  ``c`` is the first tag after the last
     gap wider than ``half`` before ``bound``, or ``bound`` itself.  Only
-    the last few tags of each stream are looked at, more as needed.
+    the last few tags of each run are looked at, more as needed.
     """
-    ia = int(np.searchsorted(ta, bound))
-    ib = int(np.searchsorted(tb, bound - shift))
+    ia = int(np.searchsorted(ka, bound << 2))
+    ib = int(np.searchsorted(kb, (bound - shift) << 2))
     m = 16
     while True:
         a0, b0 = max(ia - m, 0), max(ib - m, 0)
-        u = np.sort(np.concatenate((ta[a0:ia], tb[b0:ib] + shift, [bound])))
-        # Below the earliest tag looked at of a stream that has earlier
+        ta, tb = ka[a0:ia] >> 2, (kb[b0:ib] >> 2) + shift
+        u = np.sort(np.concatenate((ta, tb, [bound])))
+        # Below the earliest tag looked at of a run that has earlier
         # tags, the union is incomplete and its gaps are not real.
-        floor = max(ta[a0] if a0 else u[0], tb[b0] + shift if b0 else u[0])
+        floor = max(ta[0] if a0 else u[0], tb[0] if b0 else u[0])
         gaps = np.flatnonzero((np.diff(u) > half) & (u[:-1] >= floor))
         if gaps.size:
             return int(u[gaps[-1] + 1])

@@ -5,6 +5,15 @@ quantization), plus post-hoc merging of detector streams.
 A detection module is one polarization analyzer with two output
 detectors (one per outcome).  Tags carry integer timestamps in units of
 the time-tagger tick (1/12.15 GHz by default).
+
+Detector merging has one kernel, :func:`merge_keys`, on packed tag keys
+``tick << 2 | side << 1 | port``: one stable sort orders every run's
+keys by (tick, port), and each port then passes one dead-time filter.
+The Monte Carlo merged baseline calls it on the channels' keys, and
+:func:`merge_detectors` on two streams' ticks as one port, taking each
+kept tag's fields from the union of the streams.  Large arrays are
+gathered by index, not by boolean mask, which numpy does several times
+slower.
 """
 
 from __future__ import annotations
@@ -269,24 +278,20 @@ def _port_dead_time_filter(times: np.ndarray, port: np.ndarray, dead: float,
                            ports: int, last: np.ndarray) -> np.ndarray:
     """Keep-mask of one dead-time filter per port.
 
-    ``times`` must be non-decreasing and ``port`` holds int8 labels in
-    ``range(ports)``.  A stable sort by port groups each port's events,
-    still in time order, into one slice for :func:`_dead_time_filter`,
-    which compares them as float64.  ``last`` holds each port's last
-    kept time from earlier chunks (-inf for none) and is updated in
-    place.
+    ``times`` must be non-decreasing and ``port`` holds labels in
+    ``range(ports)``.  Each port's events, gathered by index and still in
+    time order, pass one :func:`_dead_time_filter`, which compares them
+    as float64.  ``last`` holds each port's last kept time from earlier
+    chunks (-inf for none) and is updated in place.
     """
-    by_port = np.argsort(port, kind="stable")
-    t = times[by_port].astype(np.float64, copy=False)
-    edges = np.cumsum(np.bincount(port, minlength=ports))
-    parts = []
-    for p, (lo, hi) in enumerate(zip(np.concatenate(([0], edges[:-1])), edges)):
-        k = _dead_time_filter(t[lo:hi], dead, last[p])
+    keep = np.zeros(times.size, dtype=bool)
+    for p in range(ports):
+        idx = np.flatnonzero(port == p)
+        t = times[idx].astype(np.float64, copy=False)
+        k = _dead_time_filter(t, dead, last[p])
         if k.any():
-            last[p] = t[lo + k.size - 1 - np.argmax(k[::-1])]
-        parts.append(k)
-    keep = np.empty(times.size, dtype=bool)
-    keep[by_port] = np.concatenate(parts)
+            last[p] = t[k.size - 1 - np.argmax(k[::-1])]
+        keep[idx] = k
     return keep
 
 
@@ -365,7 +370,8 @@ def detect(
         raise ValueError(f"duration must be > 0, got {duration}")
     rng = _rng(seed)
 
-    kept = rng.random(arrival_times.size) < config.efficiency
+    # Index gathers: a boolean mask gathers large arrays several times slower.
+    kept = np.flatnonzero(rng.random(arrival_times.size) < config.efficiency)
     t = arrival_times[kept]
     bits = outcome_bits[kept]
     dark = np.zeros(t.size, dtype=bool)
@@ -410,7 +416,9 @@ def _emit(t: np.ndarray, bits: np.ndarray, dark: np.ndarray,
     carry.frontier = frontier
     t, ticks, bits, dark = t[:n], ticks[:n], bits[:n], dark[:n]
 
-    keep = _port_dead_time_filter(t, bits, config.dead_time, 2, carry.last_kept)
+    # Gather by index, as in detect: faster than by the boolean mask.
+    keep = np.flatnonzero(_port_dead_time_filter(t, bits, config.dead_time, 2,
+                                                 carry.last_kept))
     ticks, bits, dark = ticks[keep], bits[keep], dark[keep]
 
     det = np.where(bits == 0, detector_ids[0], detector_ids[1]).astype(np.int32)
@@ -437,12 +445,17 @@ def merge_detectors(
     only if it is strictly later than the last kept event plus the
     global dead time, so simultaneous events keep the first and drop
     the rest.  The output carries a single detector id and behaves as
-    one detector's stream.  ``_merge_streams`` is the k-way form.
+    one detector's stream.  The ticks kept are those of
+    :func:`merge_keys` with every tag on one port; each is the first tag
+    of the union on its tick.
     """
     for s in (tags_a, tags_b):
         if not s.is_sorted():
             raise ValueError("input tag streams must be sorted")
-    out = _merge_streams([tags_a, tags_b], global_dead_time, 1, np.full(1, -np.inf))
+    union = _chain([tags_a, tags_b]).sorted()
+    kept = merge_keys([tags_a.ticks << 2, tags_b.ticks << 2],
+                      global_dead_time / union.tick_seconds, np.full(2, -np.inf))
+    out = union.take(np.searchsorted(union.ticks, kept >> 2))
     if merged_detector_id is None and len(out):
         merged_detector_id = int(out.detector_ids.min())
     if merged_detector_id is not None:
@@ -450,41 +463,23 @@ def merge_detectors(
     return out
 
 
-def _merge_streams(streams: list[TagStream], global_dead_time: float,
-                   ports: int, last: np.ndarray) -> TagStream:
-    """Merge k streams into one effective detector per output port.
+def merge_keys(runs: list[np.ndarray], dead: float, last: np.ndarray) -> np.ndarray:
+    """Merge sorted runs of one side's packed tag keys
+    (``tick << 2 | side << 1 | port``) into one effective detector per
+    port.
 
-    Tags whose detector ids are equal modulo ``ports`` belong to the
-    same port.  All tags are ordered once by (tick, port, detector_id),
-    and every port then passes one non-paralyzable dead-time filter
-    with ``global_dead_time``: a tag survives iff it is strictly later
-    than every kept tag of its port plus the dead time, whichever
-    stream either came from.  ``last`` holds each port's last kept tick
-    from earlier chunks of the streams (-inf for none) and is updated in
-    place.  The output keeps the original detector ids, in that order;
-    callers relabel them.
+    One stable sort orders the keys by (tick, port), and every port then
+    passes one non-paralyzable dead-time filter of ``dead`` ticks: a tag
+    survives iff it is strictly later than every kept tag of its port
+    plus the dead time, whichever run either came from.  Only the first
+    tag of a port on a tick can survive, and tags that share a tick and
+    a port share a key, so the output does not depend on which run a
+    survivor came from.  ``last`` holds each port's last kept tick from
+    earlier chunks of the runs (-inf for none) and is updated in place.
     """
-    tick_s = _common_tick(streams)
-    ticks = np.concatenate([s.ticks for s in streams])
-    # The input is a few sorted runs, which a stable sort merges cheaply;
-    # only equal ticks still need the (port, detector_id) order.
-    order = np.argsort(ticks, kind="stable")
-    t = ticks[order]
-    det = np.concatenate([s.detector_ids for s in streams])[order]
-    port = (det % ports).astype(np.int8)
-    pos, src = _tie_order(t, port, det)
-    order[pos], port[pos] = order[src], port[src]
-    keep = _port_dead_time_filter(t, port, global_dead_time / tick_s, ports, last)
-    # Reordering within groups of equal ticks leaves ``t`` as it was, so
-    # only the other fields are gathered from the inputs.
-    idx = order[keep]
-
-    def gather(field):
-        return np.concatenate([getattr(s, field) for s in streams])[idx]
-
-    return TagStream(t[keep], gather("outcomes"), gather("detector_ids"),
-                     gather("channel_indices"), gather("dark"),
-                     tick_s, max(s.duration for s in streams))
+    keys = np.sort(np.concatenate(runs), kind="stable")
+    keep = _port_dead_time_filter(keys >> 2, keys & 1, dead, 2, last)
+    return keys[np.flatnonzero(keep)]
 
 
 def _common_tick(streams: list[TagStream]) -> float:

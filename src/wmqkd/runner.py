@@ -33,7 +33,7 @@ from .detection import DetectorConfig, side_transmittance
 from .keyrate import (AnalyticRates, analytic_rates, binary_entropy,
                       optimize_pair_rates, qber, qber_threshold, scaling_rows,
                       secure_key)
-from .simulate import PipelineResult, resolve_channels, simulate_point
+from .simulate import PipelineResult, resolve_channels, simulate_point, tick_range_error
 from .source import SourceConfig
 
 MODES = ("montecarlo", "analytic", "both")
@@ -106,6 +106,13 @@ class RunConfig:
         table1 = build_table1_plan()
         if self.plan is None:
             self.plan = table1
+        for name, kind in _NESTED_TYPES:
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise ConfigError(name, f"must be a {kind.__name__}, got {value!r}")
+        error = tick_range_error(self.duration, self.detector)
+        if error:
+            raise ConfigError("duration", error)
         if not self.plan.pairs:
             raise ConfigError("plan.pairs", "must hold at least one channel pair")
         if self.channel_visibilities is None:
@@ -113,6 +120,10 @@ class RunConfig:
             # other plan uses the source's systematic visibility throughout.
             self.channel_visibilities = \
                 cal.channel_visibilities() if self.plan == table1 else {}
+        try:
+            self.channel_visibilities = _visibilities(self.channel_visibilities)
+        except (TypeError, ValueError, IndexError) as exc:
+            raise ConfigError("channel_visibilities", str(exc)) from exc
         if isinstance(self.brightness, str):
             if self.brightness not in BRIGHTNESS_POLICIES:
                 raise ConfigError(
@@ -210,6 +221,8 @@ def _number_fields(x) -> dict[str, float]:
 
 
 def _visibilities(x) -> dict[int, tuple[float, float]]:
+    if not isinstance(x, dict):
+        raise TypeError(f"must be a JSON object, got {x!r}")
     out = {int(k): (float(v[0]), float(v[1])) for k, v in x.items()}
     bad = [v for pair in out.values() for v in pair if not 0.0 <= v <= 1.0]
     if bad:
@@ -252,13 +265,18 @@ _FIELD_TYPES = (
 )
 
 # The parser of each nested configuration object; see config_from_dict.
+# RunConfig checks the type of what they build, and applies
+# ``_visibilities`` to the channel visibilities of JSON input and of
+# directly built configs alike.
 _PARSERS = {
     "source": lambda x: FROZEN_CALIBRATION.source(**_number_fields(x)),
     "plan": _parse_plan,
     "detector": lambda x: replace(calib.DEFAULT_DETECTOR, **_number_fields(x)),
     "window": lambda x: CoincidenceWindow(**_number_fields(x)),
-    "channel_visibilities": _visibilities,
 }
+
+_NESTED_TYPES = (("source", SourceConfig), ("plan", ChannelPlan),
+                 ("detector", DetectorConfig), ("window", CoincidenceWindow))
 
 
 def load_config(path: str) -> RunConfig:

@@ -13,6 +13,16 @@ own detectors; the non-multiplexed baseline merges the recorded tag
 streams of corresponding detectors (post-processing, as a hardware
 merge would) and re-runs coincidence analysis on the merged streams.
 
+Counting runs on packed int64 tag keys, ``tick << 2 | side << 1 | port``
+(:func:`coincidence.tag_keys`).  A channel's block counter validates
+each chunk of its tags once (canonical order, tick and basis), packs its
+keys once and feeds them to the matched and the delayed window.  The
+merged baseline is built from those keys alone: one stable sort of all
+channels' keys per side and one dead-time filter per port
+(:func:`detection.merge_keys`), with no per-tag payload gathered.  The
+key order is the canonical tag order, so the counts equal those of
+matching the tag streams themselves.
+
 A point is recorded as an HV and a DA block, and each basis is one
 self-contained unit of work (:func:`simulate_basis`): every channel's
 block in that basis, its per-channel matching and accidental estimate,
@@ -23,7 +33,7 @@ expected arrivals per side per chunk, all channels together), every
 channel and the merged baseline step through the same chunks, and only
 counts and a few tags near each chunk's end cross to the next chunk
 (the tags jitter may still pass, each port's last kept time for the
-dead time, and the tail the matchers may still join).  A unit hands
+dead time, and the tail of keys the matchers may still join).  A unit hands
 back one block counter per pipeline, which holds counts only.
 :func:`simulate_point` runs the two units on two threads and joins each
 pipeline's HV and DA counters into its one record, a
@@ -42,13 +52,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ChannelPlan
-from .coincidence import (ChunkedPair, CoincidenceWindow, CountsMatrix, Matches,
-                          _check_pair, _match_indices,
-                          delay_ticks, tabulate)
-from .detection import (Basis, DetectorCarry, DetectorConfig, TagStream,
-                        _merge_streams, detect, emit_frontier,
-                        measure_pair_outcomes, measure_single_outcomes,
-                        side_transmittance)
+from .coincidence import (ChunkedPair, CoincidenceWindow, CountsMatrix, _check_pair,
+                          check_basis, delay_ticks, key_table, match_keys, tag_keys)
+from .detection import (JITTER_MARGIN_SIGMAS, Basis, DetectorCarry, DetectorConfig,
+                        TagStream, detect, emit_frontier, measure_pair_outcomes, measure_single_outcomes,
+                        merge_keys, side_transmittance)
 from .source import SourceConfig, _rng, band_fraction, child_seed
 
 MERGED_LABEL = "merged"
@@ -67,6 +75,24 @@ CHUNK_TAGS = 500_000
 # Bob's shift (s) for the delayed-window accidental estimate: far outside
 # the window and the jitter.
 ACCIDENTAL_DELAY = 2e-7
+
+# Bound on the ticks of a record.  A packed tag key holds its tick
+# shifted left by two bits, so a key stays in int64 below 2**61 ticks;
+# rounding a time to ticks wraps past 2**63.
+MAX_TICKS = 2 ** 60
+
+
+def tick_range_error(duration: float, detector: DetectorConfig) -> str | None:
+    """Why the ticks of a record of ``duration`` (s) may not fit below
+    ``MAX_TICKS``, with Bob's accidental delay, the jitter margin on
+    either side and the dead time added; None when they fit."""
+    span = (duration + ACCIDENTAL_DELAY + detector.dead_time
+            + 2 * JITTER_MARGIN_SIGMAS * detector.jitter_sigma)
+    if span / detector.tick < MAX_TICKS:
+        return None
+    return (f"{span:g} s, accidental delay and margins included, is "
+            f"{span / detector.tick:.3g} ticks of {detector.tick:g} s; "
+            f"packed tag keys need fewer than 2**60")
 
 
 @dataclass(frozen=True)
@@ -210,8 +236,8 @@ def simulate_channel_block(
     t_bonly = _poisson_times(b * (1.0 - ea) * eb, chunk.start, chunk.end, rng_b)
     bits_bonly = measure_single_outcomes(t_bonly.size, rng_b)
 
-    t_a, bits_a = _merge_arrivals((t_both, bits_s), (t_aonly, bits_aonly))
-    t_b, bits_b = _merge_arrivals((t_both, bits_i), (t_bonly, bits_bonly))
+    t_a, bits_a = _merge_arrivals(t_both, bits_s, t_aonly, bits_aonly)
+    t_b, bits_b = _merge_arrivals(t_both, bits_i, t_bonly, bits_bonly)
 
     span = chunk.end - chunk.start
     alice = detect(
@@ -235,11 +261,13 @@ def _poisson_times(rate: float, start: float, end: float,
     return np.sort(rng.uniform(start, end, n))
 
 
-def _merge_arrivals(*parts):
-    times = np.concatenate([t for t, _ in parts])
-    bits = np.concatenate([b for _, b in parts])
-    order = np.argsort(times, kind="stable")
-    return times[order], bits[order]
+def _merge_arrivals(t_both: np.ndarray, bits_both: np.ndarray,
+                    t_one: np.ndarray, bits_one: np.ndarray):
+    """One side's arrivals in time order: the few both-survive arrivals
+    inserted into the one-side arrivals, each before any equal time, as a
+    stable sort of both-survive then one-side arrivals would put them."""
+    at = np.searchsorted(t_one, t_both)
+    return np.insert(t_one, at, t_both), np.insert(bits_one, at, bits_both)
 
 
 @dataclass
@@ -265,8 +293,8 @@ class PointResult:
 
 class _BlockCounter:
     """One pipeline's counts in one basis block, fed its Alice and Bob
-    tags in time chunks: the coincidence table ``counts``, the tag counts
-    and the delayed-window accidental count."""
+    tags in time chunks, as packed keys: the coincidence table
+    ``counts``, the tag counts and the delayed-window accidental count."""
 
     def __init__(self, basis: Basis, window: CoincidenceWindow,
                  detector: DetectorConfig, channel_pair: int, duration: float):
@@ -278,19 +306,28 @@ class _BlockCounter:
                                    channel_pair, duration)
         self.singles_alice = self.singles_bob = self.accidentals = 0
 
-    def push(self, alice: TagStream, bob: TagStream, frontier: int | None):
-        """Count the next chunk.  The chunk is validated here, once; the
-        stretches handed on keep its order, so they are matched as they
-        are."""
+    def push(self, alice: TagStream, bob: TagStream,
+             frontier: int | None) -> tuple[np.ndarray, np.ndarray]:
+        """Count the next chunk of tags and return its Alice and Bob keys.
+        The chunk is validated here, once: its order and tick, and the
+        basis of every outcome."""
         _check_pair(alice, bob)
-        self.singles_alice += len(alice)
-        self.singles_bob += len(bob)
-        a, b = self.matched.push(alice, bob, frontier)
-        matches = Matches(a, b, *_match_indices(a.ticks, b.ticks, self.half))
-        self.counts.cc += tabulate(matches, self.basis).cc
-        a, b = self.delayed.push(alice, bob, frontier)
-        self.accidentals += _match_indices(a.ticks, b.ticks + self.delayed.shift,
-                                           self.half)[0].size
+        check_basis(self.basis, alice.outcomes, bob.outcomes)
+        keys = tag_keys(alice, 0), tag_keys(bob, 1)
+        self.count(*keys, frontier)
+        return keys
+
+    def count(self, ka: np.ndarray, kb: np.ndarray, frontier: int | None):
+        """Count the next chunk of sorted Alice and Bob keys.  The
+        stretches handed on keep their order, so they are matched as they
+        are."""
+        self.singles_alice += ka.size
+        self.singles_bob += kb.size
+        self.counts.cc += key_table(*match_keys(*self.matched.push(ka, kb, frontier),
+                                                self.half))
+        a, b = self.delayed.push(ka, kb, frontier)
+        self.accidentals += match_keys(a, b + (self.delayed.shift << 2),
+                                       self.half)[1].size
 
 
 def simulate_basis(
@@ -317,20 +354,20 @@ def simulate_basis(
     counters: dict[int | str, _BlockCounter] = {ch.index: counter(ch.index) for ch in chans}
     carries = [(DetectorCarry(), DetectorCarry()) for _ in chans]
     merged = counter(0) if len(chans) >= 2 else None
-    # Each merged port's last kept tick, for its dead time.
+    # Each merged port's last kept tick, for its dead time, in ticks.
     last_alice, last_bob = np.full(2, -np.inf), np.full(2, -np.inf)
+    dead = detector.dead_time / detector.tick
     for chunk in block_chunks(chans, detector, block_duration):
         alice, bob = [], []
         for slot, ch in enumerate(chans):
             a, b = simulate_channel_block(ch, basis, detector, block_duration,
                                           seed, slot, chunk, carries[slot])
-            counters[ch.index].push(a, b, chunk.frontier)
-            alice.append(a)
-            bob.append(b)
+            ka, kb = counters[ch.index].push(a, b, chunk.frontier)
+            alice.append(ka)
+            bob.append(kb)
         if merged is not None:
-            merged.push(_merge_side(alice, detector.dead_time, 1000, last_alice),
-                        _merge_side(bob, detector.dead_time, 1100, last_bob),
-                        chunk.frontier)
+            merged.count(merge_keys(alice, dead, last_alice),
+                         merge_keys(bob, dead, last_bob), chunk.frontier)
     if merged is not None:
         counters[MERGED_LABEL] = merged
     return counters
@@ -382,6 +419,9 @@ def simulate_point(
     """
     if not (duration > 0 and math.isfinite(duration)):
         raise ValueError(f"duration must be finite and > 0, got {duration}")
+    error = tick_range_error(duration, detector)
+    if error:
+        raise ValueError(error)
     chans = resolve_channels(source, plan, loss_db, channel_visibilities,
                              brightness_scale)
     with ThreadPoolExecutor(max_workers=len(_BLOCK_OF_BASIS)) as pool:
@@ -394,19 +434,3 @@ def simulate_point(
         merged=(_pipeline(hv[MERGED_LABEL], da[MERGED_LABEL])
                 if MERGED_LABEL in hv else None),
     )
-
-
-def _merge_side(streams: list[TagStream], dead: float, id_base: int,
-                last: np.ndarray) -> TagStream:
-    """Merge corresponding detector ports across channels on one side.
-
-    Port 0 tags of all channels become one effective detector with id
-    ``id_base``, port 1 tags another with id ``id_base + 1``; each sees
-    one dead time ``dead`` across all channels, as a single physical
-    detector would.  The side's stream is their canonically sorted union.
-    ``last`` holds each port's last kept tick from earlier chunks (-inf
-    for none) and is updated in place.
-    """
-    out = _merge_streams(streams, dead, 2, last)
-    out.detector_ids = (id_base + out.detector_ids % 2).astype(np.int32)
-    return out

@@ -3,7 +3,8 @@ exactly what they give on the whole record, and what the brute-force
 oracles give.  Hand-built streams are cut at arbitrary ticks, which
 lands cuts inside close-link runs of the matcher, inside dead-time
 clusters, across tags that jitter carried over a chunk's end and across
-Bob's shifted stream of the delayed window."""
+Bob's shifted stream of the delayed window.  The matcher and the merge
+are fed packed tag keys, as the block counters feed them."""
 
 import numpy as np
 import pytest
@@ -11,76 +12,77 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from test_coincidence import brute_force_greedy, make_tags
-from test_kernels import (TICK, brute_force_merge_side, fixed_point_dead_time_filter,
-                          module_streams, sorted_ticks)
+from test_kernels import (TICK, fixed_point_dead_time_filter, key_projection,
+                          merged_projection, module_streams, port_streams)
 from wmqkd.calibration import DEFAULT_DETECTOR, FROZEN_CALIBRATION
 from wmqkd.channels import build_grid_plan
 from wmqkd.coincidence import (ChunkedPair, CoincidenceWindow, accidental_estimate,
-                               find_coincidences, tabulate)
-from wmqkd.detection import (Basis, DetectorCarry, DetectorConfig, _chain, _emit,
-                             _port_dead_time_filter, emit_frontier)
+                               find_coincidences, match_keys, tabulate, tag_keys)
+from wmqkd.detection import (Basis, DetectorCarry, DetectorConfig, TagStream, _chain,
+                             _emit, _port_dead_time_filter, emit_frontier, merge_keys)
 import wmqkd.simulate as simulate
-from wmqkd.simulate import (MERGED_LABEL, _merge_side, block_chunks, resolve_channels,
+from wmqkd.simulate import (MERGED_LABEL, block_chunks, resolve_channels,
                             simulate_basis, simulate_channel_block)
 
-cut_ticks = st.lists(st.integers(-5, 405), max_size=8).map(sorted)
+cut_ticks = st.lists(st.integers(-25, 405), max_size=8).map(sorted)
 
 
-def pieces(stream, cuts):
-    """The stream's tags in ``[-inf, c0), [c0, c1), ..., [c_last, inf)``."""
-    edges = np.searchsorted(stream.ticks, cuts).tolist()
-    return [stream.take(slice(lo, hi))
-            for lo, hi in zip([0] + edges, edges + [len(stream)])]
+def pieces(keys, cuts):
+    """The keys whose ticks lie in ``[-inf, c0), [c0, c1), ..., [c_last, inf)``."""
+    edges = np.searchsorted(keys, np.asarray(cuts, np.int64) << 2).tolist()
+    return [keys[lo:hi] for lo, hi in zip([0] + edges, edges + [keys.size])]
 
 
 def frontiers(cuts):
     return list(cuts) + [None]
 
 
-def chunked_matches(pair, a, b, cuts, reduce):
-    """Feed both streams to ``pair`` chunk by chunk; ``reduce`` each
-    handed-on stretch together with its offsets in the whole streams."""
-    out = []
-    off_a = off_b = 0
-    for pa, pb, frontier in zip(pieces(a, cuts), pieces(b, cuts), frontiers(cuts)):
+def chunked(pair, ka, kb, cuts, reduce):
+    """Feed both key runs to ``pair`` chunk by chunk and ``reduce`` each
+    handed-on stretch."""
+    out, handed_a, handed_b = [], [], []
+    for pa, pb, frontier in zip(pieces(ka, cuts), pieces(kb, cuts), frontiers(cuts)):
         ra, rb = pair.push(pa, pb, frontier)
-        out.append(reduce(ra, rb, off_a, off_b))
-        off_a += len(ra)
-        off_b += len(rb)
-    assert (off_a, off_b) == (len(a), len(b)), "every tag is handed on once"
+        out.append(reduce(ra, rb))
+        handed_a.append(ra)
+        handed_b.append(rb)
+    # Every key is handed on once, in order.
+    assert np.array_equal(np.concatenate(handed_a), ka)
+    assert np.array_equal(np.concatenate(handed_b), kb)
     return out
 
 
-@given(sorted_ticks, sorted_ticks, st.integers(0, 30), cut_ticks)
-@example(ta=[10, 14, 30], tb=[12, 16, 31], half=3, cuts=[13, 15, 31])
-def test_chunked_matching_equals_one_shot(ta, tb, half, cuts):
-    a, b = make_tags(ta), make_tags(tb)
-    window = CoincidenceWindow((2 * half + 1) * TICK)
+def matched_keys(ka, kb, half):
+    """The (Alice key, Bob key) of each greedy match."""
+    keys, pos_a, pos_b = match_keys(ka, kb, half)
+    return list(zip(keys[pos_a].tolist(), keys[pos_b].tolist()))
 
-    def pairs(ra, rb, off_a, off_b):
-        m = find_coincidences(ra, rb, window)
-        return [(off_a + i, off_b + j) for i, j in zip(m.idx_a.tolist(), m.idx_b.tolist())]
 
-    got = sorted(p for part in chunked_matches(ChunkedPair(half), a, b, cuts, pairs)
+@given(port_streams(), port_streams(), st.integers(0, 30), cut_ticks)
+@example(a=make_tags([10, 14, 30]), b=make_tags([12, 16, 31]), half=3, cuts=[13, 15, 31])
+def test_chunked_matching_equals_one_shot(a, b, half, cuts):
+    ka, kb = tag_keys(a, 0), tag_keys(b, 1)
+    got = sorted(p for part in chunked(ChunkedPair(half), ka, kb, cuts,
+                                       lambda ra, rb: matched_keys(ra, rb, half))
                  for p in part)
-    whole = find_coincidences(a, b, window)
-    assert got == sorted(zip(whole.idx_a.tolist(), whole.idx_b.tolist()))
-    assert got == brute_force_greedy(np.asarray(ta, np.int64), np.asarray(tb, np.int64), half)
+    assert got == sorted(matched_keys(ka, kb, half))
+    la, lb = ka.tolist(), kb.tolist()
+    assert got == sorted((la[i], lb[j]) for i, j in brute_force_greedy(a.ticks, b.ticks, half))
 
 
-@given(sorted_ticks, sorted_ticks, st.integers(0, 3), st.integers(-500, 500), cut_ticks)
-@example(ta=[100, 300], tb=[60, 99, 260], half=2, shift=40, cuts=[101, 200, 299])
-def test_chunked_delayed_window_equals_one_shot(ta, tb, half, shift, cuts):
-    a, b = make_tags(ta), make_tags(tb)
+@given(port_streams(), port_streams(), st.integers(0, 3), st.integers(-500, 500), cut_ticks)
+@example(a=make_tags([100, 300]), b=make_tags([60, 99, 260]), half=2, shift=40,
+         cuts=[101, 200, 299])
+def test_chunked_delayed_window_equals_one_shot(a, b, half, shift, cuts):
+    ka, kb = tag_keys(a, 0), tag_keys(b, 1)
+
+    def count(ra, rb):
+        return match_keys(ra, rb + (shift << 2), half)[1].size
+
+    got = sum(chunked(ChunkedPair(half, shift), ka, kb, cuts, count))
     window = CoincidenceWindow((2 * half + 1) * TICK)
-
-    def count(ra, rb, off_a, off_b):
-        return accidental_estimate(ra, rb, window, shift * TICK)
-
-    got = sum(chunked_matches(ChunkedPair(half, shift), a, b, cuts, count))
     assert got == accidental_estimate(a, b, window, shift * TICK)
-    shifted = np.asarray(tb, np.int64) + shift
-    assert got == len(brute_force_greedy(np.asarray(ta, np.int64), shifted, half))
+    assert got == len(brute_force_greedy(a.ticks, b.ticks + shift, half))
 
 
 @given(st.lists(st.integers(0, 300), max_size=80).map(sorted),
@@ -106,18 +108,12 @@ def test_chunked_dead_time_equals_one_shot(int_times, ports, dead, cuts):
 
 @given(module_streams(), st.integers(0, 40), cut_ticks)
 def test_chunked_merge_equals_one_shot(streams, dead_int, cuts):
-    dead = dead_int * TICK
+    runs = [tag_keys(s, 0) for s in streams]
     last = np.full(2, -np.inf)
-    parts = [_merge_side(list(chunk), dead, 1000, last)
-             for chunk in zip(*(pieces(s, cuts) for s in streams))]
-    got = _chain(parts)
-    whole = _merge_side(streams, dead, 1000, np.full(2, -np.inf))
-    for field in ("ticks", "outcomes", "detector_ids", "channel_indices", "dark"):
-        assert np.array_equal(getattr(got, field), getattr(whole, field))
-    assert got.is_sorted()
-    assert list(zip(got.ticks.tolist(), got.detector_ids.tolist(),
-                    got.channel_indices.tolist(), got.dark.tolist())) == \
-        brute_force_merge_side(streams, dead_int, 1000)
+    got = np.concatenate([merge_keys(list(chunk), dead_int, last)
+                          for chunk in zip(*(pieces(k, cuts) for k in runs))])
+    assert np.array_equal(got, merge_keys(runs, dead_int, np.full(2, -np.inf)))
+    assert key_projection(got) == merged_projection(streams, dead_int)
 
 
 # Tick 1 and a jitter of 0.1 ticks: the margin before a chunk's end is 4.
@@ -173,6 +169,13 @@ def test_jitter_past_the_margin_raises():
               JITTERY, 0, Basis.HV, (0, 1), 1.0, carry, None)
 
 
+def key_stream(keys, duration):
+    """The DA-basis tag stream of merged keys: one detector per port."""
+    port = (keys & 1).astype(np.int8)
+    return TagStream(keys >> 2, port + 2, port, np.zeros(keys.size, np.int32),
+                     np.zeros(keys.size, bool), DEFAULT_DETECTOR.tick, duration)
+
+
 def test_chunked_block_counts_equal_one_shot_reduction(monkeypatch):
     # Small chunks so that a short block spans many; the chunks' tags,
     # joined and reduced at once, must give the unit's counts exactly.
@@ -193,8 +196,10 @@ def test_chunked_block_counts_equal_one_shot_reduction(monkeypatch):
                                        slot, chunk, carry) for chunk in chunks]
         alice.append(_chain([a for a, _ in blks]))
         bob.append(_chain([b for _, b in blks]))
-    merged = (_merge_side(alice, DEFAULT_DETECTOR.dead_time, 1000, np.full(2, -np.inf)),
-              _merge_side(bob, DEFAULT_DETECTOR.dead_time, 1100, np.full(2, -np.inf)))
+    dead = DEFAULT_DETECTOR.dead_time / DEFAULT_DETECTOR.tick
+    merged = [key_stream(merge_keys([tag_keys(s, side) for s in streams], dead,
+                                    np.full(2, -np.inf)), block)
+              for side, streams in enumerate((alice, bob))]
     for key, a, b in [(ch.index, a, b) for ch, a, b in zip(chans, alice, bob)] \
             + [(MERGED_LABEL, *merged)]:
         assert a.is_sorted() and b.is_sorted()

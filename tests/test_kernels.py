@@ -1,9 +1,10 @@
 """Property tests of the array kernels against scalar or brute-force
-oracles: the coincidence matcher and the delayed-window accidental
-estimate, the k-way detector merge of the non-multiplexed baseline, the
-dead-time filter, the canonical tag order of the detector output, the
-batched pair-rate optimizer behind the fig3d projection, and the refined
-analytic predictor of the channels and the merged baseline."""
+oracles: the coincidence matcher on streams and on packed keys, with its
+2x2 table and the delayed-window accidental estimate, the k-way key merge
+of the non-multiplexed baseline, the insertion of both-survive arrivals,
+the dead-time filter, the canonical tag order of the detector output,
+the batched pair-rate optimizer behind the fig3d projection, and the
+refined analytic predictor of the channels and the merged baseline."""
 
 import math
 from dataclasses import fields, replace
@@ -17,15 +18,16 @@ from test_coincidence import brute_force_greedy, make_tags
 from wmqkd import calibration as calib
 from wmqkd.calibration import (FROZEN_CALIBRATION, fig3d_model, predict_channel,
                                predict_merged, predict_rows, window_efficiency)
-from wmqkd.coincidence import (CoincidenceWindow, accidental_estimate,
-                               find_coincidences)
-from wmqkd.detection import (DetectorConfig, TagStream, _dead_time_filter,
-                             detect)
+from wmqkd.coincidence import (CoincidenceWindow, Matches, accidental_estimate,
+                               find_coincidences, key_table, match_keys, tabulate,
+                               tag_keys)
+from wmqkd.detection import (Basis, DetectorConfig, TagStream, _dead_time_filter,
+                             detect, merge_keys)
 from wmqkd.keyrate import (AnalyticLinkModel, AnalyticRates, PairRateOptimum,
                            analytic_rates, binary_entropy, optimize_pair_rate,
                            optimize_pair_rates)
 from wmqkd.runner import default_config, run_fig3d
-from wmqkd.simulate import _merge_side, detector_ids
+from wmqkd.simulate import _merge_arrivals, detector_ids
 
 TICK = 1.0 / 12.15e9
 
@@ -94,6 +96,29 @@ def module_streams(draw):
     return draw(st.permutations(out))
 
 
+def merged_projection(streams, dead_ticks):
+    """The (tick, port) of each tag of the quadratic reference merge."""
+    return [(t, det - 1000) for t, det, _, _ in
+            brute_force_merge_side(streams, dead_ticks, 1000)]
+
+
+def key_projection(keys):
+    return list(zip((keys >> 2).tolist(), (keys & 1).tolist()))
+
+
+@st.composite
+def port_streams(draw):
+    """One side's canonical (tick, port) tags, ticks from -20: jitter near
+    t = 0 gives negative ticks, and both ports or one port twice may
+    share a tick.  The outcomes are the port bits, in the HV basis."""
+    tags = sorted(draw(st.lists(st.tuples(st.integers(-20, 400), st.integers(0, 1)),
+                                max_size=60)))
+    ticks = np.asarray([t for t, _ in tags], np.int64)
+    ports = np.asarray([p for _, p in tags], np.int8)
+    return TagStream(ticks, ports, ports, np.zeros(ticks.size, np.int32),
+                     np.zeros(ticks.size, bool), TICK, 1.0)
+
+
 @given(sorted_ticks, sorted_ticks, st.integers(0, 30))
 def test_matcher_agrees_with_greedy_oracle(ta, tb, half):
     ta, tb = np.asarray(ta, np.int64), np.asarray(tb, np.int64)
@@ -111,14 +136,40 @@ def test_accidental_estimate_matches_shifted_stream(ta, tb, half, shift):
         len(find_coincidences(a, shifted, window))
 
 
+@given(port_streams(), port_streams(), st.integers(0, 30))
+def test_key_matcher_table_equals_tabulated_greedy_oracle(a, b, half):
+    keys, pos_a, pos_b = match_keys(tag_keys(a, 0), tag_keys(b, 1), half)
+    pairs = brute_force_greedy(a.ticks, b.ticks, half)
+    idx_a = np.asarray([i for i, _ in pairs], np.intp)
+    idx_b = np.asarray([j for _, j in pairs], np.intp)
+    assert np.array_equal(key_table(keys, pos_a, pos_b),
+                          tabulate(Matches(a, b, idx_a, idx_b), Basis.HV).cc)
+    assert np.array_equal(keys, np.sort(np.concatenate((tag_keys(a, 0), tag_keys(b, 1)))))
+
+
+@given(port_streams(), port_streams(), st.integers(0, 3), st.integers(-500, 500))
+def test_key_matcher_delayed_count_equals_greedy_oracle(a, b, half, shift):
+    got = match_keys(tag_keys(a, 0), tag_keys(b, 1) + (shift << 2), half)[1].size
+    assert got == len(brute_force_greedy(a.ticks, b.ticks + shift, half))
+
+
 @given(module_streams(), st.integers(0, 40))
 def test_kway_merge_agrees_with_quadratic_oracle(streams, dead_int):
-    dead = dead_int * TICK
-    merged = _merge_side(streams, dead, 1000, np.full(2, -np.inf))
-    got = list(zip(merged.ticks.tolist(), merged.detector_ids.tolist(),
-                   merged.channel_indices.tolist(), merged.dark.tolist()))
-    assert got == brute_force_merge_side(streams, dead / TICK, 1000)
-    assert merged.is_sorted()
+    merged = merge_keys([tag_keys(s, 0) for s in streams], dead_int, np.full(2, -np.inf))
+    assert key_projection(merged) == merged_projection(streams, dead_int)
+
+
+@given(st.lists(st.integers(0, 50), max_size=40).map(sorted),
+       st.lists(st.integers(0, 50), max_size=200).map(sorted))
+def test_arrival_insertion_equals_stable_sort(both, one):
+    # Small integer times draw many equal times within and across the
+    # two; the bits tell which stream an arrival came from.
+    t_both, t_one = np.asarray(both, float), np.asarray(one, float)
+    bits_both, bits_one = np.ones(t_both.size, np.int8), np.zeros(t_one.size, np.int8)
+    order = np.argsort(np.concatenate((t_both, t_one)), kind="stable")
+    times, bits = _merge_arrivals(t_both, bits_both, t_one, bits_one)
+    assert np.array_equal(times, np.concatenate((t_both, t_one))[order])
+    assert np.array_equal(bits, np.concatenate((bits_both, bits_one))[order])
 
 
 @given(st.lists(st.integers(0, 300), max_size=80).map(sorted),

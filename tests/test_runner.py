@@ -20,7 +20,7 @@ from wmqkd.calibration import FROZEN_CALIBRATION, predict_channel
 from wmqkd.channels import ChannelPlan
 from wmqkd.cli import main as cli_main
 from wmqkd.coincidence import CountsMatrix
-from wmqkd.detection import Basis
+from wmqkd.detection import Basis, DetectorConfig
 from wmqkd.keyrate import secure_key
 from wmqkd.runner import (ConfigError, RunConfig, _csv_bytes, _json_compact,
                           _json_indent1, _pipeline_row, _report_json, config_from_dict,
@@ -132,6 +132,31 @@ def test_directly_built_config_of_wrong_type_names_the_field(kwargs, field):
     with pytest.raises(ConfigError) as exc:
         RunConfig(**kwargs)
     assert exc.value.field == field
+
+
+@pytest.mark.parametrize("kwargs, field", [
+    ({"channel_visibilities": {1: (2.0, 0.9)}}, "channel_visibilities"),
+    ({"channel_visibilities": 5}, "channel_visibilities"),
+    ({"source": 5}, "source"),
+    ({"window": None}, "window"),
+    ({"detector": None}, "detector"),
+    ({"plan": "table1"}, "plan"),
+])
+def test_directly_built_nested_object_of_wrong_type_names_the_field(kwargs, field):
+    with pytest.raises(ConfigError) as exc:
+        RunConfig(**kwargs)
+    assert exc.value.field == field
+
+
+def test_ticks_past_the_packed_key_range_name_the_duration():
+    # 1e19 ticks of 1e-18 s do not fit below 2**60; 1e18 ticks do.
+    with pytest.raises(ConfigError, match=r"2\*\*60") as exc:
+        RunConfig(detector=DetectorConfig(tick=1e-18), duration=10.0)
+    assert exc.value.field == "duration"
+    with pytest.raises(ConfigError, match=r"2\*\*60") as exc:
+        config_from_dict({"detector": {"tick": 1e-18}, "duration": 10.0})
+    assert exc.value.field == "duration"
+    assert RunConfig(detector=DetectorConfig(tick=1e-18), duration=1.0).duration == 1.0
 
 
 def test_directly_built_config_echoes_numbers_as_json_input_does():

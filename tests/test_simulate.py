@@ -289,6 +289,19 @@ def test_error_in_a_basis_unit_reaches_the_caller(monkeypatch):
     assert threading.active_count() == before
 
 
+def test_ticks_past_the_packed_key_range_rejected(monkeypatch):
+    # 10 s of 1e-18 s ticks is 1e19 ticks: rounding would wrap int64 and
+    # packed keys would overflow.  The point fails before any simulation.
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated")
+
+    monkeypatch.setattr(wmqkd.simulate, "simulate_basis", no_simulation)
+    cal = FROZEN_CALIBRATION
+    with pytest.raises(ValueError, match=r"2\*\*60"):
+        simulate_point(cal.source(), build_table1_plan(), 30.0,
+                       DetectorConfig(tick=1e-18), CoincidenceWindow(1e-9), 10.0, seed=3)
+
+
 def test_peak_memory_is_flat_in_duration():
     # Chunking holds a block's memory to a few chunks of tags, so four
     # times the duration may not peak much higher.  At 30 dB the two
