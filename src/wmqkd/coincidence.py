@@ -155,7 +155,8 @@ def match_keys(ka: np.ndarray, kb: np.ndarray, half: int):
     that joins an Alice and a Bob tag is one match; each longer run
     falls back to the explicit greedy walk over its Alice and Bob tags.
     """
-    keys = np.sort(np.concatenate((ka, kb)), kind="stable")
+    keys = np.concatenate((ka, kb))
+    keys.sort(kind="stable")
     none = np.empty(0, dtype=np.intp)
     t = keys >> 2
     close = np.flatnonzero(np.diff(t) <= half)   # link k joins tags k and k + 1

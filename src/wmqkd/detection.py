@@ -477,7 +477,8 @@ def merge_keys(runs: list[np.ndarray], dead: float, last: np.ndarray) -> np.ndar
     survivor came from.  ``last`` holds each port's last kept tick from
     earlier chunks of the runs (-inf for none) and is updated in place.
     """
-    keys = np.sort(np.concatenate(runs), kind="stable")
+    keys = np.concatenate(runs)
+    keys.sort(kind="stable")
     keep = _port_dead_time_filter(keys >> 2, keys & 1, dead, 2, last)
     return keys[np.flatnonzero(keep)]
 
