@@ -6,9 +6,9 @@ difference is at most half the window, so the total window width equals
 the configured value.  An accidental-rate estimator counts the matches
 with one stream delayed far outside the window.
 
-Tags are matched as packed int64 keys, ``tick << 2 | side << 1 | port``:
-side 0 is Alice and 1 is Bob, and the port bit is the low bit of the
-outcome.  One matcher kernel (:func:`match_keys`) sorts an Alice and a
+Tags are matched as packed int64 keys (:func:`detection.tag_keys`),
+``tick << 2 | side << 1 | port``: side 0 is Alice and 1 is Bob, and the
+port bit is the low bit of the outcome.  One matcher kernel (:func:`match_keys`) sorts an Alice and a
 Bob run of keys stably into one and walks it on ``key >> 2``.  The key
 order is the tie order of the greedy policy: on a shared tick Alice
 comes first, and each side keeps its own canonical (tick, detector_id)
@@ -128,17 +128,6 @@ def _check_pair(tags_a: TagStream, tags_b: TagStream):
             raise ValueError("input tag streams must be sorted")
     if tags_a.tick_seconds != tags_b.tick_seconds:
         raise ValueError("tick resolution mismatch between streams")
-
-
-def tag_keys(tags: TagStream, side: int) -> np.ndarray:
-    """A stream's packed keys, ``tick << 2 | side << 1 | port``, where
-    ``side`` is 0 for Alice and 1 for Bob and the port bit is the low
-    bit of the outcome."""
-    keys = tags.ticks << 2
-    keys |= tags.outcomes & 1
-    if side:
-        keys |= 2
-    return keys
 
 
 def match_keys(ka: np.ndarray, kb: np.ndarray, half: int):
@@ -285,17 +274,16 @@ def accidental_estimate(tags_a: TagStream, tags_b: TagStream,
 
 
 class ChunkedPair:
-    """An Alice and a Bob run of sorted keys (:func:`tag_keys`) that
-    arrive in time chunks, handed on in stretches whose greedy matching
-    is final.
+    """An Alice and a Bob run of sorted keys that arrive in time chunks,
+    handed on in stretches whose greedy matching is final.
 
-    A gap wider than the half window ends every match, so the matching of
-    the tags before such a gap does not depend on any tag after it.  Each
-    chunk is joined to the keys held from the previous one; the keys
-    after the last such gap before the frontier are held again, and the
-    rest is handed on.  Matching each stretch on its own then gives
-    exactly the matches of the whole runs.  Bob's ticks are compared
-    shifted by ``shift``, which serves the delayed window.
+    Bob's keys are shifted by ``shift`` ticks on arrival, which serves
+    the delayed window.  A gap wider than the half window ends every
+    match, so the matching of the tags before such a gap does not depend
+    on any tag after it.  Each chunk is joined to the keys held from the
+    previous one; the keys after the last such gap before the frontier
+    are held again, and the rest is handed on.  Matching each stretch on
+    its own then gives exactly the matches of the whole runs.
     """
 
     def __init__(self, half: int, shift: int = 0):
@@ -307,17 +295,17 @@ class ChunkedPair:
              frontier: int | None) -> tuple[np.ndarray, np.ndarray]:
         """Add the next chunk of both runs, whose later keys all have a
         tick at or above ``frontier`` (None: there are none); returns the
-        stretch of each run whose matches are now final."""
+        stretch of each run whose matches are now final, Bob's shifted."""
+        if self.shift:
+            kb = kb + (self.shift << 2)
         if self.held is not None:
             ka = _after(self.held[0], ka)
             kb = _after(self.held[1], kb)
         if frontier is None:
             self.held = None
             return ka, kb
-        cut = _final_cut(ka, kb, self.shift, min(frontier, frontier + self.shift),
-                         self.half)
-        ia = int(np.searchsorted(ka, cut << 2))
-        ib = int(np.searchsorted(kb, (cut - self.shift) << 2))
+        cut = _final_cut(ka, kb, min(frontier, frontier + self.shift), self.half) << 2
+        ia, ib = int(np.searchsorted(ka, cut)), int(np.searchsorted(kb, cut))
         # Copies, so the few held keys do not keep the chunk alive.
         self.held = (ka[ia:].copy(), kb[ib:].copy())
         return ka[:ia], kb[:ib]
@@ -327,22 +315,21 @@ def _after(held: np.ndarray, new: np.ndarray) -> np.ndarray:
     return new if held.size == 0 else np.concatenate((held, new))
 
 
-def _final_cut(ka: np.ndarray, kb: np.ndarray, shift: int, bound: int,
-               half: int) -> int:
+def _final_cut(ka: np.ndarray, kb: np.ndarray, bound: int, half: int) -> int:
     """Largest tick ``c <= bound`` such that every tag below ``c`` is more
     than ``half`` ticks from every tag at or above it.
 
-    Bob's ticks count shifted by ``shift``, and every tag not yet seen
-    lies at or above ``bound``.  ``c`` is the first tag after the last
-    gap wider than ``half`` before ``bound``, or ``bound`` itself.  Only
-    the last few tags of each run are looked at, more as needed.
+    Every tag not yet seen lies at or above ``bound``.  ``c`` is the
+    first tag after the last gap wider than ``half`` before ``bound``, or
+    ``bound`` itself.  Only the last few tags of each run are looked at,
+    more as needed.
     """
     ia = int(np.searchsorted(ka, bound << 2))
-    ib = int(np.searchsorted(kb, (bound - shift) << 2))
+    ib = int(np.searchsorted(kb, bound << 2))
     m = 16
     while True:
         a0, b0 = max(ia - m, 0), max(ib - m, 0)
-        ta, tb = ka[a0:ia] >> 2, (kb[b0:ib] >> 2) + shift
+        ta, tb = ka[a0:ia] >> 2, kb[b0:ib] >> 2
         u = np.sort(np.concatenate((ta, tb, [bound])))
         # Below the earliest tag looked at of a run that has earlier
         # tags, the union is incomplete and its gaps are not real.

@@ -7,7 +7,7 @@ detectors (one per outcome).  Tags carry integer timestamps in units of
 the time-tagger tick (1/12.15 GHz by default).
 
 Detector merging has one kernel, :func:`merge_keys`, on packed tag keys
-``tick << 2 | side << 1 | port``: one stable sort orders every run's
+(:func:`tag_keys`, ``tick << 2 | side << 1 | port``): one stable sort orders every run's
 keys by (tick, port), and each port then passes one dead-time filter.
 The Monte Carlo merged baseline calls it on the channels' keys, and
 :func:`merge_detectors` on two streams' ticks as one port, taking each
@@ -131,6 +131,19 @@ class TagStream:
             self.channel_indices[idx], self.dark[idx],
             self.tick_seconds, self.duration,
         )
+
+
+def tag_keys(tags: TagStream, side: int) -> np.ndarray:
+    """A stream's packed int64 keys, ``tick << 2 | side << 1 | port``:
+    ``side`` is 0 for Alice and 1 for Bob, and the port bit is the low
+    bit of the outcome.  A canonical stream's keys are sorted when its
+    detector ids rise with the port bit, as a module's and a merged
+    stream's do.  The matcher and the merge kernel run on these keys."""
+    keys = tags.ticks << 2
+    keys |= tags.outcomes & 1
+    if side:
+        keys |= 2
+    return keys
 
 
 def _tie_order(ticks: np.ndarray, *keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -464,9 +477,8 @@ def merge_detectors(
 
 
 def merge_keys(runs: list[np.ndarray], dead: float, last: np.ndarray) -> np.ndarray:
-    """Merge sorted runs of one side's packed tag keys
-    (``tick << 2 | side << 1 | port``) into one effective detector per
-    port.
+    """Merge sorted runs of one side's packed tag keys (:func:`tag_keys`)
+    into one effective detector per port.
 
     One stable sort orders the keys by (tick, port), and every port then
     passes one non-paralyzable dead-time filter of ``dead`` ticks: a tag

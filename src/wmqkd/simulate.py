@@ -14,7 +14,7 @@ streams of corresponding detectors (post-processing, as a hardware
 merge would) and re-runs coincidence analysis on the merged streams.
 
 Counting runs on packed int64 tag keys, ``tick << 2 | side << 1 | port``
-(:func:`coincidence.tag_keys`).  A channel's block counter validates
+(:func:`detection.tag_keys`).  A channel's block counter validates
 each chunk of its tags once (canonical order, tick and basis), packs its
 keys once and feeds them to the matched and the delayed window.  The
 merged baseline is built from those keys alone: one stable sort of all
@@ -53,10 +53,10 @@ import numpy as np
 
 from .channels import ChannelPlan
 from .coincidence import (ChunkedPair, CoincidenceWindow, CountsMatrix, _check_pair,
-                          check_basis, delay_ticks, key_table, match_keys, tag_keys)
+                          check_basis, delay_ticks, key_table, match_keys)
 from .detection import (JITTER_MARGIN_SIGMAS, Basis, DetectorCarry, DetectorConfig,
                         TagStream, detect, emit_frontier, measure_pair_outcomes, measure_single_outcomes,
-                        merge_keys, side_transmittance)
+                        merge_keys, side_transmittance, tag_keys)
 from .source import SourceConfig, _rng, band_fraction, child_seed
 
 MERGED_LABEL = "merged"
@@ -325,8 +325,7 @@ class _BlockCounter:
         self.singles_bob += kb.size
         self.counts.cc += key_table(*match_keys(*self.matched.push(ka, kb, frontier),
                                                 self.half))
-        a, b = self.delayed.push(ka, kb, frontier)
-        self.accidentals += match_keys(a, b + (self.delayed.shift << 2),
+        self.accidentals += match_keys(*self.delayed.push(ka, kb, frontier),
                                        self.half)[1].size
 
 

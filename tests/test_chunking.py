@@ -17,9 +17,10 @@ from test_kernels import (TICK, fixed_point_dead_time_filter, key_projection,
 from wmqkd.calibration import DEFAULT_DETECTOR, FROZEN_CALIBRATION
 from wmqkd.channels import build_grid_plan
 from wmqkd.coincidence import (ChunkedPair, CoincidenceWindow, accidental_estimate,
-                               find_coincidences, match_keys, tabulate, tag_keys)
+                               find_coincidences, match_keys, tabulate)
 from wmqkd.detection import (Basis, DetectorCarry, DetectorConfig, TagStream, _chain,
-                             _emit, _port_dead_time_filter, emit_frontier, merge_keys)
+                             _emit, _port_dead_time_filter, emit_frontier, merge_keys,
+                             tag_keys)
 import wmqkd.simulate as simulate
 from wmqkd.simulate import (MERGED_LABEL, block_chunks, resolve_channels,
                             simulate_basis, simulate_channel_block)
@@ -39,7 +40,7 @@ def frontiers(cuts):
 
 def chunked(pair, ka, kb, cuts, reduce):
     """Feed both key runs to ``pair`` chunk by chunk and ``reduce`` each
-    handed-on stretch."""
+    handed-on stretch, Bob's shifted."""
     out, handed_a, handed_b = [], [], []
     for pa, pb, frontier in zip(pieces(ka, cuts), pieces(kb, cuts), frontiers(cuts)):
         ra, rb = pair.push(pa, pb, frontier)
@@ -48,7 +49,7 @@ def chunked(pair, ka, kb, cuts, reduce):
         handed_b.append(rb)
     # Every key is handed on once, in order.
     assert np.array_equal(np.concatenate(handed_a), ka)
-    assert np.array_equal(np.concatenate(handed_b), kb)
+    assert np.array_equal(np.concatenate(handed_b), kb + (pair.shift << 2))
     return out
 
 
@@ -77,7 +78,7 @@ def test_chunked_delayed_window_equals_one_shot(a, b, half, shift, cuts):
     ka, kb = tag_keys(a, 0), tag_keys(b, 1)
 
     def count(ra, rb):
-        return match_keys(ra, rb + (shift << 2), half)[1].size
+        return match_keys(ra, rb, half)[1].size
 
     got = sum(chunked(ChunkedPair(half, shift), ka, kb, cuts, count))
     window = CoincidenceWindow((2 * half + 1) * TICK)

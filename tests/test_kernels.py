@@ -19,10 +19,9 @@ from wmqkd import calibration as calib
 from wmqkd.calibration import (FROZEN_CALIBRATION, fig3d_model, predict_channel,
                                predict_merged, predict_rows, window_efficiency)
 from wmqkd.coincidence import (CoincidenceWindow, Matches, accidental_estimate,
-                               find_coincidences, key_table, match_keys, tabulate,
-                               tag_keys)
+                               find_coincidences, key_table, match_keys, tabulate)
 from wmqkd.detection import (Basis, DetectorConfig, TagStream, _dead_time_filter,
-                             detect, merge_keys)
+                             detect, merge_keys, tag_keys)
 from wmqkd.keyrate import (AnalyticLinkModel, AnalyticRates, PairRateOptimum,
                            analytic_rates, binary_entropy, optimize_pair_rate,
                            optimize_pair_rates)
