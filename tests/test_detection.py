@@ -240,6 +240,20 @@ def test_merge_matches_brute_force_oracle():
         assert merged.ticks.tolist() == oracle, f"trial {trial}"
 
 
+def test_merge_keeps_the_fields_of_the_first_tag_on_a_tick():
+    # On tick 0 the tag of detector 2 comes before that of detector 5 and
+    # survives with its own fields; the output takes the lowest id kept.
+    a = TagStream([0, 100], [1, 1], [5, 5], [7, 7], [True, False], TICK, 1.0)
+    b = TagStream([0, 50], [0, 0], [2, 2], [3, 3], [False, True], TICK, 2.0)
+    merged = merge_detectors(a, b, 0.0)
+    assert merged.ticks.tolist() == [0, 50, 100]
+    assert merged.outcomes.tolist() == [0, 0, 1]
+    assert merged.channel_indices.tolist() == [3, 3, 7]
+    assert merged.dark.tolist() == [False, True, False]
+    assert merged.detector_ids.tolist() == [2, 2, 2]
+    assert merged.duration == 2.0
+
+
 def test_merge_rejects_unsorted():
     bad = make_tags([10, 5])
     good = make_tags([1, 2], det_id=1)
