@@ -8,18 +8,19 @@ with one stream delayed far outside the window.
 
 Tags are matched as packed int64 keys (:func:`detection.tag_keys`),
 ``tick << 2 | side << 1 | port``: side 0 is Alice and 1 is Bob, and the
-port bit is the low bit of the outcome.  One matcher kernel (:func:`match_keys`) sorts an Alice and a
-Bob run of keys stably into one and walks it on ``key >> 2``.  The key
-order is the tie order of the greedy policy: on a shared tick Alice
-comes first, and each side keeps its own canonical (tick, detector_id)
-order, because a module's two detector ids rise with the port bit.  The
-Monte Carlo block counters read each match's 2x2 cell from the port bits
-(:func:`key_table`) and count the delayed window as the same call with
-Bob's keys shifted; :func:`find_coincidences` and
-:func:`accidental_estimate` pack a zero port bit, which leaves each
-side's ties in stream order, and call the same kernel.  Runs of keys that
-arrive in time chunks are matched stretch by stretch
-(:class:`ChunkedPair`), with exactly the result of matching them whole.
+port bit is the low bit of the outcome.  One matcher kernel
+(:func:`match_keys`) sorts an Alice and a Bob run of keys into one and
+walks it on ``key >> 2``.  The key order is the tie order of the greedy
+policy: on a shared tick Alice comes first, and each side keeps its own
+canonical (tick, detector_id) order, because a module's two detector ids
+rise with the port bit.  The Monte Carlo block counters read each
+match's 2x2 cell from the port bits (:func:`key_table`) and count the
+delayed window as the same call with Bob's keys shifted;
+:func:`find_coincidences` and :func:`accidental_estimate` pack a zero
+port bit, which leaves each side's ties in stream order, and call the
+same kernel.  Runs of keys that arrive in time chunks are matched
+stretch by stretch (:class:`ChunkedPair`), with exactly the result of
+matching them whole.
 """
 
 from __future__ import annotations
@@ -134,10 +135,11 @@ def match_keys(ka: np.ndarray, kb: np.ndarray, half: int):
     """The greedy matches of a sorted run of Alice keys and one of Bob
     keys whose ticks match within ``half``.
 
-    Returns ``(keys, pos_a, pos_b)``: both runs in one stable sort, and
-    the positions in it of each match's Alice and Bob tag, in no
-    particular order.  On a shared tick the sort puts Alice first and
-    keeps each side's own order, the tie order of the greedy policy.  A
+    Returns ``(keys, pos_a, pos_b)``: both runs in one sort (numpy's
+    stable sort merges two sorted runs cheaply), and the positions in it
+    of each match's Alice and Bob tag, in no particular order.  On a
+    shared tick the keys put Alice first and keep each side's own order,
+    the tie order of the greedy policy.  A
     match needs a chain of consecutive gaps of at most ``half`` between
     its tags, so only runs of such "close" links can hold matches; they
     are a small share of the tags at realistic rates.  A run of one link

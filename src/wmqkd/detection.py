@@ -7,8 +7,9 @@ detectors (one per outcome).  Tags carry integer timestamps in units of
 the time-tagger tick (1/12.15 GHz by default).
 
 Detector merging has one kernel, :func:`merge_keys`, on packed tag keys
-(:func:`tag_keys`, ``tick << 2 | side << 1 | port``): one stable sort orders every run's
-keys by (tick, port), and each port then passes one dead-time filter.
+(:func:`tag_keys`, ``tick << 2 | side << 1 | port``): one sort orders
+every run's keys by (tick, port), and each port then passes one
+dead-time filter.
 The Monte Carlo merged baseline calls it on the channels' keys, and
 :func:`merge_detectors` on two streams' ticks as one port, taking each
 kept tag's fields from the union of the streams.  Large arrays are
@@ -480,14 +481,15 @@ def merge_keys(runs: list[np.ndarray], dead: float, last: np.ndarray) -> np.ndar
     """Merge sorted runs of one side's packed tag keys (:func:`tag_keys`)
     into one effective detector per port.
 
-    One stable sort orders the keys by (tick, port), and every port then
-    passes one non-paralyzable dead-time filter of ``dead`` ticks: a tag
-    survives iff it is strictly later than every kept tag of its port
-    plus the dead time, whichever run either came from.  Only the first
-    tag of a port on a tick can survive, and tags that share a tick and
-    a port share a key, so the output does not depend on which run a
-    survivor came from.  ``last`` holds each port's last kept tick from
-    earlier chunks of the runs (-inf for none) and is updated in place.
+    One sort orders the keys by (tick, port); numpy's stable sort merges
+    sorted runs cheaply.  Every port then passes one non-paralyzable
+    dead-time filter of ``dead`` ticks: a tag survives iff it is strictly
+    later than every kept tag of its port plus the dead time, whichever
+    run either came from.  Only the first tag of a port on a tick can
+    survive, and tags that share a tick and a port share a key, so the
+    output does not depend on which run a survivor came from.  ``last``
+    holds each port's last kept tick from earlier chunks of the runs
+    (-inf for none) and is updated in place.
     """
     keys = np.concatenate(runs)
     keys.sort(kind="stable")

@@ -33,8 +33,8 @@ expected arrivals per side per chunk, all channels together), every
 channel and the merged baseline step through the same chunks, and only
 counts and a few tags near each chunk's end cross to the next chunk
 (the tags jitter may still pass, each port's last kept time for the
-dead time, and the tail of keys the matchers may still join).  A unit hands
-back one block counter per pipeline, which holds counts only.
+dead time, and the tail of keys the matchers may still join).  A unit
+hands back one block counter per pipeline, which holds counts only.
 :func:`simulate_point` runs the two units on two threads and joins each
 pipeline's HV and DA counters into its one record, a
 :class:`PipelineResult`.  Scheduling cannot change the result: every
@@ -55,8 +55,9 @@ from .channels import ChannelPlan
 from .coincidence import (ChunkedPair, CoincidenceWindow, CountsMatrix, _check_pair,
                           check_basis, delay_ticks, key_table, match_keys)
 from .detection import (JITTER_MARGIN_SIGMAS, Basis, DetectorCarry, DetectorConfig,
-                        TagStream, detect, emit_frontier, measure_pair_outcomes, measure_single_outcomes,
-                        merge_keys, side_transmittance, tag_keys)
+                        TagStream, detect, emit_frontier, measure_pair_outcomes,
+                        measure_single_outcomes, merge_keys, side_transmittance,
+                        tag_keys)
 from .source import SourceConfig, _rng, band_fraction, child_seed
 
 MERGED_LABEL = "merged"
@@ -323,10 +324,10 @@ class _BlockCounter:
         are."""
         self.singles_alice += ka.size
         self.singles_bob += kb.size
-        self.counts.cc += key_table(*match_keys(*self.matched.push(ka, kb, frontier),
-                                                self.half))
-        self.accidentals += match_keys(*self.delayed.push(ka, kb, frontier),
-                                       self.half)[1].size
+        a, b = self.matched.push(ka, kb, frontier)
+        self.counts.cc += key_table(*match_keys(a, b, self.half))
+        a, b = self.delayed.push(ka, kb, frontier)
+        self.accidentals += match_keys(a, b, self.half)[1].size
 
 
 def simulate_basis(
