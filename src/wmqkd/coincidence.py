@@ -10,17 +10,19 @@ Tags are matched as packed int64 keys (:func:`detection.tag_keys`),
 ``tick << 2 | side << 1 | port``: side 0 is Alice and 1 is Bob, and the
 port bit is the low bit of the outcome.  One matcher kernel
 (:func:`match_keys`) sorts an Alice and a Bob run of keys into one and
-walks it on ``key >> 2``.  The key order is the tie order of the greedy
-policy: on a shared tick Alice comes first, and each side keeps its own
-canonical (tick, detector_id) order, because a module's two detector ids
-rise with the port bit.  The Monte Carlo block counters read each
-match's 2x2 cell from the port bits (:func:`key_table`) and count the
-delayed window as the same call with Bob's keys shifted;
+walks it on ``key >> 2``: only runs of close links can hold matches,
+and all of them are walked by one greedy walk.  The key order is the
+tie order of the greedy policy: on a shared tick Alice comes first, and
+each side keeps its own canonical (tick, detector_id) order, because a
+module's two detector ids rise with the port bit.  The Monte Carlo
+counters read each match's 2x2 cell from the port bits and count the
+delayed window as the same walk with Bob's keys shifted;
 :func:`find_coincidences` and :func:`accidental_estimate` pack a zero
 port bit, which leaves each side's ties in stream order, and call the
 same kernel.  Runs of keys that arrive in time chunks are matched
 stretch by stretch (:class:`ChunkedPair`), with exactly the result of
-matching them whole.
+matching them whole; their keys may hold many channels, each in its own
+segment of key ticks.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import Basis, TagStream
+from .detection import Basis, TagStream, _ranges
 
 
 @dataclass(frozen=True)
@@ -71,8 +73,9 @@ class Matches:
         return self.idx_a.size
 
 
-def _greedy_two_pointer(ta: np.ndarray, tb: np.ndarray, half: int):
-    """Exact greedy earliest-first matching of two sorted integer arrays.
+def _greedy_two_pointer(ta, tb, half: int):
+    """Exact greedy earliest-first matching of two sorted integer
+    sequences (Python lists walk fastest).
 
     At each step the globally earliest unmatched tag is paired with the
     earliest (hence nearest eligible) unused tag of the other stream
@@ -80,7 +83,7 @@ def _greedy_two_pointer(ta: np.ndarray, tb: np.ndarray, half: int):
     """
     out_a, out_b = [], []
     i = j = 0
-    na, nb = ta.size, tb.size
+    na, nb = len(ta), len(tb)
     while i < na and j < nb:
         d = tb[j] - ta[i]
         if d >= 0:
@@ -139,46 +142,72 @@ def match_keys(ka: np.ndarray, kb: np.ndarray, half: int):
     stable sort merges two sorted runs cheaply), and the positions in it
     of each match's Alice and Bob tag, in no particular order.  On a
     shared tick the keys put Alice first and keep each side's own order,
-    the tie order of the greedy policy.  A
-    match needs a chain of consecutive gaps of at most ``half`` between
-    its tags, so only runs of such "close" links can hold matches; they
-    are a small share of the tags at realistic rates.  A run of one link
-    that joins an Alice and a Bob tag is one match; each longer run
-    falls back to the explicit greedy walk over its Alice and Bob tags.
+    the tie order of the greedy policy.
     """
     keys = np.concatenate((ka, kb))
     keys.sort(kind="stable")
-    none = np.empty(0, dtype=np.intp)
-    t = keys >> 2
-    close = np.flatnonzero(np.diff(t) <= half)   # link k joins tags k and k + 1
-    if ka.size == 0 or kb.size == 0 or close.size == 0:
+    if ka.size == 0 or kb.size == 0:
+        none = np.empty(0, dtype=np.intp)
         return keys, none, none
+    return (keys, *_walk(keys, *_close_runs(keys, half), half))
+
+
+def _close_runs(keys: np.ndarray, half: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first and last position of each run of "close" links in sorted
+    keys: consecutive tags whose ticks differ by at most ``half``.  A
+    match needs a chain of close links between its tags, so only these
+    runs can hold matches; they are a small share of the tags at
+    realistic rates."""
+    # Link k joins tags k and k + 1.  Two keys more than 4·half + 3 apart
+    # are more than half a window apart; the few links within that are
+    # tested on their ticks.
+    close = np.flatnonzero(np.diff(keys) <= 4 * half + 3)
+    close = close[(keys[close + 1] >> 2) - (keys[close] >> 2) <= half]
+    if close.size == 0:
+        return close, close
     brk = np.flatnonzero(np.diff(close) != 1) + 1
     first = close[np.concatenate(([0], brk))]
     last = close[np.concatenate((brk - 1, [close.size - 1]))] + 1
+    return first, last
+
+
+def _walk(keys: np.ndarray, first: np.ndarray, last: np.ndarray, half: int):
+    """The greedy matches inside the runs of close links ``[first, last]``
+    of sorted keys, as the positions of their Alice and Bob tags.
+
+    A run of one link that joins an Alice and a Bob tag is one match.
+    The runs of two or more links are walked all at once, by one greedy
+    walk over their Alice and their Bob tags: the runs are more than
+    ``half`` apart, so wherever the walk's two pointers sit in different
+    runs it only advances the earlier one, and each run is matched as on
+    its own.
+    """
     single = last - first == 1
     early = first[single]
     bob_first = keys[early] & 2
     mixed = bob_first != keys[early + 1] & 2
     early, a_first = early[mixed], bob_first[mixed] == 0
-    pos_a = [np.where(a_first, early, early + 1)]
-    pos_b = [np.where(a_first, early + 1, early)]
-    for lo, hi in zip(first[~single].tolist(), last[~single].tolist()):
-        bob = keys[lo:hi + 1] & 2 != 0
-        ia = lo + np.flatnonzero(~bob)
-        ib = lo + np.flatnonzero(bob)
-        sub_a, sub_b = _greedy_two_pointer(t[ia], t[ib], half)
-        if sub_a:
-            pos_a.append(ia[np.asarray(sub_a)])
-            pos_b.append(ib[np.asarray(sub_b)])
-    return keys, np.concatenate(pos_a), np.concatenate(pos_b)
+    idx = _ranges(first[~single], last[~single] + 1)
+    bob = keys[idx] & 2 != 0
+    ia, ib = idx[~bob], idx[bob]
+    sub_a, sub_b = _greedy_two_pointer((keys[ia] >> 2).tolist(), (keys[ib] >> 2).tolist(),
+                                       half)
+    return (np.concatenate((np.where(a_first, early, early + 1), ia[sub_a])),
+            np.concatenate((np.where(a_first, early + 1, early), ib[sub_b])))
 
 
-def key_table(keys: np.ndarray, pos_a: np.ndarray, pos_b: np.ndarray) -> np.ndarray:
+def key_table(keys: np.ndarray, pos_a: np.ndarray, pos_b: np.ndarray,
+              edges: np.ndarray | None = None) -> np.ndarray:
     """The 2x2 table of matches read from their port bits: Alice's bit
-    picks the row and Bob's the column."""
-    cell = 2 * (keys[pos_a] & 1) + (keys[pos_b] & 1)
-    return np.bincount(cell, minlength=4).reshape(2, 2)
+    picks the row and Bob's the column.  With ``edges``, the first key of
+    each segment of the keys after the first, one table per segment: a
+    match counts in the segment of its keys."""
+    a = keys[pos_a]
+    cell = 2 * (a & 1) + (keys[pos_b] & 1)
+    if edges is None:
+        return np.bincount(cell, minlength=4).reshape(2, 2)
+    cell += 4 * np.searchsorted(edges, a, side="right")
+    return np.bincount(cell, minlength=4 * (edges.size + 1)).reshape(-1, 2, 2)
 
 
 @dataclass
@@ -277,68 +306,68 @@ def accidental_estimate(tags_a: TagStream, tags_b: TagStream,
 
 class ChunkedPair:
     """An Alice and a Bob run of sorted keys that arrive in time chunks,
-    handed on in stretches whose greedy matching is final.
+    matched stretch by stretch as each stretch becomes final.
 
-    Bob's keys are shifted by ``shift`` ticks on arrival, which serves
-    the delayed window.  A gap wider than the half window ends every
-    match, so the matching of the tags before such a gap does not depend
-    on any tag after it.  Each chunk is joined to the keys held from the
-    previous one; the keys after the last such gap before the frontier
-    are held again, and the rest is handed on.  Matching each stretch on
+    The keys may hold several segments of ``width`` key ticks each, one
+    after the other, as the channels of a :class:`detection.KeyFrame`
+    do; no match joins two segments.  Bob's keys are shifted by ``shift``
+    ticks on arrival, which serves the delayed window.  A gap wider than
+    the half window ends every match, so the matching of the tags before
+    such a gap does not depend on any tag after it.  Each chunk is joined
+    to the keys held from the previous one; in each segment the keys
+    after the last such gap before the frontier are held again, and the
+    runs of close links before it are matched.  Matching each stretch on
     its own then gives exactly the matches of the whole runs.
     """
 
-    def __init__(self, half: int, shift: int = 0):
+    def __init__(self, half: int, shift: int = 0, segments: int = 1, width: int = 0):
         self.half = half
         self.shift = shift
-        self.held: tuple[np.ndarray, np.ndarray] | None = None
+        self.starts = np.arange(segments, dtype=np.int64) * width   # first key tick
+        self.held = np.empty(0, dtype=np.int64)
 
-    def push(self, ka: np.ndarray, kb: np.ndarray,
-             frontier: int | None) -> tuple[np.ndarray, np.ndarray]:
+    def push(self, ka: np.ndarray, kb: np.ndarray, frontier: int | None):
         """Add the next chunk of both runs, whose later keys all have a
-        tick at or above ``frontier`` (None: there are none); returns the
-        stretch of each run whose matches are now final, Bob's shifted."""
+        tick at or above ``frontier`` (``frontier + s·width`` in segment
+        ``s``; None: there are none).  Returns ``(keys, pos_a, pos_b)`` as
+        :func:`match_keys` does: the held and the new keys, Bob's shifted,
+        in one sort, and the positions of the matches that are now final.
+        The keys of no returned match are held for the next chunk."""
         if self.shift:
             kb = kb + (self.shift << 2)
-        if self.held is not None:
-            ka = _after(self.held[0], ka)
-            kb = _after(self.held[1], kb)
+        keys = np.concatenate((self.held, ka, kb))
+        keys.sort(kind="stable")
+        first, last = _close_runs(keys, self.half)
         if frontier is None:
-            self.held = None
-            return ka, kb
-        cut = _final_cut(ka, kb, min(frontier, frontier + self.shift), self.half) << 2
-        ia, ib = int(np.searchsorted(ka, cut)), int(np.searchsorted(kb, cut))
-        # Copies, so the few held keys do not keep the chunk alive.
-        self.held = (ka[ia:].copy(), kb[ib:].copy())
-        return ka[:ia], kb[:ib]
+            self.held = np.empty(0, dtype=np.int64)
+        else:
+            ends = np.append(np.searchsorted(keys, self.starts[1:] << 2), keys.size)
+            cut = _final_cut(keys, first, last,
+                             min(frontier, frontier + self.shift) + self.starts, self.half)
+            self.held = keys[_ranges(cut, ends)]
+            final = first < cut[np.searchsorted(ends, first, side="right")]
+            first, last = first[final], last[final]
+        return (keys, *_walk(keys, first, last, self.half))
 
 
-def _after(held: np.ndarray, new: np.ndarray) -> np.ndarray:
-    return new if held.size == 0 else np.concatenate((held, new))
-
-
-def _final_cut(ka: np.ndarray, kb: np.ndarray, bound: int, half: int) -> int:
-    """Largest tick ``c <= bound`` such that every tag below ``c`` is more
-    than ``half`` ticks from every tag at or above it.
-
-    Every tag not yet seen lies at or above ``bound``.  ``c`` is the
-    first tag after the last gap wider than ``half`` before ``bound``, or
-    ``bound`` itself.  Only the last few tags of each run are looked at,
-    more as needed.
-    """
-    ia = int(np.searchsorted(ka, bound << 2))
-    ib = int(np.searchsorted(kb, bound << 2))
-    m = 16
-    while True:
-        a0, b0 = max(ia - m, 0), max(ib - m, 0)
-        ta, tb = ka[a0:ia] >> 2, kb[b0:ib] >> 2
-        u = np.sort(np.concatenate((ta, tb, [bound])))
-        # Below the earliest tag looked at of a run that has earlier
-        # tags, the union is incomplete and its gaps are not real.
-        floor = max(ta[0] if a0 else u[0], tb[0] if b0 else u[0])
-        gaps = np.flatnonzero((np.diff(u) > half) & (u[:-1] >= floor))
-        if gaps.size:
-            return int(u[gaps[-1] + 1])
-        if a0 == 0 and b0 == 0:
-            return int(u[0])
-        m *= 4
+def _final_cut(keys: np.ndarray, first: np.ndarray, last: np.ndarray,
+               bound: np.ndarray, half: int) -> np.ndarray:
+    """For each segment's ``bound`` tick, the first position of sorted
+    ``keys`` after the last gap wider than ``half`` before the bound, or
+    the bound's own position: every tag before it is more than ``half``
+    ticks from every tag at or after it and from every tick at or above
+    the bound.  ``first`` and ``last`` are the keys' runs of close links
+    (:func:`_close_runs`).  The cut is at the bound unless the last tag
+    below it lies within ``half`` of it; then it is at the first tag of
+    that tag's run."""
+    cut = np.searchsorted(keys, bound << 2)
+    prev = cut - 1
+    near = prev >= 0
+    near[near] = bound[near] - (keys[prev[near]] >> 2) <= half
+    cut[near] = prev[near]
+    if first.size:
+        run = np.searchsorted(first, prev, side="right") - 1
+        inside = near & (run >= 0)
+        inside[inside] = last[run[inside]] >= prev[inside]
+        cut[inside] = first[run[inside]]
+    return cut

@@ -6,10 +6,17 @@ A detection module is one polarization analyzer with two output
 detectors (one per outcome).  Tags carry integer timestamps in units of
 the time-tagger tick (1/12.15 GHz by default).
 
-Detector merging has one kernel, :func:`merge_keys`, on packed tag keys
-(:func:`tag_keys`, ``tick << 2 | side << 1 | port``): one sort orders
-every run's keys by (tick, port), and each port then passes one
-dead-time filter.
+The detector chain is per-channel draws (:func:`detector_draws`) and
+one emit kernel (:func:`emit_keys`) that orders, holds back, dead-time
+filters and rounds the jittered events of one or many channels at once
+and returns packed tag keys (:func:`tag_keys`, ``tick << 2 | side << 1 |
+port``), each channel's ticks in its own segment of a
+:class:`KeyFrame`.  :func:`detect` is that chain for one channel,
+unpacked into a :class:`TagStream`.
+
+Detector merging has one kernel, :func:`merge_keys`, on packed tag keys:
+one sort orders every run's keys by (tick, port), and each port then
+passes one dead-time filter.
 The Monte Carlo merged baseline calls it on the channels' keys, and
 :func:`merge_detectors` on two streams' ticks as one port, taking each
 kept tag's fields from the union of the streams.  Large arrays are
@@ -36,6 +43,11 @@ DEFAULT_TICK_S = 1.0 / 12.15e9
 # widths before the chunk's end, so that no later arrival's jitter can
 # land a tag below it.
 JITTER_MARGIN_SIGMAS = 40.0
+
+# Bound on the key ticks of a record.  A packed tag key holds its tick
+# shifted left by two bits, so a key stays in int64 below 2**61 ticks;
+# rounding a time to ticks wraps past 2**63.
+MAX_TICKS = 2 ** 60
 
 
 class Basis(enum.Enum):
@@ -147,28 +159,6 @@ def tag_keys(tags: TagStream, side: int) -> np.ndarray:
     return keys
 
 
-def _tie_order(ticks: np.ndarray, *keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reorder the groups of equal ticks of a non-decreasing tick array.
-
-    Sorting stably by ``keys`` (most significant first) inside every
-    group of equal ticks moves the element at position ``src[i]`` to
-    position ``pos[i]``; only the elements that move are returned, so
-    ``a[pos] = a[src]`` applies the order.  Equal ticks are rare at
-    realistic rates, which makes this much cheaper than a full lexsort.
-    """
-    tie = ticks[1:] == ticks[:-1]
-    if not tie.any():
-        none = np.empty(0, dtype=np.intp)
-        return none, none
-    grouped = np.zeros(ticks.size, dtype=bool)
-    grouped[1:] = tie
-    grouped[:-1] |= tie
-    pos = np.flatnonzero(grouped)
-    src = pos[np.lexsort([k[pos] for k in reversed(keys)] + [ticks[pos]])]
-    moved = src != pos
-    return pos[moved], src[moved]
-
-
 class Survival(NamedTuple):
     """Per-photon survival flags after transmission losses."""
 
@@ -252,78 +242,193 @@ def measure_single_outcomes(n: int, rng) -> np.ndarray:
     return rng.integers(0, 2, size=n, dtype=np.int8)
 
 
-def _dead_time_filter(times: np.ndarray, dead: float,
-                      last: float = -np.inf) -> np.ndarray:
+def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The positions of the ranges ``[lo[i], hi[i])``, one range after
+    the other."""
+    lens = hi - lo
+    ends = np.cumsum(lens)
+    return np.repeat(lo - ends + lens, lens) + np.arange(ends[-1] if lens.size else 0)
+
+
+class KeyFrame(NamedTuple):
+    """Where the ticks of a record's channels sit in packed tag keys.
+
+    Channel slot ``s`` holds the key ticks ``[s·width, (s + 1)·width)``:
+    its tick ``t`` is the key tick ``s·width + t - base``.  Every tick of
+    the record lies in ``[base, base + span]``, and ``width`` exceeds
+    ``span`` by the reach of the kernels that compare ticks, so no kernel
+    relates the tags of two channels.  The default frame is one channel
+    whose key ticks are its ticks, unbounded.
+    """
+
+    base: int = 0
+    width: int = 0
+    span: int = 0
+
+
+def key_frame(start: float, end: float, config: DetectorConfig,
+              channels: int = 1, reach: float = 0.0) -> KeyFrame:
+    """The frame of ``channels`` records of events in ``[start, end)``,
+    each jittered by at most the chunk margin (``JITTER_MARGIN_SIGMAS``
+    jitter widths), whose tags a kernel compares up to ``reach`` seconds
+    apart.  Raises ValueError when the key ticks of all the channels do
+    not fit below ``MAX_TICKS``, or a record's ticks do not fit in int64
+    keys."""
+    margin = JITTER_MARGIN_SIGMAS * config.jitter_sigma
+    lo, hi = (start - margin) / config.tick, (end + margin) / config.tick
+    # Rounding the reach's parts and the record's ends costs a few ticks.
+    extra = reach / config.tick + 5
+    total = channels * (hi - lo + extra)
+    if not (total < MAX_TICKS and -MAX_TICKS < lo and hi < MAX_TICKS):
+        raise ValueError(
+            f"{channels} record(s) of {end - start:g} s, margins, window and delays "
+            f"included, are {total:.3g} ticks of {config.tick:g} s; packed tag keys "
+            f"need fewer than 2**60")
+    base = math.floor(lo)
+    span = math.ceil(hi) - base
+    return KeyFrame(base, span + math.ceil(extra), span)
+
+
+def _first_above(times: np.ndarray, x: np.ndarray, lo: np.ndarray,
+                 hi: np.ndarray) -> np.ndarray:
+    """For each query ``i``, the first position ``j`` in ``[lo[i], hi[i])``
+    with ``times[j] > x[i]``, or ``hi[i]`` when there is none; ``times``
+    must be non-decreasing on every range.  The queries gallop from
+    ``lo`` and then bisect, all at once, so a query costs the logarithm
+    of its distance, and no array as long as ``times`` is built."""
+    lo, hi = np.array(lo, dtype=np.intp), np.array(hi, dtype=np.intp)
+    step = 1
+    todo = np.flatnonzero(lo < hi)
+    while todo.size:
+        probe = np.minimum(lo[todo] + (step - 1), hi[todo] - 1)
+        above = times[probe] > x[todo]
+        hi[todo[above]] = probe[above]
+        lo[todo[~above]] = probe[~above] + 1
+        todo = todo[~above]
+        todo = todo[lo[todo] < hi[todo]]
+        step *= 2
+    todo = np.flatnonzero(lo < hi)
+    while todo.size:
+        mid = (lo[todo] + hi[todo]) >> 1
+        above = times[mid] > x[todo]
+        hi[todo[above]] = mid[above]
+        lo[todo[~above]] = mid[~above] + 1
+        todo = todo[lo[todo] < hi[todo]]
+    return lo
+
+
+def _dead_time_filter(times: np.ndarray, dead: float, last=-np.inf,
+                      starts: np.ndarray | None = None) -> np.ndarray:
     """Boolean keep-mask for a non-paralyzable dead-time filter.
 
-    ``times`` must be non-decreasing.  An event is kept iff it is
-    strictly later than the last kept event plus ``dead``; ``last`` is
-    the time of the last event kept before these, in an earlier chunk of
-    the record.  Gaps larger than ``dead`` split the times into clusters:
-    the first event of every cluster is kept and the second is dropped.
-    Clusters of three or more events are walked with ``searchsorted``,
-    all at once, one kept event per step, so a burst costs
-    O(n + kept · log n) rather than quadratic time.  A walk that leaves
-    its cluster lands on the next cluster's first event, which is
-    already kept, and stops there.
+    ``times`` holds one segment, or several one after the other, segment
+    ``g`` from ``starts[g]`` on; each segment's times must be
+    non-decreasing and are filtered on their own.  An event is kept iff
+    it is strictly later than the last kept event of its segment plus
+    ``dead``; ``last`` (one value, or one per segment) is the time of the
+    last event kept before these, in an earlier chunk of the record.  Gaps
+    larger than ``dead`` split a segment into clusters: the first event
+    of every cluster is kept and the second is dropped.  Clusters of three
+    or more events are walked with ``searchsorted``, all at once, one kept
+    event per step, so a burst costs O(n + kept · log n) rather than
+    quadratic time.  A walk that leaves its cluster lands on the next
+    cluster's first event, which is already kept, or on its segment's
+    end, and stops there.
     """
+    n = times.size
     if dead < 0:
-        return np.ones(times.size, dtype=bool)
-    keep = np.zeros(times.size, dtype=bool)
-    # The events still dead after ``last`` are a prefix; the rest is
-    # filtered on its own.
-    lo = int(np.searchsorted(times, last + dead, side="right"))
-    t, k = times[lo:], keep[lo:]
-    n = t.size
+        return np.ones(n, dtype=bool)
+    starts = np.zeros(1, np.intp) if starts is None else np.asarray(starts, np.intp)
+    ends = np.append(starts[1:], n)
+    keep = np.zeros(n, dtype=bool)
     if n == 0:
         return keep
-    k[0] = True
-    np.greater(t[1:], t[:-1] + dead, out=k[1:])
-    cur = np.flatnonzero(k[:-2] & ~k[1:-1] & ~k[2:])
+    np.greater(times[1:], times[:-1] + dead, out=keep[1:])
+
+    def search(x, lo, hi):
+        # One segment's times are all sorted; several are searched in
+        # their own ranges.
+        if starts.size == 1:
+            return np.searchsorted(times, x, side="right")
+        return _first_above(times, x, lo, hi)
+
+    # The events still dead after ``last`` are a prefix of their segment,
+    # and the first event after it starts a cluster.
+    x = np.broadcast_to(np.asarray(last, dtype=np.float64) + dead, starts.shape)
+    first = starts.copy()
+    blocked = np.flatnonzero((starts < ends) & ~(times[np.minimum(starts, n - 1)] > x))
+    if blocked.size:
+        first[blocked] = search(x[blocked], starts[blocked], ends[blocked])
+        keep[_ranges(starts[blocked], first[blocked])] = False
+    keep[first[first < ends]] = True
+    cur = np.flatnonzero(keep[:-2] & ~keep[1:-1] & ~keep[2:])
+    end = ends[np.searchsorted(starts, cur, side="right") - 1]
+    on = cur + 2 < end
+    cur, end = cur[on], end[on]
     while cur.size:
-        cur = np.searchsorted(t, t[cur] + dead, side="right")
-        cur = cur[cur < n]
-        cur = cur[~k[cur]]
-        k[cur] = True
+        cur = search(times[cur] + dead, cur + 1, end)
+        on = cur < end
+        cur, end = cur[on], end[on]
+        on = ~keep[cur]
+        cur, end = cur[on], end[on]
+        keep[cur] = True
     return keep
 
 
 def _port_dead_time_filter(times: np.ndarray, port: np.ndarray, dead: float,
-                           ports: int, last: np.ndarray) -> np.ndarray:
-    """Keep-mask of one dead-time filter per port.
+                           ports: int, last: np.ndarray,
+                           starts: np.ndarray | None = None) -> np.ndarray:
+    """Keep-mask of one dead-time filter per port, and per segment when
+    ``starts`` splits ``times`` into segments (:func:`_dead_time_filter`).
 
-    ``times`` must be non-decreasing and ``port`` holds labels in
-    ``range(ports)``.  Each port's events, gathered by index and still in
-    time order, pass one :func:`_dead_time_filter`, which compares them
-    as float64.  ``last`` holds each port's last kept time from earlier
-    chunks (-inf for none) and is updated in place.
+    ``times`` must be non-decreasing within each segment.  ``port`` holds
+    labels in ``range(ports)``; an event of any other label is in no
+    filter and is not kept.  Each port's events, gathered by index and
+    still in time order, pass one :func:`_dead_time_filter`, which
+    compares them as float64.  ``last`` holds each port's last kept time
+    from earlier chunks (-inf for none), one row per port of one entry
+    per segment, and is updated in place.
     """
     keep = np.zeros(times.size, dtype=bool)
+    starts = np.zeros(1, np.intp) if starts is None else starts
+    rows = last.reshape(ports, -1)
     for p in range(ports):
         idx = np.flatnonzero(port == p)
         t = times[idx].astype(np.float64, copy=False)
-        k = _dead_time_filter(t, dead, last[p])
-        if k.any():
-            last[p] = t[k.size - 1 - np.argmax(k[::-1])]
+        begin = np.searchsorted(idx, starts)
+        k = _dead_time_filter(t, dead, rows[p], begin)
         keep[idx] = k
+        # Each segment's last kept event, if it kept one: most often its
+        # last event.
+        end = np.append(begin[1:], t.size)
+        seg = np.flatnonzero(begin < end)
+        final = k[end[seg] - 1]
+        rows[p, seg[final]] = t[end[seg[final]] - 1]
+        seg = seg[~final]
+        if seg.size:
+            kept = np.flatnonzero(k)
+            j = np.searchsorted(kept, end[seg]) - 1
+            has = j >= 0
+            has[has] = kept[j[has]] >= begin[seg[has]]
+            rows[p, seg[has]] = t[kept[j[has]]]
     return keep
 
 
 class DetectorCarry:
-    """What one analyzer module carries from a time chunk of its record to
-    the next.
+    """What the analyzer modules of one side carry from a time chunk of
+    their records to the next, one segment per channel slot.
 
-    ``held`` are the jittered events (times, port bits, dark flags) at or
-    above the last frontier, which a later chunk's events may still
-    precede; ``last_kept`` is each port's last kept time, from which its
-    dead time runs on; ``frontier`` is the tick below which every tag has
-    been emitted.
+    ``held`` are the jittered events (times, port bits, dark flags and
+    slots) at or above the last frontier, which a later chunk's events
+    may still precede; ``last_kept`` is each port's last kept time in each
+    slot (one row per port), from which its dead time runs on;
+    ``frontier`` is the tick below which every tag has been emitted.
     """
 
-    def __init__(self):
+    def __init__(self, channels: int = 1):
         self.held = (np.empty(0), np.empty(0, dtype=np.int8),
-                     np.empty(0, dtype=bool))
-        self.last_kept = np.full(2, -np.inf)
+                     np.empty(0, dtype=bool), np.empty(0, dtype=np.intp))
+        self.last_kept = np.full((2, channels), -np.inf)
         self.frontier: int | None = None
 
 
@@ -357,11 +462,15 @@ def detect(
     dark counts as an independent Poisson process with uniformly random
     port assignment; (3) add zero-mean normal jitter to every event;
     (4) re-sort; (5) apply non-paralyzable dead time per physical
-    detector; (6) quantize to ticks.
+    detector; (6) quantize to ticks.  Steps (1) to (3) are
+    :func:`detector_draws` and steps (4) to (6) :func:`emit_keys`, for one
+    channel.
 
     ``outcome_bits`` selects the output port (0 or 1) for each arrival;
     ``detector_ids`` names the two physical detectors.  The arrivals and
-    dark counts lie in ``[start, start + duration)``.
+    dark counts lie in ``[start, start + duration)``, whose ticks must fit
+    in packed keys (:func:`key_frame`); a record too long for them is a
+    ValueError before anything is drawn.
 
     With a ``carry`` the call is one time chunk of a longer record: the
     events held from the previous chunk join this one's, only tags below
@@ -382,8 +491,19 @@ def detect(
         raise ValueError("outcome_bits must be 0 or 1")
     if duration <= 0:
         raise ValueError(f"duration must be > 0, got {duration}")
-    rng = _rng(seed)
+    key_frame(start, start + duration, config)
+    t, bits, dark = detector_draws(arrival_times, outcome_bits, config, duration,
+                                   _rng(seed), start)
+    return _emit(t, bits, dark, config, channel_index, basis, detector_ids,
+                 duration, carry or DetectorCarry(), frontier)
 
+
+def detector_draws(arrival_times: np.ndarray, outcome_bits: np.ndarray,
+                   config: DetectorConfig, duration: float, rng,
+                   start: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Steps (1) to (3) of :func:`detect`, drawn from ``rng``: the jittered
+    times, port bits and dark flags of the events that reach the tagger,
+    the detected photons in arrival order and then the dark counts."""
     # Index gathers: a boolean mask gathers large arrays several times slower.
     kept = np.flatnonzero(rng.random(arrival_times.size) < config.efficiency)
     t = arrival_times[kept]
@@ -397,52 +517,110 @@ def detect(
         dark = np.concatenate([dark, np.ones(n_dark, dtype=bool)])
 
     if config.jitter_sigma > 0 and t.size:
-        t = t + rng.normal(0.0, config.jitter_sigma, t.size)
-    return _emit(t, bits, dark, config, channel_index, basis, detector_ids,
-                 duration, carry or DetectorCarry(), frontier)
+        t += rng.normal(0.0, config.jitter_sigma, t.size)
+    return t, bits, dark
+
+
+def emit_keys(parts: list, config: DetectorConfig, carry: DetectorCarry,
+              frontier: int | None, side: int = 0, frame: KeyFrame = KeyFrame(),
+              ranks: tuple[int, int] = (0, 1)) -> tuple[np.ndarray, np.ndarray]:
+    """Steps (4) to (6) of :func:`detect` for one side of several
+    channels at once: the packed keys and dark flags of the tags below
+    the ``frontier`` tick.
+
+    ``parts`` holds each channel slot's events as :func:`detector_draws`
+    gives them; the list is emptied, so that each slot's draws are freed
+    once they are folded in.  ``carry`` is the side's carry, with one
+    segment per slot.  A tag's key is ``k << 2 | side << 1 | port``, with
+    ``k`` its key tick in ``frame``.  Each slot's tags come in canonical
+    order, the slots one after the other: by tick, then by the rank of
+    the port's detector (``ranks``), then by time.  With the default ranks
+    that is the order of the keys.  The dark flags follow the keys.
+
+    The held and new events of every slot are ordered by (slot, time),
+    stably, as each slot's own stable sort of its times would order them:
+    one stable sort by key tick, which rounding leaves in time order, and
+    a sort by time of the few events that share a key tick.  Each slot's
+    events at or above the frontier are held again.  Each (slot, port)
+    passes one non-paralyzable dead-time filter on the float64 times.
+    Channel offsets are added to integer ticks only, so that no time is
+    rounded differently.
+    """
+    n = len(parts)
+    held_t, held_bits, held_dark, held_slot = carry.held
+    counts = [p[0].size for p in parts]
+    t = np.concatenate([held_t] + [p[0] for p in parts])
+    bits = np.concatenate([held_bits] + [p[1] for p in parts])
+    dark = np.concatenate([held_dark] + [p[2] for p in parts])
+    parts.clear()
+    x = t / config.tick
+    key = np.rint(x, out=x).astype(np.int64)
+    del x
+    new = key[held_t.size:]
+    if carry.frontier is not None and new.size and new.min() < carry.frontier:
+        raise ValueError("jitter moved a tag below the frontier already "
+                         "emitted; the chunk margin is too small")
+    if frame.width and key.size and (key.min() < frame.base
+                                     or key.max() > frame.base + frame.span):
+        raise ValueError("jitter moved a tag past the record's margin")
+    offset = np.arange(n, dtype=np.int64) * frame.width - frame.base
+    key[:held_t.size] += offset[held_slot]
+    key[held_t.size:] += np.repeat(offset, counts)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    tie = np.flatnonzero(key[1:] == key[:-1])
+    if tie.size:
+        pos = np.union1d(tie, tie + 1)
+        sub = order[pos]
+        order[pos] = sub[np.lexsort((t[sub], key[pos]))]
+    t, bits, dark = t[order], bits[order], dark[order]
+    del order
+    starts = np.concatenate(([0], np.searchsorted(key, offset[1:] + frame.base)))
+    ends = np.append(starts[1:], key.size)
+    cut = ends if frontier is None else \
+        np.clip(np.searchsorted(key, offset + frontier), starts, ends)
+    held = _ranges(cut, ends)
+    carry.held = (t[held], bits[held], dark[held], np.repeat(np.arange(n), ends - cut))
+    carry.frontier = frontier
+    bits[held] = 2    # no port: a held event joins no dead-time filter
+    keep = np.flatnonzero(_port_dead_time_filter(t, bits, config.dead_time, 2,
+                                                 carry.last_kept, starts))
+    keys = key[keep]
+    del key
+    keys <<= 2
+    keys |= bits[keep]
+    if side:
+        keys |= 2
+    dark = dark[keep]
+    # Tags of the two ports that share a tick may be out of canonical
+    # order; a stable sort of each tick that holds such a pair restores it.
+    rank = keys if ranks == (0, 1) else \
+        keys >> 2 << 1 | np.asarray(ranks, np.int64)[keys & 1]
+    swap = np.flatnonzero(rank[1:] < rank[:-1])
+    if swap.size:
+        tick = keys[swap] >> 2
+        pos = np.unique(_ranges(np.searchsorted(keys, tick << 2),
+                                np.searchsorted(keys, tick + 1 << 2)))
+        order = pos[np.lexsort((rank[pos], keys[pos] >> 2))]
+        keys[pos], dark[pos] = keys[order], dark[order]
+    return keys, dark
 
 
 def _emit(t: np.ndarray, bits: np.ndarray, dark: np.ndarray,
           config: DetectorConfig, channel_index: int, basis: Basis,
           detector_ids: tuple[int, int], duration: float,
           carry: DetectorCarry, frontier: int | None) -> TagStream:
-    """Steps (4) to (6) of :func:`detect`, on jittered event times."""
-    if (carry.frontier is not None and t.size
-            and np.rint(t.min() / config.tick) < carry.frontier):
-        raise ValueError("jitter moved a tag below the frontier already "
-                         "emitted; the chunk margin is too small")
-    held_t, held_bits, held_dark = carry.held
-    t = np.concatenate([held_t, t])
-    bits = np.concatenate([held_bits, bits])
-    dark = np.concatenate([held_dark, dark])
-
-    order = np.argsort(t, kind="stable")
-    t, bits, dark = t[order], bits[order], dark[order]
-    # Rounding keeps the time order, so the ticks are non-decreasing and
-    # only tags of the two detectors that share a tick may be out of
-    # canonical (tick, detector_id) order.
-    ticks = np.rint(t / config.tick).astype(np.int64)
-    # Held tags share no tick with emitted ones, so the canonical order
-    # never spans two chunks.
-    n = ticks.size if frontier is None else int(np.searchsorted(ticks, frontier))
-    # Copies, so the few held events do not keep the chunk alive.
-    carry.held = (t[n:].copy(), bits[n:].copy(), dark[n:].copy())
-    carry.frontier = frontier
-    t, ticks, bits, dark = t[:n], ticks[:n], bits[:n], dark[:n]
-
-    # Gather by index, as in detect: faster than by the boolean mask.
-    keep = np.flatnonzero(_port_dead_time_filter(t, bits, config.dead_time, 2,
-                                                 carry.last_kept))
-    ticks, bits, dark = ticks[keep], bits[keep], dark[keep]
-
-    det = np.where(bits == 0, detector_ids[0], detector_ids[1]).astype(np.int32)
-    pos, src = _tie_order(ticks, det)
-    bits[pos], dark[pos], det[pos] = bits[src], dark[src], det[src]
+    """Steps (4) to (6) of :func:`detect` on one module's jittered event
+    times: :func:`emit_keys` of one channel, unpacked into a tag stream."""
+    lo, hi = detector_ids
+    keys, dark = emit_keys([(t, bits, dark)], config, carry, frontier,
+                           ranks=(int(lo > hi), int(lo < hi)))
+    port = (keys & 1).astype(np.int8)
     o0, o1 = BASIS_OUTCOMES[basis]
-    outcomes = np.where(bits == 0, np.int8(o0.value), np.int8(o1.value))
     return TagStream(
-        ticks, outcomes, det,
-        np.full(ticks.size, channel_index, dtype=np.int32), dark,
+        keys >> 2, np.where(port == 0, np.int8(o0.value), np.int8(o1.value)),
+        np.asarray(detector_ids, dtype=np.int32)[port],
+        np.full(keys.size, channel_index, dtype=np.int32), dark,
         config.tick, duration,
     )
 
@@ -481,9 +659,9 @@ def merge_keys(runs: list[np.ndarray], dead: float, last: np.ndarray) -> np.ndar
     """Merge sorted runs of one side's packed tag keys (:func:`tag_keys`)
     into one effective detector per port.
 
-    One sort orders the keys by (tick, port); numpy's stable sort merges
-    sorted runs cheaply.  Every port then passes one non-paralyzable
-    dead-time filter of ``dead`` ticks: a tag survives iff it is strictly
+    One sort orders the keys by (tick, port).  Every port then passes one
+    non-paralyzable dead-time filter of ``dead`` ticks: a tag survives iff
+    it is strictly
     later than every kept tag of its port plus the dead time, whichever
     run either came from.  Only the first tag of a port on a tick can
     survive, and tags that share a tick and a port share a key, so the
@@ -492,7 +670,10 @@ def merge_keys(runs: list[np.ndarray], dead: float, last: np.ndarray) -> np.ndar
     (-inf for none) and is updated in place.
     """
     keys = np.concatenate(runs)
-    keys.sort(kind="stable")
+    # Equal keys cannot be told apart, so the kind of sort cannot change
+    # the result: timsort merges two sorted runs fastest, numpy's default
+    # sort more of them.
+    keys.sort(kind="stable" if len(runs) <= 2 else None)
     keep = _port_dead_time_filter(keys >> 2, keys & 1, dead, 2, last)
     return keys[np.flatnonzero(keep)]
 

@@ -110,7 +110,8 @@ class RunConfig:
             value = getattr(self, name)
             if not isinstance(value, kind):
                 raise ConfigError(name, f"must be a {kind.__name__}, got {value!r}")
-        error = tick_range_error(self.duration, self.detector)
+        error = tick_range_error(self.duration, self.detector, self.window,
+                                 len(self.plan.pairs))
         if error:
             raise ConfigError("duration", error)
         if not self.plan.pairs:

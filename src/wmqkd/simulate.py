@@ -13,15 +13,22 @@ own detectors; the non-multiplexed baseline merges the recorded tag
 streams of corresponding detectors (post-processing, as a hardware
 merge would) and re-runs coincidence analysis on the merged streams.
 
-Counting runs on packed int64 tag keys, ``tick << 2 | side << 1 | port``
-(:func:`detection.tag_keys`).  A channel's block counter validates
-each chunk of its tags once (canonical order, tick and basis), packs its
-keys once and feeds them to the matched and the delayed window.  The
-merged baseline is built from those keys alone: one stable sort of all
-channels' keys per side and one dead-time filter per port
-(:func:`detection.merge_keys`), with no per-tag payload gathered.  The
-key order is the canonical tag order, so the counts equal those of
-matching the tag streams themselves.
+A chunk's channels are processed in one batched pass.  Only the draws
+are made channel by channel, each from its own sub-seed (arrivals,
+outcomes, efficiency thinning, darks and jitter).  Each side's events of
+all the channels then pass one detector emit (:func:`detection.emit_keys`)
+that returns packed int64 keys, ``k << 2 | side << 1 | port``, where the
+key tick ``k`` is the tick offset by the channel's segment of the
+block's key frame (:func:`block_frame`).  The segments lie more than the
+matcher's reach apart, so the chunk's keys are counted at once: one
+chunked matcher per window over all the channels, the tables, singles
+and accidentals by ``bincount`` per segment, and the merged baseline
+from the same keys with the offsets removed (:func:`detection.merge_keys`,
+with no per-tag payload gathered).  The emit gives each channel's keys
+in canonical order, in its own segment, and labels no outcome outside
+the block's basis, so no chunk is checked again.  The counts equal those
+of emitting and matching each channel's tag streams on their own
+(:func:`simulate_channel_block`, which builds the tag streams).
 
 A point is recorded as an HV and a DA block, and each basis is one
 self-contained unit of work (:func:`simulate_basis`): every channel's
@@ -34,9 +41,9 @@ channel and the merged baseline step through the same chunks, and only
 counts and a few tags near each chunk's end cross to the next chunk
 (the tags jitter may still pass, each port's last kept time for the
 dead time, and the tail of keys the matchers may still join).  A unit
-hands back one block counter per pipeline, which holds counts only.
+hands back each pipeline's counts (:class:`BlockCount`).
 :func:`simulate_point` runs the two units on two threads and joins each
-pipeline's HV and DA counters into its one record, a
+pipeline's HV and DA counts into its one record, a
 :class:`PipelineResult`.  Scheduling cannot change the result: every
 random draw comes from a sub-seed named by channel, block, component and
 chunk, and the units' counts are joined in a fixed HV-then-DA order.
@@ -52,12 +59,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ChannelPlan
-from .coincidence import (ChunkedPair, CoincidenceWindow, CountsMatrix, _check_pair,
-                          check_basis, delay_ticks, key_table, match_keys)
-from .detection import (JITTER_MARGIN_SIGMAS, Basis, DetectorCarry, DetectorConfig,
-                        TagStream, detect, emit_frontier, measure_pair_outcomes,
-                        measure_single_outcomes, merge_keys, side_transmittance,
-                        tag_keys)
+from .coincidence import (ChunkedPair, CoincidenceWindow, CountsMatrix, delay_ticks,
+                          key_table)
+from .detection import (Basis, DetectorCarry, DetectorConfig, KeyFrame,
+                        TagStream, detect, detector_draws, emit_frontier, emit_keys,
+                        key_frame, measure_pair_outcomes, measure_single_outcomes,
+                        merge_keys, side_transmittance)
 from .source import SourceConfig, _rng, band_fraction, child_seed
 
 MERGED_LABEL = "merged"
@@ -65,6 +72,7 @@ MERGED_LABEL = "merged"
 # Stable sub-seed component ids: the three emission processes, each with
 # its outcome draws, and the two detector modules.
 _SEED_BOTH, _SEED_A_ONLY, _SEED_B_ONLY, _SEED_DETECT_A, _SEED_DETECT_B = range(5)
+_SEED_DETECT = (_SEED_DETECT_A, _SEED_DETECT_B)
 
 _BLOCK_OF_BASIS = {Basis.HV: 0, Basis.DA: 1}
 
@@ -77,23 +85,16 @@ CHUNK_TAGS = 500_000
 # the window and the jitter.
 ACCIDENTAL_DELAY = 2e-7
 
-# Bound on the ticks of a record.  A packed tag key holds its tick
-# shifted left by two bits, so a key stays in int64 below 2**61 ticks;
-# rounding a time to ticks wraps past 2**63.
-MAX_TICKS = 2 ** 60
-
-
-def tick_range_error(duration: float, detector: DetectorConfig) -> str | None:
-    """Why the ticks of a record of ``duration`` (s) may not fit below
-    ``MAX_TICKS``, with Bob's accidental delay, the jitter margin on
-    either side and the dead time added; None when they fit."""
-    span = (duration + ACCIDENTAL_DELAY + detector.dead_time
-            + 2 * JITTER_MARGIN_SIGMAS * detector.jitter_sigma)
-    if span / detector.tick < MAX_TICKS:
-        return None
-    return (f"{span:g} s, accidental delay and margins included, is "
-            f"{span / detector.tick:.3g} ticks of {detector.tick:g} s; "
-            f"packed tag keys need fewer than 2**60")
+def tick_range_error(duration: float, detector: DetectorConfig,
+                     window: CoincidenceWindow, channels: int) -> str | None:
+    """Why the keys of a point of ``duration`` (s) over ``channels``
+    channel pairs may not fit below ``MAX_TICKS`` (:func:`block_frame` of
+    each basis block); None when they fit."""
+    try:
+        block_frame(duration / 2.0, detector, window, channels)
+    except ValueError as exc:
+        return str(exc)
+    return None
 
 
 @dataclass(frozen=True)
@@ -209,26 +210,41 @@ def simulate_channel_block(
     """Simulate one basis block of one channel pair, or one time chunk
     of it, and return Alice's and Bob's tags.
 
+    The arrivals are those of :func:`_channel_arrivals`, and each side
+    passes the detector chain (:func:`detection.detect`), whose draws
+    are those of the batched pass.  Without a ``chunk`` the whole block
+    is one chunk.  With one, only that chunk is sampled, and ``carry``
+    holds Alice's and Bob's detector state from the previous chunk; the
+    tags returned are those below the chunk's frontier.
+    """
+    chunk = chunk or Chunk(0, 0.0, block_duration, None)
+    carry = carry or (None, None)
+    arrivals = _channel_arrivals(ch, basis, seed, chunk)
+    return tuple(
+        detect(t, bits, detector, chunk.end - chunk.start,
+               _sub_seed(seed, ch, basis, comp, chunk), channel_index=ch.index,
+               basis=basis, detector_ids=detector_ids(channel_slot, side),
+               start=chunk.start, carry=carry[side], frontier=chunk.frontier)
+        for side, ((t, bits), comp) in enumerate(zip(arrivals, _SEED_DETECT)))
+
+
+def _sub_seed(seed: int, ch: ChannelScenario, basis: Basis, comp: int, chunk: Chunk) -> int:
+    return child_seed(seed, ch.index, _BLOCK_OF_BASIS[basis], comp, chunk.index)
+
+
+def _channel_arrivals(ch: ChannelScenario, basis: Basis, seed: int, chunk: Chunk):
+    """One channel pair's photon arrivals in one time chunk of a basis
+    block: Alice's and Bob's times and outcome bits.
+
     Emission of surviving pairs and half-pairs is sampled as three
     independent Poisson processes; polarization outcomes follow the
     anti-correlated joint distribution for full pairs and uniform
-    marginals for lone photons; both sides then pass through the
-    detector chain.  Without a ``chunk`` the whole block is one chunk.
-    With one, only that chunk is sampled, and ``carry`` holds Alice's and
-    Bob's detector state from the previous chunk; the tags returned are
-    those below the chunk's frontier.  Every draw is seeded by channel,
-    block, component and chunk index.
+    marginals for lone photons.  Every draw is seeded by channel, block,
+    component and chunk index.
     """
-    chunk = chunk or Chunk(0, 0.0, block_duration, None)
-    carry_a, carry_b = carry or (None, None)
-    block = _BLOCK_OF_BASIS[basis]
-
-    def sub_seed(comp):
-        return child_seed(seed, ch.index, block, comp, chunk.index)
-
     b = ch.pair_rate_in_band
     ea, eb = ch.arrival_efficiency_signal, ch.arrival_efficiency_idler
-    rng_both, rng_a, rng_b = (_rng(sub_seed(comp))
+    rng_both, rng_a, rng_b = (_rng(_sub_seed(seed, ch, basis, comp, chunk))
                               for comp in (_SEED_BOTH, _SEED_A_ONLY, _SEED_B_ONLY))
     t_both = _poisson_times(b * ea * eb, chunk.start, chunk.end, rng_both)
     bits_s, bits_i = measure_pair_outcomes(t_both.size, ch.v_sys(basis), rng_both)
@@ -236,24 +252,20 @@ def simulate_channel_block(
     bits_aonly = measure_single_outcomes(t_aonly.size, rng_a)
     t_bonly = _poisson_times(b * (1.0 - ea) * eb, chunk.start, chunk.end, rng_b)
     bits_bonly = measure_single_outcomes(t_bonly.size, rng_b)
+    return (_merge_arrivals(t_both, bits_s, t_aonly, bits_aonly),
+            _merge_arrivals(t_both, bits_i, t_bonly, bits_bonly))
 
-    t_a, bits_a = _merge_arrivals(t_both, bits_s, t_aonly, bits_aonly)
-    t_b, bits_b = _merge_arrivals(t_both, bits_i, t_bonly, bits_bonly)
 
-    span = chunk.end - chunk.start
-    alice = detect(
-        t_a, bits_a, detector, span, sub_seed(_SEED_DETECT_A),
-        channel_index=ch.index, basis=basis,
-        detector_ids=detector_ids(channel_slot, 0),
-        start=chunk.start, carry=carry_a, frontier=chunk.frontier,
-    )
-    bob = detect(
-        t_b, bits_b, detector, span, sub_seed(_SEED_DETECT_B),
-        channel_index=ch.index, basis=basis,
-        detector_ids=detector_ids(channel_slot, 1),
-        start=chunk.start, carry=carry_b, frontier=chunk.frontier,
-    )
-    return alice, bob
+def _channel_draws(ch: ChannelScenario, basis: Basis, detector: DetectorConfig,
+                   seed: int, chunk: Chunk):
+    """One channel pair's chunk up to the tagger: Alice's and Bob's
+    events as :func:`detection.detector_draws` gives them, with the
+    sub-seeds :func:`simulate_channel_block` draws them from."""
+    arrivals = _channel_arrivals(ch, basis, seed, chunk)
+    return tuple(
+        detector_draws(t, bits, detector, chunk.end - chunk.start,
+                       _rng(_sub_seed(seed, ch, basis, comp, chunk)), chunk.start)
+        for (t, bits), comp in zip(arrivals, _SEED_DETECT))
 
 
 def _poisson_times(rate: float, start: float, end: float,
@@ -292,42 +304,120 @@ class PointResult:
     merged: PipelineResult | None
 
 
-class _BlockCounter:
-    """One pipeline's counts in one basis block, fed its Alice and Bob
-    tags in time chunks, as packed keys: the coincidence table
-    ``counts``, the tag counts and the delayed-window accidental count."""
+@dataclass
+class BlockCount:
+    """One pipeline's counts in one basis block: its coincidence table,
+    its Alice and Bob tag counts and its delayed-window accidental count."""
 
-    def __init__(self, basis: Basis, window: CoincidenceWindow,
-                 detector: DetectorConfig, channel_pair: int, duration: float):
-        self.half = window.half_width_ticks(detector.tick)
-        self.basis, self.duration = basis, duration
-        self.matched = ChunkedPair(self.half)
-        self.delayed = ChunkedPair(self.half, delay_ticks(ACCIDENTAL_DELAY, detector.tick))
-        self.counts = CountsMatrix(basis, np.zeros((2, 2), dtype=np.int64),
-                                   channel_pair, duration)
-        self.singles_alice = self.singles_bob = self.accidentals = 0
+    counts: CountsMatrix
+    singles_alice: int
+    singles_bob: int
+    accidentals: int
+    duration: float
 
-    def push(self, alice: TagStream, bob: TagStream,
-             frontier: int | None) -> tuple[np.ndarray, np.ndarray]:
-        """Count the next chunk of tags and return its Alice and Bob keys.
-        The chunk is validated here, once: its order and tick, and the
-        basis of every outcome."""
-        _check_pair(alice, bob)
-        check_basis(self.basis, alice.outcomes, bob.outcomes)
-        keys = tag_keys(alice, 0), tag_keys(bob, 1)
-        self.count(*keys, frontier)
-        return keys
+
+class _SegmentCounts:
+    """The counts of one basis block of the pipelines whose keys lie in
+    ``segments`` consecutive segments of ``width`` key ticks, one per
+    pipeline, fed each time chunk's keys of all of them at once: per
+    segment, the coincidence table, the Alice and Bob tag counts and the
+    delayed-window accidental count.
+
+    Each window is one :class:`ChunkedPair` over all the segments, so one
+    matcher pass per chunk counts every pipeline; a match belongs to the
+    segment of its keys (:func:`key_table`), and each count is a
+    ``bincount`` by segment.
+    """
+
+    def __init__(self, segments: int, width: int, half: int, delay: int):
+        self.matched = ChunkedPair(half, 0, segments, width)
+        self.delayed = ChunkedPair(half, delay, segments, width)
+        self.edges = np.arange(1, segments, dtype=np.int64) * width << 2
+        self.cc = np.zeros((segments, 2, 2), dtype=np.int64)
+        self.singles = np.zeros((2, segments), dtype=np.int64)
+        self.accidentals = np.zeros(segments, dtype=np.int64)
+
+    def sizes(self, keys: np.ndarray) -> np.ndarray:
+        """The number of sorted ``keys`` in each segment."""
+        return np.diff(np.searchsorted(keys, self.edges), prepend=0, append=keys.size)
 
     def count(self, ka: np.ndarray, kb: np.ndarray, frontier: int | None):
-        """Count the next chunk of sorted Alice and Bob keys.  The
-        stretches handed on keep their order, so they are matched as they
-        are."""
-        self.singles_alice += ka.size
-        self.singles_bob += kb.size
-        a, b = self.matched.push(ka, kb, frontier)
-        self.counts.cc += key_table(*match_keys(a, b, self.half))
-        a, b = self.delayed.push(ka, kb, frontier)
-        self.accidentals += match_keys(a, b, self.half)[1].size
+        """Count the next chunk of Alice's and Bob's sorted keys, whose
+        later keys all have a key tick at or above ``frontier`` in the
+        first segment (None: there are none)."""
+        self.singles += [self.sizes(ka), self.sizes(kb)]
+        keys, pos_a, pos_b = self.matched.push(ka, kb, frontier)
+        self.cc += key_table(keys, pos_a, pos_b, self.edges)
+        del keys    # one window's keys at a time
+        keys, pos_a, _ = self.delayed.push(ka, kb, frontier)
+        self.accidentals += np.bincount(np.searchsorted(self.edges, keys[pos_a], side="right"),
+                                        minlength=self.accidentals.size)
+
+
+class _BlockCounter:
+    """The counts of one basis block of every channel, and of the merged
+    baseline when there are two or more, fed each time chunk's keys of
+    all the channels at once.
+
+    A chunk's keys are those of :func:`detection.emit_keys` in the
+    block's key frame: each channel's keys in order, in its own segment
+    of key ticks, counted as ``channels``.  The merged baseline is built
+    from the same keys with the segments' offsets removed
+    (:func:`detection.merge_keys`, which keeps each merged port's last
+    tick in ``last``) and counted as ``merged``, one segment of ticks.
+    """
+
+    def __init__(self, channels: int, frame: KeyFrame, detector: DetectorConfig,
+                 window: CoincidenceWindow):
+        half = window.half_width_ticks(detector.tick)
+        delay = delay_ticks(ACCIDENTAL_DELAY, detector.tick)
+        self.base = frame.base
+        self.channels = _SegmentCounts(channels, frame.width, half, delay)
+        self.merged = _SegmentCounts(1, 0, half, delay) if channels >= 2 else None
+        self.offsets = (np.arange(channels, dtype=np.int64) * frame.width - frame.base) << 2
+        self.dead = detector.dead_time / detector.tick
+        self.last = np.full((2, 2), -np.inf)
+
+    def count(self, ka: np.ndarray, kb: np.ndarray, frontier: int | None):
+        """Count the next chunk of every channel's Alice and Bob keys,
+        whose later tags all have a tick at or above ``frontier`` (None:
+        there are none)."""
+        self.channels.count(ka, kb, None if frontier is None else frontier - self.base)
+        if self.merged is not None:
+            self.merged.count(self._merge(ka, self.last[0]), self._merge(kb, self.last[1]),
+                              frontier)
+
+    def _merge(self, keys: np.ndarray, last: np.ndarray) -> np.ndarray:
+        """One side's merged keys: each channel's keys, the offset of its
+        segment removed, as one sorted run of the merge."""
+        sizes = self.channels.sizes(keys)
+        plain = keys - np.repeat(self.offsets, sizes)
+        bounds = np.cumsum(sizes).tolist()
+        return merge_keys([plain[lo:hi] for lo, hi in zip([0] + bounds, bounds)],
+                          self.dead, last)
+
+    def results(self, chans: list[ChannelScenario], basis: Basis,
+                duration: float) -> dict[int | str, BlockCount]:
+        """Each pipeline's :class:`BlockCount`: each channel's under its
+        index and the merged baseline's under ``MERGED_LABEL``."""
+        rows = [(ch.index, ch.index, self.channels, i) for i, ch in enumerate(chans)]
+        if self.merged is not None:
+            rows.append((MERGED_LABEL, 0, self.merged, 0))
+        return {
+            label: BlockCount(CountsMatrix(basis, counts.cc[i].copy(), pair, duration),
+                              int(counts.singles[0, i]), int(counts.singles[1, i]),
+                              int(counts.accidentals[i]), duration)
+            for label, pair, counts, i in rows
+        }
+
+
+def block_frame(block_duration: float, detector: DetectorConfig,
+                window: CoincidenceWindow, channels: int) -> KeyFrame:
+    """The key frame of one basis block of ``channels`` channel pairs.
+    Its tags are compared up to the half window, the accidental delay
+    and the dead time apart; ValueError when the keys do not fit."""
+    return key_frame(0.0, block_duration, detector, channels,
+                     window.t_c / 2 + ACCIDENTAL_DELAY + detector.dead_time)
 
 
 def simulate_basis(
@@ -337,43 +427,35 @@ def simulate_basis(
     window: CoincidenceWindow,
     block_duration: float,
     seed: int,
-) -> dict[int | str, _BlockCounter]:
+) -> dict[int | str, BlockCount]:
     """Simulate and count one basis block of every channel, in time chunks.
 
     All channels step through the same chunks (:func:`block_chunks`).
-    Each channel's chunk is matched and its accidentals estimated at
-    once; with two or more channels the channels' chunks for the same
-    time span are also merged into the non-multiplexed baseline, which
-    is counted under the key ``MERGED_LABEL``.  The block counters are
-    returned; they hold counts only, and no chunk's tags outlive the
-    next chunk.
+    For each chunk, every channel's draws are made on their own, with
+    their own sub-seeds (:func:`_channel_draws`); then each side's events
+    of all the channels pass the detector emit at once
+    (:func:`detection.emit_keys`), one side after the other, and the
+    chunk's keys are counted at once (:class:`_BlockCounter`): each
+    channel's matches and accidentals and, with two or more channels, the
+    merged baseline, under the key ``MERGED_LABEL``.  Each pipeline's
+    :class:`BlockCount` is returned; no chunk's tags outlive the next
+    chunk.
     """
-    def counter(channel_pair):
-        return _BlockCounter(basis, window, detector, channel_pair, block_duration)
-
-    counters: dict[int | str, _BlockCounter] = {ch.index: counter(ch.index) for ch in chans}
-    carries = [(DetectorCarry(), DetectorCarry()) for _ in chans]
-    merged = counter(0) if len(chans) >= 2 else None
-    # Each merged port's last kept tick, for its dead time, in ticks.
-    last_alice, last_bob = np.full(2, -np.inf), np.full(2, -np.inf)
-    dead = detector.dead_time / detector.tick
+    frame = block_frame(block_duration, detector, window, len(chans))
+    counter = _BlockCounter(len(chans), frame, detector, window)
+    carries = DetectorCarry(len(chans)), DetectorCarry(len(chans))
     for chunk in block_chunks(chans, detector, block_duration):
-        alice, bob = [], []
-        for slot, ch in enumerate(chans):
-            a, b = simulate_channel_block(ch, basis, detector, block_duration,
-                                          seed, slot, chunk, carries[slot])
-            ka, kb = counters[ch.index].push(a, b, chunk.frontier)
-            alice.append(ka)
-            bob.append(kb)
-        if merged is not None:
-            merged.count(merge_keys(alice, dead, last_alice),
-                         merge_keys(bob, dead, last_bob), chunk.frontier)
-    if merged is not None:
-        counters[MERGED_LABEL] = merged
-    return counters
+        draws = [_channel_draws(ch, basis, detector, seed, chunk) for ch in chans]
+        alice, bob = [d[0] for d in draws], [d[1] for d in draws]
+        del draws    # emit_keys frees each side's draws as it folds them in
+        ka, _ = emit_keys(alice, detector, carries[0], chunk.frontier, 0, frame)
+        kb, _ = emit_keys(bob, detector, carries[1], chunk.frontier, 1, frame)
+        counter.count(ka, kb, chunk.frontier)
+        del ka, kb    # before the next chunk's draws
+    return counter.results(chans, basis, block_duration)
 
 
-def _pipeline(hv: _BlockCounter, da: _BlockCounter) -> PipelineResult:
+def _pipeline(hv: BlockCount, da: BlockCount) -> PipelineResult:
     """Join a pipeline's HV and DA block counts into rates.
 
     The counts are integers, so each sum is exact and the rates are the
@@ -419,7 +501,7 @@ def simulate_point(
     """
     if not (duration > 0 and math.isfinite(duration)):
         raise ValueError(f"duration must be finite and > 0, got {duration}")
-    error = tick_range_error(duration, detector)
+    error = tick_range_error(duration, detector, window, len(plan.pairs))
     if error:
         raise ValueError(error)
     chans = resolve_channels(source, plan, loss_db, channel_visibilities,

@@ -39,23 +39,31 @@ def frontiers(cuts):
 
 
 def chunked(pair, ka, kb, cuts, reduce):
-    """Feed both key runs to ``pair`` chunk by chunk and ``reduce`` each
-    handed-on stretch, Bob's shifted."""
-    out, handed_a, handed_b = [], [], []
+    """Feed both key runs to ``pair`` chunk by chunk and ``reduce`` the
+    final matches of each push, given as its keys (Bob's shifted) and the
+    matches' positions."""
+    out, handed = [], []
     for pa, pb, frontier in zip(pieces(ka, cuts), pieces(kb, cuts), frontiers(cuts)):
-        ra, rb = pair.push(pa, pb, frontier)
-        out.append(reduce(ra, rb))
-        handed_a.append(ra)
-        handed_b.append(rb)
+        keys, pos_a, pos_b = pair.push(pa, pb, frontier)
+        # One segment: the keys held for the next push are the last ones,
+        # and no final match involves them.
+        final = keys.size - pair.held.size
+        assert np.array_equal(keys[final:], pair.held)
+        assert np.all(pos_a < final) and np.all(pos_b < final)
+        out.append(reduce(keys, pos_a, pos_b))
+        handed.append(keys[:final])
     # Every key is handed on once, in order.
-    assert np.array_equal(np.concatenate(handed_a), ka)
-    assert np.array_equal(np.concatenate(handed_b), kb + (pair.shift << 2))
+    assert np.array_equal(np.concatenate(handed),
+                          np.sort(np.concatenate((ka, kb + (pair.shift << 2)))))
     return out
 
 
 def matched_keys(ka, kb, half):
     """The (Alice key, Bob key) of each greedy match."""
-    keys, pos_a, pos_b = match_keys(ka, kb, half)
+    return match_pairs(*match_keys(ka, kb, half))
+
+
+def match_pairs(keys, pos_a, pos_b):
     return list(zip(keys[pos_a].tolist(), keys[pos_b].tolist()))
 
 
@@ -63,8 +71,7 @@ def matched_keys(ka, kb, half):
 @example(a=make_tags([10, 14, 30]), b=make_tags([12, 16, 31]), half=3, cuts=[13, 15, 31])
 def test_chunked_matching_equals_one_shot(a, b, half, cuts):
     ka, kb = tag_keys(a, 0), tag_keys(b, 1)
-    got = sorted(p for part in chunked(ChunkedPair(half), ka, kb, cuts,
-                                       lambda ra, rb: matched_keys(ra, rb, half))
+    got = sorted(p for part in chunked(ChunkedPair(half), ka, kb, cuts, match_pairs)
                  for p in part)
     assert got == sorted(matched_keys(ka, kb, half))
     la, lb = ka.tolist(), kb.tolist()
@@ -77,10 +84,8 @@ def test_chunked_matching_equals_one_shot(a, b, half, cuts):
 def test_chunked_delayed_window_equals_one_shot(a, b, half, shift, cuts):
     ka, kb = tag_keys(a, 0), tag_keys(b, 1)
 
-    def count(ra, rb):
-        return match_keys(ra, rb, half)[1].size
-
-    got = sum(chunked(ChunkedPair(half, shift), ka, kb, cuts, count))
+    got = sum(chunked(ChunkedPair(half, shift), ka, kb, cuts,
+                      lambda keys, pos_a, pos_b: pos_a.size))
     window = CoincidenceWindow((2 * half + 1) * TICK)
     assert got == accidental_estimate(a, b, window, shift * TICK)
     assert got == len(brute_force_greedy(a.ticks, b.ticks + shift, half))

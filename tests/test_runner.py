@@ -159,6 +159,19 @@ def test_ticks_past_the_packed_key_range_name_the_duration():
     assert RunConfig(detector=DetectorConfig(tick=1e-18), duration=1.0).duration == 1.0
 
 
+def test_channel_count_bounds_the_packed_key_range():
+    # Each channel pair's ticks take a segment of the keys.  1 s of
+    # 1e-18 s ticks fits for the two table-1 pairs (0.5 s basis blocks of
+    # 5e17 ticks each), not for the 17 pairs of the grid.
+    raw = {"scenario": "custom", "plan": WDM_GRID_PLAN, "detector": {"tick": 1e-18},
+           "duration": 1.0}
+    with pytest.raises(ConfigError, match=r"17 record\(s\).*2\*\*60") as exc:
+        config_from_dict(raw)
+    assert exc.value.field == "duration"
+    raw["plan"] = "table1"
+    assert config_from_dict(raw).duration == 1.0
+
+
 def test_directly_built_config_echoes_numbers_as_json_input_does():
     raw = {"duration": 1, "f_ec": 2, "loss_grid_db": [30], "fig3d_bandwidths_ghz": [20]}
     cfg = RunConfig(**raw)

@@ -272,14 +272,14 @@ def test_threaded_point_equals_sequential_units(plan_of, kwargs, merged):
 
 
 def test_error_in_a_basis_unit_reaches_the_caller(monkeypatch):
-    real_detect = wmqkd.simulate.detect
+    real_arrivals = wmqkd.simulate._channel_arrivals
 
-    def failing_detect(*args, **kwargs):
-        if kwargs["basis"] is Basis.DA:
-            raise RuntimeError("detector fault in the DA block")
-        return real_detect(*args, **kwargs)
+    def failing_arrivals(ch, basis, seed, chunk):
+        if basis is Basis.DA:
+            raise RuntimeError("source fault in the DA block")
+        return real_arrivals(ch, basis, seed, chunk)
 
-    monkeypatch.setattr(wmqkd.simulate, "detect", failing_detect)
+    monkeypatch.setattr(wmqkd.simulate, "_channel_arrivals", failing_arrivals)
     before = threading.active_count()
     cal = FROZEN_CALIBRATION
     with pytest.raises(RuntimeError, match="DA block"):

@@ -1,0 +1,82 @@
+"""Channel-count probe: how the Monte Carlo's time grows with the number
+of channel pairs at a fixed rate per channel.
+
+Each run is the `custom` scenario, Monte Carlo only, at 30 dB with the
+calibrated brightness, over 0.2 s with seed 1, on a grid of 20 GHz
+passbands over 795-825 nm at 100, 50 and 25 GHz spacing (n = 67, 134
+and 268 channel pairs).  Each run is a fresh process, so its peak
+resident set (``VmHWM``) is its own.  Run from the repository root::
+
+    python tools/channel_scaling.py
+
+It prints, per run, the channel pairs n, the time chunks per basis
+block, the wall time of ``run_scenario`` (import and set-up left out),
+the wall time per channel pair and the peak resident set.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SPACINGS_HZ = (100e9, 50e9, 25e9)
+
+
+def config(spacing_hz: float) -> dict:
+    return {
+        "scenario": "custom", "mode": "montecarlo", "seed": 1, "duration": 0.2,
+        "loss_grid_db": [30.0], "brightness": "calibrated",
+        "plan": {"grid": {"window_low_nm": 795.0, "window_high_nm": 825.0,
+                          "channel_spacing_hz": spacing_hz,
+                          "channel_bandwidth_hz": 20e9, "spdc_center_nm": 810.05}},
+    }
+
+
+def peak_rss_mb() -> float:
+    with open("/proc/self/status") as fh:
+        for line in fh:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) / 1024.0
+    return float("nan")
+
+
+def one_run(spacing_hz: float) -> dict:
+    """Run one spacing in this process; returns its row."""
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+    from wmqkd.runner import _brightness_scale, config_from_dict, run_scenario
+    from wmqkd.simulate import block_chunks, resolve_channels
+
+    cfg = config_from_dict(config(spacing_hz))
+    loss = cfg.loss_grid_db[0]
+    chans = resolve_channels(cfg.source, cfg.plan, loss, cfg.channel_visibilities,
+                             _brightness_scale(cfg, loss))
+    chunks = len(list(block_chunks(chans, cfg.detector, cfg.duration / 2.0)))
+    with tempfile.TemporaryDirectory() as out:
+        t0 = time.perf_counter()
+        run_scenario(cfg, out)
+        wall = time.perf_counter() - t0
+    return {"n": len(chans), "chunks": chunks, "wall_s": wall, "peak_rss_mb": peak_rss_mb()}
+
+
+def main():
+    if len(sys.argv) == 3 and sys.argv[1] == "--one":
+        print(json.dumps(one_run(float(sys.argv[2]))))
+        return
+    print("| spacing | channels n | chunks per basis | wall | wall / n | peak RSS |")
+    print("| --- | --- | --- | --- | --- | --- |")
+    for spacing in SPACINGS_HZ:
+        proc = subprocess.run([sys.executable, __file__, "--one", repr(spacing)],
+                              capture_output=True, text=True, check=True)
+        row = json.loads(proc.stdout.strip().splitlines()[-1])
+        print(f"| {spacing / 1e9:g} GHz | {row['n']} | {row['chunks']} | "
+              f"{row['wall_s']:.2f} s | {1e3 * row['wall_s'] / row['n']:.1f} ms | "
+              f"{row['peak_rss_mb']:.0f} MB |")
+
+
+if __name__ == "__main__":
+    main()
