@@ -27,8 +27,6 @@ segment of key ticks.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
@@ -244,19 +242,6 @@ class CountsMatrix:
                 int(self.cc[0, 0]), int(self.cc[0, 1]),
                 int(self.cc[1, 0]), int(self.cc[1, 1]),
                 self.duration]
-
-
-COUNTS_CSV_COLUMNS = ("channel_pair", "basis", "cc_hh", "cc_hv",
-                      "cc_vh", "cc_vv", "duration_s")
-
-
-def counts_to_csv(matrices: list[CountsMatrix]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(COUNTS_CSV_COLUMNS)
-    for m in matrices:
-        w.writerow(m.as_csv_row())
-    return buf.getvalue()
 
 
 def tabulate(matches: Matches, basis: Basis, channel_pair: int = 0,

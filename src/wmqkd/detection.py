@@ -6,13 +6,14 @@ A detection module is one polarization analyzer with two output
 detectors (one per outcome).  Tags carry integer timestamps in units of
 the time-tagger tick (1/12.15 GHz by default).
 
-The detector chain is per-channel draws (:func:`detector_draws`) and
-one emit kernel (:func:`emit_keys`) that orders, holds back, dead-time
-filters and rounds the jittered events of one or many channels at once
-and returns packed tag keys (:func:`tag_keys`, ``tick << 2 | side << 1 |
-port``), each channel's ticks in its own segment of a
-:class:`KeyFrame`.  :func:`detect` is that chain for one channel,
-unpacked into a :class:`TagStream`.
+The detector chain is per-channel draws and one emit kernel
+(:func:`emit_keys`) that orders, holds back, dead-time filters and
+rounds the jittered events of one or many channels at once and returns
+packed tag keys (:func:`tag_keys`, ``tick << 2 | side << 1 | port``),
+each channel's ticks in its own segment of a :class:`KeyFrame`.
+:func:`detect` is that chain for one channel's given arrivals, with
+their efficiency thinning, unpacked into a :class:`TagStream`; the Monte
+Carlo draws its detections directly and passes them to the same emit.
 
 Detector merging has one kernel, :func:`merge_keys`, on packed tag keys:
 one sort orders every run's keys by (tick, port), and each port then
@@ -26,10 +27,8 @@ slower.
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
-import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -462,9 +461,8 @@ def detect(
     dark counts as an independent Poisson process with uniformly random
     port assignment; (3) add zero-mean normal jitter to every event;
     (4) re-sort; (5) apply non-paralyzable dead time per physical
-    detector; (6) quantize to ticks.  Steps (1) to (3) are
-    :func:`detector_draws` and steps (4) to (6) :func:`emit_keys`, for one
-    channel.
+    detector; (6) quantize to ticks.  Steps (4) to (6) are
+    :func:`emit_keys`, for one channel.
 
     ``outcome_bits`` selects the output port (0 or 1) for each arrival;
     ``detector_ids`` names the two physical detectors.  The arrivals and
@@ -492,18 +490,7 @@ def detect(
     if duration <= 0:
         raise ValueError(f"duration must be > 0, got {duration}")
     key_frame(start, start + duration, config)
-    t, bits, dark = detector_draws(arrival_times, outcome_bits, config, duration,
-                                   _rng(seed), start)
-    return _emit(t, bits, dark, config, channel_index, basis, detector_ids,
-                 duration, carry or DetectorCarry(), frontier)
-
-
-def detector_draws(arrival_times: np.ndarray, outcome_bits: np.ndarray,
-                   config: DetectorConfig, duration: float, rng,
-                   start: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Steps (1) to (3) of :func:`detect`, drawn from ``rng``: the jittered
-    times, port bits and dark flags of the events that reach the tagger,
-    the detected photons in arrival order and then the dark counts."""
+    rng = _rng(seed)
     # Index gathers: a boolean mask gathers large arrays several times slower.
     kept = np.flatnonzero(rng.random(arrival_times.size) < config.efficiency)
     t = arrival_times[kept]
@@ -518,7 +505,8 @@ def detector_draws(arrival_times: np.ndarray, outcome_bits: np.ndarray,
 
     if config.jitter_sigma > 0 and t.size:
         t += rng.normal(0.0, config.jitter_sigma, t.size)
-    return t, bits, dark
+    return _emit(t, bits, dark, config, channel_index, basis, detector_ids,
+                 duration, carry or DetectorCarry(), frontier)
 
 
 def emit_keys(parts: list, config: DetectorConfig, carry: DetectorCarry,
@@ -528,9 +516,9 @@ def emit_keys(parts: list, config: DetectorConfig, carry: DetectorCarry,
     channels at once: the packed keys and dark flags of the tags below
     the ``frontier`` tick.
 
-    ``parts`` holds each channel slot's events as :func:`detector_draws`
-    gives them; the list is emptied, so that each slot's draws are freed
-    once they are folded in.  ``carry`` is the side's carry, with one
+    ``parts`` holds each channel slot's jittered events, as a tuple of
+    times, port bits and dark flags in any order; the list is emptied,
+    so that each slot's draws are freed once they are folded in.  ``carry`` is the side's carry, with one
     segment per slot.  A tag's key is ``k << 2 | side << 1 | port``, with
     ``k`` its key tick in ``frame``.  Each slot's tags come in canonical
     order, the slots one after the other: by tick, then by the rank of
@@ -704,25 +692,3 @@ def _chain(streams: list[TagStream]) -> TagStream:
 def concatenate_streams(streams: list[TagStream]) -> TagStream:
     """Union of several tag streams, re-sorted canonically."""
     return _chain(streams).sorted()
-
-
-TAG_CSV_COLUMNS = ("detector_id", "tick_time", "outcome", "channel_index")
-
-
-def export_tags_csv(stream: TagStream, directory: str) -> list[str]:
-    """Write one CSV file per detector id; returns the file paths."""
-    os.makedirs(directory, exist_ok=True)
-    paths = []
-    for det in np.unique(stream.detector_ids):
-        sub = stream.take(stream.detector_ids == det)
-        path = os.path.join(directory, f"detector_{int(det)}.csv")
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(TAG_CSV_COLUMNS)
-            for i in range(len(sub)):
-                w.writerow([
-                    int(sub.detector_ids[i]), int(sub.ticks[i]),
-                    Outcome(int(sub.outcomes[i])).name, int(sub.channel_indices[i]),
-                ])
-        paths.append(path)
-    return paths

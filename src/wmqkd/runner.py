@@ -110,6 +110,11 @@ class RunConfig:
             value = getattr(self, name)
             if not isinstance(value, kind):
                 raise ConfigError(name, f"must be a {kind.__name__}, got {value!r}")
+        if self.detector.tick > self.window.t_c:
+            # The half window would be 0 ticks: every tick would be its own
+            # window, whatever t_c, and its ties are matched port 0 first.
+            raise ConfigError("detector.tick", f"must be at most the window t_c "
+                              f"({self.window.t_c:g} s), got {self.detector.tick:g} s")
         error = tick_range_error(self.duration, self.detector, self.window,
                                  len(self.plan.pairs))
         if error:

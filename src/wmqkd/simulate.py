@@ -1,12 +1,15 @@
 """Seeded end-to-end Monte Carlo simulation of one scenario point.
 
-For each channel pair and basis block, surviving-photon streams are
-sampled directly at their thinned Poisson rates (both-survive,
-signal-only, idler-only), which is distributionally identical to
-sampling every generated pair and then applying per-photon loss, but
-stays tractable at high loss where almost all pairs are lost.  The
-equivalence is covered by tests against the explicit
-sample -> transmit -> measure path.
+For each channel pair and basis block, the detections are sampled
+directly.  The detector efficiency is folded into each side's arrival
+efficiency, so the pairs detected on both sides, on Alice's side only
+and on Bob's side only are three thinned Poisson processes, and each
+side adds its dark counts.  This is distributionally identical to
+sampling every generated pair, applying per-photon loss and then the
+detector's efficiency thinning, but it draws no photon that is lost,
+which keeps it tractable at high loss.  The equivalence is covered by
+tests against the explicit sample -> transmit -> measure path
+(:func:`detection.detect`).
 
 The wavelength-multiplexed pipeline analyzes each channel pair with its
 own detectors; the non-multiplexed baseline merges the recorded tag
@@ -14,12 +17,13 @@ streams of corresponding detectors (post-processing, as a hardware
 merge would) and re-runs coincidence analysis on the merged streams.
 
 A chunk's channels are processed in one batched pass.  Only the draws
-are made channel by channel, each from its own sub-seed (arrivals,
-outcomes, efficiency thinning, darks and jitter).  Each side's events of
-all the channels then pass one detector emit (:func:`detection.emit_keys`)
-that returns packed int64 keys, ``k << 2 | side << 1 | port``, where the
-key tick ``k`` is the tick offset by the channel's segment of the
-block's key frame (:func:`block_frame`).  The segments lie more than the
+are made channel by channel, each from its own generator: the detection
+times and outcomes, the darks and the jitter (:func:`_channel_draws`).
+Each side's events of all the channels then pass one detector emit
+(:func:`detection.emit_keys`) that returns packed int64 keys,
+``k << 2 | side << 1 | port``, where the key tick ``k`` is the tick
+offset by the channel's segment of the block's key frame
+(:func:`block_frame`).  The segments lie more than the
 matcher's reach apart, so the chunk's keys are counted at once: one
 chunked matcher per window over all the channels, the tables, singles
 and accidentals by ``bincount`` per segment, and the merged baseline
@@ -36,17 +40,18 @@ block in that basis, its per-channel matching and accidental estimate,
 and that basis's merged baseline.  A unit generates and reduces its
 block in time chunks, so its memory does not grow with the duration:
 the chunk length follows from the analytic singles (``CHUNK_TAGS``
-expected arrivals per side per chunk, all channels together), every
-channel and the merged baseline step through the same chunks, and only
-counts and a few tags near each chunk's end cross to the next chunk
-(the tags jitter may still pass, each port's last kept time for the
-dead time, and the tail of keys the matchers may still join).  A unit
+expected arrivals per side per chunk, all channels together, of which
+the detector keeps the efficiency's share), every channel and the
+merged baseline step through the same chunks, and only counts and a few
+tags near each chunk's end cross to the next chunk (the tags jitter may
+still pass, each port's last kept time for the dead time, and the tail
+of keys the matchers may still join).  A unit
 hands back each pipeline's counts (:class:`BlockCount`).
 :func:`simulate_point` runs the two units on two threads and joins each
 pipeline's HV and DA counts into its one record, a
 :class:`PipelineResult`.  Scheduling cannot change the result: every
-random draw comes from a sub-seed named by channel, block, component and
-chunk, and the units' counts are joined in a fixed HV-then-DA order.
+random draw comes from a generator named by channel, block and chunk,
+and the units' counts are joined in a fixed HV-then-DA order.
 """
 
 from __future__ import annotations
@@ -61,18 +66,12 @@ import numpy as np
 from .channels import ChannelPlan
 from .coincidence import (ChunkedPair, CoincidenceWindow, CountsMatrix, delay_ticks,
                           key_table)
-from .detection import (Basis, DetectorCarry, DetectorConfig, KeyFrame,
-                        TagStream, detect, detector_draws, emit_frontier, emit_keys,
-                        key_frame, measure_pair_outcomes, measure_single_outcomes,
-                        merge_keys, side_transmittance)
+from .detection import (Basis, DetectorCarry, DetectorConfig, KeyFrame, TagStream,
+                        _emit, emit_frontier, emit_keys, key_frame, measure_pair_outcomes,
+                        measure_single_outcomes, merge_keys, side_transmittance)
 from .source import SourceConfig, _rng, band_fraction, child_seed
 
 MERGED_LABEL = "merged"
-
-# Stable sub-seed component ids: the three emission processes, each with
-# its outcome draws, and the two detector modules.
-_SEED_BOTH, _SEED_A_ONLY, _SEED_B_ONLY, _SEED_DETECT_A, _SEED_DETECT_B = range(5)
-_SEED_DETECT = (_SEED_DETECT_A, _SEED_DETECT_B)
 
 _BLOCK_OF_BASIS = {Basis.HV: 0, Basis.DA: 1}
 
@@ -186,7 +185,9 @@ def block_chunks(chans: list[ChannelScenario], detector: DetectorConfig,
     """Equal time chunks of a basis block, in order, each expected to hold
     about ``CHUNK_TAGS`` arrivals and dark counts on the busier side,
     summed over all channels (from the analytic rates of
-    ``resolve_channels``)."""
+    ``resolve_channels``).  The chunks follow the photons that arrive at
+    the detectors, not those detected, so a chunk holds about the
+    detector efficiency's share of ``CHUNK_TAGS`` photon detections."""
     per_side = max(sum(c.pair_rate_in_band * c.arrival_efficiency_signal for c in chans),
                    sum(c.pair_rate_in_band * c.arrival_efficiency_idler for c in chans))
     per_side += 2.0 * detector.dark_rate * len(chans)
@@ -210,77 +211,89 @@ def simulate_channel_block(
     """Simulate one basis block of one channel pair, or one time chunk
     of it, and return Alice's and Bob's tags.
 
-    The arrivals are those of :func:`_channel_arrivals`, and each side
-    passes the detector chain (:func:`detection.detect`), whose draws
-    are those of the batched pass.  Without a ``chunk`` the whole block
-    is one chunk.  With one, only that chunk is sampled, and ``carry``
-    holds Alice's and Bob's detector state from the previous chunk; the
-    tags returned are those below the chunk's frontier.
+    The events are those the batched pass draws (:func:`_channel_draws`),
+    and each side's events pass one module's emit (:func:`detection._emit`).
+    Without a ``chunk`` the whole block is one chunk.  With one, only
+    that chunk is sampled, and ``carry`` holds Alice's and Bob's detector
+    state from the previous chunk; the tags returned are those below the
+    chunk's frontier.  A chunk whose ticks do not fit in packed keys
+    (:func:`detection.key_frame`) is a ValueError before anything is
+    drawn.
     """
     chunk = chunk or Chunk(0, 0.0, block_duration, None)
-    carry = carry or (None, None)
-    arrivals = _channel_arrivals(ch, basis, seed, chunk)
+    carry = carry or (DetectorCarry(), DetectorCarry())
+    key_frame(chunk.start, chunk.end, detector)
     return tuple(
-        detect(t, bits, detector, chunk.end - chunk.start,
-               _sub_seed(seed, ch, basis, comp, chunk), channel_index=ch.index,
-               basis=basis, detector_ids=detector_ids(channel_slot, side),
-               start=chunk.start, carry=carry[side], frontier=chunk.frontier)
-        for side, ((t, bits), comp) in enumerate(zip(arrivals, _SEED_DETECT)))
-
-
-def _sub_seed(seed: int, ch: ChannelScenario, basis: Basis, comp: int, chunk: Chunk) -> int:
-    return child_seed(seed, ch.index, _BLOCK_OF_BASIS[basis], comp, chunk.index)
-
-
-def _channel_arrivals(ch: ChannelScenario, basis: Basis, seed: int, chunk: Chunk):
-    """One channel pair's photon arrivals in one time chunk of a basis
-    block: Alice's and Bob's times and outcome bits.
-
-    Emission of surviving pairs and half-pairs is sampled as three
-    independent Poisson processes; polarization outcomes follow the
-    anti-correlated joint distribution for full pairs and uniform
-    marginals for lone photons.  Every draw is seeded by channel, block,
-    component and chunk index.
-    """
-    b = ch.pair_rate_in_band
-    ea, eb = ch.arrival_efficiency_signal, ch.arrival_efficiency_idler
-    rng_both, rng_a, rng_b = (_rng(_sub_seed(seed, ch, basis, comp, chunk))
-                              for comp in (_SEED_BOTH, _SEED_A_ONLY, _SEED_B_ONLY))
-    t_both = _poisson_times(b * ea * eb, chunk.start, chunk.end, rng_both)
-    bits_s, bits_i = measure_pair_outcomes(t_both.size, ch.v_sys(basis), rng_both)
-    t_aonly = _poisson_times(b * ea * (1.0 - eb), chunk.start, chunk.end, rng_a)
-    bits_aonly = measure_single_outcomes(t_aonly.size, rng_a)
-    t_bonly = _poisson_times(b * (1.0 - ea) * eb, chunk.start, chunk.end, rng_b)
-    bits_bonly = measure_single_outcomes(t_bonly.size, rng_b)
-    return (_merge_arrivals(t_both, bits_s, t_aonly, bits_aonly),
-            _merge_arrivals(t_both, bits_i, t_bonly, bits_bonly))
+        _emit(t, bits, dark, detector, ch.index, basis, detector_ids(channel_slot, side),
+              chunk.end - chunk.start, carry[side], chunk.frontier)
+        for side, (t, bits, dark) in enumerate(_channel_draws(ch, basis, detector, seed,
+                                                              chunk)))
 
 
 def _channel_draws(ch: ChannelScenario, basis: Basis, detector: DetectorConfig,
                    seed: int, chunk: Chunk):
-    """One channel pair's chunk up to the tagger: Alice's and Bob's
-    events as :func:`detection.detector_draws` gives them, with the
-    sub-seeds :func:`simulate_channel_block` draws them from."""
-    arrivals = _channel_arrivals(ch, basis, seed, chunk)
-    return tuple(
-        detector_draws(t, bits, detector, chunk.end - chunk.start,
-                       _rng(_sub_seed(seed, ch, basis, comp, chunk)), chunk.start)
-        for (t, bits), comp in zip(arrivals, _SEED_DETECT))
+    """One channel pair's detections in one time chunk of a basis block,
+    up to the tagger: Alice's and Bob's jittered times, port bits and dark
+    flags (:func:`_side_draws`).
+
+    Detections are drawn directly.  With the detector efficiency folded
+    into each side's arrival efficiency, the pairs detected on both
+    sides, on Alice's side only and on Bob's side only are three
+    independent thinned Poisson processes, and no photon is drawn only to
+    be lost in the detector.  Pair outcomes follow the anti-correlated
+    joint distribution.  Every draw comes from one generator named by
+    channel, block and chunk, so a channel draws alike with or without
+    companions.
+    """
+    rng = _rng(child_seed(seed, ch.index, _BLOCK_OF_BASIS[basis], chunk.index))
+    b = ch.pair_rate_in_band
+    pa = ch.arrival_efficiency_signal * detector.efficiency
+    pb = ch.arrival_efficiency_idler * detector.efficiency
+    t_pair = _sorted_uniform(rng.poisson(b * pa * pb * (chunk.end - chunk.start)),
+                             chunk.start, chunk.end, rng)
+    bits_pair = measure_pair_outcomes(t_pair.size, ch.v_sys(basis), rng)
+    return tuple(_side_draws(t_pair, bits, b * p * (1.0 - q), detector, chunk, rng)
+                 for bits, p, q in zip(bits_pair, (pa, pb), (pb, pa)))
 
 
-def _poisson_times(rate: float, start: float, end: float,
-                   rng: np.random.Generator) -> np.ndarray:
-    n = rng.poisson(rate * (end - start)) if rate > 0 else 0
-    return np.sort(rng.uniform(start, end, n))
+def _side_draws(t_pair: np.ndarray, bits_pair: np.ndarray, lone_rate: float,
+                detector: DetectorConfig, chunk: Chunk, rng: np.random.Generator):
+    """One side's events of :func:`_channel_draws`: its runs of pair
+    photons, lone photons (detected at ``lone_rate``) and dark counts,
+    one after the other and each in time order, then jittered.  Lone
+    photons and darks take uniform port bits.  :func:`detection.emit_keys`
+    orders the runs by tick, and ties by time."""
+    dt = chunk.end - chunk.start
+    t_lone = _sorted_uniform(rng.poisson(lone_rate * dt), chunk.start, chunk.end, rng)
+    t_dark = _sorted_uniform(rng.poisson(2.0 * detector.dark_rate * dt),
+                             chunk.start, chunk.end, rng)
+    t = np.concatenate((t_pair, t_lone, t_dark))
+    bits = np.concatenate((bits_pair, measure_single_outcomes(t.size - t_pair.size, rng)))
+    dark = np.zeros(t.size, dtype=bool)
+    dark[t.size - t_dark.size:] = True
+    if detector.jitter_sigma > 0 and t.size:
+        jitter = rng.standard_normal(t.size)
+        jitter *= detector.jitter_sigma
+        t += jitter
+    return t, bits, dark
 
 
-def _merge_arrivals(t_both: np.ndarray, bits_both: np.ndarray,
-                    t_one: np.ndarray, bits_one: np.ndarray):
-    """One side's arrivals in time order: the few both-survive arrivals
-    inserted into the one-side arrivals, each before any equal time, as a
-    stable sort of both-survive then one-side arrivals would put them."""
-    at = np.searchsorted(t_one, t_both)
-    return np.insert(t_one, at, t_both), np.insert(bits_one, at, bits_both)
+def _sorted_uniform(n: int, start: float, end: float,
+                    rng: np.random.Generator) -> np.ndarray:
+    """``n`` uniform times in ``[start, end)``, sorted without a sort: the
+    first ``n`` cumulative sums of ``n + 1`` standard exponentials,
+    normalised by the last, are distributed as ``n`` sorted uniforms on
+    (0, 1).  A time that rounding carries to ``end`` is set to the float
+    just below it."""
+    if n == 0:
+        return np.empty(0)
+    t = rng.standard_exponential(n + 1)
+    np.cumsum(t, out=t)
+    t *= (end - start) / t[-1]
+    t += start
+    t = t[:n]
+    t[np.searchsorted(t, end):] = np.nextafter(end, start)
+    return t
 
 
 @dataclass
@@ -431,8 +444,8 @@ def simulate_basis(
     """Simulate and count one basis block of every channel, in time chunks.
 
     All channels step through the same chunks (:func:`block_chunks`).
-    For each chunk, every channel's draws are made on their own, with
-    their own sub-seeds (:func:`_channel_draws`); then each side's events
+    For each chunk, every channel's draws are made on their own, each
+    from its own generator (:func:`_channel_draws`); then each side's events
     of all the channels pass the detector emit at once
     (:func:`detection.emit_keys`), one side after the other, and the
     chunk's keys are counted at once (:class:`_BlockCounter`): each
@@ -494,10 +507,10 @@ def simulate_point(
     random fills and array arithmetic that make up their work.
 
     Scheduling cannot change the result.  All randomness derives from
-    ``seed`` through sub-seeds named by channel, block, component and
-    chunk, so neither the order nor the thread in which blocks run
-    matters, and the units' counts are joined in a fixed HV-then-DA
-    order.  The units share nothing.
+    ``seed`` through one sub-seed per channel, block and chunk, so
+    neither the order nor the thread in which blocks run matters, and
+    the units' counts are joined in a fixed HV-then-DA order.  The units
+    share nothing.
     """
     if not (duration > 0 and math.isfinite(duration)):
         raise ValueError(f"duration must be finite and > 0, got {duration}")

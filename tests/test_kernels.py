@@ -1,10 +1,11 @@
 """Property tests of the array kernels against scalar or brute-force
 oracles: the coincidence matcher on streams and on packed keys, with its
 2x2 table and the delayed-window accidental estimate, the k-way key merge
-of the non-multiplexed baseline, the insertion of both-survive arrivals,
-the dead-time filter, the canonical tag order of the detector output,
-the batched pair-rate optimizer behind the fig3d projection, and the
-refined analytic predictor of the channels and the merged baseline."""
+of the non-multiplexed baseline, the sorted uniform times of the Monte
+Carlo draws, the dead-time filter, the canonical tag order of the
+detector output, the batched pair-rate optimizer behind the fig3d
+projection, and the refined analytic predictor of the channels and the
+merged baseline."""
 
 import math
 from dataclasses import fields, replace
@@ -26,7 +27,7 @@ from wmqkd.keyrate import (AnalyticLinkModel, AnalyticRates, PairRateOptimum,
                            analytic_rates, binary_entropy, optimize_pair_rate,
                            optimize_pair_rates)
 from wmqkd.runner import default_config, run_fig3d
-from wmqkd.simulate import _merge_arrivals, detector_ids
+from wmqkd.simulate import _sorted_uniform, detector_ids
 
 TICK = 1.0 / 12.15e9
 
@@ -158,17 +159,37 @@ def test_kway_merge_agrees_with_quadratic_oracle(streams, dead_int):
     assert key_projection(merged) == merged_projection(streams, dead_int)
 
 
-@given(st.lists(st.integers(0, 50), max_size=40).map(sorted),
-       st.lists(st.integers(0, 50), max_size=200).map(sorted))
-def test_arrival_insertion_equals_stable_sort(both, one):
-    # Small integer times draw many equal times within and across the
-    # two; the bits tell which stream an arrival came from.
-    t_both, t_one = np.asarray(both, float), np.asarray(one, float)
-    bits_both, bits_one = np.ones(t_both.size, np.int8), np.zeros(t_one.size, np.int8)
-    order = np.argsort(np.concatenate((t_both, t_one)), kind="stable")
-    times, bits = _merge_arrivals(t_both, bits_both, t_one, bits_one)
-    assert np.array_equal(times, np.concatenate((t_both, t_one))[order])
-    assert np.array_equal(bits, np.concatenate((bits_both, bits_one))[order])
+@st.composite
+def time_spans(draw):
+    """A span ``[start, end)``: wide, or only one to three floats wide."""
+    start = draw(st.floats(-1e6, 1e6))
+    if draw(st.booleans()):
+        end = start
+        for _ in range(draw(st.integers(1, 3))):
+            end = np.nextafter(end, np.inf)
+        return start, float(end)
+    return start, max(start + draw(st.floats(1e-15, 1e3)), float(np.nextafter(start, np.inf)))
+
+
+@given(st.integers(0, 300), time_spans(), st.integers(0, 2**32 - 1))
+def test_sorted_uniform_times_are_sorted_and_inside_their_span(n, span, seed):
+    start, end = span
+    t = _sorted_uniform(n, start, end, np.random.default_rng(seed))
+    assert t.size == n
+    assert np.all(np.diff(t) >= 0)
+    assert np.all((start <= t) & (t < end))
+
+
+def test_sorted_uniform_times_are_uniform_order_statistics():
+    # The k-th of n sorted uniforms on (0, 1) has mean k/(n + 1) and
+    # variance k(n + 1 - k)/((n + 1)^2 (n + 2)); 4000 draws of n = 3 hold
+    # each mean to 4 sigma.
+    rng = np.random.default_rng(3)
+    n, draws = 3, 4000
+    u = (np.array([_sorted_uniform(n, 2.0, 6.0, rng) for _ in range(draws)]) - 2.0) / 4.0
+    k = np.arange(1, n + 1)
+    sd = np.sqrt(k * (n + 1 - k) / ((n + 1) ** 2 * (n + 2)) / draws)
+    assert np.all(np.abs(u.mean(axis=0) - k / (n + 1)) < 4 * sd)
 
 
 @given(st.lists(st.integers(0, 300), max_size=80).map(sorted),

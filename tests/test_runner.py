@@ -172,6 +172,19 @@ def test_channel_count_bounds_the_packed_key_range():
     assert config_from_dict(raw).duration == 1.0
 
 
+def test_tick_wider_than_the_window_names_the_tick():
+    # A tick wider than t_c makes the half window 0 ticks, so the tick, not
+    # t_c, sets the window; at a 1 ms tick ch1 read a Monte Carlo QBER of
+    # 0.86.  A tick as wide as t_c is still a window of one tick.
+    with pytest.raises(ConfigError, match="t_c") as exc:
+        RunConfig(detector=DetectorConfig(tick=1e-3))
+    assert exc.value.field == "detector.tick"
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict({"detector": {"tick": 2e-9}, "window": {"t_c": 1e-9}})
+    assert exc.value.field == "detector.tick"
+    assert RunConfig(detector=DetectorConfig(tick=1e-9)).detector.tick == 1e-9
+
+
 def test_directly_built_config_echoes_numbers_as_json_input_does():
     raw = {"duration": 1, "f_ec": 2, "loss_grid_db": [30], "fig3d_bandwidths_ghz": [20]}
     cfg = RunConfig(**raw)
@@ -444,9 +457,9 @@ DEFAULT_OUTPUT_SHA256 = {
     },
     "custom": {
         "custom_curve.csv":
-            "5388385e3798c5cfe2c51cc3190f5565fb670a963bd0a36fdcc4c101c3ffce56",
+            "a9175e40a64ce6a0490d7c43fb1b1c2921a2368bc688a9731079b82b650f5a3c",
         "custom_report.json":
-            "7e575e590e981988352e754d0432ba1694ef1d6c442d258473a95af613b1e9c5",
+            "f76c7ad7415636f4632c9406290a17ae75512ffbe762b39b3585497b7b45fff8",
     },
 }
 
@@ -501,17 +514,17 @@ MONTE_CARLO_OUTPUT_SHA256 = {
         {"scenario": "fig3b", "mode": "both", "plan": "table1",
          "brightness": "calibrated", "loss_grid_db": [30.0, 80.0], "duration": 0.5},
         {"fig3b_curve.csv":
-            "a2fedf4e55627186386439f37500fc3801e9a4b4c4d7cd6ed5baba390869ffff",
+            "0201aa42a7b256401bdc989013562d444d39d285b4673a49283a635c3d30f4ec",
          "fig3b_report.json":
-            "fe21bbd1de8cf44f984a2c8a805284525f2cc55cc6a060edafe6632a101fe9a0"},
+            "7f463a555578f9dda67b471fd757d68f360dfc0d7ec7671c0f8a0d0dfd0b44be"},
     ),
     "wdm_grid": (
         {"scenario": "custom", "mode": "both", "plan": WDM_GRID_PLAN,
          "brightness": "calibrated", "loss_grid_db": [30.0], "duration": 0.2},
         {"custom_curve.csv":
-            "29c63e411e95d84dc271abde74a66e8da0d1fbb7864ffdb2794b68be311f7b80",
+            "d10df0a605e05294330cfd68088ff30f8d70fe56d5e298f5fe529b4f62f93caa",
          "custom_report.json":
-            "0b95883163092257bc20c5a56d5685a57e4f766ec037f838f09a8bb0686ded37"},
+            "4590b64e6f51d30225ff03ed2cce0791a80271a7c683c1cab29039b6fb471548"},
     ),
 }
 

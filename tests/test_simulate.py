@@ -21,8 +21,8 @@ from wmqkd.detection import (Basis, DetectorConfig, detect,
                              measure_pair_outcomes, measure_single_outcomes,
                              transmit)
 from wmqkd.keyrate import AnalyticLinkModel, analytic_rates
-from wmqkd.simulate import (MERGED_LABEL, Chunk, block_chunks,
-                            resolve_channels, simulate_basis,
+from wmqkd.simulate import (MERGED_LABEL, ChannelScenario, Chunk, _channel_draws,
+                            block_chunks, resolve_channels, simulate_basis,
                             simulate_channel_block, simulate_point)
 from wmqkd.source import SourceConfig, _rng, band_fraction, sample_pair_stream
 
@@ -111,6 +111,37 @@ def test_thinned_sampler_matches_explicit_path_statistics():
     q_t = tabulate(m_t, Basis.HV, 1).erroneous / len(m_t)
     sig_q = np.sqrt(q_e * (1 - q_e) / len(m_e) + q_t * (1 - q_t) / len(m_t))
     assert abs(q_e - q_t) < 5 * sig_q
+
+
+def test_folded_draws_match_their_poisson_means():
+    # One long chunk of one channel, without jitter, so that a detected
+    # pair's two photons share their time.  Per side, the pair, lone and
+    # dark counts lie within 4 sigma of their Poisson means, with the
+    # detector efficiency folded into the rates, and the pairs' outcomes
+    # are anti-correlated with probability (1 + v)/2 in the block's basis.
+    v = 0.9
+    ch = ChannelScenario(index=3, pair_rate_in_band=5e5, arrival_efficiency_signal=0.3,
+                         arrival_efficiency_idler=0.5, v_sys_hv=0.5, v_sys_da=v)
+    detector = DetectorConfig(efficiency=0.6, dark_rate=2e4, jitter_sigma=0.0)
+    chunk = Chunk(0, 2.0, 12.0, None)
+    (ta, bits_a, dark_a), (tb, bits_b, dark_b) = _channel_draws(ch, Basis.DA, detector,
+                                                                5, chunk)
+    for t in (ta, tb):
+        assert np.all((chunk.start <= t) & (t < chunk.end))
+    _, ia, ib = np.intersect1d(ta[~dark_a], tb[~dark_b], return_indices=True)
+    pairs = ia.size
+    dt = chunk.end - chunk.start
+    b = ch.pair_rate_in_band * dt
+    pa, pb = 0.3 * 0.6, 0.5 * 0.6
+    for count, mean in ((pairs, b * pa * pb),
+                        (np.count_nonzero(~dark_a) - pairs, b * pa * (1 - pb)),
+                        (np.count_nonzero(~dark_b) - pairs, b * (1 - pa) * pb),
+                        (np.count_nonzero(dark_a), 2 * detector.dark_rate * dt),
+                        (np.count_nonzero(dark_b), 2 * detector.dark_rate * dt)):
+        assert abs(count - mean) < 4 * np.sqrt(mean), (count, mean)
+    anti = np.mean(bits_a[~dark_a][ia] != bits_b[~dark_b][ib])
+    p = (1 + v) / 2
+    assert abs(anti - p) < 4 * np.sqrt(p * (1 - p) / pairs)
 
 
 def test_simulation_matches_analytic_model():
@@ -272,14 +303,14 @@ def test_threaded_point_equals_sequential_units(plan_of, kwargs, merged):
 
 
 def test_error_in_a_basis_unit_reaches_the_caller(monkeypatch):
-    real_arrivals = wmqkd.simulate._channel_arrivals
+    real_draws = wmqkd.simulate._channel_draws
 
-    def failing_arrivals(ch, basis, seed, chunk):
+    def failing_draws(ch, basis, detector, seed, chunk):
         if basis is Basis.DA:
             raise RuntimeError("source fault in the DA block")
-        return real_arrivals(ch, basis, seed, chunk)
+        return real_draws(ch, basis, detector, seed, chunk)
 
-    monkeypatch.setattr(wmqkd.simulate, "_channel_arrivals", failing_arrivals)
+    monkeypatch.setattr(wmqkd.simulate, "_channel_draws", failing_draws)
     before = threading.active_count()
     cal = FROZEN_CALIBRATION
     with pytest.raises(RuntimeError, match="DA block"):
