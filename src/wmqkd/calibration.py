@@ -192,10 +192,12 @@ class Calibration:
         }
 
 
-def derive_calibration(detector: DetectorConfig = DEFAULT_DETECTOR,
-                       window: CoincidenceWindow = CoincidenceWindow(1e-9)) -> Calibration:
-    """Re-derive every frozen parameter from its anchor."""
+def derive_calibration() -> Calibration:
+    """Re-derive every frozen parameter from its anchor, with the default
+    detector and a 1 ns window."""
     from scipy.optimize import brentq  # imported here to keep scipy off the import path
+
+    detector, window = DEFAULT_DETECTOR, CoincidenceWindow(1e-9)
 
     src0 = table1_source_config(pair_rate=1.0)
     in_band = FILTERED_BRIGHTNESS_CPS_PER_MW * PUMP_POWER_MW

@@ -17,12 +17,11 @@ Carlo draws its detections directly and passes them to the same emit.
 
 Detector merging has one kernel, :func:`merge_keys`, on packed tag keys:
 one sort orders every run's keys by (tick, port), and each port then
-passes one dead-time filter.
-The Monte Carlo merged baseline calls it on the channels' keys, and
-:func:`merge_detectors` on two streams' ticks as one port, taking each
-kept tag's fields from the union of the streams.  Large arrays are
-gathered by index, not by boolean mask, which numpy does several times
-slower.
+passes one dead-time filter.  The Monte Carlo merged baseline calls it on
+the channels' keys.  :func:`merge_detectors` merges two tag streams into
+one detector: one dead-time filter on the ticks of their sorted union.
+Large arrays are gathered by index, not by boolean mask, which numpy does
+several times slower.
 """
 
 from __future__ import annotations
@@ -231,8 +230,10 @@ def joint_outcome_probabilities(v_sys: float) -> np.ndarray:
 def measure_pair_outcomes(n: int, v_sys: float, rng) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized joint outcomes for n pairs; returns signal and idler
     outcome bits (0 or 1 within the measurement basis)."""
-    p = joint_outcome_probabilities(v_sys)
-    cells = rng.choice(4, size=n, p=p)
+    # The draws of ``rng.choice(4, size=n, p=p)``, without its argument checks.
+    cdf = joint_outcome_probabilities(v_sys).cumsum()
+    cdf /= cdf[-1]
+    cells = cdf.searchsorted(rng.random(n), side="right")
     return (cells >> 1).astype(np.int8), (cells & 1).astype(np.int8)
 
 
@@ -397,19 +398,12 @@ def _port_dead_time_filter(times: np.ndarray, port: np.ndarray, dead: float,
         begin = np.searchsorted(idx, starts)
         k = _dead_time_filter(t, dead, rows[p], begin)
         keep[idx] = k
-        # Each segment's last kept event, if it kept one: most often its
-        # last event.
-        end = np.append(begin[1:], t.size)
-        seg = np.flatnonzero(begin < end)
-        final = k[end[seg] - 1]
-        rows[p, seg[final]] = t[end[seg[final]] - 1]
-        seg = seg[~final]
-        if seg.size:
-            kept = np.flatnonzero(k)
-            j = np.searchsorted(kept, end[seg]) - 1
-            has = j >= 0
-            has[has] = kept[j[has]] >= begin[seg[has]]
-            rows[p, seg[has]] = t[kept[j[has]]]
+        # Each segment's last kept event, if it kept one.
+        kept = np.flatnonzero(k)
+        j = np.searchsorted(kept, np.append(begin[1:], t.size)) - 1
+        seg = np.flatnonzero(j >= 0)
+        seg = seg[kept[j[seg]] >= begin[seg]]
+        rows[p, seg] = t[kept[j[seg]]]
     return keep
 
 
@@ -451,9 +445,6 @@ def detect(
     channel_index: int = 0,
     basis: Basis = Basis.HV,
     detector_ids: tuple[int, int] = (0, 1),
-    start: float = 0.0,
-    carry: DetectorCarry | None = None,
-    frontier: int | None = None,
 ) -> TagStream:
     """Convert photon arrivals at one analyzer module into time tags.
 
@@ -465,19 +456,12 @@ def detect(
     :func:`emit_keys`, for one channel.
 
     ``outcome_bits`` selects the output port (0 or 1) for each arrival;
-    ``detector_ids`` names the two physical detectors.  The arrivals and
-    dark counts lie in ``[start, start + duration)``, whose ticks must fit
-    in packed keys (:func:`key_frame`); a record too long for them is a
-    ValueError before anything is drawn.
-
-    With a ``carry`` the call is one time chunk of a longer record: the
-    events held from the previous chunk join this one's, only tags below
-    the ``frontier`` tick are emitted and the rest are held again (a
-    ``frontier`` of None, for the record's last chunk, emits them all),
-    and each port's dead time runs on from its last kept tag.  The chunks'
-    outputs then follow each other in canonical order and together equal
-    the one-shot output for the same events.  Without one the call is a
-    whole record: one chunk with a fresh carry.
+    ``detector_ids`` names the two physical detectors.  The call is one
+    whole record: the arrivals and dark counts lie in ``[0, duration)``,
+    whose ticks must fit in packed keys (:func:`key_frame`); a record too
+    long for them is a ValueError before anything is drawn.  The Monte
+    Carlo emits in time chunks through :func:`emit_keys`, with a
+    :class:`DetectorCarry` between them.
     """
     arrival_times = np.asarray(arrival_times, dtype=np.float64)
     outcome_bits = np.asarray(outcome_bits, dtype=np.int8)
@@ -489,7 +473,7 @@ def detect(
         raise ValueError("outcome_bits must be 0 or 1")
     if duration <= 0:
         raise ValueError(f"duration must be > 0, got {duration}")
-    key_frame(start, start + duration, config)
+    key_frame(0.0, duration, config)
     rng = _rng(seed)
     # Index gathers: a boolean mask gathers large arrays several times slower.
     kept = np.flatnonzero(rng.random(arrival_times.size) < config.efficiency)
@@ -499,19 +483,19 @@ def detect(
 
     n_dark = rng.poisson(2.0 * config.dark_rate * duration)
     if n_dark:
-        t = np.concatenate([t, rng.uniform(start, start + duration, n_dark)])
+        t = np.concatenate([t, rng.uniform(0.0, duration, n_dark)])
         bits = np.concatenate([bits, rng.integers(0, 2, n_dark, dtype=np.int8)])
         dark = np.concatenate([dark, np.ones(n_dark, dtype=bool)])
 
     if config.jitter_sigma > 0 and t.size:
         t += rng.normal(0.0, config.jitter_sigma, t.size)
     return _emit(t, bits, dark, config, channel_index, basis, detector_ids,
-                 duration, carry or DetectorCarry(), frontier)
+                 duration, DetectorCarry(), None)
 
 
 def emit_keys(parts: list, config: DetectorConfig, carry: DetectorCarry,
-              frontier: int | None, side: int = 0, frame: KeyFrame = KeyFrame(),
-              ranks: tuple[int, int] = (0, 1)) -> tuple[np.ndarray, np.ndarray]:
+              frontier: int | None, side: int = 0,
+              frame: KeyFrame = KeyFrame()) -> tuple[np.ndarray, np.ndarray]:
     """Steps (4) to (6) of :func:`detect` for one side of several
     channels at once: the packed keys and dark flags of the tags below
     the ``frontier`` tick.
@@ -520,10 +504,9 @@ def emit_keys(parts: list, config: DetectorConfig, carry: DetectorCarry,
     times, port bits and dark flags in any order; the list is emptied,
     so that each slot's draws are freed once they are folded in.  ``carry`` is the side's carry, with one
     segment per slot.  A tag's key is ``k << 2 | side << 1 | port``, with
-    ``k`` its key tick in ``frame``.  Each slot's tags come in canonical
-    order, the slots one after the other: by tick, then by the rank of
-    the port's detector (``ranks``), then by time.  With the default ranks
-    that is the order of the keys.  The dark flags follow the keys.
+    ``k`` its key tick in ``frame``.  The keys come sorted, the slots one
+    after the other, and tags of equal key in time order.  The dark flags
+    follow the keys.
 
     The held and new events of every slot are ordered by (slot, time),
     stably, as each slot's own stable sort of its times would order them:
@@ -580,16 +563,14 @@ def emit_keys(parts: list, config: DetectorConfig, carry: DetectorCarry,
     if side:
         keys |= 2
     dark = dark[keep]
-    # Tags of the two ports that share a tick may be out of canonical
-    # order; a stable sort of each tick that holds such a pair restores it.
-    rank = keys if ranks == (0, 1) else \
-        keys >> 2 << 1 | np.asarray(ranks, np.int64)[keys & 1]
-    swap = np.flatnonzero(rank[1:] < rank[:-1])
+    # Tags of the two ports that share a tick may be out of key order; a
+    # stable sort by key of each tick that holds such a pair restores it.
+    swap = np.flatnonzero(keys[1:] < keys[:-1])
     if swap.size:
         tick = keys[swap] >> 2
         pos = np.unique(_ranges(np.searchsorted(keys, tick << 2),
                                 np.searchsorted(keys, tick + 1 << 2)))
-        order = pos[np.lexsort((rank[pos], keys[pos] >> 2))]
+        order = pos[np.argsort(keys[pos], kind="stable")]
         keys[pos], dark[pos] = keys[order], dark[order]
     return keys, dark
 
@@ -599,18 +580,20 @@ def _emit(t: np.ndarray, bits: np.ndarray, dark: np.ndarray,
           detector_ids: tuple[int, int], duration: float,
           carry: DetectorCarry, frontier: int | None) -> TagStream:
     """Steps (4) to (6) of :func:`detect` on one module's jittered event
-    times: :func:`emit_keys` of one channel, unpacked into a tag stream."""
-    lo, hi = detector_ids
-    keys, dark = emit_keys([(t, bits, dark)], config, carry, frontier,
-                           ranks=(int(lo > hi), int(lo < hi)))
+    times: :func:`emit_keys` of one channel, unpacked into a tag stream.
+    The keys come in port order on a shared tick; when the module's
+    detector ids fall with the port bit, the stream is sorted again into
+    canonical (tick, detector id) order."""
+    keys, dark = emit_keys([(t, bits, dark)], config, carry, frontier)
     port = (keys & 1).astype(np.int8)
     o0, o1 = BASIS_OUTCOMES[basis]
-    return TagStream(
+    tags = TagStream(
         keys >> 2, np.where(port == 0, np.int8(o0.value), np.int8(o1.value)),
         np.asarray(detector_ids, dtype=np.int32)[port],
         np.full(keys.size, channel_index, dtype=np.int32), dark,
         config.tick, duration,
     )
+    return tags.sorted() if detector_ids[0] > detector_ids[1] else tags
 
 
 def merge_detectors(
@@ -625,17 +608,17 @@ def merge_detectors(
     only if it is strictly later than the last kept event plus the
     global dead time, so simultaneous events keep the first and drop
     the rest.  The output carries a single detector id and behaves as
-    one detector's stream.  The ticks kept are those of
-    :func:`merge_keys` with every tag on one port; each is the first tag
-    of the union on its tick.
+    one detector's stream.  ``global_dead_time`` (s) must be finite and
+    >= 0.
     """
+    if not (math.isfinite(global_dead_time) and global_dead_time >= 0):
+        raise ValueError(f"global_dead_time must be finite and >= 0, got {global_dead_time}")
     for s in (tags_a, tags_b):
         if not s.is_sorted():
             raise ValueError("input tag streams must be sorted")
     union = _chain([tags_a, tags_b]).sorted()
-    kept = merge_keys([tags_a.ticks << 2, tags_b.ticks << 2],
-                      global_dead_time / union.tick_seconds, np.full(2, -np.inf))
-    out = union.take(np.searchsorted(union.ticks, kept >> 2))
+    out = union.take(np.flatnonzero(_dead_time_filter(
+        union.ticks.astype(np.float64), global_dead_time / union.tick_seconds)))
     if merged_detector_id is None and len(out):
         merged_detector_id = int(out.detector_ids.min())
     if merged_detector_id is not None:
@@ -666,19 +649,14 @@ def merge_keys(runs: list[np.ndarray], dead: float, last: np.ndarray) -> np.ndar
     return keys[np.flatnonzero(keep)]
 
 
-def _common_tick(streams: list[TagStream]) -> float:
-    """The tick resolution shared by several streams."""
+def _chain(streams: list[TagStream]) -> TagStream:
+    """The streams' tags one after the other, without re-sorting; they
+    must share one tick resolution."""
     if not streams:
         raise ValueError("no streams to concatenate")
     tick_s = streams[0].tick_seconds
     if any(s.tick_seconds != tick_s for s in streams):
         raise ValueError("tick resolution mismatch between streams")
-    return tick_s
-
-
-def _chain(streams: list[TagStream]) -> TagStream:
-    """The streams' tags one after the other, without re-sorting."""
-    tick_s = _common_tick(streams)
     return TagStream(
         np.concatenate([s.ticks for s in streams]),
         np.concatenate([s.outcomes for s in streams]),

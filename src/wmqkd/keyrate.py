@@ -379,22 +379,18 @@ def optimize_pair_rate(
 
 def scaling_curve(model: AnalyticLinkModel, n_values, loss_grid_db,
                   base_transmittance_alice: float = 1.0,
-                  base_transmittance_bob: float = 1.0,
-                  optimize_b: bool = False) -> list[dict]:
-    """Aggregate key rate versus channel count and total link loss.
+                  base_transmittance_bob: float = 1.0) -> list[dict]:
+    """Aggregate key rate versus channel count and total link loss, at
+    the model's fixed per-channel pair rate.
 
     For each loss the per-side transmittance is the base value times
     :func:`side_transmittance`; the aggregate rate is exactly linear in
-    the channel count under the identical-channel assumption.  With
-    ``optimize_b`` the per-channel pair rate is re-optimized per loss.
+    the channel count under the identical-channel assumption.
     """
     losses = list(loss_grid_db)
     eta = np.array([side_transmittance(x) for x in losses], dtype=np.float64)
     models = replace(model, transmittance_alice=base_transmittance_alice * eta,
                      transmittance_bob=base_transmittance_bob * eta, n_channels=1)
-    if optimize_b:
-        models = replace(models, pair_rate_in_band=np.array(
-            [opt.pair_rate for opt in optimize_pair_rates(models)]))
     return scaling_rows(n_values, losses, analytic_rates(models))
 
 

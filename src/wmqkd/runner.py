@@ -33,7 +33,7 @@ from .detection import DetectorConfig, side_transmittance
 from .keyrate import (AnalyticRates, analytic_rates, binary_entropy,
                       optimize_pair_rates, qber, qber_threshold, scaling_rows,
                       secure_key)
-from .simulate import PipelineResult, resolve_channels, simulate_point, tick_range_error
+from .simulate import PipelineResult, block_frame, resolve_channels, simulate_point
 from .source import SourceConfig
 
 MODES = ("montecarlo", "analytic", "both")
@@ -115,10 +115,10 @@ class RunConfig:
             # window, whatever t_c, and its ties are matched port 0 first.
             raise ConfigError("detector.tick", f"must be at most the window t_c "
                               f"({self.window.t_c:g} s), got {self.detector.tick:g} s")
-        error = tick_range_error(self.duration, self.detector, self.window,
-                                 len(self.plan.pairs))
-        if error:
-            raise ConfigError("duration", error)
+        try:
+            block_frame(self.duration / 2.0, self.detector, self.window, len(self.plan.pairs))
+        except ValueError as exc:
+            raise ConfigError("duration", str(exc)) from exc
         if not self.plan.pairs:
             raise ConfigError("plan.pairs", "must hold at least one channel pair")
         if self.channel_visibilities is None:

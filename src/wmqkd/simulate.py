@@ -45,8 +45,8 @@ the detector keeps the efficiency's share), every channel and the
 merged baseline step through the same chunks, and only counts and a few
 tags near each chunk's end cross to the next chunk (the tags jitter may
 still pass, each port's last kept time for the dead time, and the tail
-of keys the matchers may still join).  A unit
-hands back each pipeline's counts (:class:`BlockCount`).
+of keys the matchers may still join).  A unit hands back its counts as
+arrays: each channel's, one row per channel, and the merged baseline's.
 :func:`simulate_point` runs the two units on two threads and joins each
 pipeline's HV and DA counts into its one record, a
 :class:`PipelineResult`.  Scheduling cannot change the result: every
@@ -71,8 +71,6 @@ from .detection import (Basis, DetectorCarry, DetectorConfig, KeyFrame, TagStrea
                         measure_single_outcomes, merge_keys, side_transmittance)
 from .source import SourceConfig, _rng, band_fraction, child_seed
 
-MERGED_LABEL = "merged"
-
 _BLOCK_OF_BASIS = {Basis.HV: 0, Basis.DA: 1}
 
 # Expected photon arrivals and dark counts per side in one time chunk of
@@ -83,18 +81,6 @@ CHUNK_TAGS = 500_000
 # Bob's shift (s) for the delayed-window accidental estimate: far outside
 # the window and the jitter.
 ACCIDENTAL_DELAY = 2e-7
-
-def tick_range_error(duration: float, detector: DetectorConfig,
-                     window: CoincidenceWindow, channels: int) -> str | None:
-    """Why the keys of a point of ``duration`` (s) over ``channels``
-    channel pairs may not fit below ``MAX_TICKS`` (:func:`block_frame` of
-    each basis block); None when they fit."""
-    try:
-        block_frame(duration / 2.0, detector, window, channels)
-    except ValueError as exc:
-        return str(exc)
-    return None
-
 
 @dataclass(frozen=True)
 class ChannelScenario:
@@ -317,18 +303,6 @@ class PointResult:
     merged: PipelineResult | None
 
 
-@dataclass
-class BlockCount:
-    """One pipeline's counts in one basis block: its coincidence table,
-    its Alice and Bob tag counts and its delayed-window accidental count."""
-
-    counts: CountsMatrix
-    singles_alice: int
-    singles_bob: int
-    accidentals: int
-    duration: float
-
-
 class _SegmentCounts:
     """The counts of one basis block of the pipelines whose keys lie in
     ``segments`` consecutive segments of ``width`` key ticks, one per
@@ -409,20 +383,6 @@ class _BlockCounter:
         return merge_keys([plain[lo:hi] for lo, hi in zip([0] + bounds, bounds)],
                           self.dead, last)
 
-    def results(self, chans: list[ChannelScenario], basis: Basis,
-                duration: float) -> dict[int | str, BlockCount]:
-        """Each pipeline's :class:`BlockCount`: each channel's under its
-        index and the merged baseline's under ``MERGED_LABEL``."""
-        rows = [(ch.index, ch.index, self.channels, i) for i, ch in enumerate(chans)]
-        if self.merged is not None:
-            rows.append((MERGED_LABEL, 0, self.merged, 0))
-        return {
-            label: BlockCount(CountsMatrix(basis, counts.cc[i].copy(), pair, duration),
-                              int(counts.singles[0, i]), int(counts.singles[1, i]),
-                              int(counts.accidentals[i]), duration)
-            for label, pair, counts, i in rows
-        }
-
 
 def block_frame(block_duration: float, detector: DetectorConfig,
                 window: CoincidenceWindow, channels: int) -> KeyFrame:
@@ -440,7 +400,7 @@ def simulate_basis(
     window: CoincidenceWindow,
     block_duration: float,
     seed: int,
-) -> dict[int | str, BlockCount]:
+) -> tuple[_SegmentCounts, _SegmentCounts | None]:
     """Simulate and count one basis block of every channel, in time chunks.
 
     All channels step through the same chunks (:func:`block_chunks`).
@@ -450,8 +410,9 @@ def simulate_basis(
     (:func:`detection.emit_keys`), one side after the other, and the
     chunk's keys are counted at once (:class:`_BlockCounter`): each
     channel's matches and accidentals and, with two or more channels, the
-    merged baseline, under the key ``MERGED_LABEL``.  Each pipeline's
-    :class:`BlockCount` is returned; no chunk's tags outlive the next
+    merged baseline.  The counter's counts are returned: the channels',
+    one row per channel in the order of ``chans``, and the merged
+    baseline's (None with one channel).  No chunk's tags outlive the next
     chunk.
     """
     frame = block_frame(block_duration, detector, window, len(chans))
@@ -465,23 +426,7 @@ def simulate_basis(
         kb, _ = emit_keys(bob, detector, carries[1], chunk.frontier, 1, frame)
         counter.count(ka, kb, chunk.frontier)
         del ka, kb    # before the next chunk's draws
-    return counter.results(chans, basis, block_duration)
-
-
-def _pipeline(hv: BlockCount, da: BlockCount) -> PipelineResult:
-    """Join a pipeline's HV and DA block counts into rates.
-
-    The counts are integers, so each sum is exact and the rates are the
-    same whichever block finished first.
-    """
-    total_t = hv.duration + da.duration
-    return PipelineResult(
-        counts_hv=hv.counts,
-        counts_da=da.counts,
-        singles_alice=(hv.singles_alice + da.singles_alice) / total_t,
-        singles_bob=(hv.singles_bob + da.singles_bob) / total_t,
-        accidental_rate=(hv.accidentals + da.accidentals) / total_t,
-    )
+    return counter.channels, counter.merged
 
 
 def simulate_point(
@@ -510,22 +455,29 @@ def simulate_point(
     ``seed`` through one sub-seed per channel, block and chunk, so
     neither the order nor the thread in which blocks run matters, and
     the units' counts are joined in a fixed HV-then-DA order.  The units
-    share nothing.
+    share nothing.  The counts are integers, so each sum is exact and the
+    rates are the same whichever block finished first.
     """
     if not (duration > 0 and math.isfinite(duration)):
         raise ValueError(f"duration must be finite and > 0, got {duration}")
-    error = tick_range_error(duration, detector, window, len(plan.pairs))
-    if error:
-        raise ValueError(error)
+    block = duration / 2.0
+    # Fails before any draw when the keys do not fit.
+    block_frame(block, detector, window, len(plan.pairs))
     chans = resolve_channels(source, plan, loss_db, channel_visibilities,
                              brightness_scale)
     with ThreadPoolExecutor(max_workers=len(_BLOCK_OF_BASIS)) as pool:
-        futures = [pool.submit(simulate_basis, chans, basis, detector, window,
-                               duration / 2.0, seed)
+        futures = [pool.submit(simulate_basis, chans, basis, detector, window, block, seed)
                    for basis in (Basis.HV, Basis.DA)]
-        hv, da = (f.result() for f in futures)
+        (hv, hv_merged), (da, da_merged) = (f.result() for f in futures)
+
+    def pipeline(hv: _SegmentCounts, da: _SegmentCounts, i: int, pair: int):
+        singles = ((hv.singles[:, i] + da.singles[:, i]) / duration).tolist()
+        return PipelineResult(
+            CountsMatrix(Basis.HV, hv.cc[i], pair, block),
+            CountsMatrix(Basis.DA, da.cc[i], pair, block),
+            *singles, int(hv.accidentals[i] + da.accidentals[i]) / duration)
+
     return PointResult(
-        channels={ch.index: _pipeline(hv[ch.index], da[ch.index]) for ch in chans},
-        merged=(_pipeline(hv[MERGED_LABEL], da[MERGED_LABEL])
-                if MERGED_LABEL in hv else None),
+        channels={ch.index: pipeline(hv, da, i, ch.index) for i, ch in enumerate(chans)},
+        merged=None if hv_merged is None else pipeline(hv_merged, da_merged, 0, 0),
     )

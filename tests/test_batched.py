@@ -22,7 +22,7 @@ from wmqkd.coincidence import (CoincidenceWindow, _greedy_two_pointer, check_bas
                                match_keys)
 from wmqkd.detection import (Basis, DetectorCarry, DetectorConfig, _dead_time_filter, detect,
                              emit_frontier, emit_keys, key_frame, tag_keys)
-from wmqkd.simulate import MERGED_LABEL, block_chunks, resolve_channels, simulate_basis
+from wmqkd.simulate import block_chunks, resolve_channels, simulate_basis
 
 BLOCK = 100.0
 
@@ -169,14 +169,14 @@ def test_simulated_block_equals_per_channel_oracle(monkeypatch, detector, bright
                              brightness_scale=brightness)
     window, block, seed = CoincidenceWindow(1e-9), 0.005, 17
     assert len(list(block_chunks(chans, detector, block))) > 5
-    got = simulate_basis(chans, Basis.HV, detector, window, block, seed)
-    labels = [ch.index for ch in chans] + [MERGED_LABEL]
-    for label, (cc, singles_a, singles_b, acc) in zip(
-            labels, block_counts(chans, Basis.HV, detector, window, block, seed)):
-        assert np.array_equal(got[label].counts.cc, cc)
-        assert (got[label].singles_alice, got[label].singles_bob) == (singles_a, singles_b)
-        assert got[label].accidentals == acc
-    assert got[MERGED_LABEL].counts.total > 0
+    channels, merged = simulate_basis(chans, Basis.HV, detector, window, block, seed)
+    rows = [(channels, i) for i in range(len(chans))] + [(merged, 0)]
+    for (counts, i), (cc, singles_a, singles_b, acc) in zip(
+            rows, block_counts(chans, Basis.HV, detector, window, block, seed), strict=True):
+        assert np.array_equal(counts.cc[i], cc)
+        assert counts.singles[:, i].tolist() == [singles_a, singles_b]
+        assert counts.accidentals[i] == acc
+    assert merged.cc.sum() > 0
 
 
 def per_run_matches(keys, half):

@@ -22,8 +22,7 @@ from wmqkd.detection import (Basis, DetectorCarry, DetectorConfig, TagStream, _c
                              _emit, _port_dead_time_filter, emit_frontier, merge_keys,
                              tag_keys)
 import wmqkd.simulate as simulate
-from wmqkd.simulate import (MERGED_LABEL, block_chunks, resolve_channels,
-                            simulate_basis, simulate_channel_block)
+from wmqkd.simulate import block_chunks, resolve_channels, simulate_basis, simulate_channel_block
 
 cut_ticks = st.lists(st.integers(-25, 405), max_size=8).map(sorted)
 
@@ -112,6 +111,39 @@ def test_chunked_dead_time_equals_one_shot(int_times, ports, dead, cuts):
                               fixed_point_dead_time_filter(times[port == p], dead))
 
 
+@st.composite
+def segmented_ports(draw):
+    """Events of 1 to 4 segments, each sorted by time, as (time, label)
+    with label 2 in no port's filter, and the cuts between chunks."""
+    events = st.lists(st.tuples(st.integers(0, 60), st.integers(0, 2)), max_size=20)
+    segments = [sorted(draw(events)) for _ in range(draw(st.integers(1, 4)))]
+    return segments, sorted(draw(st.lists(st.integers(0, 60), max_size=4)))
+
+
+@given(segmented_ports(), st.floats(0.0, 10.0))
+@example(  # an empty segment, and one whose last event in a chunk is dropped
+    record=([[(0, 0), (3, 0)], [], [(0, 1), (1, 1), (5, 1)]], [2, 4]), dead=2.0)
+def test_segmented_dead_time_in_chunks_equals_per_segment_walk(record, dead):
+    segments, cuts = record
+    last = np.full((2, len(segments)), -np.inf)
+    want_last = last.copy()
+    edges = [-np.inf] + cuts + [np.inf]
+    for lo, hi in zip(edges, edges[1:]):
+        chunk = [[e for e in seg if lo <= e[0] < hi] for seg in segments]
+        starts = np.cumsum([0] + [len(c) for c in chunk[:-1]])
+        times = np.array([t for c in chunk for t, _ in c], float)
+        port = np.array([p for c in chunk for _, p in c], np.int8)
+        keep = _port_dead_time_filter(times, port, dead, 2, last, starts)
+        want = []
+        for g, c in enumerate(chunk):
+            for t, p in c:
+                want.append(p < 2 and t > want_last[p, g] + dead)
+                if want[-1]:
+                    want_last[p, g] = t
+        assert keep.tolist() == want
+        assert np.array_equal(last, want_last)
+
+
 @given(module_streams(), st.integers(0, 40), cut_ticks)
 def test_chunked_merge_equals_one_shot(streams, dead_int, cuts):
     runs = [tag_keys(s, 0) for s in streams]
@@ -193,7 +225,8 @@ def test_chunked_block_counts_equal_one_shot_reduction(monkeypatch):
     chunks = list(block_chunks(chans, DEFAULT_DETECTOR, block))
     assert len(chunks) > 10 and chunks[-1].end == block
     assert all(a.end == b.start for a, b in zip(chunks, chunks[1:]))
-    got = simulate_basis(chans, Basis.DA, DEFAULT_DETECTOR, window, block, seed)
+    channels, merged_counts = simulate_basis(chans, Basis.DA, DEFAULT_DETECTOR, window,
+                                             block, seed)
 
     alice, bob = [], []
     for slot, ch in enumerate(chans):
@@ -206,12 +239,12 @@ def test_chunked_block_counts_equal_one_shot_reduction(monkeypatch):
     merged = [key_stream(merge_keys([tag_keys(s, side) for s in streams], dead,
                                     np.full(2, -np.inf)), block)
               for side, streams in enumerate((alice, bob))]
-    for key, a, b in [(ch.index, a, b) for ch, a, b in zip(chans, alice, bob)] \
-            + [(MERGED_LABEL, *merged)]:
+    for (counts, i), a, b in zip([(channels, i) for i in range(len(chans))]
+                                 + [(merged_counts, 0)],
+                                 alice + merged[:1], bob + merged[1:], strict=True):
         assert a.is_sorted() and b.is_sorted()
-        counts = got[key]
-        assert np.array_equal(counts.counts.cc,
+        assert np.array_equal(counts.cc[i],
                               tabulate(find_coincidences(a, b, window), Basis.DA).cc)
-        assert counts.accidentals == accidental_estimate(a, b, window, delay)
-        assert (counts.singles_alice, counts.singles_bob) == (len(a), len(b))
-    assert got[MERGED_LABEL].counts.total > 0
+        assert counts.accidentals[i] == accidental_estimate(a, b, window, delay)
+        assert counts.singles[:, i].tolist() == [len(a), len(b)]
+    assert merged_counts.cc.sum() > 0

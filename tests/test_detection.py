@@ -7,6 +7,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from wmqkd.detection import (Basis, DetectorConfig, Outcome, TagStream,
                              detect, joint_outcome_probabilities,
@@ -99,6 +101,20 @@ def test_marginals_uniform():
     a, b = measure_pair_outcomes(n, 0.8, rng)
     for arr in (a, b):
         assert abs(arr.mean() - 0.5) < 5 * 0.5 / np.sqrt(n)
+
+
+@given(st.floats(0.0, 1.0), st.integers(0, 5000), st.integers(0, 2**32 - 1))
+@example(v_sys=0.924, n=100_000, seed=1)
+def test_pair_outcomes_are_the_draws_of_generator_choice(v_sys, n, seed):
+    # The searchsorted draw is what ``Generator.choice`` runs inside; the
+    # outcomes, their dtype and the generator's state after must agree.
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = measure_pair_outcomes(n, v_sys, rng)
+    cells = ref.choice(4, size=n, p=joint_outcome_probabilities(v_sys))
+    for have, want in zip(got, ((cells >> 1).astype(np.int8), (cells & 1).astype(np.int8))):
+        assert have.dtype == want.dtype
+        assert np.array_equal(have, want)
+    assert rng.random() == ref.random()
 
 
 def test_joint_probabilities_shape():
@@ -262,6 +278,14 @@ def test_merge_rejects_unsorted():
     good = make_tags([1, 2], det_id=1)
     with pytest.raises(ValueError, match="sorted"):
         merge_detectors(bad, good, 0.0)
+
+
+@pytest.mark.parametrize("dead", [-1e-9, float("nan"), float("inf")])
+def test_merge_rejects_a_negative_or_non_finite_dead_time(dead):
+    # A negative dead time once kept the first tag of a shared tick twice,
+    # and NaN kept nothing.
+    with pytest.raises(ValueError, match="global_dead_time"):
+        merge_detectors(make_tags([1, 5, 9]), make_tags([5, 7], det_id=1), dead)
 
 
 def test_merge_zero_dead_time_drops_simultaneous_only():

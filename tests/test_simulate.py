@@ -21,7 +21,7 @@ from wmqkd.detection import (Basis, DetectorConfig, detect,
                              measure_pair_outcomes, measure_single_outcomes,
                              transmit)
 from wmqkd.keyrate import AnalyticLinkModel, analytic_rates
-from wmqkd.simulate import (MERGED_LABEL, ChannelScenario, Chunk, _channel_draws,
+from wmqkd.simulate import (ChannelScenario, Chunk, _channel_draws,
                             block_chunks, resolve_channels, simulate_basis,
                             simulate_channel_block, simulate_point)
 from wmqkd.source import SourceConfig, _rng, band_fraction, sample_pair_stream
@@ -246,16 +246,19 @@ def sequential_point(src, plan, loss, duration, seed, **kwargs):
     units = [simulate_basis(chans, basis, DEFAULT_DETECTOR, CoincidenceWindow(1e-9),
                             duration / 2.0, seed)
              for basis in (Basis.HV, Basis.DA)]
+    # Each pipeline: its key, which of a unit's counts and its row there.
+    rows = [(ch.index, 0, i) for i, ch in enumerate(chans)]
+    if units[0][1] is not None:
+        rows.append(("merged", 1, 0))
     out = {}
-    for key in units[0]:
-        singles_a = singles_b = acc = total_t = 0.0
+    for key, which, i in rows:
+        singles_a = singles_b = acc = 0.0
         for unit in units:
-            singles_a += unit[key].singles_alice
-            singles_b += unit[key].singles_bob
-            acc += unit[key].accidentals
-            total_t += unit[key].duration
-        out[key] = ([unit[key].counts for unit in units],
-                    singles_a / total_t, singles_b / total_t, acc / total_t)
+            singles_a += int(unit[which].singles[0, i])
+            singles_b += int(unit[which].singles[1, i])
+            acc += int(unit[which].accidentals[i])
+        out[key] = ([unit[which].cc[i] for unit in units],
+                    singles_a / duration, singles_b / duration, acc / duration)
     return out
 
 
@@ -286,17 +289,17 @@ def test_threaded_point_equals_sequential_units(plan_of, kwargs, merged):
     want = sequential_point(src, plan, loss, duration, seed, **kwargs)
     got = dict(threaded.channels)
     if merged:
-        got[MERGED_LABEL] = threaded.merged
+        got["merged"] = threaded.merged
     else:
         assert threaded.merged is None
     assert set(got) == set(want)
     for key, r in got.items():
         counts, singles_a, singles_b, acc = want[key]
-        for have, expect in zip((r.counts_hv, r.counts_da), counts):
-            assert have.basis == expect.basis
-            assert np.array_equal(have.cc, expect.cc)
-            assert have.channel_pair == expect.channel_pair
-            assert have.duration == expect.duration
+        for have, basis, cc in zip((r.counts_hv, r.counts_da), (Basis.HV, Basis.DA), counts):
+            assert have.basis == basis
+            assert np.array_equal(have.cc, cc)
+            assert have.channel_pair == (0 if key == "merged" else key)
+            assert have.duration == duration / 2.0
         assert r.singles_alice == singles_a
         assert r.singles_bob == singles_b
         assert r.accidental_rate == acc
