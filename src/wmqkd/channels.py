@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -47,10 +48,12 @@ class WavelengthChannel:
     def __post_init__(self):
         if self.side not in (SIGNAL, IDLER):
             raise ValueError(f"side must be 'signal' or 'idler', got {self.side!r}")
-        if self.index < 1:
-            raise ValueError(f"index must be >= 1, got {self.index}")
-        if self.fwhm <= 0:
-            raise ValueError(f"fwhm must be > 0, got {self.fwhm}")
+        if not isinstance(self.index, int) or isinstance(self.index, bool) or self.index < 1:
+            raise ValueError(f"index must be an integer >= 1, got {self.index!r}")
+        if not math.isfinite(self.center):
+            raise ValueError(f"center must be finite, got {self.center}")
+        if not 0 < self.fwhm < math.inf:
+            raise ValueError(f"fwhm must be finite and > 0, got {self.fwhm}")
         if not 0.0 < self.diffraction_efficiency <= 1.0:
             raise ValueError(
                 f"diffraction_efficiency must be in (0, 1], got {self.diffraction_efficiency}"
@@ -77,6 +80,10 @@ class ChannelPlan:
     tolerance: float = ENERGY_MATCH_TOLERANCE_NM
 
     def __post_init__(self):
+        if not math.isfinite(self.spdc_center):
+            raise ValueError(f"spdc_center must be finite, got {self.spdc_center}")
+        if not 0 <= self.tolerance < math.inf:
+            raise ValueError(f"tolerance must be finite and >= 0, got {self.tolerance}")
         indices = [s.index for s, _ in self.pairs]
         if len(set(indices)) != len(indices):
             raise ValueError("pair indices must be unique")
@@ -236,7 +243,7 @@ def grid_tiling(window_low: float, window_high: float, channel_spacing: float,
     :func:`build_grid_plan`."""
     if not window_low < window_high:
         raise ValueError("window_low must be < window_high")
-    if channel_spacing <= 0:
+    if not channel_spacing > 0:
         raise ValueError("channel_spacing must be > 0")
     nu_lo = C_NM_HZ / window_high
     nu_hi = C_NM_HZ / window_low
@@ -285,8 +292,8 @@ def build_grid_plan(
         ``total_bands``, ``paired_channels`` and ``unpaired_bands``
         from the tiling arithmetic (:func:`grid_tiling`).
     """
-    if channel_bandwidth <= 0:
-        raise ValueError("channel_bandwidth must be > 0")
+    if not 0 < channel_bandwidth < math.inf:
+        raise ValueError("channel_bandwidth must be finite and > 0")
     if channel_spacing < channel_bandwidth:
         raise ValueError(
             f"channel_spacing ({channel_spacing:g} Hz) must be >= "

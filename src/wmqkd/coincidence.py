@@ -8,21 +8,21 @@ with one stream delayed far outside the window.
 
 Tags are matched as packed int64 keys (:func:`detection.tag_keys`),
 ``tick << 2 | side << 1 | port``: side 0 is Alice and 1 is Bob, and the
-port bit is the low bit of the outcome.  One matcher kernel
-(:func:`match_keys`) sorts an Alice and a Bob run of keys into one and
-walks it on ``key >> 2``: only runs of close links can hold matches,
-and all of them are walked by one greedy walk.  The key order is the
-tie order of the greedy policy: on a shared tick Alice comes first, and
-each side keeps its own canonical (tick, detector_id) order, because a
-module's two detector ids rise with the port bit.  The Monte Carlo
-counters read each match's 2x2 cell from the port bits and count the
-delayed window as the same walk with Bob's keys shifted;
-:func:`find_coincidences` and :func:`accidental_estimate` pack a zero
-port bit, which leaves each side's ties in stream order, and call the
-same kernel.  Runs of keys that arrive in time chunks are matched
-stretch by stretch (:class:`ChunkedPair`), with exactly the result of
-matching them whole; their keys may hold many channels, each in its own
-segment of key ticks.
+port bit is the low bit of the outcome.  There is one matcher kernel,
+:meth:`ChunkedPair.push`: it sorts the Alice and Bob keys into one run
+and walks it on ``key >> 2``.  Only runs of close links can hold
+matches, and all of them are walked by one greedy walk.  The key order
+is the tie order of the greedy policy: on a shared tick Alice comes
+first, and each side keeps its own canonical (tick, detector_id) order,
+because a module's two detector ids rise with the port bit.  Keys that
+arrive in time chunks are matched stretch by stretch, with exactly the
+result of matching them whole; they may hold many channels, each in its
+own segment of key ticks.  :func:`match_keys` matches two whole runs as
+one chunk.  The Monte Carlo counters read each match's 2x2 cell from
+the port bits and count the delayed window as the same walk with Bob's
+keys shifted; :func:`find_coincidences` and :func:`accidental_estimate`
+pack a zero port bit, which leaves each side's ties in stream order, and
+call the same kernel.
 """
 
 from __future__ import annotations
@@ -134,20 +134,9 @@ def _check_pair(tags_a: TagStream, tags_b: TagStream):
 
 def match_keys(ka: np.ndarray, kb: np.ndarray, half: int):
     """The greedy matches of a sorted run of Alice keys and one of Bob
-    keys whose ticks match within ``half``.
-
-    Returns ``(keys, pos_a, pos_b)``: both runs in one sort (numpy's
-    stable sort merges two sorted runs cheaply), and the positions in it
-    of each match's Alice and Bob tag, in no particular order.  On a
-    shared tick the keys put Alice first and keep each side's own order,
-    the tie order of the greedy policy.
-    """
-    keys = np.concatenate((ka, kb))
-    keys.sort(kind="stable")
-    if ka.size == 0 or kb.size == 0:
-        none = np.empty(0, dtype=np.intp)
-        return keys, none, none
-    return (keys, *_walk(keys, *_close_runs(keys, half), half))
+    keys whose ticks match within ``half``: both runs as one chunk of a
+    :class:`ChunkedPair`, with what :meth:`ChunkedPair.push` returns."""
+    return ChunkedPair(half).push(ka, kb, None)
 
 
 def _close_runs(keys: np.ndarray, half: int) -> tuple[np.ndarray, np.ndarray]:
@@ -314,9 +303,12 @@ class ChunkedPair:
     def push(self, ka: np.ndarray, kb: np.ndarray, frontier: int | None):
         """Add the next chunk of both runs, whose later keys all have a
         tick at or above ``frontier`` (``frontier + s·width`` in segment
-        ``s``; None: there are none).  Returns ``(keys, pos_a, pos_b)`` as
-        :func:`match_keys` does: the held and the new keys, Bob's shifted,
-        in one sort, and the positions of the matches that are now final.
+        ``s``; None: there are none).  Returns ``(keys, pos_a, pos_b)``:
+        the held and the new keys, Bob's shifted, in one sort (numpy's
+        stable sort merges sorted runs cheaply), and the positions in it
+        of the Alice and Bob tag of each match that is now final, in no
+        particular order.  On a shared tick the keys put Alice first and
+        keep each side's own order, the tie order of the greedy policy.
         The keys of no returned match are held for the next chunk."""
         if self.shift:
             kb = kb + (self.shift << 2)

@@ -7,10 +7,12 @@ detectors (one per outcome).  Tags carry integer timestamps in units of
 the time-tagger tick (1/12.15 GHz by default).
 
 The detector chain is per-channel draws and one emit kernel
-(:func:`emit_keys`) that orders, holds back, dead-time filters and
-rounds the jittered events of one or many channels at once and returns
-packed tag keys (:func:`tag_keys`, ``tick << 2 | side << 1 | port``),
-each channel's ticks in its own segment of a :class:`KeyFrame`.
+(:func:`emit_keys`) for the jittered events of one or many channels at
+once.  It rounds them to packed tag keys (:func:`tag_keys`,
+``tick << 2 | side << 1 | port``), each channel's ticks in its own
+segment of a :class:`KeyFrame`, orders them by one stable sort of the
+keys, holds back those at or above the frontier and dead-time filters
+each port; the kept keys leave in that one order.
 :func:`detect` is that chain for one channel's given arrivals, with
 their efficiency thinning, unpacked into a :class:`TagStream`; the Monte
 Carlo draws its detections directly and passes them to the same emit.
@@ -325,19 +327,17 @@ def _dead_time_filter(times: np.ndarray, dead: float, last=-np.inf,
     ``g`` from ``starts[g]`` on; each segment's times must be
     non-decreasing and are filtered on their own.  An event is kept iff
     it is strictly later than the last kept event of its segment plus
-    ``dead``; ``last`` (one value, or one per segment) is the time of the
-    last event kept before these, in an earlier chunk of the record.  Gaps
-    larger than ``dead`` split a segment into clusters: the first event
-    of every cluster is kept and the second is dropped.  Clusters of three
-    or more events are walked with ``searchsorted``, all at once, one kept
-    event per step, so a burst costs O(n + kept · log n) rather than
-    quadratic time.  A walk that leaves its cluster lands on the next
-    cluster's first event, which is already kept, or on its segment's
-    end, and stops there.
+    ``dead`` (>= 0); ``last`` (one value, or one per segment) is the time
+    of the last event kept before these, in an earlier chunk of the
+    record.  Gaps larger than ``dead`` split a segment into clusters: the
+    first event of every cluster is kept and the second is dropped.
+    Clusters of three or more events are walked with ``searchsorted``,
+    all at once, one kept event per step, so a burst costs
+    O(n + kept · log n) rather than quadratic time.  A walk that leaves
+    its cluster lands on the next cluster's first event, which is already
+    kept, or on its segment's end, and stops there.
     """
     n = times.size
-    if dead < 0:
-        return np.ones(n, dtype=bool)
     starts = np.zeros(1, np.intp) if starts is None else np.asarray(starts, np.intp)
     ends = np.append(starts[1:], n)
     keep = np.zeros(n, dtype=bool)
@@ -376,23 +376,22 @@ def _dead_time_filter(times: np.ndarray, dead: float, last=-np.inf,
 
 
 def _port_dead_time_filter(times: np.ndarray, port: np.ndarray, dead: float,
-                           ports: int, last: np.ndarray,
-                           starts: np.ndarray | None = None) -> np.ndarray:
+                           last: np.ndarray, starts: np.ndarray | None = None) -> np.ndarray:
     """Keep-mask of one dead-time filter per port, and per segment when
     ``starts`` splits ``times`` into segments (:func:`_dead_time_filter`).
 
-    ``times`` must be non-decreasing within each segment.  ``port`` holds
-    labels in ``range(ports)``; an event of any other label is in no
-    filter and is not kept.  Each port's events, gathered by index and
-    still in time order, pass one :func:`_dead_time_filter`, which
-    compares them as float64.  ``last`` holds each port's last kept time
-    from earlier chunks (-inf for none), one row per port of one entry
-    per segment, and is updated in place.
+    Each port's times must be non-decreasing within each segment; the
+    ports may interleave in any way.  ``port`` holds labels 0 and 1; an
+    event of any other label is in no filter and is not kept.  Each
+    port's events, gathered by index, pass one :func:`_dead_time_filter`,
+    which compares them as float64.  ``last`` holds each port's last kept
+    time from earlier chunks (-inf for none), one row per port of one
+    entry per segment, and is updated in place.
     """
     keep = np.zeros(times.size, dtype=bool)
     starts = np.zeros(1, np.intp) if starts is None else starts
-    rows = last.reshape(ports, -1)
-    for p in range(ports):
+    rows = last.reshape(2, -1)
+    for p in range(2):
         idx = np.flatnonzero(port == p)
         t = times[idx].astype(np.float64, copy=False)
         begin = np.searchsorted(idx, starts)
@@ -502,20 +501,21 @@ def emit_keys(parts: list, config: DetectorConfig, carry: DetectorCarry,
 
     ``parts`` holds each channel slot's jittered events, as a tuple of
     times, port bits and dark flags in any order; the list is emptied,
-    so that each slot's draws are freed once they are folded in.  ``carry`` is the side's carry, with one
-    segment per slot.  A tag's key is ``k << 2 | side << 1 | port``, with
-    ``k`` its key tick in ``frame``.  The keys come sorted, the slots one
-    after the other, and tags of equal key in time order.  The dark flags
-    follow the keys.
+    so that each slot's draws are freed once they are folded in.
+    ``carry`` is the side's carry, with one segment per slot.  A tag's
+    key is ``k << 2 | side << 1 | port``, with ``k`` its key tick in
+    ``frame``.  The keys come sorted, the slots one after the other, and
+    tags of equal key in time order.  The dark flags follow the keys.
 
-    The held and new events of every slot are ordered by (slot, time),
-    stably, as each slot's own stable sort of its times would order them:
-    one stable sort by key tick, which rounding leaves in time order, and
-    a sort by time of the few events that share a key tick.  Each slot's
-    events at or above the frontier are held again.  Each (slot, port)
-    passes one non-paralyzable dead-time filter on the float64 times.
-    Channel offsets are added to integer ticks only, so that no time is
-    rounded differently.
+    The held and new events of every slot are ordered once, by one stable
+    sort of their keys ``k << 2 | port``, and the few events that share a
+    key are then sorted by time.  Rounding keeps time order, so each
+    (slot, port)'s events come in time order, as each port's own stable
+    sort of its times would order them.  Each slot's events at or above
+    the frontier are held again.  Each (slot, port) passes one
+    non-paralyzable dead-time filter on the float64 times, and the kept
+    tags stay in key order.  Channel offsets are added to integer ticks
+    only, so that no time is rounded differently.
     """
     n = len(parts)
     held_t, held_bits, held_dark, held_slot = carry.held
@@ -537,6 +537,8 @@ def emit_keys(parts: list, config: DetectorConfig, carry: DetectorCarry,
     offset = np.arange(n, dtype=np.int64) * frame.width - frame.base
     key[:held_t.size] += offset[held_slot]
     key[held_t.size:] += np.repeat(offset, counts)
+    key <<= 2
+    key |= bits
     order = np.argsort(key, kind="stable")
     key = key[order]
     tie = np.flatnonzero(key[1:] == key[:-1])
@@ -546,33 +548,20 @@ def emit_keys(parts: list, config: DetectorConfig, carry: DetectorCarry,
         order[pos] = sub[np.lexsort((t[sub], key[pos]))]
     t, bits, dark = t[order], bits[order], dark[order]
     del order
-    starts = np.concatenate(([0], np.searchsorted(key, offset[1:] + frame.base)))
+    starts = np.concatenate(([0], np.searchsorted(key, offset[1:] + frame.base << 2)))
     ends = np.append(starts[1:], key.size)
     cut = ends if frontier is None else \
-        np.clip(np.searchsorted(key, offset + frontier), starts, ends)
+        np.clip(np.searchsorted(key, offset + frontier << 2), starts, ends)
     held = _ranges(cut, ends)
     carry.held = (t[held], bits[held], dark[held], np.repeat(np.arange(n), ends - cut))
     carry.frontier = frontier
     bits[held] = 2    # no port: a held event joins no dead-time filter
-    keep = np.flatnonzero(_port_dead_time_filter(t, bits, config.dead_time, 2,
+    keep = np.flatnonzero(_port_dead_time_filter(t, bits, config.dead_time,
                                                  carry.last_kept, starts))
     keys = key[keep]
-    del key
-    keys <<= 2
-    keys |= bits[keep]
     if side:
         keys |= 2
-    dark = dark[keep]
-    # Tags of the two ports that share a tick may be out of key order; a
-    # stable sort by key of each tick that holds such a pair restores it.
-    swap = np.flatnonzero(keys[1:] < keys[:-1])
-    if swap.size:
-        tick = keys[swap] >> 2
-        pos = np.unique(_ranges(np.searchsorted(keys, tick << 2),
-                                np.searchsorted(keys, tick + 1 << 2)))
-        order = pos[np.argsort(keys[pos], kind="stable")]
-        keys[pos], dark[pos] = keys[order], dark[order]
-    return keys, dark
+    return keys, dark[keep]
 
 
 def _emit(t: np.ndarray, bits: np.ndarray, dark: np.ndarray,
@@ -581,9 +570,9 @@ def _emit(t: np.ndarray, bits: np.ndarray, dark: np.ndarray,
           carry: DetectorCarry, frontier: int | None) -> TagStream:
     """Steps (4) to (6) of :func:`detect` on one module's jittered event
     times: :func:`emit_keys` of one channel, unpacked into a tag stream.
-    The keys come in port order on a shared tick; when the module's
-    detector ids fall with the port bit, the stream is sorted again into
-    canonical (tick, detector id) order."""
+    The tags come in key order, port 0 first on a shared tick; when the
+    module's detector ids fall with the port bit, the stream is sorted
+    again into canonical (tick, detector id) order."""
     keys, dark = emit_keys([(t, bits, dark)], config, carry, frontier)
     port = (keys & 1).astype(np.int8)
     o0, o1 = BASIS_OUTCOMES[basis]
@@ -645,7 +634,7 @@ def merge_keys(runs: list[np.ndarray], dead: float, last: np.ndarray) -> np.ndar
     # the result: timsort merges two sorted runs fastest, numpy's default
     # sort more of them.
     keys.sort(kind="stable" if len(runs) <= 2 else None)
-    keep = _port_dead_time_filter(keys >> 2, keys & 1, dead, 2, last)
+    keep = _port_dead_time_filter(keys >> 2, keys & 1, dead, last)
     return keys[np.flatnonzero(keep)]
 
 

@@ -282,8 +282,10 @@ class PairRateOptimum:
 
 _NO_INTERIOR = "no interior optimum on the bracket; returning best sample"
 
-# The brightness search: log-spaced scan points over the bracket, and the
-# golden-section refinement's final bracket width in log10 units.
+# The brightness search: the in-band pair rates searched (pairs/s),
+# log-spaced scan points over them, and the golden-section refinement's
+# final bracket width in log10 units.
+_BRACKET = (1e2, 1e12)
 _N_GRID = 121
 _LOG_TOL = 1e-3
 
@@ -294,17 +296,14 @@ def _pow10(log_b: np.ndarray) -> np.ndarray:
     return np.array([10.0 ** x for x in log_b.ravel().tolist()]).reshape(log_b.shape)
 
 
-def optimize_pair_rates(
-    model: AnalyticLinkModel,
-    bracket: tuple[float, float] = (1e2, 1e12),
-) -> list[PairRateOptimum]:
+def optimize_pair_rates(model: AnalyticLinkModel) -> list[PairRateOptimum]:
     """Maximize each model's aggregate key rate over its in-band pair rate.
 
     ``model`` holds one model per element of its fields, which broadcast
     to one axis (a model of numbers is one model); its
     ``pair_rate_in_band`` is ignored.
 
-    Scans a log-spaced grid over ``bracket`` to locate each model's best
+    Scans a log-spaced grid over ``_BRACKET`` to locate each model's best
     sample, then refines with golden-section search in log space.  When
     the best grid sample sits on the bracket edge (no interior optimum,
     e.g. no accidental penalty), the edge sample is returned with a
@@ -313,15 +312,11 @@ def optimize_pair_rates(
     masked per model.  The arithmetic is elementwise, so each result is
     exactly what the same search on that model alone gives.
     """
-    lo, hi = bracket
-    if not 0 < lo < hi:
-        raise ValueError("bracket must satisfy 0 < lo < hi")
-
     def rate_at(log_b: np.ndarray) -> np.ndarray:
         return analytic_rates(replace(model, pair_rate_in_band=_pow10(log_b))
                               ).key_rate_total
 
-    grid = np.linspace(math.log10(lo), math.log10(hi), _N_GRID)
+    grid = np.linspace(math.log10(_BRACKET[0]), math.log10(_BRACKET[1]), _N_GRID)
     # One row per grid point, one column per model.
     vals = rate_at(grid[:, None])
     k = np.argmax(vals, axis=0)
@@ -368,29 +363,23 @@ def optimize_pair_rates(
     ]
 
 
-def optimize_pair_rate(
-    model: AnalyticLinkModel,
-    bracket: tuple[float, float] = (1e2, 1e12),
-) -> PairRateOptimum:
+def optimize_pair_rate(model: AnalyticLinkModel) -> PairRateOptimum:
     """Maximize the aggregate key rate of one model over the in-band pair
     rate; see :func:`optimize_pair_rates`."""
-    return optimize_pair_rates(model, bracket)[0]
+    return optimize_pair_rates(model)[0]
 
 
-def scaling_curve(model: AnalyticLinkModel, n_values, loss_grid_db,
-                  base_transmittance_alice: float = 1.0,
-                  base_transmittance_bob: float = 1.0) -> list[dict]:
+def scaling_curve(model: AnalyticLinkModel, n_values, loss_grid_db) -> list[dict]:
     """Aggregate key rate versus channel count and total link loss, at
     the model's fixed per-channel pair rate.
 
-    For each loss the per-side transmittance is the base value times
-    :func:`side_transmittance`; the aggregate rate is exactly linear in
-    the channel count under the identical-channel assumption.
+    For each loss the per-side transmittance is :func:`side_transmittance`;
+    the aggregate rate is exactly linear in the channel count under the
+    identical-channel assumption.
     """
     losses = list(loss_grid_db)
     eta = np.array([side_transmittance(x) for x in losses], dtype=np.float64)
-    models = replace(model, transmittance_alice=base_transmittance_alice * eta,
-                     transmittance_bob=base_transmittance_bob * eta, n_channels=1)
+    models = replace(model, transmittance_alice=eta, transmittance_bob=eta, n_channels=1)
     return scaling_rows(n_values, losses, analytic_rates(models))
 
 

@@ -130,6 +130,10 @@ class RunConfig:
             self.channel_visibilities = _visibilities(self.channel_visibilities)
         except (TypeError, ValueError, IndexError) as exc:
             raise ConfigError("channel_visibilities", str(exc)) from exc
+        unknown = set(self.channel_visibilities) - {s.index for s, _ in self.plan.pairs}
+        if unknown:
+            raise ConfigError("channel_visibilities",
+                              f"the plan has no channel pair {min(unknown)}")
         if isinstance(self.brightness, str):
             if self.brightness not in BRIGHTNESS_POLICIES:
                 raise ConfigError(
@@ -421,8 +425,7 @@ def consistency_sigmas(pred: AnalyticRates, mc_row: dict, duration: float,
     sigma_key_rate = math.sqrt(2.0 * var_b) / duration
     z_r = (mc_row["key_rate_bps_mc"] - pred.key_rate_per_channel) / sigma_key_rate \
         if sigma_key_rate > 0 else float("nan")
-    return {"z_cc": z_cc, "z_qber": z_q, "z_key_rate": z_r,
-            "sigma_qber": sigma_q, "sigma_key_rate": sigma_key_rate}
+    return {"z_cc": z_cc, "z_qber": z_q, "z_key_rate": z_r}
 
 
 def within_4_sigma(z: dict) -> bool:
@@ -434,8 +437,7 @@ def within_4_sigma(z: dict) -> bool:
     when many coincidences were expected and none came, even where no
     key was predicted.  False when no z-score is defined.
     """
-    defined = [abs(v) for k, v in z.items()
-               if k.startswith("z_") and not math.isnan(v)]
+    defined = [abs(v) for v in z.values() if not math.isnan(v)]
     return bool(defined) and all(v <= 4.0 for v in defined)
 
 

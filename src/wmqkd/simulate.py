@@ -336,9 +336,8 @@ class _SegmentCounts:
         keys, pos_a, pos_b = self.matched.push(ka, kb, frontier)
         self.cc += key_table(keys, pos_a, pos_b, self.edges)
         del keys    # one window's keys at a time
-        keys, pos_a, _ = self.delayed.push(ka, kb, frontier)
-        self.accidentals += np.bincount(np.searchsorted(self.edges, keys[pos_a], side="right"),
-                                        minlength=self.accidentals.size)
+        keys, pos_a, pos_b = self.delayed.push(ka, kb, frontier)
+        self.accidentals += key_table(keys, pos_a, pos_b, self.edges).sum((1, 2))
 
 
 class _BlockCounter:

@@ -101,10 +101,10 @@ def test_chunked_dead_time_equals_one_shot(int_times, ports, dead, cuts):
     last = np.full(2, -np.inf)
     edges = np.searchsorted(times, cuts).tolist()
     got = np.concatenate([
-        _port_dead_time_filter(times[lo:hi], port[lo:hi], dead, 2, last)
+        _port_dead_time_filter(times[lo:hi], port[lo:hi], dead, last)
         for lo, hi in zip([0] + edges, edges + [times.size])
     ])
-    assert np.array_equal(got, _port_dead_time_filter(times, port, dead, 2,
+    assert np.array_equal(got, _port_dead_time_filter(times, port, dead,
                                                       np.full(2, -np.inf)))
     for p in (0, 1):
         assert np.array_equal(got[port == p],
@@ -133,7 +133,7 @@ def test_segmented_dead_time_in_chunks_equals_per_segment_walk(record, dead):
         starts = np.cumsum([0] + [len(c) for c in chunk[:-1]])
         times = np.array([t for c in chunk for t, _ in c], float)
         port = np.array([p for c in chunk for _, p in c], np.int8)
-        keep = _port_dead_time_filter(times, port, dead, 2, last, starts)
+        keep = _port_dead_time_filter(times, port, dead, last, starts)
         want = []
         for g, c in enumerate(chunk):
             for t, p in c:

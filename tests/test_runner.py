@@ -17,7 +17,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from wmqkd.calibration import FROZEN_CALIBRATION, predict_channel
-from wmqkd.channels import ChannelPlan
+from wmqkd.channels import ChannelPlan, build_table1_plan, plan_to_dict
 from wmqkd.cli import main as cli_main
 from wmqkd.coincidence import CountsMatrix
 from wmqkd.detection import Basis, DetectorConfig
@@ -41,6 +41,17 @@ WDM_GRID_PLAN = {"grid": {
     "window_low_nm": 795.0, "window_high_nm": 825.0,
     "channel_spacing_hz": 400e9, "channel_bandwidth_hz": 50e9,
     "spdc_center_nm": 810.05}}
+
+
+def table1_pairs_with(path, value) -> dict:
+    """The table-1 plan as a ``pairs`` object, ``value`` set at ``path``."""
+    plan = plan_to_dict(build_table1_plan())
+    *keys, last = path
+    node = plan
+    for key in keys:
+        node = node[key]
+    node[last] = value
+    return plan
 
 
 # --- configuration -----------------------------------------------------------
@@ -112,6 +123,30 @@ def test_bad_nested_fields_named():
     ({"source": {"systematic_visibility_hv": False}}, "source",
      "systematic_visibility_hv must be a number"),
     ({"detector": 5}, "detector", "must be a JSON object"),
+    ({"plan": table1_pairs_with(("pairs", 0, "signal", "center"), float("nan"))},
+     "plan.pairs", "center must be finite"),
+    ({"plan": table1_pairs_with(("pairs", 1, "idler", "center"), float("inf"))},
+     "plan.pairs", "center must be finite"),
+    ({"plan": table1_pairs_with(("pairs", 0, "idler", "fwhm"), float("nan"))},
+     "plan.pairs", "fwhm must be finite"),
+    ({"plan": table1_pairs_with(("pairs", 0, "idler", "fwhm"), float("inf"))},
+     "plan.pairs", "fwhm must be finite"),
+    ({"plan": table1_pairs_with(("spdc_center", ), float("nan"))},
+     "plan.pairs", "spdc_center must be finite"),
+    # A NaN or infinite tolerance would switch the energy-match check off.
+    ({"plan": table1_pairs_with(("tolerance", ), float("nan"))},
+     "plan.pairs", "tolerance must be finite"),
+    ({"plan": table1_pairs_with(("tolerance", ), float("inf"))},
+     "plan.pairs", "tolerance must be finite"),
+    ({"plan": table1_pairs_with(("tolerance", ), -0.01)},
+     "plan.pairs", "tolerance must be finite and >= 0"),
+    ({"plan": {"grid": {**WDM_GRID_PLAN["grid"], "channel_bandwidth_hz": float("nan")}}},
+     "plan.grid", "channel_bandwidth must be finite"),
+    ({"plan": table1_pairs_with(("pairs", 0, "index"), 1.0)}, "plan.pairs", "integer"),
+    ({"plan": table1_pairs_with(("pairs", 0, "index"), 1.5)}, "plan.pairs", "integer"),
+    ({"plan": table1_pairs_with(("pairs", 0, "index"), True)}, "plan.pairs", "integer"),
+    ({"channel_visibilities": {"1": [0.9, 0.9], "3": [0.9, 0.9]}},
+     "channel_visibilities", "no channel pair 3"),
 ])
 def test_non_finite_numbers_and_negative_seed_rejected(raw, field, what):
     with pytest.raises(ConfigError, match=what) as exc:
@@ -141,6 +176,7 @@ def test_directly_built_config_of_wrong_type_names_the_field(kwargs, field):
     ({"window": None}, "window"),
     ({"detector": None}, "detector"),
     ({"plan": "table1"}, "plan"),
+    ({"channel_visibilities": {3: (0.9, 0.9)}}, "channel_visibilities"),
 ])
 def test_directly_built_nested_object_of_wrong_type_names_the_field(kwargs, field):
     with pytest.raises(ConfigError) as exc:
