@@ -6,23 +6,23 @@ difference is at most half the window, so the total window width equals
 the configured value.  An accidental-rate estimator counts the matches
 with one stream delayed far outside the window.
 
-Tags are matched as packed int64 keys (:func:`detection.tag_keys`),
-``tick << 2 | side << 1 | port``: side 0 is Alice and 1 is Bob, and the
-port bit is the low bit of the outcome.  There is one matcher kernel,
-:meth:`ChunkedPair.push`: it sorts the Alice and Bob keys into one run
-and walks it on ``key >> 2``.  Only runs of close links can hold
-matches, and all of them are walked by one greedy walk.  The key order
-is the tie order of the greedy policy: on a shared tick Alice comes
-first, and each side keeps its own canonical (tick, detector_id) order,
-because a module's two detector ids rise with the port bit.  Keys that
-arrive in time chunks are matched stretch by stretch, with exactly the
-result of matching them whole; they may hold many channels, each in its
-own segment of key ticks.  :func:`match_keys` matches two whole runs as
-one chunk.  The Monte Carlo counters read each match's 2x2 cell from
-the port bits and count the delayed window as the same walk with Bob's
-keys shifted; :func:`find_coincidences` and :func:`accidental_estimate`
-pack a zero port bit, which leaves each side's ties in stream order, and
-call the same kernel.
+Tags are matched as packed int64 keys, ``tick << 2 | side << 1 | port``:
+side 0 is Alice and 1 is Bob, and the port bit is the low bit of the
+outcome.  There is one matcher kernel, :meth:`ChunkedPair.push`: it
+sorts the Alice and Bob keys into one run and walks it on ``key >> 2``.
+Only runs of close links can hold matches, and all of them are walked by
+one greedy walk.  The key order is the tie order of the greedy policy:
+on a shared tick Alice comes first, and each side keeps its own
+canonical (tick, detector_id) order, because a module's two detector ids
+rise with the port bit.  Keys that arrive in time chunks are matched
+stretch by stretch, with exactly the result of matching them whole; they
+may hold many channels, each in its own segment of key ticks.
+:func:`match_keys` matches two whole runs as one chunk.  The Monte Carlo
+counters read each match's 2x2 cell from the port bits and count the
+delayed window as the same walk with Bob's keys shifted;
+:func:`find_coincidences` and :func:`accidental_estimate` pack a zero
+port bit, which leaves each side's ties in stream order, and call the
+same kernel.
 """
 
 from __future__ import annotations
@@ -310,9 +310,9 @@ class ChunkedPair:
         particular order.  On a shared tick the keys put Alice first and
         keep each side's own order, the tie order of the greedy policy.
         The keys of no returned match are held for the next chunk."""
-        if self.shift:
-            kb = kb + (self.shift << 2)
         keys = np.concatenate((self.held, ka, kb))
+        if self.shift:
+            keys[keys.size - kb.size:] += self.shift << 2   # the held keys are shifted
         keys.sort(kind="stable")
         first, last = _close_runs(keys, self.half)
         if frontier is None:

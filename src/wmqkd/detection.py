@@ -8,8 +8,9 @@ the time-tagger tick (1/12.15 GHz by default).
 
 The detector chain is per-channel draws and one emit kernel
 (:func:`emit_keys`) for the jittered events of one or many channels at
-once.  It rounds them to packed tag keys (:func:`tag_keys`,
-``tick << 2 | side << 1 | port``), each channel's ticks in its own
+once.  It rounds them to packed int64 tag keys,
+``tick << 2 | side << 1 | port`` (side 0 for Alice and 1 for Bob, the
+port bit the low bit of the outcome), each channel's ticks in its own
 segment of a :class:`KeyFrame`, orders them by one stable sort of the
 keys, holds back those at or above the frontier and dead-time filters
 each port; the kept keys leave in that one order.
@@ -144,19 +145,6 @@ class TagStream:
             self.channel_indices[idx], self.dark[idx],
             self.tick_seconds, self.duration,
         )
-
-
-def tag_keys(tags: TagStream, side: int) -> np.ndarray:
-    """A stream's packed int64 keys, ``tick << 2 | side << 1 | port``:
-    ``side`` is 0 for Alice and 1 for Bob, and the port bit is the low
-    bit of the outcome.  A canonical stream's keys are sorted when its
-    detector ids rise with the port bit, as a module's and a merged
-    stream's do.  The matcher and the merge kernel run on these keys."""
-    keys = tags.ticks << 2
-    keys |= tags.outcomes & 1
-    if side:
-        keys |= 2
-    return keys
 
 
 class Survival(NamedTuple):
@@ -616,8 +604,9 @@ def merge_detectors(
 
 
 def merge_keys(runs: list[np.ndarray], dead: float, last: np.ndarray) -> np.ndarray:
-    """Merge sorted runs of one side's packed tag keys (:func:`tag_keys`)
-    into one effective detector per port.
+    """Merge sorted runs of one side's packed tag keys,
+    ``tick << 2 | side << 1 | port``, into one effective detector per
+    port.
 
     One sort orders the keys by (tick, port).  Every port then passes one
     non-paralyzable dead-time filter of ``dead`` ticks: a tag survives iff

@@ -52,10 +52,24 @@ pipeline's HV and DA counts into its one record, a
 :class:`PipelineResult`.  Scheduling cannot change the result: every
 random draw comes from a generator named by channel, block and chunk,
 and the units' counts are joined in a fixed HV-then-DA order.
+
+Each chunk allocates and frees about the same arrays as the one before,
+tens of MB per unit.  With glibc's default, dynamic thresholds the heap
+hands that memory back to the OS after every chunk, and the next chunk
+faults it in again as freshly zeroed pages.  So the first
+:func:`simulate_point` of a process sets two malloc thresholds
+(:func:`_keep_freed_memory`): blocks up to ``MMAP_THRESHOLD`` come from
+the heap, and the heap keeps up to ``TRIM_THRESHOLD`` of free memory.
+Both are set, because setting either one switches off glibc's
+adjustment of the other.  The policy is process-wide and acts only with
+glibc; it changes no value, only where memory comes from.  The resident
+set stays at its peak after a run (85-89 MB against 61 MB before the
+policy, after a 2 s fig3b point at 30 dB).
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
@@ -81,6 +95,17 @@ CHUNK_TAGS = 500_000
 # Bob's shift (s) for the delayed-window accidental estimate: far outside
 # the window and the jitter.
 ACCIDENTAL_DELAY = 2e-7
+
+# glibc malloc thresholds for the Monte Carlo (:func:`_keep_freed_memory`):
+# blocks below MMAP_THRESHOLD come from the heap, which hands free memory
+# back to the OS only above TRIM_THRESHOLD.  MMAP_THRESHOLD, the largest
+# value mallopt(3) documents for 64-bit hosts, lies above a chunk's
+# largest array (the union of its Alice and Bob keys, about 8 MB at
+# ``CHUNK_TAGS``).
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+TRIM_THRESHOLD = 64 << 20
+MMAP_THRESHOLD = 32 << 20
+_freed_memory_kept = False
 
 @dataclass(frozen=True)
 class ChannelScenario:
@@ -428,6 +453,33 @@ def simulate_basis(
     return counter.channels, counter.merged
 
 
+def _keep_freed_memory():
+    """Once per process, keep the memory the chunk loop frees in glibc's
+    heap instead of handing it back to the OS, so the next chunk does not
+    fault its working set in again as freshly zeroed pages.
+
+    By default glibc raises its mmap threshold only to the largest block
+    freed so far (here the matcher's key unions, a few MB) and trims the
+    heap's free top above twice that, below what one chunk frees.
+    Setting either threshold switches that adjustment off for both, so
+    both are set, the mmap threshold first: with the trim threshold
+    alone, every block above 128 KiB would be an mmap of its own.
+    Without glibc's ``mallopt`` nothing is set.
+    """
+    global _freed_memory_kept
+    if _freed_memory_kept:
+        return
+    _freed_memory_kept = True
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    if mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD) == 1:
+        mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD)
+
+
 def simulate_point(
     source: SourceConfig,
     plan: ChannelPlan,
@@ -464,6 +516,7 @@ def simulate_point(
     block_frame(block, detector, window, len(plan.pairs))
     chans = resolve_channels(source, plan, loss_db, channel_visibilities,
                              brightness_scale)
+    _keep_freed_memory()
     with ThreadPoolExecutor(max_workers=len(_BLOCK_OF_BASIS)) as pool:
         futures = [pool.submit(simulate_basis, chans, basis, detector, window, block, seed)
                    for basis in (Basis.HV, Basis.DA)]

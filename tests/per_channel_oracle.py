@@ -8,12 +8,26 @@ stable lexsort of its shared ticks) and its own block counter (one
 chunked matcher per window, each cutting its own stretch); the merged
 baseline merges the channels' keys with one stable sort.  The batched
 pass (``detection.emit_keys`` and ``simulate._BlockCounter``) must give
-exactly what this gives, chunk by chunk.
+exactly what this gives, chunk by chunk.  :func:`tag_keys` packs a tag
+stream into the keys the program's kernels take.
 """
 
 import numpy as np
 
 from wmqkd.coincidence import key_table, match_keys
+
+
+def tag_keys(tags, side):
+    """A stream's packed int64 keys, ``tick << 2 | side << 1 | port``:
+    ``side`` is 0 for Alice and 1 for Bob, and the port bit is the low
+    bit of the outcome.  A canonical stream's keys are sorted when its
+    detector ids rise with the port bit, as a module's and a merged
+    stream's do."""
+    keys = tags.ticks << 2
+    keys |= tags.outcomes & 1
+    if side:
+        keys |= 2
+    return keys
 
 
 def dead_time_filter(times, dead, last=-np.inf):

@@ -14,14 +14,14 @@ from hypothesis import strategies as st
 
 import wmqkd.detection as detection
 import wmqkd.simulate as simulate
-from per_channel_oracle import Unit, dead_time_filter
+from per_channel_oracle import Unit, dead_time_filter, tag_keys
 from test_coincidence import brute_force_greedy
 from wmqkd.calibration import DEFAULT_DETECTOR, FROZEN_CALIBRATION
 from wmqkd.channels import build_grid_plan
 from wmqkd.coincidence import (CoincidenceWindow, _greedy_two_pointer, check_basis,
                                match_keys)
 from wmqkd.detection import (Basis, DetectorCarry, DetectorConfig, _dead_time_filter, detect,
-                             emit_frontier, emit_keys, key_frame, tag_keys)
+                             emit_frontier, emit_keys, key_frame)
 from wmqkd.simulate import block_chunks, resolve_channels, simulate_basis
 
 BLOCK = 100.0

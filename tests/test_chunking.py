@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from per_channel_oracle import tag_keys
 from test_coincidence import brute_force_greedy, make_tags
 from test_kernels import (TICK, fixed_point_dead_time_filter, key_projection,
                           merged_projection, module_streams, port_streams)
@@ -19,8 +20,7 @@ from wmqkd.channels import build_grid_plan
 from wmqkd.coincidence import (ChunkedPair, CoincidenceWindow, accidental_estimate,
                                find_coincidences, match_keys, tabulate)
 from wmqkd.detection import (Basis, DetectorCarry, DetectorConfig, TagStream, _chain,
-                             _emit, _port_dead_time_filter, emit_frontier, merge_keys,
-                             tag_keys)
+                             _emit, _port_dead_time_filter, emit_frontier, merge_keys)
 import wmqkd.simulate as simulate
 from wmqkd.simulate import block_chunks, resolve_channels, simulate_basis, simulate_channel_block
 

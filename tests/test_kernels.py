@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from per_channel_oracle import tag_keys
 from test_coincidence import brute_force_greedy, make_tags
 from wmqkd import calibration as calib
 from wmqkd.calibration import (FROZEN_CALIBRATION, fig3d_model, predict_channel,
@@ -22,7 +23,7 @@ from wmqkd.calibration import (FROZEN_CALIBRATION, fig3d_model, predict_channel,
 from wmqkd.coincidence import (CoincidenceWindow, Matches, accidental_estimate,
                                find_coincidences, key_table, match_keys, tabulate)
 from wmqkd.detection import (Basis, DetectorConfig, TagStream, _dead_time_filter,
-                             detect, merge_keys, tag_keys)
+                             detect, merge_keys)
 from wmqkd.keyrate import (AnalyticLinkModel, AnalyticRates, PairRateOptimum,
                            analytic_rates, binary_entropy, optimize_pair_rate,
                            optimize_pair_rates)

@@ -3,6 +3,7 @@ the explicit sample/transmit/measure path, agreement with the analytic
 model, the merged-baseline error excess, determinism, and the frozen
 calibration."""
 
+import ctypes
 import sys
 import threading
 import tracemalloc
@@ -21,6 +22,7 @@ from wmqkd.detection import (Basis, DetectorConfig, detect,
                              measure_pair_outcomes, measure_single_outcomes,
                              transmit)
 from wmqkd.keyrate import AnalyticLinkModel, analytic_rates
+from wmqkd.runner import config_from_dict, run_scenario
 from wmqkd.simulate import (ChannelScenario, Chunk, _channel_draws,
                             block_chunks, resolve_channels, simulate_basis,
                             simulate_channel_block, simulate_point)
@@ -354,6 +356,73 @@ def test_peak_memory_is_flat_in_duration():
 
     short, long = traced_peak(0.35), traced_peak(1.4)
     assert long <= 1.3 * short, f"{long / 2**20:.1f} MB vs {short / 2**20:.1f} MB"
+
+
+class FakeLibc:
+    """A C library whose ``mallopt`` records each call in ``events``."""
+
+    def __init__(self, events):
+        def mallopt(param, value):
+            events.append(("mallopt", param, value))
+            return 1
+        self.mallopt = mallopt
+
+
+def short_point(seed=3):
+    cal = FROZEN_CALIBRATION
+    return simulate_point(cal.source(), build_table1_plan(), 30.0, DEFAULT_DETECTOR,
+                          CoincidenceWindow(1e-9), 0.05, seed=seed,
+                          channel_visibilities=cal.channel_visibilities())
+
+
+def test_point_keeps_freed_memory_once_before_the_units(monkeypatch):
+    events = []
+    real_basis = wmqkd.simulate.simulate_basis
+
+    def unit(chans, basis, *args):
+        events.append(("unit", basis))
+        return real_basis(chans, basis, *args)
+
+    monkeypatch.setattr(wmqkd.simulate, "_freed_memory_kept", False)
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: FakeLibc(events))
+    monkeypatch.setattr(wmqkd.simulate, "simulate_basis", unit)
+    short_point()
+    assert events[:2] == [("mallopt", -3, 32 << 20), ("mallopt", -1, 64 << 20)]
+    assert sorted(e[0] for e in events[2:]) == ["unit", "unit"]
+    events.clear()
+    short_point()
+    assert [e[0] for e in events] == ["unit", "unit"]
+
+
+def test_analytic_run_keeps_the_allocator_as_it_is(monkeypatch, tmp_path):
+    events = []
+    monkeypatch.setattr(wmqkd.simulate, "_freed_memory_kept", False)
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: FakeLibc(events))
+    run_scenario(config_from_dict({"scenario": "fig3d", "mode": "analytic",
+                                   "fig3d_loss_grid_db": [70.0]}), str(tmp_path))
+    assert events == []
+
+
+def no_mallopt(name):
+    return object()
+
+
+def no_libc(name):
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize("cdll", [no_mallopt, no_libc])
+def test_point_runs_without_mallopt(monkeypatch, cdll):
+    want = short_point()
+    monkeypatch.setattr(wmqkd.simulate, "_freed_memory_kept", False)
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    got = short_point()
+    assert wmqkd.simulate._freed_memory_kept
+    for idx in want.channels:
+        assert np.array_equal(got.channels[idx].counts_hv.cc, want.channels[idx].counts_hv.cc)
+        assert np.array_equal(got.channels[idx].counts_da.cc, want.channels[idx].counts_da.cc)
+    assert np.array_equal(got.merged.counts_hv.cc, want.merged.counts_hv.cc)
+    assert np.array_equal(got.merged.counts_da.cc, want.merged.counts_da.cc)
 
 
 def test_window_efficiency_formula():

@@ -11,13 +11,16 @@ resident set (``VmHWM``) is its own.  Run from the repository root::
 
 It prints, per run, the channel pairs n, the time chunks per basis
 block, the wall time of ``run_scenario`` (import and set-up left out),
-the wall time per channel pair and the peak resident set.
+the wall time per channel pair, the minor page faults and the system CPU
+seconds taken during ``run_scenario`` (``getrusage`` deltas: the fault
+churn of freed and re-faulted memory) and the peak resident set.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -57,25 +60,30 @@ def one_run(spacing_hz: float) -> dict:
                              _brightness_scale(cfg, loss))
     chunks = len(list(block_chunks(chans, cfg.detector, cfg.duration / 2.0)))
     with tempfile.TemporaryDirectory() as out:
+        r0 = resource.getrusage(resource.RUSAGE_SELF)
         t0 = time.perf_counter()
         run_scenario(cfg, out)
         wall = time.perf_counter() - t0
-    return {"n": len(chans), "chunks": chunks, "wall_s": wall, "peak_rss_mb": peak_rss_mb()}
+        r1 = resource.getrusage(resource.RUSAGE_SELF)
+    return {"n": len(chans), "chunks": chunks, "wall_s": wall,
+            "minor_faults": r1.ru_minflt - r0.ru_minflt, "sys_s": r1.ru_stime - r0.ru_stime,
+            "peak_rss_mb": peak_rss_mb()}
 
 
 def main():
     if len(sys.argv) == 3 and sys.argv[1] == "--one":
         print(json.dumps(one_run(float(sys.argv[2]))))
         return
-    print("| spacing | channels n | chunks per basis | wall | wall / n | peak RSS |")
-    print("| --- | --- | --- | --- | --- | --- |")
+    print("| spacing | channels n | chunks per basis | wall | wall / n | minor faults "
+          "| system CPU | peak RSS |")
+    print("| --- | --- | --- | --- | --- | --- | --- | --- |")
     for spacing in SPACINGS_HZ:
         proc = subprocess.run([sys.executable, __file__, "--one", repr(spacing)],
                               capture_output=True, text=True, check=True)
         row = json.loads(proc.stdout.strip().splitlines()[-1])
         print(f"| {spacing / 1e9:g} GHz | {row['n']} | {row['chunks']} | "
               f"{row['wall_s']:.2f} s | {1e3 * row['wall_s'] / row['n']:.1f} ms | "
-              f"{row['peak_rss_mb']:.0f} MB |")
+              f"{row['minor_faults']} | {row['sys_s']:.2f} s | {row['peak_rss_mb']:.0f} MB |")
 
 
 if __name__ == "__main__":
