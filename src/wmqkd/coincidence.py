@@ -226,12 +226,6 @@ class CountsMatrix:
         """Correlated (same-outcome) counts; errors for the singlet state."""
         return int(self.cc[0, 0] + self.cc[1, 1])
 
-    def as_csv_row(self) -> list:
-        return [self.channel_pair, self.basis.value,
-                int(self.cc[0, 0]), int(self.cc[0, 1]),
-                int(self.cc[1, 0]), int(self.cc[1, 1]),
-                self.duration]
-
 
 def tabulate(matches: Matches, basis: Basis, channel_pair: int = 0,
              duration: float | None = None) -> CountsMatrix:

@@ -319,7 +319,7 @@ def _dead_time_filter(times: np.ndarray, dead: float, last=-np.inf,
     of the last event kept before these, in an earlier chunk of the
     record.  Gaps larger than ``dead`` split a segment into clusters: the
     first event of every cluster is kept and the second is dropped.
-    Clusters of three or more events are walked with ``searchsorted``,
+    Clusters of three or more events are walked with :func:`_first_above`,
     all at once, one kept event per step, so a burst costs
     O(n + kept · log n) rather than quadratic time.  A walk that leaves
     its cluster lands on the next cluster's first event, which is already
@@ -333,20 +333,13 @@ def _dead_time_filter(times: np.ndarray, dead: float, last=-np.inf,
         return keep
     np.greater(times[1:], times[:-1] + dead, out=keep[1:])
 
-    def search(x, lo, hi):
-        # One segment's times are all sorted; several are searched in
-        # their own ranges.
-        if starts.size == 1:
-            return np.searchsorted(times, x, side="right")
-        return _first_above(times, x, lo, hi)
-
     # The events still dead after ``last`` are a prefix of their segment,
     # and the first event after it starts a cluster.
     x = np.broadcast_to(np.asarray(last, dtype=np.float64) + dead, starts.shape)
     first = starts.copy()
     blocked = np.flatnonzero((starts < ends) & ~(times[np.minimum(starts, n - 1)] > x))
     if blocked.size:
-        first[blocked] = search(x[blocked], starts[blocked], ends[blocked])
+        first[blocked] = _first_above(times, x[blocked], starts[blocked], ends[blocked])
         keep[_ranges(starts[blocked], first[blocked])] = False
     keep[first[first < ends]] = True
     cur = np.flatnonzero(keep[:-2] & ~keep[1:-1] & ~keep[2:])
@@ -354,7 +347,7 @@ def _dead_time_filter(times: np.ndarray, dead: float, last=-np.inf,
     on = cur + 2 < end
     cur, end = cur[on], end[on]
     while cur.size:
-        cur = search(times[cur] + dead, cur + 1, end)
+        cur = _first_above(times, times[cur] + dead, cur + 1, end)
         on = cur < end
         cur, end = cur[on], end[on]
         on = ~keep[cur]

@@ -29,7 +29,7 @@ from .calibration import FROZEN_CALIBRATION, fig3d_model, predict_rows
 from .channels import (ChannelPlan, build_grid_plan, build_table1_plan, grid_tiling,
                        plan_from_dict, plan_to_dict)
 from .coincidence import CoincidenceWindow
-from .detection import DetectorConfig, side_transmittance
+from .detection import Basis, DetectorConfig, side_transmittance
 from .keyrate import (AnalyticRates, analytic_rates, binary_entropy,
                       optimize_pair_rates, qber, qber_threshold, scaling_rows,
                       secure_key)
@@ -74,39 +74,22 @@ class RunConfig:
     fig3d_loss_grid_db: tuple[float, ...] = tuple(np.arange(40.0, 100.1, 2.5))
 
     def __post_init__(self):
-        cal = FROZEN_CALIBRATION
-        for name, rule in _FIELD_TYPES:
+        for name, parse, ok, wording in _FIELD_RULES:
+            value = getattr(self, name)
             try:
-                setattr(self, name, rule(getattr(self, name)))
-            except TypeError as exc:
-                raise ConfigError(name, str(exc)) from exc
-        if self.scenario not in SCENARIOS:
-            raise ConfigError("scenario", f"must be one of {SCENARIOS}, got {self.scenario!r}")
-        if self.mode not in MODES:
-            raise ConfigError("mode", f"must be one of {MODES}, got {self.mode!r}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ConfigError("seed", f"must be an integer, got {self.seed!r}")
-        if self.seed < 0:
-            raise ConfigError("seed", f"must be >= 0, got {self.seed}")
-        losses = self.loss_grid_db
-        # The detector and window reject non-finite fields themselves.
-        for name, values in (("duration", [self.duration]), ("loss_grid_db", losses),
-                             ("f_ec", [self.f_ec])):
-            bad = [x for x in values if not math.isfinite(x)]
-            if bad:
-                raise ConfigError(name, f"must be a finite number, got {bad[0]}")
-        if self.duration <= 0:
-            raise ConfigError("duration", f"must be > 0, got {self.duration}")
-        if len(losses) == 0:
-            raise ConfigError("loss_grid_db", "must be a non-empty ascending list")
-        if any(b < a for a, b in zip(losses, losses[1:])) or any(x < 0 for x in losses):
-            raise ConfigError("loss_grid_db", "must be ascending and non-negative")
+                parsed = parse(value)
+                valid = ok(parsed)
+            except (TypeError, ValueError, OverflowError):
+                valid = False
+            if not valid:
+                raise ConfigError(name, f"must be {wording}, got {value!r}")
+            setattr(self, name, parsed)
         if self.source is None:
-            self.source = cal.source()
+            self.source = FROZEN_CALIBRATION.source()
         table1 = build_table1_plan()
         if self.plan is None:
             self.plan = table1
-        for name, kind in _NESTED_TYPES:
+        for name, (kind, _) in _NESTED.items():
             value = getattr(self, name)
             if not isinstance(value, kind):
                 raise ConfigError(name, f"must be a {kind.__name__}, got {value!r}")
@@ -125,38 +108,15 @@ class RunConfig:
             # The fitted visibilities belong to the measured channels; any
             # other plan uses the source's systematic visibility throughout.
             self.channel_visibilities = \
-                cal.channel_visibilities() if self.plan == table1 else {}
+                FROZEN_CALIBRATION.channel_visibilities() if self.plan == table1 else {}
         try:
             self.channel_visibilities = _visibilities(self.channel_visibilities)
-        except (TypeError, ValueError, IndexError) as exc:
+        except (TypeError, ValueError, IndexError, OverflowError) as exc:
             raise ConfigError("channel_visibilities", str(exc)) from exc
         unknown = set(self.channel_visibilities) - {s.index for s, _ in self.plan.pairs}
         if unknown:
             raise ConfigError("channel_visibilities",
                               f"the plan has no channel pair {min(unknown)}")
-        if isinstance(self.brightness, str):
-            if self.brightness not in BRIGHTNESS_POLICIES:
-                raise ConfigError(
-                    "brightness",
-                    f"must be a scale factor or one of {BRIGHTNESS_POLICIES}",
-                )
-        elif not (self.brightness > 0 and math.isfinite(self.brightness)):
-            raise ConfigError("brightness", "scale factor must be finite and > 0")
-        if self.f_ec < 1.0:
-            raise ConfigError("f_ec", f"must be >= 1, got {self.f_ec}")
-        for name, rule, ok in (
-                ("fig3d_n_values", "integers >= 1",
-                 lambda n: isinstance(n, int) and not isinstance(n, bool) and n >= 1),
-                ("fig3d_bandwidths_ghz", "finite and > 0", lambda x: 0 < x < math.inf),
-                ("fig3d_loss_grid_db",
-                 "finite and >= 0, and below the loss where a side's transmittance "
-                 "10**(-x/20) underflows to 0 (about 6472 dB)",
-                 lambda x: 0 <= x < math.inf and side_transmittance(x) > 0)):
-            values = list(getattr(self, name))
-            if not values:
-                raise ConfigError(name, "must be a non-empty list")
-            if not all(map(ok, values)):
-                raise ConfigError(name, f"must be {rule}, got {values}")
 
     def to_dict(self) -> dict:
         """Every field as plain JSON data, and the frozen calibration."""
@@ -178,9 +138,9 @@ class RunConfig:
 def config_from_dict(raw: dict) -> RunConfig:
     """Build a RunConfig from parsed JSON, validating field by field.
 
-    Each field given is parsed by its entry in ``_PARSERS``, in the order
-    of the ``RunConfig`` fields; one without an entry is passed on as it
-    is, for ``RunConfig`` to check.  A parser's error becomes a
+    Each nested object given is parsed by its entry in ``_NESTED``, in
+    the order of the ``RunConfig`` fields; every other field is passed on
+    as it is, for ``RunConfig`` to check.  A parser's error becomes a
     ``ConfigError`` on its field.
     """
     if not isinstance(raw, dict):
@@ -192,12 +152,20 @@ def config_from_dict(raw: dict) -> RunConfig:
     kwargs = {}
     for key in (name for name in names if name in raw):
         try:
-            kwargs[key] = _PARSERS.get(key, lambda x: x)(raw[key])
+            kwargs[key] = _NESTED[key][1](raw[key]) if key in _NESTED else raw[key]
         except ConfigError:
             raise
-        except (TypeError, ValueError, IndexError, AttributeError) as exc:
+        except (TypeError, ValueError, IndexError, AttributeError, OverflowError) as exc:
             raise ConfigError(key, str(exc)) from exc
     return RunConfig(**kwargs)
+
+
+def _as_is(x):
+    return x
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _number(x) -> float:
@@ -262,31 +230,49 @@ def _parse_plan(spec) -> ChannelPlan:
     raise ConfigError("plan", "must be 'table1', {'grid': ...} or {'pairs': ...}")
 
 
-# The type rule of each plain field, applied by RunConfig to JSON input
-# and to directly built configs alike; a TypeError names the field.
-_FIELD_TYPES = (
-    ("duration", _number),
-    ("loss_grid_db", _numbers),
-    ("brightness", lambda x: x if isinstance(x, str) else _number(x)),
-    ("f_ec", _number),
-    ("fig3d_n_values", _list),
-    ("fig3d_bandwidths_ghz", _numbers),
-    ("fig3d_loss_grid_db", _numbers),
+def _each(ok):
+    """A test of a non-empty list: every element passes ``ok``."""
+    return lambda xs: len(xs) > 0 and all(map(ok, xs))
+
+
+# The rule of each plain field, applied by RunConfig to JSON input and to
+# directly built configs alike: the field, its parser, a test of the
+# parsed value and the test's wording.  A value that the parser rejects
+# (TypeError, ValueError) or that fails the test is a ConfigError on the
+# field.  NaN fails every test.
+_FIELD_RULES = (
+    ("scenario", _as_is, lambda x: x in SCENARIOS, f"one of {SCENARIOS}"),
+    ("mode", _as_is, lambda x: x in MODES, f"one of {MODES}"),
+    ("seed", _as_is, lambda x: _is_int(x) and x >= 0, "an integer >= 0"),
+    ("duration", _number, lambda x: 0 < x < math.inf, "a finite number > 0"),
+    ("loss_grid_db", _numbers,
+     lambda xs: _each(lambda x: 0 <= x < math.inf)(xs) and list(xs) == sorted(xs),
+     "a non-empty ascending list of finite numbers >= 0"),
+    ("brightness", lambda x: x if isinstance(x, str) else _number(x),
+     lambda x: x in BRIGHTNESS_POLICIES if isinstance(x, str) else 0 < x < math.inf,
+     f"a finite number > 0 (a scale factor) or one of {BRIGHTNESS_POLICIES}"),
+    ("f_ec", _number, lambda x: 1 <= x < math.inf, "a finite number >= 1"),
+    ("fig3d_n_values", _list, _each(lambda n: _is_int(n) and n >= 1),
+     "a non-empty list of integers >= 1"),
+    ("fig3d_bandwidths_ghz", _numbers, _each(lambda x: 0 < x < math.inf),
+     "a non-empty list of finite numbers > 0"),
+    ("fig3d_loss_grid_db", _numbers,
+     _each(lambda x: 0 <= x < math.inf and side_transmittance(x) > 0),
+     "a non-empty list of finite numbers >= 0, each below the loss where a side's "
+     "transmittance 10**(-x/20) underflows to 0 (about 6472 dB)"),
 )
 
-# The parser of each nested configuration object; see config_from_dict.
-# RunConfig checks the type of what they build, and applies
-# ``_visibilities`` to the channel visibilities of JSON input and of
-# directly built configs alike.
-_PARSERS = {
-    "source": lambda x: FROZEN_CALIBRATION.source(**_number_fields(x)),
-    "plan": _parse_plan,
-    "detector": lambda x: replace(calib.DEFAULT_DETECTOR, **_number_fields(x)),
-    "window": lambda x: CoincidenceWindow(**_number_fields(x)),
+# Each nested configuration object: its type, which RunConfig checks, and
+# the parser of its JSON input (see config_from_dict).  The objects reject
+# their own non-finite fields.  RunConfig applies ``_visibilities`` to the
+# channel visibilities of JSON input and of directly built configs alike.
+_NESTED = {
+    "source": (SourceConfig, lambda x: FROZEN_CALIBRATION.source(**_number_fields(x))),
+    "plan": (ChannelPlan, _parse_plan),
+    "detector": (DetectorConfig,
+                 lambda x: replace(calib.DEFAULT_DETECTOR, **_number_fields(x))),
+    "window": (CoincidenceWindow, lambda x: CoincidenceWindow(**_number_fields(x))),
 }
-
-_NESTED_TYPES = (("source", SourceConfig), ("plan", ChannelPlan),
-                 ("detector", DetectorConfig), ("window", CoincidenceWindow))
 
 
 def load_config(path: str) -> RunConfig:
@@ -321,8 +307,7 @@ def near_saturation_scale(config: RunConfig, loss_db: float) -> float:
     thr = NEAR_SATURATION_QBER_FRACTION * qber_threshold(config.f_ec)
 
     def q_of(scale):
-        return predict_rows([(b1 * scale, ea1, eb1)], [ch.q_sys], config.detector,
-                            config.window, config.f_ec)[0][0].qber
+        return _predict_bases([ch], [(b1 * scale, ea1, eb1)], config)[0][0].qber
 
     res = minimize_scalar(lambda s: q_of(math.exp(s)),
                           bounds=(math.log(1e-4), math.log(1e4)), method="bounded")
@@ -353,13 +338,29 @@ def predict_point(config: RunConfig, loss_db: float, scale: float) -> dict[str, 
     """Refined analytic prediction for every pipeline at one loss."""
     chans = resolve_channels(config.source, config.plan, loss_db,
                              config.channel_visibilities, scale)
-    preds, merged = predict_rows([c.geometry for c in chans],
-                                 [c.q_sys for c in chans],
-                                 config.detector, config.window, config.f_ec)
+    preds, merged = _predict_bases(chans, [c.geometry for c in chans], config)
     out = {f"ch{c.index}": p for c, p in zip(chans, preds)}
     if len(chans) >= 2:
         out["no_wm"] = merged
     return out
+
+
+def _predict_bases(chans, rows, config: RunConfig) -> tuple[list[AnalyticRates], AnalyticRates]:
+    """:func:`calibration.predict_rows` of ``rows``, one per channel of
+    ``chans``, in each basis with that basis's systematic visibility.
+    Each basis takes half the record, so a pipeline's QBER and key rates
+    are the mean of its two bases'; the counts do not depend on the
+    basis."""
+    (hv, hv_merged), (da, da_merged) = (
+        predict_rows(rows, [(1.0 - c.v_sys(basis)) / 2.0 for c in chans],
+                     config.detector, config.window, config.f_ec)
+        for basis in (Basis.HV, Basis.DA))
+    return [_basis_mean(h, d) for h, d in zip(hv, da)], _basis_mean(hv_merged, da_merged)
+
+
+def _basis_mean(hv: AnalyticRates, da: AnalyticRates) -> AnalyticRates:
+    return replace(hv, **{k: (getattr(hv, k) + getattr(da, k)) / 2.0
+                          for k in ("qber", "key_rate_per_channel", "key_rate_total")})
 
 
 # ---------------------------------------------------------------------------

@@ -80,9 +80,10 @@ import numpy as np
 from .channels import ChannelPlan
 from .coincidence import (ChunkedPair, CoincidenceWindow, CountsMatrix, delay_ticks,
                           key_table)
-from .detection import (Basis, DetectorCarry, DetectorConfig, KeyFrame, TagStream,
-                        _emit, emit_frontier, emit_keys, key_frame, measure_pair_outcomes,
-                        measure_single_outcomes, merge_keys, side_transmittance)
+from .detection import (JITTER_MARGIN_SIGMAS, Basis, DetectorCarry, DetectorConfig, KeyFrame,
+                        TagStream, _emit, emit_frontier, emit_keys, key_frame,
+                        measure_pair_outcomes, measure_single_outcomes, merge_keys,
+                        side_transmittance)
 from .source import SourceConfig, _rng, band_fraction, child_seed
 
 _BLOCK_OF_BASIS = {Basis.HV: 0, Basis.DA: 1}
@@ -92,8 +93,8 @@ _BLOCK_OF_BASIS = {Basis.HV: 0, Basis.DA: 1}
 # with it; the per-chunk Python work is small at this size.
 CHUNK_TAGS = 500_000
 
-# Bob's shift (s) for the delayed-window accidental estimate: far outside
-# the window and the jitter.
+# The least shift (s) of Bob's tags for the delayed-window accidental
+# estimate (:func:`accidental_delay`).
 ACCIDENTAL_DELAY = 2e-7
 
 # glibc malloc thresholds for the Monte Carlo (:func:`_keep_freed_memory`):
@@ -126,11 +127,6 @@ class ChannelScenario:
         """(pair rate, eta_alice, eta_bob): one row of the analytic model."""
         return (self.pair_rate_in_band, self.arrival_efficiency_signal,
                 self.arrival_efficiency_idler)
-
-    @property
-    def q_sys(self) -> float:
-        """Systematic error fraction of the analytic model (HV visibility)."""
-        return (1.0 - self.v_sys_hv) / 2.0
 
 
 def resolve_channels(
@@ -381,7 +377,7 @@ class _BlockCounter:
     def __init__(self, channels: int, frame: KeyFrame, detector: DetectorConfig,
                  window: CoincidenceWindow):
         half = window.half_width_ticks(detector.tick)
-        delay = delay_ticks(ACCIDENTAL_DELAY, detector.tick)
+        delay = delay_ticks(accidental_delay(detector, window), detector.tick)
         self.base = frame.base
         self.channels = _SegmentCounts(channels, frame.width, half, delay)
         self.merged = _SegmentCounts(1, 0, half, delay) if channels >= 2 else None
@@ -408,13 +404,22 @@ class _BlockCounter:
                           self.dead, last)
 
 
+def accidental_delay(detector: DetectorConfig, window: CoincidenceWindow) -> float:
+    """Bob's shift (s) for the delayed-window accidental estimate:
+    ``ACCIDENTAL_DELAY``, or twice the reach of a true partner, the half
+    window plus the jitter margin (``JITTER_MARGIN_SIGMAS``), when that
+    is longer, so that no true partner falls inside the shifted window."""
+    reach = window.t_c / 2 + JITTER_MARGIN_SIGMAS * detector.jitter_sigma
+    return max(ACCIDENTAL_DELAY, 2.0 * reach)
+
+
 def block_frame(block_duration: float, detector: DetectorConfig,
                 window: CoincidenceWindow, channels: int) -> KeyFrame:
     """The key frame of one basis block of ``channels`` channel pairs.
     Its tags are compared up to the half window, the accidental delay
     and the dead time apart; ValueError when the keys do not fit."""
-    return key_frame(0.0, block_duration, detector, channels,
-                     window.t_c / 2 + ACCIDENTAL_DELAY + detector.dead_time)
+    return key_frame(0.0, block_duration, detector, channels, window.t_c / 2
+                     + accidental_delay(detector, window) + detector.dead_time)
 
 
 def simulate_basis(

@@ -64,7 +64,7 @@ def run_both(chans, edges, dead, half, delay, check):
     detector = config(dead)
     window = CoincidenceWindow(2.0 * half + 1.0)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simulate, "ACCIDENTAL_DELAY", float(delay))
+        mp.setattr(simulate, "accidental_delay", lambda detector, window: float(delay))
         frame = simulate.block_frame(BLOCK, detector, window, n)
         counter = simulate._BlockCounter(n, frame, detector, window)
     oracle = Unit(n, detector, half, delay)
@@ -148,7 +148,8 @@ def block_counts(chans, basis, detector, window, block, seed):
     """The oracle's rows for a whole basis block, from the program's draws."""
     n = len(chans)
     oracle = Unit(n, detector, window.half_width_ticks(detector.tick),
-                  simulate.delay_ticks(simulate.ACCIDENTAL_DELAY, detector.tick))
+                  simulate.delay_ticks(simulate.accidental_delay(detector, window),
+                                       detector.tick))
     for chunk in block_chunks(chans, detector, block):
         oracle.push([simulate._channel_draws(ch, basis, detector, seed, chunk)
                      for ch in chans], chunk.frontier)
@@ -281,4 +282,4 @@ def test_key_frame_keeps_channels_out_of_each_others_reach(jitter, dead, tick, t
     assert frame.base <= lowest and highest <= frame.base + frame.span
     reach = frame.width - frame.span
     assert reach > window.half_width_ticks(tick) + simulate.delay_ticks(
-        simulate.ACCIDENTAL_DELAY, tick)
+        simulate.accidental_delay(detector, window), tick)

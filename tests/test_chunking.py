@@ -221,7 +221,8 @@ def test_chunked_block_counts_equal_one_shot_reduction(monkeypatch):
     plan, _ = build_grid_plan(805.0, 815.0, 400e9, 50e9, 810.05)
     chans = resolve_channels(FROZEN_CALIBRATION.source(), plan, 10.0,
                              brightness_scale=20.0)
-    window, delay, block, seed = CoincidenceWindow(1e-9), simulate.ACCIDENTAL_DELAY, 0.01, 21
+    window, block, seed = CoincidenceWindow(1e-9), 0.01, 21
+    delay = simulate.accidental_delay(DEFAULT_DETECTOR, window)
     chunks = list(block_chunks(chans, DEFAULT_DETECTOR, block))
     assert len(chunks) > 10 and chunks[-1].end == block
     assert all(a.end == b.start for a, b in zip(chunks, chunks[1:]))

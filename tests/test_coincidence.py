@@ -1,9 +1,6 @@
 """Coincidence engine tests: window arithmetic, the greedy matcher
 against an O(n^2) reference, the accidental-rate law, and tabulation."""
 
-import csv
-import io
-
 import numpy as np
 import pytest
 
@@ -224,27 +221,3 @@ def test_accidental_delay_zero_counts_true_coincidences():
     b = make_tags(ticks)
     w = CoincidenceWindow(1e-9)
     assert accidental_estimate(a, b, w, 0.0) == len(ticks)
-
-
-def test_csv_row_format():
-    c = CountsMatrix(Basis.DA, [[5, 6], [7, 8]], 3, 2.5)
-    assert c.as_csv_row() == [3, "DA", 5, 6, 7, 8, 2.5]
-
-
-def counts_to_csv(matrices: list[CountsMatrix]) -> str:
-    """Coincidence tables as CSV text, one row per table."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(("channel_pair", "basis", "cc_hh", "cc_hv", "cc_vh", "cc_vv", "duration_s"))
-    for m in matrices:
-        w.writerow(m.as_csv_row())
-    return buf.getvalue()
-
-
-def test_counts_to_csv():
-    rows = [CountsMatrix(Basis.HV, [[1, 2], [3, 4]], 1, 0.5),
-            CountsMatrix(Basis.DA, [[0, 9], [9, 0]], 1, 0.5)]
-    text = counts_to_csv(rows)
-    lines = text.splitlines()
-    assert lines[0] == "channel_pair,basis,cc_hh,cc_hv,cc_vh,cc_vv,duration_s"
-    assert lines[1] == "1,HV,1,2,3,4,0.5"

@@ -2,6 +2,7 @@
 byte determinism, and error records."""
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -22,7 +23,8 @@ from wmqkd.cli import main as cli_main
 from wmqkd.coincidence import CountsMatrix
 from wmqkd.detection import Basis, DetectorConfig
 from wmqkd.keyrate import secure_key
-from wmqkd.runner import (ConfigError, RunConfig, _csv_bytes, _json_compact,
+from wmqkd.runner import (_FIELD_RULES, _NESTED, BRIGHTNESS_POLICIES, MODES, SCENARIOS,
+                          ConfigError, RunConfig, _csv_bytes, _json_compact,
                           _json_indent1, _pipeline_row, _report_json, config_from_dict,
                           consistency_sigmas, default_config, load_config,
                           near_saturation_scale, predict_point, run_custom,
@@ -239,6 +241,100 @@ def test_empty_fig3d_lists_rejected(name):
     assert exc.value.field == name
 
 
+# --- the rule tables of RunConfig ---------------------------------------------
+
+def test_every_field_has_exactly_one_rule():
+    # A plain field's rule is one row of _FIELD_RULES and a nested object's
+    # one entry of _NESTED; only the channel visibilities, whose indices
+    # depend on the plan, are checked by an explicit cross-field rule.
+    plain = [row[0] for row in _FIELD_RULES]
+    assert len(plain) == len(set(plain))
+    assert not set(plain) & set(_NESTED)
+    names = {f.name for f in dataclasses.fields(RunConfig)}
+    assert set(plain) | set(_NESTED) <= names
+    assert names - set(plain) - set(_NESTED) == {"channel_visibilities"}
+    with pytest.raises(ConfigError) as exc:
+        RunConfig(channel_visibilities={1: (0.9, 1.5)})
+    assert exc.value.field == "channel_visibilities"
+
+
+NAN, INF = float("nan"), float("inf")
+NON_NUMBERS = st.one_of(st.none(), st.booleans(), st.text(max_size=5),
+                        st.lists(st.floats(0.5, 2.0), max_size=2))
+
+
+def bad_number(below: float | None = None, above: float | None = None):
+    """NaN, infinities, an integer too large for a float, anything that
+    is not a number, and numbers ``<= below`` or ``>= above``."""
+    parts = [st.sampled_from([NAN, INF, -INF, 10**400]), NON_NUMBERS]
+    if below is not None:
+        parts.append(st.floats(max_value=below, allow_nan=False))
+    if above is not None:
+        parts.append(st.floats(min_value=above, allow_nan=False))
+    return st.one_of(parts)
+
+
+def bad_list(good, bad):
+    """An empty list, a value that is not a list, or ``good`` elements
+    around one ``bad`` one."""
+    with_bad = st.tuples(st.lists(good, max_size=3), bad, st.lists(good, max_size=3))
+    return st.one_of(st.just([]), st.none(), st.floats(0.5, 2.0), st.text(max_size=5),
+                     with_bad.map(lambda t: [*t[0], t[1], *t[2]]))
+
+
+def not_one_of(names):
+    return st.one_of(st.text(max_size=12).filter(lambda x: x not in names),
+                     st.integers(), st.none(), st.booleans())
+
+
+# Values that break each row of _FIELD_RULES.
+BAD_VALUES = {
+    "scenario": not_one_of(SCENARIOS),
+    "mode": not_one_of(MODES),
+    "seed": st.one_of(st.integers(max_value=-1), st.floats(), NON_NUMBERS),
+    "duration": bad_number(below=0.0),
+    "loss_grid_db": st.one_of(
+        bad_list(st.floats(0.0, 100.0), bad_number(below=-1e-9)),
+        st.lists(st.floats(0.0, 100.0), min_size=2, max_size=4, unique=True)
+        .map(lambda xs: sorted(xs, reverse=True))),
+    "brightness": st.one_of(st.text(max_size=16).filter(lambda x: x not in BRIGHTNESS_POLICIES),
+                            bad_number(below=0.0)),
+    "f_ec": bad_number(below=0.999),
+    "fig3d_n_values": bad_list(st.integers(1, 20000),
+                               st.one_of(st.integers(max_value=0), st.floats(), NON_NUMBERS)),
+    "fig3d_bandwidths_ghz": bad_list(st.floats(0.1, 100.0), bad_number(below=0.0)),
+    "fig3d_loss_grid_db": bad_list(st.floats(0.0, 100.0),
+                                   bad_number(below=-1e-9, above=6500.0)),
+}
+
+
+@given(st.sampled_from(sorted(BAD_VALUES)).flatmap(
+    lambda name: st.tuples(st.just(name), BAD_VALUES[name])))
+def test_each_rule_rejects_values_that_break_it(case):
+    name, value = case
+    for build in (config_from_dict, lambda kwargs: RunConfig(**kwargs)):
+        with pytest.raises(ConfigError) as exc:
+            build({name: value})
+        assert exc.value.field == name
+
+
+def test_every_rule_has_values_that_break_it():
+    assert sorted(BAD_VALUES) == sorted(row[0] for row in _FIELD_RULES)
+
+
+@pytest.mark.parametrize("raw, field", [
+    ({"detector": {"dead_time": 10**400}}, "detector"),
+    ({"source": {"pair_rate": 10**400}}, "source"),
+    ({"channel_visibilities": {"1": [10**400, 0.9]}}, "channel_visibilities"),
+])
+def test_integer_too_large_for_a_float_names_its_field(raw, field):
+    # JSON reads a long integer literal as a Python int, and float() of it
+    # raises OverflowError.
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict(raw)
+    assert exc.value.field == field
+
+
 def test_config_file_roundtrip(tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps({
@@ -292,6 +388,39 @@ def test_run_custom_outputs_and_flags(tmp_path):
         assert row["within_4_sigma"] in (True, False)
     labels = {r["configuration"] for r in rep["rows"]}
     assert labels == {"ch1", "ch2", "no_wm"}
+
+
+def test_analytic_columns_predict_each_basis_with_its_own_visibility(tmp_path):
+    # A DA visibility of 0.80 against an HV visibility of 0.9768: the
+    # Monte Carlo draws each basis with its own, so the analytic QBER must
+    # too; with the HV visibility alone it read 0.038 against 0.077-0.084
+    # (z_qber 28-33).
+    cfg = config_from_dict({
+        "scenario": "custom", "plan": "table1", "loss_grid_db": [30.0], "duration": 2.0,
+        "seed": 3, "channel_visibilities": {"1": [0.9768, 0.80], "2": [0.9768, 0.80]}})
+    rows = run_custom(cfg, str(tmp_path))["rows"]
+    assert [r["configuration"] for r in rows] == ["ch1", "ch2", "no_wm"]
+    for row in rows:
+        assert row["within_4_sigma"], row
+    # The two bases' QBERs are averaged: (0.0116 + 0.1) / 2 plus accidentals.
+    assert 0.0558 < rows[0]["qber_an"] < 0.09
+
+
+def test_delayed_window_clears_true_partners_in_wide_windows(tmp_path):
+    # At t_c = 1 us a fixed 200 ns delay leaves Bob's true partners inside
+    # the shifted window, so the estimate counted most of the true pairs
+    # (105/s) on top of the accidentals (48.8/s): 141/s.  The delay grows
+    # with the window.
+    cfg = config_from_dict({
+        "scenario": "custom", "plan": "table1", "loss_grid_db": [30.0], "duration": 1.0,
+        "seed": 3, "brightness": 0.01, "detector": {"dark_rate": 0.0},
+        "window": {"t_c": 1e-6}})
+    preds = predict_point(cfg, 30.0, 0.01)
+    for row in run_custom(cfg, str(tmp_path))["rows"]:
+        expected = preds[row["configuration"]].cc_accidental * cfg.duration
+        assert expected > 40
+        assert abs(row["accidentals_per_s_mc"] * cfg.duration - expected) \
+            < 4.0 * math.sqrt(expected), row
 
 
 def test_pipeline_row_reads_the_monte_carlo_record():
