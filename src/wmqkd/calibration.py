@@ -89,7 +89,11 @@ def predict_rows(
     """Predict every wavelength channel and the merged baseline at once.
 
     ``rows`` holds ``(pair_rate, eta_alice, eta_bob)`` per channel and
-    ``q_sys`` each channel's systematic error fraction.  A channel is
+    ``q_sys`` each channel's systematic error fraction: one value per
+    channel, or one row per basis of one value per channel.  Each basis
+    takes an equal share of the record, so the QBER and key rates of a
+    record are the mean over the rows of ``q_sys``; the counts and
+    singles do not depend on it.  A channel is
     :func:`~wmqkd.keyrate.link_rates` with the detector's efficiency,
     dark counts (``dark_rate`` per port) and dead time, the jitter
     window efficiency and the tick-quantized effective window width.
@@ -100,7 +104,7 @@ def predict_rows(
     (``n_channels`` 1); with one row the two agree.
     """
     b, ea, eb = np.asarray(rows, dtype=np.float64).reshape(-1, 3).T
-    q_sys = np.asarray(q_sys, dtype=np.float64)
+    q_sys = np.atleast_2d(np.asarray(q_sys, dtype=np.float64))
     w_eff = window.effective_width(detector.tick)
     eta_w = window_efficiency(detector.jitter_sigma, w_eff)
     dead = detector.dead_time
@@ -120,16 +124,17 @@ def predict_rows(
     # One-element arrays: coincidence_mix divides by the total everywhere
     # and keeps only positive totals, so on floats an all-zero row would
     # raise ZeroDivisionError.
-    s_a, s_b, cc_true, q_weighted = np.atleast_1d(*merged_singles, _total(t),
-                                                  _total(q_sys * t))
+    s_a, s_b, cc_true = np.atleast_1d(*merged_singles, _total(t))
+    q_weighted = np.array([[_total(q * t)] for q in q_sys])
     cc_acc, q, key = coincidence_mix(s_a, s_b, cc_true, q_weighted, w_eff, f_ec)
     [merged] = _records(AnalyticRates(cc_true, cc_acc, s_a, s_b, q, key, key))
     return _records(channels), merged
 
 
 def _records(rates: AnalyticRates) -> list[AnalyticRates]:
-    """One record of floats per element of array-valued ``rates``."""
-    columns = (x.tolist() for x in vars(rates).values())
+    """One record of floats per element of array-valued ``rates``; a
+    field of one row per basis gives the mean over its rows."""
+    columns = ((x.mean(0) if x.ndim == 2 else x).tolist() for x in vars(rates).values())
     return [AnalyticRates(*row) for row in zip(*columns)]
 
 

@@ -84,22 +84,15 @@ def _greedy_two_pointer(ta, tb, half: int):
     na, nb = len(ta), len(tb)
     while i < na and j < nb:
         d = tb[j] - ta[i]
-        if d >= 0:
-            if d <= half:
-                out_a.append(i)
-                out_b.append(j)
-                i += 1
-                j += 1
-            else:
-                i += 1
+        if d > half:
+            i += 1
+        elif d < -half:
+            j += 1
         else:
-            if -d <= half:
-                out_a.append(i)
-                out_b.append(j)
-                i += 1
-                j += 1
-            else:
-                j += 1
+            out_a.append(i)
+            out_b.append(j)
+            i += 1
+            j += 1
     return out_a, out_b
 
 

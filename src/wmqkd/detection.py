@@ -18,13 +18,14 @@ each port; the kept keys leave in that one order.
 their efficiency thinning, unpacked into a :class:`TagStream`; the Monte
 Carlo draws its detections directly and passes them to the same emit.
 
-Detector merging has one kernel, :func:`merge_keys`, on packed tag keys:
-one sort orders every run's keys by (tick, port), and each port then
-passes one dead-time filter.  The Monte Carlo merged baseline calls it on
-the channels' keys.  :func:`merge_detectors` merges two tag streams into
-one detector: one dead-time filter on the ticks of their sorted union.
-Large arrays are gathered by index, not by boolean mask, which numpy does
-several times slower.
+Detector merging has one kernel, :func:`merge_keys`, on one array of
+packed tag keys made of sorted runs: one sort orders them by (tick,
+port), and each port then passes one dead-time filter.  The Monte Carlo
+merged baseline calls it on the channels' keys, each reduced to its
+plain tick by one remainder.  :func:`merge_detectors` merges two tag
+streams into one detector: one dead-time filter on the ticks of their
+sorted union.  Large arrays are gathered by index, not by boolean mask,
+which numpy does several times slower.
 """
 
 from __future__ import annotations
@@ -596,26 +597,25 @@ def merge_detectors(
     return out
 
 
-def merge_keys(runs: list[np.ndarray], dead: float, last: np.ndarray) -> np.ndarray:
-    """Merge sorted runs of one side's packed tag keys,
-    ``tick << 2 | side << 1 | port``, into one effective detector per
-    port.
+def merge_keys(keys: np.ndarray, dead: float, last: np.ndarray, runs: int) -> np.ndarray:
+    """Merge one side's packed tag keys, ``tick << 2 | side << 1 | port``,
+    given as ``runs`` sorted runs one after the other, into one
+    effective detector per port.
 
-    One sort orders the keys by (tick, port).  Every port then passes one
-    non-paralyzable dead-time filter of ``dead`` ticks: a tag survives iff
-    it is strictly
-    later than every kept tag of its port plus the dead time, whichever
-    run either came from.  Only the first tag of a port on a tick can
-    survive, and tags that share a tick and a port share a key, so the
-    output does not depend on which run a survivor came from.  ``last``
-    holds each port's last kept tick from earlier chunks of the runs
-    (-inf for none) and is updated in place.
+    One sort of ``keys``, in place, orders them by (tick, port).  Every
+    port then passes one non-paralyzable dead-time filter of ``dead``
+    ticks: a tag survives iff it is strictly later than every kept tag
+    of its port plus the dead time, whichever run either came from.
+    Only the first tag of a port on a tick can survive, and tags that
+    share a tick and a port share a key, so the output does not depend
+    on which run a survivor came from.  ``last`` holds each port's last
+    kept tick from earlier chunks of the runs (-inf for none) and is
+    updated in place.
     """
-    keys = np.concatenate(runs)
     # Equal keys cannot be told apart, so the kind of sort cannot change
     # the result: timsort merges two sorted runs fastest, numpy's default
     # sort more of them.
-    keys.sort(kind="stable" if len(runs) <= 2 else None)
+    keys.sort(kind="stable" if runs <= 2 else None)
     keep = _port_dead_time_filter(keys >> 2, keys & 1, dead, last)
     return keys[np.flatnonzero(keep)]
 

@@ -111,7 +111,7 @@ class RunConfig:
                 FROZEN_CALIBRATION.channel_visibilities() if self.plan == table1 else {}
         try:
             self.channel_visibilities = _visibilities(self.channel_visibilities)
-        except (TypeError, ValueError, IndexError, OverflowError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError("channel_visibilities", str(exc)) from exc
         unknown = set(self.channel_visibilities) - {s.index for s, _ in self.plan.pairs}
         if unknown:
@@ -199,9 +199,20 @@ def _number_fields(x) -> dict[str, float]:
 
 
 def _visibilities(x) -> dict[int, tuple[float, float]]:
+    """Each channel's two visibilities (HV, DA), keyed by its index: an
+    integer, or its decimal text as :meth:`RunConfig.to_dict` writes it."""
     if not isinstance(x, dict):
         raise TypeError(f"must be a JSON object, got {x!r}")
-    out = {int(k): (float(v[0]), float(v[1])) for k, v in x.items()}
+    out = {}
+    for key, value in x.items():
+        if not (_is_int(key) or isinstance(key, str) and key == str(int(key))):
+            raise TypeError(f"channel {key!r} must be an integer or its decimal text")
+        index = int(key)
+        if index in out:
+            raise ValueError(f"channel {index} is given twice")
+        out[index] = _numbers(value)
+        if len(out[index]) != 2:
+            raise ValueError(f"channel {index} must have two visibilities, got {value!r}")
     bad = [v for pair in out.values() for v in pair if not 0.0 <= v <= 1.0]
     if bad:
         raise ValueError(f"visibilities must be finite numbers in [0, 1], got {bad[0]}")
@@ -307,7 +318,8 @@ def near_saturation_scale(config: RunConfig, loss_db: float) -> float:
     thr = NEAR_SATURATION_QBER_FRACTION * qber_threshold(config.f_ec)
 
     def q_of(scale):
-        return _predict_bases([ch], [(b1 * scale, ea1, eb1)], config)[0][0].qber
+        return predict_rows([(b1 * scale, ea1, eb1)], _q_sys([ch]), config.detector,
+                            config.window, config.f_ec)[0][0].qber
 
     res = minimize_scalar(lambda s: q_of(math.exp(s)),
                           bounds=(math.log(1e-4), math.log(1e4)), method="bounded")
@@ -338,29 +350,18 @@ def predict_point(config: RunConfig, loss_db: float, scale: float) -> dict[str, 
     """Refined analytic prediction for every pipeline at one loss."""
     chans = resolve_channels(config.source, config.plan, loss_db,
                              config.channel_visibilities, scale)
-    preds, merged = _predict_bases(chans, [c.geometry for c in chans], config)
+    preds, merged = predict_rows([c.geometry for c in chans], _q_sys(chans),
+                                 config.detector, config.window, config.f_ec)
     out = {f"ch{c.index}": p for c, p in zip(chans, preds)}
     if len(chans) >= 2:
         out["no_wm"] = merged
     return out
 
 
-def _predict_bases(chans, rows, config: RunConfig) -> tuple[list[AnalyticRates], AnalyticRates]:
-    """:func:`calibration.predict_rows` of ``rows``, one per channel of
-    ``chans``, in each basis with that basis's systematic visibility.
-    Each basis takes half the record, so a pipeline's QBER and key rates
-    are the mean of its two bases'; the counts do not depend on the
-    basis."""
-    (hv, hv_merged), (da, da_merged) = (
-        predict_rows(rows, [(1.0 - c.v_sys(basis)) / 2.0 for c in chans],
-                     config.detector, config.window, config.f_ec)
-        for basis in (Basis.HV, Basis.DA))
-    return [_basis_mean(h, d) for h, d in zip(hv, da)], _basis_mean(hv_merged, da_merged)
-
-
-def _basis_mean(hv: AnalyticRates, da: AnalyticRates) -> AnalyticRates:
-    return replace(hv, **{k: (getattr(hv, k) + getattr(da, k)) / 2.0
-                          for k in ("qber", "key_rate_per_channel", "key_rate_total")})
+def _q_sys(chans) -> list[list[float]]:
+    """The systematic error fraction of each channel of ``chans`` in each
+    basis: one row per basis, of which a record takes half each."""
+    return [[(1.0 - c.v_sys(basis)) / 2.0 for c in chans] for basis in Basis]
 
 
 # ---------------------------------------------------------------------------

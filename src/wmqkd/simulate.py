@@ -27,10 +27,11 @@ offset by the channel's segment of the block's key frame
 matcher's reach apart, so the chunk's keys are counted at once: one
 chunked matcher per window over all the channels, the tables, singles
 and accidentals by ``bincount`` per segment, and the merged baseline
-from the same keys with the offsets removed (:func:`detection.merge_keys`,
-with no per-tag payload gathered).  The emit gives each channel's keys
-in canonical order, in its own segment, and labels no outcome outside
-the block's basis, so no chunk is checked again.  The counts equal those
+from the same keys, each reduced to its plain tick by one remainder
+modulo the segment width (:func:`detection.merge_keys`, with no per-tag
+payload gathered).  The emit gives each channel's keys in canonical
+order, in its own segment, and labels no outcome outside the block's
+basis, so no chunk is checked again.  The counts equal those
 of emitting and matching each channel's tag streams on their own
 (:func:`simulate_channel_block`, which builds the tag streams).
 
@@ -369,19 +370,20 @@ class _BlockCounter:
     A chunk's keys are those of :func:`detection.emit_keys` in the
     block's key frame: each channel's keys in order, in its own segment
     of key ticks, counted as ``channels``.  The merged baseline is built
-    from the same keys with the segments' offsets removed
+    from the same keys, each taken modulo the segment width and moved
+    back by the frame's base to its plain tick, in one array
     (:func:`detection.merge_keys`, which keeps each merged port's last
-    tick in ``last``) and counted as ``merged``, one segment of ticks.
+    tick in ``last``), and counted as ``merged``, one segment of ticks.
     """
 
     def __init__(self, channels: int, frame: KeyFrame, detector: DetectorConfig,
                  window: CoincidenceWindow):
         half = window.half_width_ticks(detector.tick)
         delay = delay_ticks(accidental_delay(detector, window), detector.tick)
-        self.base = frame.base
+        self.frame = frame
+        self.runs = channels
         self.channels = _SegmentCounts(channels, frame.width, half, delay)
         self.merged = _SegmentCounts(1, 0, half, delay) if channels >= 2 else None
-        self.offsets = (np.arange(channels, dtype=np.int64) * frame.width - frame.base) << 2
         self.dead = detector.dead_time / detector.tick
         self.last = np.full((2, 2), -np.inf)
 
@@ -389,19 +391,18 @@ class _BlockCounter:
         """Count the next chunk of every channel's Alice and Bob keys,
         whose later tags all have a tick at or above ``frontier`` (None:
         there are none)."""
-        self.channels.count(ka, kb, None if frontier is None else frontier - self.base)
+        self.channels.count(ka, kb, None if frontier is None else frontier - self.frame.base)
         if self.merged is not None:
             self.merged.count(self._merge(ka, self.last[0]), self._merge(kb, self.last[1]),
                               frontier)
 
     def _merge(self, keys: np.ndarray, last: np.ndarray) -> np.ndarray:
-        """One side's merged keys: each channel's keys, the offset of its
-        segment removed, as one sorted run of the merge."""
-        sizes = self.channels.sizes(keys)
-        plain = keys - np.repeat(self.offsets, sizes)
-        bounds = np.cumsum(sizes).tolist()
-        return merge_keys([plain[lo:hi] for lo, hi in zip([0] + bounds, bounds)],
-                          self.dead, last)
+        """One side's merged keys: each channel's keys, one sorted run per
+        channel, with its segment's offset removed.  A key modulo
+        ``width << 2`` is ``4·(tick - base) + 2·side + port``, since every
+        tick lies in ``[base, base + span]`` and ``span < width``."""
+        plain = keys % (self.frame.width << 2) + (self.frame.base << 2)
+        return merge_keys(plain, self.dead, last, self.runs)
 
 
 def accidental_delay(detector: DetectorConfig, window: CoincidenceWindow) -> float:

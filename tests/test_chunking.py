@@ -148,9 +148,10 @@ def test_segmented_dead_time_in_chunks_equals_per_segment_walk(record, dead):
 def test_chunked_merge_equals_one_shot(streams, dead_int, cuts):
     runs = [tag_keys(s, 0) for s in streams]
     last = np.full(2, -np.inf)
-    got = np.concatenate([merge_keys(list(chunk), dead_int, last)
+    got = np.concatenate([merge_keys(np.concatenate(chunk), dead_int, last, len(chunk))
                           for chunk in zip(*(pieces(k, cuts) for k in runs))])
-    assert np.array_equal(got, merge_keys(runs, dead_int, np.full(2, -np.inf)))
+    assert np.array_equal(got, merge_keys(np.concatenate(runs), dead_int,
+                                          np.full(2, -np.inf), len(runs)))
     assert key_projection(got) == merged_projection(streams, dead_int)
 
 
@@ -237,8 +238,8 @@ def test_chunked_block_counts_equal_one_shot_reduction(monkeypatch):
         alice.append(_chain([a for a, _ in blks]))
         bob.append(_chain([b for _, b in blks]))
     dead = DEFAULT_DETECTOR.dead_time / DEFAULT_DETECTOR.tick
-    merged = [key_stream(merge_keys([tag_keys(s, side) for s in streams], dead,
-                                    np.full(2, -np.inf)), block)
+    merged = [key_stream(merge_keys(np.concatenate([tag_keys(s, side) for s in streams]),
+                                    dead, np.full(2, -np.inf), len(streams)), block)
               for side, streams in enumerate((alice, bob))]
     for (counts, i), a, b in zip([(channels, i) for i in range(len(chans))]
                                  + [(merged_counts, 0)],

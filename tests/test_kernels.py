@@ -156,7 +156,8 @@ def test_key_matcher_delayed_count_equals_greedy_oracle(a, b, half, shift):
 
 @given(module_streams(), st.integers(0, 40))
 def test_kway_merge_agrees_with_quadratic_oracle(streams, dead_int):
-    merged = merge_keys([tag_keys(s, 0) for s in streams], dead_int, np.full(2, -np.inf))
+    runs = [tag_keys(s, 0) for s in streams]
+    merged = merge_keys(np.concatenate(runs), dead_int, np.full(2, -np.inf), len(runs))
     assert key_projection(merged) == merged_projection(streams, dead_int)
 
 
@@ -512,6 +513,34 @@ def test_predictor_equals_scalar_oracles(setup):
     want = scalar_predict_merged(rows, detector, window, q_sys, f_ec)
     assert same_prediction(merged, want)
     assert same_prediction(predict_merged(rows, detector, window, q_sys, f_ec), want)
+
+
+@st.composite
+def two_basis_setups(draw):
+    """A setup of 1-5 rows, zero pair rates among them, with a second
+    basis's systematic error fraction per row."""
+    rows, q_hv, detector, window, f_ec = draw(prediction_setups())
+    rows, q_hv = rows[:5], q_hv[:5]
+    q_da = [draw(st.floats(0.0, 0.5)) for _ in rows]
+    return rows, q_hv, q_da, detector, window, f_ec
+
+
+@given(two_basis_setups())
+def test_predictor_of_two_bases_is_the_mean_of_one_basis_calls(setup):
+    """With one row of ``q_sys`` per basis, each record's QBER and key
+    rates are the mean of the one-basis calls' and every other field is
+    theirs, for the channels and the merged baseline alike."""
+    rows, q_hv, q_da, detector, window, f_ec = setup
+    channels, merged = predict_rows(rows, [q_hv, q_da], detector, window, f_ec)
+    hv, hv_merged = predict_rows(rows, q_hv, detector, window, f_ec)
+    da, da_merged = predict_rows(rows, q_da, detector, window, f_ec)
+    assert len(channels) == len(rows)
+    for got, h, d in zip([*channels, merged], [*hv, hv_merged], [*da, da_merged],
+                         strict=True):
+        mean = {k: (getattr(h, k) + getattr(d, k)) / 2.0
+                for k in ("qber", "key_rate_per_channel", "key_rate_total")}
+        assert same_prediction(got, replace(h, **mean))
+        assert same_prediction(got, replace(d, **mean))
 
 
 @st.composite

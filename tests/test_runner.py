@@ -149,6 +149,15 @@ def test_bad_nested_fields_named():
     ({"plan": table1_pairs_with(("pairs", 0, "index"), True)}, "plan.pairs", "integer"),
     ({"channel_visibilities": {"1": [0.9, 0.9], "3": [0.9, 0.9]}},
      "channel_visibilities", "no channel pair 3"),
+    ({"channel_visibilities": {"1": [True, "0.8", 0.1], "2": "10"}},
+     "channel_visibilities", "must be a number, got True"),
+    ({"channel_visibilities": {"1": [0.9, "0.8"]}}, "channel_visibilities",
+     "must be a number, got '0.8'"),
+    ({"channel_visibilities": {"1": [0.9, 0.8, 0.1]}}, "channel_visibilities",
+     "two visibilities"),
+    ({"channel_visibilities": {"2": "10"}}, "channel_visibilities", "must be a list"),
+    ({"channel_visibilities": {"1": [0.9, 0.9], "01": [0.5, 0.5]}},
+     "channel_visibilities", "'01' must be an integer"),
 ])
 def test_non_finite_numbers_and_negative_seed_rejected(raw, field, what):
     with pytest.raises(ConfigError, match=what) as exc:
@@ -179,6 +188,8 @@ def test_directly_built_config_of_wrong_type_names_the_field(kwargs, field):
     ({"detector": None}, "detector"),
     ({"plan": "table1"}, "plan"),
     ({"channel_visibilities": {3: (0.9, 0.9)}}, "channel_visibilities"),
+    ({"channel_visibilities": {1: (True, 0.9)}}, "channel_visibilities"),
+    ({"channel_visibilities": {1: (0.9, 0.9), "1": (0.5, 0.5)}}, "channel_visibilities"),
 ])
 def test_directly_built_nested_object_of_wrong_type_names_the_field(kwargs, field):
     with pytest.raises(ConfigError) as exc:
