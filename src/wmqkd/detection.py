@@ -21,11 +21,19 @@ Carlo draws its detections directly and passes them to the same emit.
 Detector merging has one kernel, :func:`merge_keys`, on one array of
 packed tag keys made of sorted runs: one sort orders them by (tick,
 port), and each port then passes one dead-time filter.  The Monte Carlo
-merged baseline calls it on the channels' keys, each reduced to its
-plain tick by one remainder.  :func:`merge_detectors` merges two tag
-streams into one detector: one dead-time filter on the ticks of their
-sorted union.  Large arrays are gathered by index, not by boolean mask,
-which numpy does several times slower.
+merged baseline calls it on the channels' keys, each moved back to its
+plain tick by its segment's offset.  :func:`merge_detectors` merges two
+tag streams into one detector: one dead-time filter on the ticks of
+their sorted union.
+
+The emit and the merge dead-time filter sorted keys with one sparse
+kernel, :func:`_sparse_dead_time_filter`: one difference pass over the
+keys finds the few tags that lie within the dead time's reach of
+another, only those pass the exact filter (:func:`_port_dead_time_filter`)
+on their own times, and every other tag is kept.  Large arrays are
+gathered by index, not by boolean mask, which numpy does several times
+slower when the mask is mixed; the kept keys, nearly all of them, are
+compacted instead by deleting the few dropped positions.
 """
 
 from __future__ import annotations
@@ -388,6 +396,79 @@ def _port_dead_time_filter(times: np.ndarray, port: np.ndarray, dead: float,
     return keep
 
 
+def _links(keys: np.ndarray, dead: float, margin: int, base: int = 0) -> tuple[int, np.ndarray]:
+    """The reach (ticks) of a dead time of ``dead`` ticks over sorted
+    packed ``keys``, and the positions ``k`` whose tag and the next lie
+    within it: one difference pass, in which ``4·reach + 3`` bounds the
+    key step of a tick step of ``reach``.
+
+    The reach is the dead time rounded down, plus ``margin`` ticks for
+    the rounding of times to ticks and twice the float64 spacing of the
+    largest tick, key or plain, for the rounding of the filter's sums (a
+    plain tick exceeds the largest key tick by at most ``|base|``, the
+    frame's base).  It is capped at ``MAX_TICKS``, above every key tick,
+    so that ``4·reach + 3`` and the ticks of
+    :func:`_sparse_dead_time_filter` stay inside int64."""
+    big = max(-int(keys[0]), int(keys[-1])) // 4 + abs(base) if keys.size else 0
+    reach = math.floor(min(dead, MAX_TICKS)) + margin + 2 * int(np.spacing(float(big)))
+    return reach, np.flatnonzero(np.diff(keys) <= 4 * reach + 3)
+
+
+def _last_of_ports(keys: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """The last position of each port's keys in each segment's
+    ``[starts[g], stops[g])`` (one row per port; -1 for none), walked back
+    from each stop in windows that double, so that a long run of one port
+    costs few steps.  A window's positions lie below every position found
+    before, so the largest found is the last."""
+    last = np.full((2, starts.size), -1, np.intp)
+    hi, width = stops.copy(), 4
+    while (todo := np.flatnonzero((starts < hi) & (last < 0).any(axis=0))).size:
+        lo = np.maximum(starts[todo], hi[todo] - width)
+        pos = _ranges(lo, hi[todo])
+        np.maximum.at(last, (keys[pos] & 1, np.repeat(todo, hi[todo] - lo)), pos)
+        hi[todo] = lo
+        width *= 2
+    return last
+
+
+def _sparse_dead_time_filter(keys: np.ndarray, links: np.ndarray, times, dead: float,
+                             reach: int, last: np.ndarray, carried: np.ndarray,
+                             starts: np.ndarray, stops: np.ndarray | None = None) -> np.ndarray:
+    """The positions of sorted packed ``keys`` that one dead-time filter
+    per segment and port drops: what :func:`_port_dead_time_filter` drops
+    of the same tags, with ``last`` updated alike.  Segment ``g`` is
+    ``[starts[g], stops[g])``; its tags from ``stops[g]`` on (None: none)
+    are held, in no filter, and not returned.  ``times(pos)`` gives the
+    tags' times; each port's must be non-decreasing within a segment.
+
+    Two tags of a segment whose key ticks are more than ``reach`` apart
+    must be more than ``dead`` apart in time.  ``links`` are the positions
+    ``k`` whose tag and the next lie close (:func:`_links`).  A tag whose
+    predecessor is more than ``reach`` ticks earlier is then more than
+    ``dead`` after every earlier tag of its segment, so the dead time of
+    none reaches it: it is kept unless the carried ``last`` does, which
+    reaches only the ticks up to ``carried[g] + reach``, ``carried[g]``
+    being the key tick of the segment's larger ``last`` (-inf for none).
+    So only the members
+    pass the exact filter, on their own times: the linked tags, each
+    segment's prefix up to that tick, and the last tag of each port
+    before each stop, whose kept or dropped tag settles the new ``last``.
+    Every cluster of linked tags is filtered as in the whole stream, and
+    every other tag is kept.
+    """
+    stops = np.append(starts[1:], keys.size) if stops is None else stops
+    bound = np.clip(carried + (reach + 1), -MAX_TICKS, MAX_TICKS).astype(np.int64) << 2
+    prefix = _ranges(starts, np.clip(np.searchsorted(keys, bound), starts, stops))
+    tails = _last_of_ports(keys, starts, stops).ravel()
+    members = np.concatenate((links, links + 1, prefix, np.sort(tails[tails >= 0])))
+    members.sort(kind="stable")    # four sorted runs
+    members = members[(np.diff(members, prepend=-1) > 0)    # once each, and none held
+                      & (members < stops[np.searchsorted(starts, members, side="right") - 1])]
+    keep = _port_dead_time_filter(times(members), keys[members] & 1, dead, last,
+                                  np.searchsorted(members, starts))
+    return members[np.flatnonzero(~keep)]
+
+
 class DetectorCarry:
     """What the analyzer modules of one side carry from a time chunk of
     their records to the next, one segment per channel slot.
@@ -495,13 +576,17 @@ def emit_keys(parts: list, config: DetectorConfig, carry: DetectorCarry,
     (slot, port)'s events come in time order, as each port's own stable
     sort of its times would order them.  Each slot's events at or above
     the frontier are held again.  Each (slot, port) passes one
-    non-paralyzable dead-time filter on the float64 times, and the kept
-    tags stay in key order.  Channel offsets are added to integer ticks
-    only, so that no time is rounded differently.
+    non-paralyzable dead-time filter, the sparse kernel
+    (:func:`_sparse_dead_time_filter`): the key differences that find the
+    ties also find the tags within the dead time's reach of another, only
+    their float64 times are gathered and filtered, and every other tag is
+    kept.  The port bits are read from the keys, and the kept tags stay in
+    key order.  Channel offsets are added to integer ticks only, each
+    slot's to its own slice, so that no time is rounded differently.
     """
     n = len(parts)
     held_t, held_bits, held_dark, held_slot = carry.held
-    counts = [p[0].size for p in parts]
+    bounds = np.cumsum([held_t.size] + [p[0].size for p in parts]).tolist()
     t = np.concatenate([held_t] + [p[0] for p in parts])
     bits = np.concatenate([held_bits] + [p[1] for p in parts])
     dark = np.concatenate([held_dark] + [p[2] for p in parts])
@@ -518,32 +603,35 @@ def emit_keys(parts: list, config: DetectorConfig, carry: DetectorCarry,
         raise ValueError("jitter moved a tag past the record's margin")
     offset = np.arange(n, dtype=np.int64) * frame.width - frame.base
     key[:held_t.size] += offset[held_slot]
-    key[held_t.size:] += np.repeat(offset, counts)
+    for off, lo, hi in zip(offset.tolist(), bounds, bounds[1:]):
+        key[lo:hi] += off
     key <<= 2
     key |= bits
     order = np.argsort(key, kind="stable")
     key = key[order]
-    tie = np.flatnonzero(key[1:] == key[:-1])
+    reach, links = _links(key, config.dead_time / config.tick, 3, frame.base)
+    tie = links[key[links] == key[links + 1]]
     if tie.size:
         pos = np.union1d(tie, tie + 1)
         sub = order[pos]
         order[pos] = sub[np.lexsort((t[sub], key[pos]))]
-    t, bits, dark = t[order], bits[order], dark[order]
-    del order
+    dark = dark[order]
     starts = np.concatenate(([0], np.searchsorted(key, offset[1:] + frame.base << 2)))
     ends = np.append(starts[1:], key.size)
     cut = ends if frontier is None else \
         np.clip(np.searchsorted(key, offset + frontier << 2), starts, ends)
     held = _ranges(cut, ends)
-    carry.held = (t[held], bits[held], dark[held], np.repeat(np.arange(n), ends - cut))
+    carry.held = (t[order[held]], (key[held] & 1).astype(np.int8), dark[held],
+                  np.repeat(np.arange(n), ends - cut))
     carry.frontier = frontier
-    bits[held] = 2    # no port: a held event joins no dead-time filter
-    keep = np.flatnonzero(_port_dead_time_filter(t, bits, config.dead_time,
-                                                 carry.last_kept, starts))
-    keys = key[keep]
+    carried = np.rint(carry.last_kept.max(axis=0) / config.tick) + offset
+    drop = np.concatenate((held, _sparse_dead_time_filter(
+        key, links, lambda pos: t[order[pos]], config.dead_time, reach,
+        carry.last_kept, carried, starts, cut)))
+    keys = np.delete(key, drop)
     if side:
         keys |= 2
-    return keys, dark[keep]
+    return keys, np.delete(dark, drop)
 
 
 def _emit(t: np.ndarray, bits: np.ndarray, dark: np.ndarray,
@@ -610,14 +698,19 @@ def merge_keys(keys: np.ndarray, dead: float, last: np.ndarray, runs: int) -> np
     share a tick and a port share a key, so the output does not depend
     on which run a survivor came from.  ``last`` holds each port's last
     kept tick from earlier chunks of the runs (-inf for none) and is
-    updated in place.
+    updated in place.  The filter is the sparse kernel
+    (:func:`_sparse_dead_time_filter`), with the ticks as the times: only
+    the tags within the dead time's reach of another are filtered, and
+    the dropped ones are deleted.
     """
     # Equal keys cannot be told apart, so the kind of sort cannot change
     # the result: timsort merges two sorted runs fastest, numpy's default
     # sort more of them.
     keys.sort(kind="stable" if runs <= 2 else None)
-    keep = _port_dead_time_filter(keys >> 2, keys & 1, dead, last)
-    return keys[np.flatnonzero(keep)]
+    reach, links = _links(keys, dead, 1)
+    return np.delete(keys, _sparse_dead_time_filter(
+        keys, links, lambda pos: keys[pos] >> 2, dead, reach, last, np.array([last.max()]),
+        np.zeros(1, np.intp)))
 
 
 def _chain(streams: list[TagStream]) -> TagStream:

@@ -27,8 +27,8 @@ offset by the channel's segment of the block's key frame
 matcher's reach apart, so the chunk's keys are counted at once: one
 chunked matcher per window over all the channels, the tables, singles
 and accidentals by ``bincount`` per segment, and the merged baseline
-from the same keys, each reduced to its plain tick by one remainder
-modulo the segment width (:func:`detection.merge_keys`, with no per-tag
+from the same keys, each channel's slice moved back to its plain ticks
+by its segment's offset (:func:`detection.merge_keys`, with no per-tag
 payload gathered).  The emit gives each channel's keys in canonical
 order, in its own segment, and labels no outcome outside the block's
 basis, so no chunk is checked again.  The counts equal those
@@ -370,10 +370,11 @@ class _BlockCounter:
     A chunk's keys are those of :func:`detection.emit_keys` in the
     block's key frame: each channel's keys in order, in its own segment
     of key ticks, counted as ``channels``.  The merged baseline is built
-    from the same keys, each taken modulo the segment width and moved
-    back by the frame's base to its plain tick, in one array
+    from the same keys, each channel's slice moved back by its segment's
+    offset to its plain ticks, in one new array
     (:func:`detection.merge_keys`, which keeps each merged port's last
     tick in ``last``), and counted as ``merged``, one segment of ticks.
+    The caller's keys are left as they are.
     """
 
     def __init__(self, channels: int, frame: KeyFrame, detector: DetectorConfig,
@@ -398,10 +399,13 @@ class _BlockCounter:
 
     def _merge(self, keys: np.ndarray, last: np.ndarray) -> np.ndarray:
         """One side's merged keys: each channel's keys, one sorted run per
-        channel, with its segment's offset removed.  A key modulo
-        ``width << 2`` is ``4·(tick - base) + 2·side + port``, since every
-        tick lies in ``[base, base + span]`` and ``span < width``."""
-        plain = keys % (self.frame.width << 2) + (self.frame.base << 2)
+        channel, less its segment's offset ``(s·width - base) << 2``, written
+        into a new array; the segments' bounds are the keys' positions at
+        the segment edges."""
+        edges = [0, *np.searchsorted(keys, self.channels.edges).tolist(), keys.size]
+        plain = np.empty_like(keys)
+        for s, (lo, hi) in enumerate(zip(edges, edges[1:])):
+            np.subtract(keys[lo:hi], s * self.frame.width - self.frame.base << 2, out=plain[lo:hi])
         return merge_keys(plain, self.dead, last, self.runs)
 
 

@@ -17,7 +17,7 @@ import wmqkd.simulate as simulate
 from per_channel_oracle import Unit, dead_time_filter, tag_keys
 from test_coincidence import brute_force_greedy
 from wmqkd.calibration import DEFAULT_DETECTOR, FROZEN_CALIBRATION
-from wmqkd.channels import build_grid_plan
+from wmqkd.channels import build_grid_plan, build_table1_plan
 from wmqkd.coincidence import (CoincidenceWindow, _greedy_two_pointer, check_basis,
                                match_keys)
 from wmqkd.detection import (Basis, DetectorCarry, DetectorConfig, _dead_time_filter, detect,
@@ -178,6 +178,28 @@ def test_simulated_block_equals_per_channel_oracle(monkeypatch, detector, bright
         assert counts.singles[:, i].tolist() == [singles_a, singles_b]
         assert counts.accidentals[i] == acc
     assert merged.cc.sum() > 0
+
+
+@pytest.mark.parametrize("plan", [build_table1_plan(),
+                                  build_grid_plan(795.0, 825.0, 400e9, 50e9, 810.05)[0]])
+def test_block_counter_leaves_the_callers_keys_unchanged(monkeypatch, plan):
+    # The merged baseline moves each channel's keys to plain ticks; the
+    # caller's keys must come back as they went in.
+    monkeypatch.setattr(simulate, "CHUNK_TAGS", 10_000)
+    chans = resolve_channels(FROZEN_CALIBRATION.source(), plan, 10.0)
+    detector, window, block, n = DEFAULT_DETECTOR, CoincidenceWindow(1e-9), 2e-3, len(chans)
+    frame = simulate.block_frame(block, detector, window, n)
+    counter = simulate._BlockCounter(n, frame, detector, window)
+    carries = DetectorCarry(n), DetectorCarry(n)
+    assert n in (2, 17) and counter.merged is not None
+    for chunk in block_chunks(chans, detector, block):
+        draws = [simulate._channel_draws(ch, Basis.HV, detector, 5, chunk) for ch in chans]
+        ka, kb = (emit_keys([d[side] for d in draws], detector, carries[side],
+                            chunk.frontier, side, frame)[0] for side in (0, 1))
+        want_a, want_b = ka.copy(), kb.copy()
+        counter.count(ka, kb, chunk.frontier)
+        assert np.array_equal(ka, want_a) and np.array_equal(kb, want_b)
+    assert chunk.index > 2 and counter.merged.cc.sum() > 0
 
 
 def per_run_matches(keys, half):

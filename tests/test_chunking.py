@@ -20,7 +20,8 @@ from wmqkd.channels import build_grid_plan
 from wmqkd.coincidence import (ChunkedPair, CoincidenceWindow, accidental_estimate,
                                find_coincidences, match_keys, tabulate)
 from wmqkd.detection import (Basis, DetectorCarry, DetectorConfig, TagStream, _chain,
-                             _emit, _port_dead_time_filter, emit_frontier, merge_keys)
+                             _emit, _links, _port_dead_time_filter, _sparse_dead_time_filter,
+                             emit_frontier, merge_keys)
 import wmqkd.simulate as simulate
 from wmqkd.simulate import block_chunks, resolve_channels, simulate_basis, simulate_channel_block
 
@@ -142,6 +143,96 @@ def test_segmented_dead_time_in_chunks_equals_per_segment_walk(record, dead):
                     want_last[p, g] = t
         assert keep.tolist() == want
         assert np.array_equal(last, want_last)
+
+
+# Segments of the sparse dead-time kernel lie this many ticks apart.
+SEGMENT_TICKS = 1 << 20
+
+
+@st.composite
+def sparse_records(draw):
+    """Events of 1 to 4 segments, some empty, as (tick, offset, port): the
+    offset in 64ths of a tick, within half a tick, so that two ports may
+    swap time order on one tick; or 0 in every event, the times then being
+    the ticks.  Each segment's events from its frontier tick on are held
+    (a frontier past every tick: none), and each port of each segment
+    carries a last kept time from earlier chunks, or -inf.  Ticks over a
+    few ticks make bursts where every link is close.  Every tick and time
+    is moved by the same base: 0, or 2**54, where float64 times lie 4
+    ticks apart."""
+    hi = draw(st.sampled_from([4, 40, 400]))
+    frac = st.integers(-31, 31) if draw(st.booleans()) else st.just(0)
+    event = st.tuples(st.integers(0, hi), frac, st.integers(0, 1))
+    segments = [draw(st.lists(event, max_size=30)) for _ in range(draw(st.integers(1, 4)))]
+    stops = [draw(st.integers(0, hi + 1)) for _ in segments]
+    last = st.one_of(st.just(-np.inf), st.builds(lambda k, j: k + j / 64,
+                                                 st.integers(-10, hi), frac))
+    return (segments, stops, [(draw(last), draw(last)) for _ in segments],
+            draw(st.sampled_from([0, 2 ** 54])))
+
+
+# Offsets in 64ths of a tick and dead times in 8ths are exact floats.
+dead_ticks = st.one_of(st.integers(0, 160).map(lambda k: k / 8), st.just(1e4))
+
+
+@given(sparse_records(), dead_ticks)
+@example(  # the second tag is within the dead time of the first, three ticks on
+    record=([[(0, 16, 0), (3, -16, 0)]], [9], [(-np.inf, -np.inf)], 0), dead=2.5)
+@example(  # the carried time drops a first tag that links to no other
+    record=([[(1, 0, 0), (50, 0, 0)]], [60], [(0.0, -np.inf)], 0), dead=2.0)
+@example(  # the last kept tag before the frontier links to no other; a held tag follows
+    record=([[], [(0, 0, 0), (100, 0, 0)]], [0, 50], [(-np.inf, -np.inf)] * 2, 0), dead=2.0)
+@example(  # at 2**54, tick 13's time rounds to 12 ticks after tick 0's
+    record=([[(0, 0, 0), (13, 0, 0), (60, 0, 0)]], [61], [(-np.inf, -np.inf)], 2 ** 54),
+    dead=12.5)
+def test_sparse_dead_time_filter_equals_whole_stream_filters(record, dead):
+    segments, stop_ticks, carried_last, base = record
+    # The events as the emit orders them: by key, and by time on one key.
+    ev = [(base + t + g * SEGMENT_TICKS, float(base + t) + j / 64, p)
+          for g, seg in enumerate(segments) for t, j, p in seg]
+    tick = np.array([e[0] for e in ev], np.int64)
+    times = np.array([e[1] for e in ev], float)
+    port = np.array([e[2] for e in ev], np.int64)
+    keys = tick << 2 | port
+    order = np.lexsort((times, keys))
+    keys, times, port = keys[order], times[order], port[order]
+    shift = np.arange(len(segments)) * SEGMENT_TICKS    # key tick less plain tick
+    starts = np.searchsorted(keys, base + shift << 2)
+    stops = np.maximum(np.searchsorted(keys, base + shift + stop_ticks << 2), starts)
+    held = np.zeros(keys.size, bool)
+    for g, stop in enumerate(stops):
+        held[stop:np.append(starts[1:], keys.size)[g]] = True
+    last = np.array(carried_last, float).T + base
+    carried = np.rint(last.max(axis=0)) + shift
+
+    want_last = last.copy()
+    want = _port_dead_time_filter(times, np.where(held, 2, port), dead, want_last, starts)
+    # The tightest reach that the times allow (two ticks more than
+    # floor(dead) + 1 apart, or on integer times floor(dead) apart, lie
+    # more than ``dead`` apart), and the reach of the emit and of the merge.
+    integer = np.all(times == np.rint(times)) and np.all(last == np.rint(last))
+    for margin in ((0, 1) if integer else (1, 3)):
+        got_last = last.copy()
+        reach, links = _links(keys, dead, margin)
+        drop = _sparse_dead_time_filter(keys, links, lambda pos: times[pos], dead, reach,
+                                        got_last, carried, starts, stops)
+        keep = ~held
+        keep[drop] = False
+        assert not held[drop].any()
+        assert keep.tolist() == want.tolist()
+        assert np.array_equal(got_last, want_last)
+
+    # Per (segment, port): the fixed-point oracle after the carried time.
+    for g, (lo, hi) in enumerate(zip(starts, stops)):
+        for p in (0, 1):
+            sel = np.flatnonzero(port[lo:hi] == p) + lo
+            ok = fixed_point_dead_time_filter(np.append(last[p, g], times[sel]), dead)[1:]
+            assert np.array_equal(want[sel], ok)
+            kept = times[sel[ok]]
+            assert want_last[p, g] == (kept[-1] if kept.size else last[p, g])
+    if dead > 400 and np.isneginf(last).all():
+        # A dead time longer than the record keeps one tag per (segment, port).
+        assert want.sum() == sum(len(set(port[lo:hi].tolist())) for lo, hi in zip(starts, stops))
 
 
 @given(module_streams(), st.integers(0, 40), cut_ticks)

@@ -6,9 +6,12 @@ calibrated brightness, over 0.2 s with seed 1, on a grid over
 795-825 nm.  Three runs take 20 GHz passbands at 100, 50 and 25 GHz
 spacing (n = 67, 134 and 268 channel pairs), so the summed rate grows
 with n.  A fourth takes 1.25 GHz passbands at 6.25 GHz spacing
-(n = 1,073): its summed passband, and so its summed rate, equals that of
-the 100 GHz run.  Each run is a fresh process, so its peak resident set
-(``VmHWM``) is its own.  Run from the repository root::
+(n = 1,073) and a fifth 0.09 GHz passbands at 0.457 GHz spacing
+(n = 14,675, near the channel counts of the fig3d projection): the
+summed passband of each, and so its summed rate, is about that of the
+100 GHz run.  Each run is a fresh process, so its peak resident set
+(``VmHWM``) is its own; the fifth takes tens of seconds.  Run from the
+repository root::
 
     python tools/channel_scaling.py
 
@@ -31,7 +34,7 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # (channel spacing, passband) of each run, in Hz.
-GRIDS_HZ = ((100e9, 20e9), (50e9, 20e9), (25e9, 20e9), (6.25e9, 1.25e9))
+GRIDS_HZ = ((100e9, 20e9), (50e9, 20e9), (25e9, 20e9), (6.25e9, 1.25e9), (0.457e9, 0.09e9))
 
 
 def config(spacing_hz: float, bandwidth_hz: float) -> dict:
