@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import Basis, TagStream, _ranges
+from .detection import Basis, TagStream, _close_links, _ranges
 
 
 @dataclass(frozen=True)
@@ -141,7 +141,7 @@ def _close_runs(keys: np.ndarray, half: int) -> tuple[np.ndarray, np.ndarray]:
     # Link k joins tags k and k + 1.  Two keys more than 4·half + 3 apart
     # are more than half a window apart; the few links within that are
     # tested on their ticks.
-    close = np.flatnonzero(np.diff(keys) <= 4 * half + 3)
+    close = _close_links(keys, 4 * half + 3)
     close = close[(keys[close + 1] >> 2) - (keys[close] >> 2) <= half]
     if close.size == 0:
         return close, close

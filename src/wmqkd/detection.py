@@ -30,7 +30,9 @@ The emit and the merge dead-time filter sorted keys with one sparse
 kernel, :func:`_sparse_dead_time_filter`: one difference pass over the
 keys finds the few tags that lie within the dead time's reach of
 another, only those pass the exact filter (:func:`_port_dead_time_filter`)
-on their own times, and every other tag is kept.  Large arrays are
+on their own times, and every other tag is kept.  That difference pass,
+and the matcher's, is one block-by-block scan (:func:`_close_links`)
+that builds no difference array as long as the keys.  Large arrays are
 gathered by index, not by boolean mask, which numpy does several times
 slower when the mask is mixed; the kept keys, nearly all of them, are
 compacted instead by deleting the few dropped positions.
@@ -58,6 +60,9 @@ JITTER_MARGIN_SIGMAS = 40.0
 # shifted left by two bits, so a key stays in int64 below 2**61 ticks;
 # rounding a time to ticks wraps past 2**63.
 MAX_TICKS = 2 ** 60
+
+# Links per block of the close-link scan (:func:`_close_links`).
+LINK_BLOCK = 1 << 16
 
 
 class Basis(enum.Enum):
@@ -411,7 +416,26 @@ def _links(keys: np.ndarray, dead: float, margin: int, base: int = 0) -> tuple[i
     :func:`_sparse_dead_time_filter` stay inside int64."""
     big = max(-int(keys[0]), int(keys[-1])) // 4 + abs(base) if keys.size else 0
     reach = math.floor(min(dead, MAX_TICKS)) + margin + 2 * int(np.spacing(float(big)))
-    return reach, np.flatnonzero(np.diff(keys) <= 4 * reach + 3)
+    return reach, _close_links(keys, 4 * reach + 3)
+
+
+def _close_links(keys: np.ndarray, step: int, block: int = LINK_BLOCK) -> np.ndarray:
+    """``np.flatnonzero(np.diff(keys) <= step)``: the positions ``k`` whose
+    key and the next differ by at most ``step``.  The differences are taken
+    ``block`` links at a time, so that no difference array as long as
+    ``keys`` is built."""
+    return np.concatenate([np.empty(0, np.intp)] + [
+        np.flatnonzero(np.diff(keys[lo:lo + block + 1]) <= step) + lo
+        for lo in range(0, keys.size - 1, block)])
+
+
+def _union(*runs: np.ndarray) -> np.ndarray:
+    """The sorted positions that lie in any of the sorted ``runs``, each
+    once: one stable sort of the runs one after the other (it merges
+    sorted runs cheaply) and the first of each equal stretch."""
+    pos = np.concatenate(runs)
+    pos.sort(kind="stable")
+    return pos[np.diff(pos, prepend=-1) > 0]
 
 
 def _last_of_ports(keys: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
@@ -460,10 +484,8 @@ def _sparse_dead_time_filter(keys: np.ndarray, links: np.ndarray, times, dead: f
     bound = np.clip(carried + (reach + 1), -MAX_TICKS, MAX_TICKS).astype(np.int64) << 2
     prefix = _ranges(starts, np.clip(np.searchsorted(keys, bound), starts, stops))
     tails = _last_of_ports(keys, starts, stops).ravel()
-    members = np.concatenate((links, links + 1, prefix, np.sort(tails[tails >= 0])))
-    members.sort(kind="stable")    # four sorted runs
-    members = members[(np.diff(members, prepend=-1) > 0)    # once each, and none held
-                      & (members < stops[np.searchsorted(starts, members, side="right") - 1])]
+    members = _union(links, links + 1, prefix, np.sort(tails[tails >= 0]))
+    members = members[members < stops[np.searchsorted(starts, members, side="right") - 1]]
     keep = _port_dead_time_filter(times(members), keys[members] & 1, dead, last,
                                   np.searchsorted(members, starts))
     return members[np.flatnonzero(~keep)]
@@ -473,8 +495,9 @@ class DetectorCarry:
     """What the analyzer modules of one side carry from a time chunk of
     their records to the next, one segment per channel slot.
 
-    ``held`` are the jittered events (times, port bits, dark flags and
-    slots) at or above the last frontier, which a later chunk's events
+    ``held`` are the jittered events (times, port bits, dark flags or
+    None when the events carry none, and slots) at or above the last
+    frontier, which a later chunk's events
     may still precede; ``last_kept`` is each port's last kept time in each
     slot (one row per port), from which its dead time runs on;
     ``frontier`` is the tick below which every tag has been emitted.
@@ -557,16 +580,17 @@ def detect(
 
 def emit_keys(parts: list, config: DetectorConfig, carry: DetectorCarry,
               frontier: int | None, side: int = 0,
-              frame: KeyFrame = KeyFrame()) -> tuple[np.ndarray, np.ndarray]:
+              frame: KeyFrame = KeyFrame()) -> tuple[np.ndarray, np.ndarray | None]:
     """Steps (4) to (6) of :func:`detect` for one side of several
     channels at once: the packed keys and dark flags of the tags below
     the ``frontier`` tick.
 
     ``parts`` holds each channel slot's jittered events, as a tuple of
     times, port bits and dark flags in any order; the list is emptied,
-    so that each slot's draws are freed once they are folded in.
-    ``carry`` is the side's carry, with one segment per slot.  A tag's
-    key is ``k << 2 | side << 1 | port``, with ``k`` its key tick in
+    so that each slot's draws are freed once they are folded in.  When a
+    slot's dark flags are None, no flags are kept, carried or returned
+    (None).  ``carry`` is the side's carry, with one segment per slot.  A
+    tag's key is ``k << 2 | side << 1 | port``, with ``k`` its key tick in
     ``frame``.  The keys come sorted, the slots one after the other, and
     tags of equal key in time order.  The dark flags follow the keys.
 
@@ -581,19 +605,26 @@ def emit_keys(parts: list, config: DetectorConfig, carry: DetectorCarry,
     ties also find the tags within the dead time's reach of another, only
     their float64 times are gathered and filtered, and every other tag is
     kept.  The port bits are read from the keys, and the kept tags stay in
-    key order.  Channel offsets are added to integer ticks only, each
-    slot's to its own slice, so that no time is rounded differently.
+    key order.  The times are rounded to ticks inside the key buffer, and
+    channel offsets are added to integer ticks only, each slot's to its
+    own slice, so that no time is rounded differently.  Each event array
+    is freed after its last reader.
     """
     n = len(parts)
     held_t, held_bits, held_dark, held_slot = carry.held
     bounds = np.cumsum([held_t.size] + [p[0].size for p in parts]).tolist()
     t = np.concatenate([held_t] + [p[0] for p in parts])
     bits = np.concatenate([held_bits] + [p[1] for p in parts])
-    dark = np.concatenate([held_dark] + [p[2] for p in parts])
+    dark = None if any(p[2] is None for p in parts) else \
+        np.concatenate([held_dark] + [p[2] for p in parts])
     parts.clear()
-    x = t / config.tick
-    key = np.rint(x, out=x).astype(np.int64)
-    del x
+    key = np.empty(t.size, np.int64)
+    # Rounded in the key buffer's float64 view and cast in place: rint with
+    # an int64 output would copy its overlapping input.
+    x = key.view(np.float64)
+    np.divide(t, config.tick, out=x)
+    np.rint(x, out=x)
+    np.copyto(key, x, casting="unsafe")
     new = key[held_t.size:]
     if carry.frontier is not None and new.size and new.min() < carry.frontier:
         raise ValueError("jitter moved a tag below the frontier already "
@@ -607,31 +638,34 @@ def emit_keys(parts: list, config: DetectorConfig, carry: DetectorCarry,
         key[lo:hi] += off
     key <<= 2
     key |= bits
+    del bits, new, x    # the views would keep the unsorted keys alive
     order = np.argsort(key, kind="stable")
     key = key[order]
     reach, links = _links(key, config.dead_time / config.tick, 3, frame.base)
     tie = links[key[links] == key[links + 1]]
     if tie.size:
-        pos = np.union1d(tie, tie + 1)
+        pos = _union(tie, tie + 1)
         sub = order[pos]
         order[pos] = sub[np.lexsort((t[sub], key[pos]))]
-    dark = dark[order]
     starts = np.concatenate(([0], np.searchsorted(key, offset[1:] + frame.base << 2)))
     ends = np.append(starts[1:], key.size)
     cut = ends if frontier is None else \
         np.clip(np.searchsorted(key, offset + frontier << 2), starts, ends)
     held = _ranges(cut, ends)
-    carry.held = (t[order[held]], (key[held] & 1).astype(np.int8), dark[held],
-                  np.repeat(np.arange(n), ends - cut))
+    if dark is not None:
+        dark = dark[order]
+    carry.held = (t[order[held]], (key[held] & 1).astype(np.int8),
+                  None if dark is None else dark[held], np.repeat(np.arange(n), ends - cut))
     carry.frontier = frontier
     carried = np.rint(carry.last_kept.max(axis=0) / config.tick) + offset
     drop = np.concatenate((held, _sparse_dead_time_filter(
         key, links, lambda pos: t[order[pos]], config.dead_time, reach,
         carry.last_kept, carried, starts, cut)))
+    del t, order, links
     keys = np.delete(key, drop)
     if side:
         keys |= 2
-    return keys, np.delete(dark, drop)
+    return keys, None if dark is None else np.delete(dark, drop)
 
 
 def _emit(t: np.ndarray, bits: np.ndarray, dark: np.ndarray,

@@ -16,11 +16,12 @@ own detectors; the non-multiplexed baseline merges the recorded tag
 streams of corresponding detectors (post-processing, as a hardware
 merge would) and re-runs coincidence analysis on the merged streams.
 
-A chunk's channels are processed in one batched pass.  Only the draws
-are made channel by channel, each from its own generator: the detection
-times and outcomes, the darks and the jitter (:func:`_channel_draws`).
-Each side's events of all the channels then pass one detector emit
-(:func:`detection.emit_keys`) that returns packed int64 keys,
+A chunk's channels are processed in one batched pass, one side at a
+time.  Only the draws are made channel by channel, each from its own
+generator: the detection times and outcomes, the darks and the jitter
+(:func:`_channel_sides`).  Every channel's Alice events are drawn and
+pass one detector emit (:func:`detection.emit_keys`) before Bob's are
+drawn and pass another.  The emit returns packed int64 keys,
 ``k << 2 | side << 1 | port``, where the key tick ``k`` is the tick
 offset by the channel's segment of the block's key frame
 (:func:`block_frame`).  The segments lie more than the
@@ -54,8 +55,16 @@ pipeline's HV and DA counts into its one record, a
 random draw comes from a generator named by channel, block and chunk,
 and the units' counts are joined in a fixed HV-then-DA order.
 
+A chunk holds at most one side's draws at a time, beside the pair
+draws Bob's side still needs and Alice's keys; no dark flags, which only
+:func:`detection.detect` and :func:`simulate_channel_block` report; each
+side's channel keys until they are merged; and no difference array as
+long as the chunk (:func:`detection._close_links`).  Its largest arrays
+are those of the emit, about 32 bytes per event of one side, and one
+unit's traced peak is about 11 MB at ``CHUNK_TAGS``.
+
 Each chunk allocates and frees about the same arrays as the one before,
-tens of MB per unit.  With glibc's default, dynamic thresholds the heap
+about 10 MB per unit.  With glibc's default, dynamic thresholds the heap
 hands that memory back to the OS after every chunk, and the next chunk
 faults it in again as freshly zeroed pages.  So the first
 :func:`simulate_point` of a process sets two malloc thresholds
@@ -64,7 +73,7 @@ the heap, and the heap keeps up to ``TRIM_THRESHOLD`` of free memory.
 Both are set, because setting either one switches off glibc's
 adjustment of the other.  The policy is process-wide and acts only with
 glibc; it changes no value, only where memory comes from.  The resident
-set stays at its peak after a run (85-89 MB against 61 MB before the
+set stays at its peak after a run (about 65 MB against 45 MB without the
 policy, after a 2 s fig3b point at 30 dB).
 """
 
@@ -242,7 +251,16 @@ def _channel_draws(ch: ChannelScenario, basis: Basis, detector: DetectorConfig,
                    seed: int, chunk: Chunk):
     """One channel pair's detections in one time chunk of a basis block,
     up to the tagger: Alice's and Bob's jittered times, port bits and dark
-    flags (:func:`_side_draws`).
+    flags, the two sides of :func:`_channel_sides`."""
+    return tuple(_channel_sides(ch, basis, detector, seed, chunk, flags=True))
+
+
+def _channel_sides(ch: ChannelScenario, basis: Basis, detector: DetectorConfig,
+                   seed: int, chunk: Chunk, flags: bool = False):
+    """Yield one channel pair's detections in one time chunk of a basis
+    block, Alice's and then Bob's (:func:`_side_draws`), each drawn only
+    when asked for, so that a caller may emit one side of every channel
+    before it draws the other.  The dark flags are None unless ``flags``.
 
     Detections are drawn directly.  With the detector efficiency folded
     into each side's arrival efficiency, the pairs detected on both
@@ -250,8 +268,9 @@ def _channel_draws(ch: ChannelScenario, basis: Basis, detector: DetectorConfig,
     independent thinned Poisson processes, and no photon is drawn only to
     be lost in the detector.  Pair outcomes follow the anti-correlated
     joint distribution.  Every draw comes from one generator named by
-    channel, block and chunk, so a channel draws alike with or without
-    companions.
+    channel, block and chunk, in one order (the pairs, Alice's events,
+    Bob's events), so a channel draws alike with or without companions,
+    and whenever its sides are asked for.
     """
     rng = _rng(child_seed(seed, ch.index, _BLOCK_OF_BASIS[basis], chunk.index))
     b = ch.pair_rate_in_band
@@ -259,26 +278,30 @@ def _channel_draws(ch: ChannelScenario, basis: Basis, detector: DetectorConfig,
     pb = ch.arrival_efficiency_idler * detector.efficiency
     t_pair = _sorted_uniform(rng.poisson(b * pa * pb * (chunk.end - chunk.start)),
                              chunk.start, chunk.end, rng)
-    bits_pair = measure_pair_outcomes(t_pair.size, ch.v_sys(basis), rng)
-    return tuple(_side_draws(t_pair, bits, b * p * (1.0 - q), detector, chunk, rng)
-                 for bits, p, q in zip(bits_pair, (pa, pb), (pb, pa)))
+    bits_a, bits_b = measure_pair_outcomes(t_pair.size, ch.v_sys(basis), rng)
+    yield _side_draws(t_pair, bits_a, b * pa * (1.0 - pb), detector, chunk, rng, flags)
+    yield _side_draws(t_pair, bits_b, b * pb * (1.0 - pa), detector, chunk, rng, flags)
 
 
 def _side_draws(t_pair: np.ndarray, bits_pair: np.ndarray, lone_rate: float,
-                detector: DetectorConfig, chunk: Chunk, rng: np.random.Generator):
-    """One side's events of :func:`_channel_draws`: its runs of pair
+                detector: DetectorConfig, chunk: Chunk, rng: np.random.Generator,
+                flags: bool):
+    """One side's events of :func:`_channel_sides`: its runs of pair
     photons, lone photons (detected at ``lone_rate``) and dark counts,
-    one after the other and each in time order, then jittered.  Lone
-    photons and darks take uniform port bits.  :func:`detection.emit_keys`
-    orders the runs by tick, and ties by time."""
+    one after the other and each in time order, then jittered, with the
+    dark flags when ``flags`` (None otherwise).  Lone photons and darks
+    take uniform port bits.  :func:`detection.emit_keys` orders the runs
+    by tick, and ties by time."""
     dt = chunk.end - chunk.start
     t_lone = _sorted_uniform(rng.poisson(lone_rate * dt), chunk.start, chunk.end, rng)
     t_dark = _sorted_uniform(rng.poisson(2.0 * detector.dark_rate * dt),
                              chunk.start, chunk.end, rng)
     t = np.concatenate((t_pair, t_lone, t_dark))
     bits = np.concatenate((bits_pair, measure_single_outcomes(t.size - t_pair.size, rng)))
-    dark = np.zeros(t.size, dtype=bool)
-    dark[t.size - t_dark.size:] = True
+    dark = None
+    if flags:
+        dark = np.zeros(t.size, dtype=bool)
+        dark[t.size - t_dark.size:] = True
     if detector.jitter_sigma > 0 and t.size:
         jitter = rng.standard_normal(t.size)
         jitter *= detector.jitter_sigma
@@ -388,14 +411,18 @@ class _BlockCounter:
         self.dead = detector.dead_time / detector.tick
         self.last = np.full((2, 2), -np.inf)
 
-    def count(self, ka: np.ndarray, kb: np.ndarray, frontier: int | None):
+    def count(self, keys: list, frontier: int | None):
         """Count the next chunk of every channel's Alice and Bob keys,
-        whose later tags all have a tick at or above ``frontier`` (None:
-        there are none)."""
-        self.channels.count(ka, kb, None if frontier is None else frontier - self.frame.base)
-        if self.merged is not None:
-            self.merged.count(self._merge(ka, self.last[0]), self._merge(kb, self.last[1]),
-                              frontier)
+        ``keys`` (a list of the two), whose later tags all have a tick at
+        or above ``frontier`` (None: there are none).  The channels are
+        counted first; then each side's merged keys are made, one side
+        after the other, and the merged baseline counted.  The list is
+        emptied, so that each side's keys are freed once they are merged."""
+        self.channels.count(*keys, None if frontier is None else frontier - self.frame.base)
+        if self.merged is None:
+            keys.clear()
+            return
+        self.merged.count(*[self._merge(keys.pop(0), last) for last in self.last], frontier)
 
     def _merge(self, keys: np.ndarray, last: np.ndarray) -> np.ndarray:
         """One side's merged keys: each channel's keys, one sorted run per
@@ -439,10 +466,10 @@ def simulate_basis(
 
     All channels step through the same chunks (:func:`block_chunks`).
     For each chunk, every channel's draws are made on their own, each
-    from its own generator (:func:`_channel_draws`); then each side's events
-    of all the channels pass the detector emit at once
-    (:func:`detection.emit_keys`), one side after the other, and the
-    chunk's keys are counted at once (:class:`_BlockCounter`): each
+    from its own generator (:func:`_channel_sides`), one side at a time:
+    every channel's Alice events are drawn and pass the detector emit at
+    once (:func:`detection.emit_keys`), then Bob's, and the chunk's keys
+    are counted at once (:class:`_BlockCounter`): each
     channel's matches and accidentals and, with two or more channels, the
     merged baseline.  The counter's counts are returned: the channels',
     one row per channel in the order of ``chans``, and the merged
@@ -453,13 +480,12 @@ def simulate_basis(
     counter = _BlockCounter(len(chans), frame, detector, window)
     carries = DetectorCarry(len(chans)), DetectorCarry(len(chans))
     for chunk in block_chunks(chans, detector, block_duration):
-        draws = [_channel_draws(ch, basis, detector, seed, chunk) for ch in chans]
-        alice, bob = [d[0] for d in draws], [d[1] for d in draws]
-        del draws    # emit_keys frees each side's draws as it folds them in
-        ka, _ = emit_keys(alice, detector, carries[0], chunk.frontier, 0, frame)
-        kb, _ = emit_keys(bob, detector, carries[1], chunk.frontier, 1, frame)
-        counter.count(ka, kb, chunk.frontier)
-        del ka, kb    # before the next chunk's draws
+        sides = [_channel_sides(ch, basis, detector, seed, chunk) for ch in chans]
+        # emit_keys frees each side's draws as it folds them in.
+        keys = [emit_keys([next(s) for s in sides], detector, carry, chunk.frontier, side,
+                          frame)[0] for side, carry in enumerate(carries)]
+        del sides    # each channel's pair draws
+        counter.count(keys, chunk.frontier)
     return counter.channels, counter.merged
 
 

@@ -75,7 +75,7 @@ def run_both(chans, edges, dead, half, delay, check):
         want = oracle.push(draws, frontier)
         out = [emit_keys([d[side] for d in draws], detector, carry, frontier, side, frame)
                for side, carry in enumerate(carries)]
-        counter.count(out[0][0], out[1][0], frontier)
+        counter.count([out[0][0], out[1][0]], frontier)
         check(k, frame, [o[0] for o in out], [o[1] for o in out], want, counter, oracle)
 
 
@@ -197,7 +197,7 @@ def test_block_counter_leaves_the_callers_keys_unchanged(monkeypatch, plan):
         ka, kb = (emit_keys([d[side] for d in draws], detector, carries[side],
                             chunk.frontier, side, frame)[0] for side in (0, 1))
         want_a, want_b = ka.copy(), kb.copy()
-        counter.count(ka, kb, chunk.frontier)
+        counter.count([ka, kb], chunk.frontier)
         assert np.array_equal(ka, want_a) and np.array_equal(kb, want_b)
     assert chunk.index > 2 and counter.merged.cc.sum() > 0
 

@@ -2,8 +2,9 @@
 oracles: the coincidence matcher on streams and on packed keys, with its
 2x2 table and the delayed-window accidental estimate, the k-way key merge
 of the non-multiplexed baseline, the sorted uniform times of the Monte
-Carlo draws, the dead-time filter, the canonical tag order of the
-detector output, the batched pair-rate optimizer behind the fig3d
+Carlo draws, the dead-time filter, the close-link scan and the tie
+union of the detector emit, the canonical tag order of the detector
+output, the batched pair-rate optimizer behind the fig3d
 projection, and the refined analytic predictor of the channels and the
 merged baseline."""
 
@@ -12,9 +13,10 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+import per_channel_oracle
 from per_channel_oracle import tag_keys
 from test_coincidence import brute_force_greedy, make_tags
 from wmqkd import calibration as calib
@@ -22,8 +24,9 @@ from wmqkd.calibration import (FROZEN_CALIBRATION, fig3d_model, predict_channel,
                                predict_merged, predict_rows, window_efficiency)
 from wmqkd.coincidence import (CoincidenceWindow, Matches, accidental_estimate,
                                find_coincidences, key_table, match_keys, tabulate)
-from wmqkd.detection import (Basis, DetectorConfig, TagStream, _dead_time_filter,
-                             detect, merge_keys)
+from wmqkd.detection import (LINK_BLOCK, Basis, DetectorCarry, DetectorConfig, TagStream,
+                             _close_links, _dead_time_filter, _union, detect, emit_keys,
+                             merge_keys)
 from wmqkd.keyrate import (AnalyticLinkModel, AnalyticRates, PairRateOptimum,
                            analytic_rates, binary_entropy, optimize_pair_rate,
                            optimize_pair_rates)
@@ -223,6 +226,87 @@ def test_detect_orders_shared_ticks_by_detector():
     assert tags.is_sorted()
     order = np.lexsort((np.where(bits == 0, 9, 2), np.rint(t / 1e-6).astype(np.int64)))
     assert np.array_equal(tags.outcomes, bits[order])
+
+
+@st.composite
+def link_scans(draw):
+    """Keys, a step and a block for the close-link scan: as few keys as
+    none or one, or about one or two blocks of links, with runs of equal
+    keys and negative keys, sorted as the callers' or in any order."""
+    block = draw(st.integers(1, 6))
+    size = draw(st.one_of(st.integers(0, 2), st.integers(block - 1, block + 2),
+                          st.integers(2 * block - 1, 2 * block + 2), st.integers(0, 40)))
+    values = st.one_of(st.integers(-12, 12), st.integers(-2 ** 61, 2 ** 61))
+    keys = draw(st.lists(values, min_size=size, max_size=size))
+    if draw(st.booleans()):
+        keys.sort()
+    return np.asarray(keys, np.int64), draw(st.integers(-3, 2 ** 62)), block
+
+
+@given(link_scans())
+@example(scan=(np.empty(0, np.int64), 0, 1))
+@example(scan=(np.array([-5], np.int64), 0, 1))
+@example(scan=(np.array([-3, -3, -3, 0, 0], np.int64), 0, 4))
+@example(scan=(np.array([-9, -3, -3, -3, 2], np.int64), 5, 5))
+@example(scan=(np.array([-9, -3, -3, -3, 2, 2], np.int64), 0, 6))
+def test_close_links_equal_the_whole_difference_scan(scan):
+    keys, step, block = scan
+    got = _close_links(keys, step, block)
+    assert got.dtype == np.intp
+    assert np.array_equal(got, np.flatnonzero(np.diff(keys) <= step))
+
+
+@pytest.mark.parametrize("links", [LINK_BLOCK - 1, LINK_BLOCK, LINK_BLOCK + 1])
+def test_close_links_at_the_default_block_edge(links):
+    # Sorted keys with runs of equal keys and negative keys, as the emit
+    # and the matcher scan them, one link short of, at and past a block.
+    rng = np.random.default_rng(links)
+    keys = np.cumsum(rng.integers(0, 9, links + 1)) - 4 * links
+    for step in (0, 3, 8):
+        assert np.array_equal(_close_links(keys, step),
+                              np.flatnonzero(np.diff(keys) <= step))
+
+
+def test_tie_union_of_a_coarse_tick_equals_union1d():
+    # A 2 ns tick and no jitter put about 100k events on shared keys.  The
+    # emit's tie positions must be those of np.union1d, and the tied
+    # events, handed over in no order, must leave in time order, as the
+    # per-channel emit orders them: the dark flags, random here, show
+    # that order.
+    cfg = DetectorConfig(efficiency=1.0, dark_rate=0.0, jitter_sigma=0.0,
+                         dead_time=0.0, tick=2e-9)
+    rng = np.random.default_rng(11)
+    t = rng.uniform(0.0, 1.2e-4, 200_000)
+    bits = rng.integers(0, 2, t.size, dtype=np.int8)
+    dark = rng.random(t.size) < 0.5
+    keys = np.sort(np.rint(t / cfg.tick).astype(np.int64) << 2 | bits)
+    tie = np.flatnonzero(np.diff(keys) == 0)
+    assert 80_000 < tie.size < 120_000
+    assert np.array_equal(_union(tie, tie + 1), np.union1d(tie, tie + 1))
+
+    got, got_dark = emit_keys([(t, bits, dark)], cfg, DetectorCarry(), None)
+    want, want_dark = per_channel_oracle.emit(t, bits, dark, cfg.tick, 0.0,
+                                              per_channel_oracle.Carry(), None, 0)
+    assert np.array_equal(got, keys) and np.array_equal(got, want)
+    assert np.array_equal(got_dark, want_dark)
+
+
+def test_emit_without_dark_flags_keeps_the_keys():
+    # Events handed on with no dark flags (the Monte Carlo's) give the
+    # same keys and carry, and no flags.
+    cfg = DetectorConfig(efficiency=1.0, dark_rate=0.0, jitter_sigma=0.1,
+                         dead_time=2.0, tick=1.0)
+    rng = np.random.default_rng(4)
+    t = np.sort(rng.uniform(0.0, 400.0, 300)) + rng.normal(0.0, 0.1, 300)
+    bits = rng.integers(0, 2, t.size, dtype=np.int8)
+    flagged, bare = DetectorCarry(), DetectorCarry()
+    for lo, hi, frontier in ((0, 150, 190), (150, 300, None)):
+        want, dark = emit_keys([(t[lo:hi], bits[lo:hi], t[lo:hi] < 0)], cfg, flagged,
+                               frontier)
+        got, none = emit_keys([(t[lo:hi], bits[lo:hi], None)], cfg, bare, frontier)
+        assert none is None and dark is not None and bare.held[2] is None
+        assert np.array_equal(got, want)
+        assert np.array_equal(bare.last_kept, flagged.last_kept)
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0

@@ -308,14 +308,14 @@ def test_threaded_point_equals_sequential_units(plan_of, kwargs, merged):
 
 
 def test_error_in_a_basis_unit_reaches_the_caller(monkeypatch):
-    real_draws = wmqkd.simulate._channel_draws
+    real_sides = wmqkd.simulate._channel_sides
 
-    def failing_draws(ch, basis, detector, seed, chunk):
+    def failing_sides(ch, basis, detector, seed, chunk):
         if basis is Basis.DA:
             raise RuntimeError("source fault in the DA block")
-        return real_draws(ch, basis, detector, seed, chunk)
+        return real_sides(ch, basis, detector, seed, chunk)
 
-    monkeypatch.setattr(wmqkd.simulate, "_channel_draws", failing_draws)
+    monkeypatch.setattr(wmqkd.simulate, "_channel_sides", failing_sides)
     before = threading.active_count()
     cal = FROZEN_CALIBRATION
     with pytest.raises(RuntimeError, match="DA block"):
@@ -356,6 +356,69 @@ def test_peak_memory_is_flat_in_duration():
 
     short, long = traced_peak(0.35), traced_peak(1.4)
     assert long <= 1.3 * short, f"{long / 2**20:.1f} MB vs {short / 2**20:.1f} MB"
+
+
+def test_peak_memory_of_one_unit_chunk():
+    # One HV unit of a table-1 block at 30 dB, 0.189 s long: one chunk,
+    # just under CHUNK_TAGS expected arrivals per side.  A unit holds one
+    # side's draws at a time, frees each side's keys once merged and
+    # builds no difference array as long as the chunk.  Its traced peak
+    # (seed 8) was 16.6-18.4 MB when it held both sides' draws, and is
+    # 10.9-11.7 MB after; the first call in a process reads the most.
+    cal = FROZEN_CALIBRATION
+    chans = resolve_channels(cal.source(), build_table1_plan(), 30.0,
+                             cal.channel_visibilities())
+    assert len(list(block_chunks(chans, DEFAULT_DETECTOR, 0.189))) == 1
+    tracemalloc.start()
+    try:
+        simulate_basis(chans, Basis.HV, DEFAULT_DETECTOR, CoincidenceWindow(1e-9), 0.189, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 14 * 2**20, f"{peak / 2**20:.1f} MB"
+
+
+@pytest.mark.parametrize("basis", list(Basis))
+def test_side_at_a_time_draws_equal_channel_draws(monkeypatch, basis):
+    # A unit draws every channel's Alice events, emits them, and only then
+    # draws Bob's; each channel's generator still draws its pairs, Alice's
+    # and Bob's events in that order, so the events handed to each emit
+    # are those of _channel_draws, with no dark flags.
+    calls = []
+    real_side_draws = wmqkd.simulate._side_draws
+
+    def logged_side_draws(*args):
+        calls.append("draw")
+        return real_side_draws(*args)
+
+    monkeypatch.setattr(wmqkd.simulate, "_side_draws", logged_side_draws)
+    plan = build_grid_plan(806.5, 813.5, 400e9, 50e9, 810.05)[0]
+    cal = FROZEN_CALIBRATION
+    chans = resolve_channels(cal.source(), plan, 10.0, brightness_scale=1e3)
+    block, seed = 0.01, 17
+    monkeypatch.setattr(wmqkd.simulate, "CHUNK_TAGS", 10_000)
+    chunks = list(block_chunks(chans, DEFAULT_DETECTOR, block))
+    assert len(chans) == 3 and len(chunks) == 2
+    emitted = []
+    real_emit = wmqkd.simulate.emit_keys
+
+    def recording_emit(parts, *args):
+        calls.append("emit")
+        emitted.append([tuple(a if a is None else a.copy() for a in p) for p in parts])
+        return real_emit(parts, *args)
+
+    monkeypatch.setattr(wmqkd.simulate, "emit_keys", recording_emit)
+    simulate_basis(chans, basis, DEFAULT_DETECTOR, CoincidenceWindow(1e-9), block, seed)
+    assert calls == (["draw"] * len(chans) + ["emit"]) * 2 * len(chunks)
+    calls.clear()
+    for k, chunk in enumerate(chunks):
+        want = [_channel_draws(ch, basis, DEFAULT_DETECTOR, seed, chunk) for ch in chans]
+        for side in (0, 1):
+            got = emitted[2 * k + side]
+            assert len(got) == len(chans)
+            for (t, bits, dark), w in zip(got, want):
+                assert dark is None and t.size > 0
+                assert np.array_equal(t, w[side][0]) and np.array_equal(bits, w[side][1])
 
 
 class FakeLibc:
