@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import Basis, TagStream, _close_links, _ranges
+from .detection import Basis, TagStream, _check_pair, _close_links, _ranges
 
 
 @dataclass(frozen=True)
@@ -113,16 +113,6 @@ def find_coincidences(tags_a: TagStream, tags_b: TagStream,
     idx_a = pos_a - bobs[pos_a]
     order = np.argsort(idx_a)
     return Matches(tags_a, tags_b, idx_a[order], bobs[pos_b[order]] - 1)
-
-
-def _check_pair(tags_a: TagStream, tags_b: TagStream):
-    """Raise unless both streams are in canonical order and share one
-    tick."""
-    for s in (tags_a, tags_b):
-        if not s.is_sorted():
-            raise ValueError("input tag streams must be sorted")
-    if tags_a.tick_seconds != tags_b.tick_seconds:
-        raise ValueError("tick resolution mismatch between streams")
 
 
 def match_keys(ka: np.ndarray, kb: np.ndarray, half: int):
@@ -257,11 +247,12 @@ def accidental_estimate(tags_a: TagStream, tags_b: TagStream,
     uncorrelated streams the count is an unbiased estimate of
     ``S_A * S_B * t_c * duration``.  The delay must be much larger than
     both the window and the timing jitter.  The shift keeps Bob's order,
-    so the streams are validated once, unshifted.
+    so the streams are validated once, with Bob's ticks bounded after the
+    shift.
     """
-    _check_pair(tags_a, tags_b)
-    half = window.half_width_ticks(tags_a.tick_seconds)
     shift = delay_ticks(delay, tags_b.tick_seconds)
+    _check_pair(tags_a, tags_b, shift)
+    half = window.half_width_ticks(tags_a.tick_seconds)
     return match_keys(tags_a.ticks << 2, (tags_b.ticks + shift) << 2 | 2, half)[1].size
 
 

@@ -23,8 +23,11 @@ packed tag keys made of sorted runs: one sort orders them by (tick,
 port), and each port then passes one dead-time filter.  The Monte Carlo
 merged baseline calls it on the channels' keys, each moved back to its
 plain tick by its segment's offset.  :func:`merge_detectors` merges two
-tag streams into one detector: one dead-time filter on the ticks of
-their sorted union.
+tag streams into one detector with the same kernel: it packs the ticks
+of their sorted union as keys with a zero port bit and takes, for each
+kept key, the first tag on its tick.  It, :func:`find_coincidences` and
+:func:`accidental_estimate` validate their streams with one check
+(:func:`_check_pair`), which also bounds their ticks by ``MAX_TICKS``.
 
 The emit and the merge dead-time filter sorted keys with one sparse
 kernel, :func:`_sparse_dead_time_filter`: one difference pass over the
@@ -56,7 +59,8 @@ DEFAULT_TICK_S = 1.0 / 12.15e9
 # land a tag below it.
 JITTER_MARGIN_SIGMAS = 40.0
 
-# Bound on the key ticks of a record.  A packed tag key holds its tick
+# Bound on the key ticks of a record, and on the ticks of the tag streams
+# that are matched or merged as keys.  A packed tag key holds its tick
 # shifted left by two bits, so a key stays in int64 below 2**61 ticks;
 # rounding a time to ticks wraps past 2**63.
 MAX_TICKS = 2 ** 60
@@ -141,8 +145,6 @@ class TagStream:
         return self.ticks.size
 
     def is_sorted(self) -> bool:
-        if len(self) < 2:
-            return True
         d = np.diff(self.ticks)
         ok = d > 0
         ties = d == 0
@@ -159,6 +161,23 @@ class TagStream:
             self.channel_indices[idx], self.dark[idx],
             self.tick_seconds, self.duration,
         )
+
+
+def _check_pair(tags_a: TagStream, tags_b: TagStream, shift: int = 0):
+    """Raise unless both streams share one tick, lie in canonical order,
+    and hold only ticks inside ``(-MAX_TICKS, MAX_TICKS)``, where packed
+    tag keys hold them; ``tags_b``'s ticks are checked after a shift of
+    ``shift`` ticks.  The bound is checked first, so that no difference
+    of ticks wraps."""
+    if tags_a.tick_seconds != tags_b.tick_seconds:
+        raise ValueError("tick resolution mismatch between streams")
+    for s, off in ((tags_a, 0), (tags_b, shift)):
+        if len(s) and not (-MAX_TICKS < int(s.ticks.min()) + off
+                           and int(s.ticks.max()) + off < MAX_TICKS):
+            raise ValueError("tag ticks, after any delay, must lie strictly within ±2**60 "
+                             "(MAX_TICKS)")
+        if not s.is_sorted():
+            raise ValueError("input tag streams must be sorted")
 
 
 class Survival(NamedTuple):
@@ -200,7 +219,7 @@ def transmit(
     ``1 - extra loss`` for its side.  All four survival combinations are
     preserved so singles can be accounted for downstream.
     """
-    if total_loss_db < 0:
+    if not total_loss_db >= 0:
         raise ValueError(f"total_loss_db must be >= 0, got {total_loss_db}")
     for name, x in (("extra_signal_loss", extra_signal_loss),
                     ("extra_idler_loss", extra_idler_loss)):
@@ -321,8 +340,8 @@ def _first_above(times: np.ndarray, x: np.ndarray, lo: np.ndarray,
     return lo
 
 
-def _dead_time_filter(times: np.ndarray, dead: float, last=-np.inf,
-                      starts: np.ndarray | None = None) -> np.ndarray:
+def _dead_time_filter(times: np.ndarray, dead: float, last: float | np.ndarray,
+                      starts: np.ndarray) -> np.ndarray:
     """Boolean keep-mask for a non-paralyzable dead-time filter.
 
     ``times`` holds one segment, or several one after the other, segment
@@ -331,8 +350,9 @@ def _dead_time_filter(times: np.ndarray, dead: float, last=-np.inf,
     it is strictly later than the last kept event of its segment plus
     ``dead`` (>= 0); ``last`` (one value, or one per segment) is the time
     of the last event kept before these, in an earlier chunk of the
-    record.  Gaps larger than ``dead`` split a segment into clusters: the
-    first event of every cluster is kept and the second is dropped.
+    record (-inf for none).  Gaps larger than ``dead`` split a segment
+    into clusters: the first event of every cluster is kept and the
+    second is dropped.
     Clusters of three or more events are walked with :func:`_first_above`,
     all at once, one kept event per step, so a burst costs
     O(n + kept · log n) rather than quadratic time.  A walk that leaves
@@ -340,7 +360,6 @@ def _dead_time_filter(times: np.ndarray, dead: float, last=-np.inf,
     kept, or on its segment's end, and stops there.
     """
     n = times.size
-    starts = np.zeros(1, np.intp) if starts is None else np.asarray(starts, np.intp)
     ends = np.append(starts[1:], n)
     keep = np.zeros(n, dtype=bool)
     if n == 0:
@@ -371,9 +390,9 @@ def _dead_time_filter(times: np.ndarray, dead: float, last=-np.inf,
 
 
 def _port_dead_time_filter(times: np.ndarray, port: np.ndarray, dead: float,
-                           last: np.ndarray, starts: np.ndarray | None = None) -> np.ndarray:
-    """Keep-mask of one dead-time filter per port, and per segment when
-    ``starts`` splits ``times`` into segments (:func:`_dead_time_filter`).
+                           last: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Keep-mask of one dead-time filter per port and per segment, segment
+    ``g`` of ``times`` from ``starts[g]`` on (:func:`_dead_time_filter`).
 
     Each port's times must be non-decreasing within each segment; the
     ports may interleave in any way.  ``port`` holds labels 0 and 1; an
@@ -384,7 +403,6 @@ def _port_dead_time_filter(times: np.ndarray, port: np.ndarray, dead: float,
     entry per segment, and is updated in place.
     """
     keep = np.zeros(times.size, dtype=bool)
-    starts = np.zeros(1, np.intp) if starts is None else starts
     rows = last.reshape(2, -1)
     for p in range(2):
         idx = np.flatnonzero(port == p)
@@ -515,7 +533,7 @@ def emit_frontier(config: DetectorConfig, end: float) -> int:
 
     It lies ``JITTER_MARGIN_SIGMAS`` jitter widths before ``end``, so no
     arrival at or after ``end`` is jittered below it in practice; if one
-    ever is, :func:`detect` raises instead of emitting tags out of order.
+    ever is, :func:`emit_keys` raises instead of emitting tags out of order.
     """
     return int(np.floor((end - JITTER_MARGIN_SIGMAS * config.jitter_sigma)
                         / config.tick))
@@ -702,16 +720,20 @@ def merge_detectors(
     global dead time, so simultaneous events keep the first and drop
     the rest.  The output carries a single detector id and behaves as
     one detector's stream.  ``global_dead_time`` (s) must be finite and
-    >= 0.
+    >= 0; the streams must pass :func:`_check_pair`.
+
+    The union's ticks are packed as keys with a zero port bit, one
+    effective detector, and merged by :func:`merge_keys`.  Only the first
+    tag on a tick can survive, and it is the left-most position of its
+    key in the union, so each kept key takes that tag's fields.
     """
     if not (math.isfinite(global_dead_time) and global_dead_time >= 0):
         raise ValueError(f"global_dead_time must be finite and >= 0, got {global_dead_time}")
-    for s in (tags_a, tags_b):
-        if not s.is_sorted():
-            raise ValueError("input tag streams must be sorted")
+    _check_pair(tags_a, tags_b)
     union = _chain([tags_a, tags_b]).sorted()
-    out = union.take(np.flatnonzero(_dead_time_filter(
-        union.ticks.astype(np.float64), global_dead_time / union.tick_seconds)))
+    keys = union.ticks << 2
+    out = union.take(np.searchsorted(keys, merge_keys(
+        keys.copy(), global_dead_time / union.tick_seconds, np.full(2, -np.inf), 1)))
     if merged_detector_id is None and len(out):
         merged_detector_id = int(out.detector_ids.min())
     if merged_detector_id is not None:

@@ -102,11 +102,11 @@ def test_chunked_dead_time_equals_one_shot(int_times, ports, dead, cuts):
     last = np.full(2, -np.inf)
     edges = np.searchsorted(times, cuts).tolist()
     got = np.concatenate([
-        _port_dead_time_filter(times[lo:hi], port[lo:hi], dead, last)
+        _port_dead_time_filter(times[lo:hi], port[lo:hi], dead, last, np.zeros(1, np.intp))
         for lo, hi in zip([0] + edges, edges + [times.size])
     ])
-    assert np.array_equal(got, _port_dead_time_filter(times, port, dead,
-                                                      np.full(2, -np.inf)))
+    assert np.array_equal(got, _port_dead_time_filter(times, port, dead, np.full(2, -np.inf),
+                                                      np.zeros(1, np.intp)))
     for p in (0, 1):
         assert np.array_equal(got[port == p],
                               fixed_point_dead_time_filter(times[port == p], dead))

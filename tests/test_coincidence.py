@@ -6,7 +6,7 @@ import pytest
 
 from wmqkd.coincidence import (CoincidenceWindow, CountsMatrix, Matches,
                                accidental_estimate, find_coincidences, tabulate)
-from wmqkd.detection import Basis, Outcome, TagStream
+from wmqkd.detection import MAX_TICKS, Basis, Outcome, TagStream
 
 TICK = 1.0 / 12.15e9
 
@@ -153,6 +153,31 @@ def test_unsorted_input_rejected():
     bad = make_tags([5, 1])
     with pytest.raises(ValueError, match="sorted"):
         find_coincidences(bad, make_tags([1, 2]), CoincidenceWindow(1e-9))
+
+
+@pytest.mark.parametrize("ta, tb", [(5, 2 ** 62 + 5), (2 ** 61 - 10, 2 ** 61 + 10),
+                                    (-MAX_TICKS, 0), (0, MAX_TICKS)])
+def test_ticks_beyond_the_key_bound_are_rejected(ta, tb):
+    # Packed as keys, such ticks once wrapped: tick 5 matched 2**62 + 5,
+    # and two tags 20 ticks apart across 2**61 did not match.
+    a, b, w = make_tags([ta]), make_tags([tb], det=1), CoincidenceWindow(101 * TICK)
+    with pytest.raises(ValueError, match=r"2\*\*60"):
+        find_coincidences(a, b, w)
+    with pytest.raises(ValueError, match=r"2\*\*60"):
+        accidental_estimate(a, b, w, 0.0)
+
+
+def test_the_key_bound_applies_to_bobs_ticks_after_the_delay():
+    w = CoincidenceWindow(101 * TICK)
+    edge = make_tags([MAX_TICKS - 1])
+    assert len(find_coincidences(edge, make_tags([MAX_TICKS - 1], det=1), w)) == 1
+    a, b = make_tags([0]), make_tags([MAX_TICKS - 10], det=1)
+    assert accidental_estimate(a, b, w, 0.0) == 0
+    with pytest.raises(ValueError, match=r"2\*\*60"):
+        accidental_estimate(a, b, w, 20 * TICK)
+    b = make_tags([10 - MAX_TICKS], det=1)
+    with pytest.raises(ValueError, match=r"2\*\*60"):
+        accidental_estimate(a, b, w, -20 * TICK)
 
 
 def test_tabulate_empty():

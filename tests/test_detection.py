@@ -10,7 +10,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from wmqkd.detection import (Basis, DetectorConfig, Outcome, TagStream,
+from wmqkd import detection
+from wmqkd.detection import (MAX_TICKS, Basis, DetectorConfig, Outcome, TagStream,
                              detect, joint_outcome_probabilities,
                              measure_pair_outcomes,
                              merge_detectors, transmit)
@@ -65,6 +66,14 @@ def test_transmit_rejects_bad_args():
         transmit(s, -1.0)
     with pytest.raises(ValueError):
         transmit(s, 10.0, extra_signal_loss=1.5)
+    # A NaN loss once passed the check and silently lost every photon.
+    with pytest.raises(ValueError, match="total_loss_db"):
+        transmit(s, float("nan"))
+
+
+def test_transmit_infinite_loss_loses_every_photon():
+    surv = transmit(small_stream(), float("inf"), seed=3)
+    assert not (surv.signal.any() or surv.idler.any())
 
 
 # --- polarization measurement ------------------------------------------------
@@ -220,13 +229,16 @@ def make_tags(ticks, det_id=0, duration=1.0):
 def brute_force_merge(ticks_a, ticks_b, det_a, det_b, dead_ticks):
     """Quadratic reference: walk (tick, det)-sorted events, keeping one
     only if strictly later than every previously kept event plus the
-    dead time."""
-    events = sorted([(t, det_a) for t in ticks_a] + [(t, det_b) for t in ticks_b])
+    dead time.  Returns the kept events as (tick, det, stream, index)
+    tuples, stream 0 for ``ticks_a`` and 1 for ``ticks_b``; equal ticks
+    and dets keep the order of a then b."""
+    events = sorted([(t, det_a, 0, i) for i, t in enumerate(ticks_a)]
+                    + [(t, det_b, 1, i) for i, t in enumerate(ticks_b)])
     kept = []
-    for t, d in events:
-        if all(t > kt + dead_ticks for kt, _ in kept):
-            kept.append((t, d))
-    return [t for t, _ in kept]
+    for ev in events:
+        if all(ev[0] > k[0] + dead_ticks for k in kept):
+            kept.append(ev)
+    return kept
 
 
 def test_merge_disjoint_streams_is_sorted_union():
@@ -245,18 +257,67 @@ def test_merge_identical_duplicates_collapse():
     assert len(np.unique(merged.detector_ids)) == 1
 
 
-def test_merge_matches_brute_force_oracle():
-    rng = np.random.default_rng(31)
-    for trial in range(25):
-        na, nb = rng.integers(5, 400, 2)
-        span = int(rng.integers(500, 20000))
-        ta = np.sort(rng.integers(0, span, na))
-        tb = np.sort(rng.integers(0, span, nb))
-        dead = float(rng.integers(0, 300))
-        merged = merge_detectors(make_tags(ta, 0), make_tags(tb, 1),
-                                 dead * TICK, merged_detector_id=7)
-        oracle = brute_force_merge(ta, tb, 0, 1, dead)
-        assert merged.ticks.tolist() == oracle, f"trial {trial}"
+def tag_fields(ticks):
+    """One tag as (tick, outcome, channel index, dark flag)."""
+    return st.tuples(ticks, st.integers(0, 3), st.integers(0, 5), st.booleans())
+
+
+@st.composite
+def merge_pairs(draw):
+    """Two sorted lists of tags; some of the second's ticks are drawn
+    from the first's, so that the detectors share ticks."""
+    a = sorted(draw(st.lists(tag_fields(st.integers(-300, 300)), max_size=60)))
+    ticks_b = st.integers(-300, 300)
+    if a:
+        ticks_b = st.one_of(ticks_b, st.sampled_from([t for t, *_ in a]))
+    return a, sorted(draw(st.lists(tag_fields(ticks_b), max_size=60)))
+
+
+def stream_of(tags, det_id):
+    ticks, outcomes, channels, dark = zip(*tags) if tags else ((),) * 4
+    return TagStream(ticks, outcomes, np.full(len(tags), det_id), channels, dark, TICK, 1.0)
+
+
+@given(merge_pairs(), st.integers(0, 3), st.integers(0, 3),
+       st.one_of(st.integers(0, 40).map(float), st.floats(0.0, 40.0), st.just(1e4)),
+       st.sampled_from([None, 7]))
+@example(([(0, 1, 2, True), (5, 0, 1, False)], [(0, 3, 4, False), (5, 2, 0, True)]),
+         1, 0, 0.0, None)
+def test_merge_matches_brute_force_oracle(pair, det_a, det_b, dead, merged_id):
+    # Negative ticks, shared ticks, dead times of zero, fractional ones
+    # and one longer than every span.  The oracle gets the dead time in
+    # ticks as the merge computes it.
+    a, b = pair
+    merged = merge_detectors(stream_of(a, det_a), stream_of(b, det_b), dead * TICK,
+                             merged_detector_id=merged_id)
+    kept = brute_force_merge([t for t, *_ in a], [t for t, *_ in b], det_a, det_b,
+                             dead * TICK / TICK)
+    want = [(a, b)[s][i] for _, _, s, i in kept]
+    assert merged.ticks.tolist() == [t for t, *_ in want]
+    assert merged.outcomes.tolist() == [o for _, o, _, _ in want]
+    assert merged.channel_indices.tolist() == [c for _, _, c, _ in want]
+    assert merged.dark.tolist() == [d for *_, d in want]
+    want_id = min(d for _, d, _, _ in kept) if merged_id is None and kept else merged_id
+    assert merged.detector_ids.tolist() == [want_id] * len(kept)
+
+
+def test_merge_detectors_runs_the_sparse_dead_time_kernel(monkeypatch):
+    # The merge has one dead-time path: the packed-key kernel's.
+    calls = []
+    kernel = detection._sparse_dead_time_filter
+    monkeypatch.setattr(detection, "_sparse_dead_time_filter",
+                        lambda *args: calls.append(len(args[0])) or kernel(*args))
+    merged = merge_detectors(make_tags([0, 3, 100]), make_tags([2, 50], det_id=1), 10 * TICK)
+    assert calls == [5]
+    assert merged.ticks.tolist() == [0, 50, 100]
+
+
+def test_merge_rejects_ticks_beyond_the_key_bound():
+    for ta, tb in ((0, 2 ** 62), (-MAX_TICKS, 0), (0, MAX_TICKS)):
+        with pytest.raises(ValueError, match=r"2\*\*60"):
+            merge_detectors(make_tags([ta]), make_tags([tb], det_id=1), 0.0)
+    edge = merge_detectors(make_tags([1 - MAX_TICKS]), make_tags([MAX_TICKS - 1], det_id=1), 0.0)
+    assert edge.ticks.tolist() == [1 - MAX_TICKS, MAX_TICKS - 1]
 
 
 def test_merge_keeps_the_fields_of_the_first_tag_on_a_tick():

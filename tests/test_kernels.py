@@ -203,14 +203,14 @@ def test_sorted_uniform_times_are_uniform_order_statistics():
 def test_dead_time_filter_agrees_with_fixed_point_oracle(int_times, frac, dead):
     # Integer-valued times make exact ties and exact dead-time spacings.
     for times in (np.asarray(int_times, float), 40.0 * np.asarray(frac, float)):
-        got = _dead_time_filter(times, dead)
+        got = _dead_time_filter(times, dead, -np.inf, np.zeros(1, np.intp))
         assert np.array_equal(got, fixed_point_dead_time_filter(times, dead))
 
 
 def test_dead_time_filter_burst():
     # 128k events spaced dead/10: one kept event in 11.
     times = np.arange(131072, dtype=float)
-    keep = _dead_time_filter(times, 10.0)
+    keep = _dead_time_filter(times, 10.0, -np.inf, np.zeros(1, np.intp))
     assert np.array_equal(np.flatnonzero(keep), np.arange(0, 131072, 11))
 
 
