@@ -16,7 +16,8 @@ on a shared tick Alice comes first, and each side keeps its own
 canonical (tick, detector_id) order, because a module's two detector ids
 rise with the port bit.  Keys that arrive in time chunks are matched
 stretch by stretch, with exactly the result of matching them whole; they
-may hold many channels, each in its own segment of key ticks.
+may hold many channels, each in its own slot of a
+:class:`detection.KeyFrame`, and a match counts in its slot.
 :func:`match_keys` matches two whole runs as one chunk.  The Monte Carlo
 counters read each match's 2x2 cell from the port bits and count the
 delayed window as the same walk with Bob's keys shifted;
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import Basis, TagStream, _check_pair, _close_links, _ranges
+from .detection import Basis, KeyFrame, TagStream, _check_pair, _close_links, _ranges
 
 
 @dataclass(frozen=True)
@@ -167,17 +168,14 @@ def _walk(keys: np.ndarray, first: np.ndarray, last: np.ndarray, half: int):
 
 
 def key_table(keys: np.ndarray, pos_a: np.ndarray, pos_b: np.ndarray,
-              edges: np.ndarray | None = None) -> np.ndarray:
-    """The 2x2 table of matches read from their port bits: Alice's bit
-    picks the row and Bob's the column.  With ``edges``, the first key of
-    each segment of the keys after the first, one table per segment: a
-    match counts in the segment of its keys."""
-    a = keys[pos_a]
-    cell = 2 * (a & 1) + (keys[pos_b] & 1)
-    if edges is None:
-        return np.bincount(cell, minlength=4).reshape(2, 2)
-    cell += 4 * np.searchsorted(edges, a, side="right")
-    return np.bincount(cell, minlength=4 * (edges.size + 1)).reshape(-1, 2, 2)
+              bounds: np.ndarray) -> np.ndarray:
+    """The 2x2 tables of matches read from their port bits, one per slot
+    of the keys (``bounds``, :meth:`detection.KeyFrame.bounds`): Alice's
+    bit picks the row and Bob's the column, and a match counts in the
+    slot of its keys."""
+    cell = 2 * (keys[pos_a] & 1) + (keys[pos_b] & 1)
+    cell += 4 * (np.searchsorted(bounds, pos_a, side="right") - 1)
+    return np.bincount(cell, minlength=4 * (bounds.size - 1)).reshape(-1, 2, 2)
 
 
 @dataclass
@@ -235,8 +233,12 @@ def check_basis(basis: Basis, *outcomes: np.ndarray):
 
 
 def delay_ticks(delay: float, tick_seconds: float) -> int:
-    """A delay (s) as a whole number of ticks."""
-    return int(np.rint(delay / tick_seconds))
+    """A delay (s) as a whole number of ticks; ValueError unless that
+    number is finite."""
+    ticks = delay / tick_seconds
+    if not math.isfinite(ticks):
+        raise ValueError(f"delay must be finite in ticks of {tick_seconds:g} s, got {delay} s")
+    return int(np.rint(ticks))
 
 
 def accidental_estimate(tags_a: TagStream, tags_b: TagStream,
@@ -260,34 +262,34 @@ class ChunkedPair:
     """An Alice and a Bob run of sorted keys that arrive in time chunks,
     matched stretch by stretch as each stretch becomes final.
 
-    The keys may hold several segments of ``width`` key ticks each, one
-    after the other, as the channels of a :class:`detection.KeyFrame`
-    do; no match joins two segments.  Bob's keys are shifted by ``shift``
-    ticks on arrival, which serves the delayed window.  A gap wider than
-    the half window ends every match, so the matching of the tags before
-    such a gap does not depend on any tag after it.  Each chunk is joined
-    to the keys held from the previous one; in each segment the keys
+    The keys may hold the slots of a :class:`detection.KeyFrame`,
+    ``frame``, one after the other; no match joins two slots.  Bob's keys
+    are shifted by ``shift`` ticks on arrival, which serves the delayed
+    window.  A gap wider than the half window ends every match, so the
+    matching of the tags before such a gap does not depend on any tag
+    after it.  Each chunk is joined
+    to the keys held from the previous one; in each slot the keys
     after the last such gap before the frontier are held again, and the
     runs of close links before it are matched.  Matching each stretch on
     its own then gives exactly the matches of the whole runs.
     """
 
-    def __init__(self, half: int, shift: int = 0, segments: int = 1, width: int = 0):
+    def __init__(self, half: int, shift: int = 0, frame: KeyFrame = KeyFrame()):
         self.half = half
         self.shift = shift
-        self.starts = np.arange(segments, dtype=np.int64) * width   # first key tick
+        self.frame = frame
         self.held = np.empty(0, dtype=np.int64)
 
     def push(self, ka: np.ndarray, kb: np.ndarray, frontier: int | None):
-        """Add the next chunk of both runs, whose later keys all have a
-        tick at or above ``frontier`` (``frontier + s·width`` in segment
-        ``s``; None: there are none).  Returns ``(keys, pos_a, pos_b)``:
-        the held and the new keys, Bob's shifted, in one sort (numpy's
-        stable sort merges sorted runs cheaply), and the positions in it
-        of the Alice and Bob tag of each match that is now final, in no
-        particular order.  On a shared tick the keys put Alice first and
-        keep each side's own order, the tie order of the greedy policy.
-        The keys of no returned match are held for the next chunk."""
+        """Add the next chunk of both runs, whose later tags all have a
+        tick at or above ``frontier`` (None: there are none).  Returns
+        ``(keys, pos_a, pos_b)``: the held and the new keys, Bob's
+        shifted, in one sort (numpy's stable sort merges sorted runs
+        cheaply), and the positions in it of the Alice and Bob tag of each
+        match that is now final, in no particular order.  On a shared
+        tick the keys put Alice first and keep each side's own order, the
+        tie order of the greedy policy.  The keys of no returned match are
+        held for the next chunk."""
         keys = np.concatenate((self.held, ka, kb))
         if self.shift:
             keys[keys.size - kb.size:] += self.shift << 2   # the held keys are shifted
@@ -296,9 +298,9 @@ class ChunkedPair:
         if frontier is None:
             self.held = np.empty(0, dtype=np.int64)
         else:
-            ends = np.append(np.searchsorted(keys, self.starts[1:] << 2), keys.size)
-            cut = _final_cut(keys, first, last,
-                             min(frontier, frontier + self.shift) + self.starts, self.half)
+            ends = self.frame.bounds(keys)[1:]
+            cut = _final_cut(keys, first, last, min(frontier, frontier + self.shift)
+                             + self.frame.offsets(), self.half)
             self.held = keys[_ranges(cut, ends)]
             final = first < cut[np.searchsorted(ends, first, side="right")]
             first, last = first[final], last[final]
@@ -307,7 +309,7 @@ class ChunkedPair:
 
 def _final_cut(keys: np.ndarray, first: np.ndarray, last: np.ndarray,
                bound: np.ndarray, half: int) -> np.ndarray:
-    """For each segment's ``bound`` tick, the first position of sorted
+    """For each slot's ``bound`` key tick, the first position of sorted
     ``keys`` after the last gap wider than ``half`` before the bound, or
     the bound's own position: every tag before it is more than ``half``
     ticks from every tag at or after it and from every tick at or above

@@ -11,9 +11,11 @@ The detector chain is per-channel draws and one emit kernel
 once.  It rounds them to packed int64 tag keys,
 ``tick << 2 | side << 1 | port`` (side 0 for Alice and 1 for Bob, the
 port bit the low bit of the outcome), each channel's ticks in its own
-segment of a :class:`KeyFrame`, orders them by one stable sort of the
+slot of a :class:`KeyFrame`, orders them by one stable sort of the
 keys, holds back those at or above the frontier and dead-time filters
-each port; the kept keys leave in that one order.
+each port; the kept keys leave in that one order.  The frame is the one
+owner of the slot layout: its offsets and bounds are array operations,
+so no step of the emit, the matcher or the counters loops over slots.
 :func:`detect` is that chain for one channel's given arrivals, with
 their efficiency thinning, unpacked into a :class:`TagStream`; the Monte
 Carlo draws its detections directly and passes them to the same emit.
@@ -22,7 +24,7 @@ Detector merging has one kernel, :func:`merge_keys`, on one array of
 packed tag keys made of sorted runs: one sort orders them by (tick,
 port), and each port then passes one dead-time filter.  The Monte Carlo
 merged baseline calls it on the channels' keys, each moved back to its
-plain tick by its segment's offset.  :func:`merge_detectors` merges two
+plain tick by its slot's offset.  :func:`merge_detectors` merges two
 tag streams into one detector with the same kernel: it packs the ticks
 of their sorted union as keys with a zero port bit and takes, for each
 kept key, the first tag on its tick.  It, :func:`find_coincidences` and
@@ -274,10 +276,11 @@ def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 
 class KeyFrame(NamedTuple):
-    """Where the ticks of a record's channels sit in packed tag keys.
+    """Where the ticks of a record's ``slots`` channels sit in packed tag
+    keys; the one owner of that layout.
 
     Channel slot ``s`` holds the key ticks ``[s·width, (s + 1)·width)``:
-    its tick ``t`` is the key tick ``s·width + t - base``.  Every tick of
+    its tick ``t`` is the key tick ``t + offsets()[s]``.  Every tick of
     the record lies in ``[base, base + span]``, and ``width`` exceeds
     ``span`` by the reach of the kernels that compare ticks, so no kernel
     relates the tags of two channels.  The default frame is one channel
@@ -287,16 +290,29 @@ class KeyFrame(NamedTuple):
     base: int = 0
     width: int = 0
     span: int = 0
+    slots: int = 1
+
+    def offsets(self) -> np.ndarray:
+        """Each slot's key tick less its tick, ``s·width - base``."""
+        return np.arange(self.slots, dtype=np.int64) * self.width - self.base
+
+    def bounds(self, keys: np.ndarray) -> np.ndarray:
+        """Each slot's first position in sorted packed ``keys``, and then
+        ``keys.size``: slot ``s`` is ``keys[bounds[s]:bounds[s + 1]]``."""
+        bounds = np.searchsorted(keys, np.arange(self.slots + 1, dtype=np.int64)
+                                 * self.width << 2)
+        bounds[0], bounds[-1] = 0, keys.size
+        return bounds
 
 
 def key_frame(start: float, end: float, config: DetectorConfig,
               channels: int = 1, reach: float = 0.0) -> KeyFrame:
     """The frame of ``channels`` records of events in ``[start, end)``,
-    each jittered by at most the chunk margin (``JITTER_MARGIN_SIGMAS``
-    jitter widths), whose tags a kernel compares up to ``reach`` seconds
-    apart.  Raises ValueError when the key ticks of all the channels do
-    not fit below ``MAX_TICKS``, or a record's ticks do not fit in int64
-    keys."""
+    one slot each, each jittered by at most the chunk margin
+    (``JITTER_MARGIN_SIGMAS`` jitter widths), whose tags a kernel compares
+    up to ``reach`` seconds apart.  Raises ValueError when the key ticks
+    of all the channels do not fit below ``MAX_TICKS``, or a record's
+    ticks do not fit in int64 keys."""
     margin = JITTER_MARGIN_SIGMAS * config.jitter_sigma
     lo, hi = (start - margin) / config.tick, (end + margin) / config.tick
     # Rounding the reach's parts and the record's ends costs a few ticks.
@@ -309,7 +325,7 @@ def key_frame(start: float, end: float, config: DetectorConfig,
             f"need fewer than 2**60")
     base = math.floor(lo)
     span = math.ceil(hi) - base
-    return KeyFrame(base, span + math.ceil(extra), span)
+    return KeyFrame(base, span + math.ceil(extra), span, channels)
 
 
 def _first_above(times: np.ndarray, x: np.ndarray, lo: np.ndarray,
@@ -514,16 +530,16 @@ class DetectorCarry:
     their records to the next, one segment per channel slot.
 
     ``held`` are the jittered events (times, port bits, dark flags or
-    None when the events carry none, and slots) at or above the last
-    frontier, which a later chunk's events
-    may still precede; ``last_kept`` is each port's last kept time in each
-    slot (one row per port), from which its dead time runs on;
+    None when the events carry none) at or above the last frontier, in
+    slot order, which a later chunk's events may still precede, and the
+    number held in each slot; ``last_kept`` is each port's last kept time
+    in each slot (one row per port), from which its dead time runs on;
     ``frontier`` is the tick below which every tag has been emitted.
     """
 
     def __init__(self, channels: int = 1):
         self.held = (np.empty(0), np.empty(0, dtype=np.int8),
-                     np.empty(0, dtype=bool), np.empty(0, dtype=np.intp))
+                     np.empty(0, dtype=bool), np.zeros(channels, dtype=np.intp))
         self.last_kept = np.full((2, channels), -np.inf)
         self.frontier: int | None = None
 
@@ -574,8 +590,8 @@ def detect(
         raise ValueError("arrival_times and outcome_bits must match in length")
     if outcome_bits.size and (outcome_bits.min() < 0 or outcome_bits.max() > 1):
         raise ValueError("outcome_bits must be 0 or 1")
-    if duration <= 0:
-        raise ValueError(f"duration must be > 0, got {duration}")
+    if not (duration > 0 and math.isfinite(duration)):
+        raise ValueError(f"duration must be finite and > 0, got {duration}")
     key_frame(0.0, duration, config)
     rng = _rng(seed)
     # Index gathers: a boolean mask gathers large arrays several times slower.
@@ -624,13 +640,14 @@ def emit_keys(parts: list, config: DetectorConfig, carry: DetectorCarry,
     their float64 times are gathered and filtered, and every other tag is
     kept.  The port bits are read from the keys, and the kept tags stay in
     key order.  The times are rounded to ticks inside the key buffer, and
-    channel offsets are added to integer ticks only, each slot's to its
-    own slice, so that no time is rounded differently.  Each event array
-    is freed after its last reader.
+    the frame's slot offsets (:meth:`KeyFrame.offsets`) are added to
+    integer ticks only, by one ``np.repeat`` over the held and the new
+    events, so that no time is rounded differently.  The slots' bounds,
+    frontier cuts and carried ticks come from the frame too.  Each event
+    array is freed after its last reader.
     """
-    n = len(parts)
-    held_t, held_bits, held_dark, held_slot = carry.held
-    bounds = np.cumsum([held_t.size] + [p[0].size for p in parts]).tolist()
+    held_t, held_bits, held_dark, held_sizes = carry.held
+    sizes = held_sizes.tolist() + [p[0].size for p in parts]
     t = np.concatenate([held_t] + [p[0] for p in parts])
     bits = np.concatenate([held_bits] + [p[1] for p in parts])
     dark = None if any(p[2] is None for p in parts) else \
@@ -650,10 +667,9 @@ def emit_keys(parts: list, config: DetectorConfig, carry: DetectorCarry,
     if frame.width and key.size and (key.min() < frame.base
                                      or key.max() > frame.base + frame.span):
         raise ValueError("jitter moved a tag past the record's margin")
-    offset = np.arange(n, dtype=np.int64) * frame.width - frame.base
-    key[:held_t.size] += offset[held_slot]
-    for off, lo, hi in zip(offset.tolist(), bounds, bounds[1:]):
-        key[lo:hi] += off
+    offsets = frame.offsets()
+    # The held events, then the new ones, each in slot order.
+    key += np.repeat(np.tile(offsets, 2), sizes)
     key <<= 2
     key |= bits
     del bits, new, x    # the views would keep the unsorted keys alive
@@ -665,17 +681,17 @@ def emit_keys(parts: list, config: DetectorConfig, carry: DetectorCarry,
         pos = _union(tie, tie + 1)
         sub = order[pos]
         order[pos] = sub[np.lexsort((t[sub], key[pos]))]
-    starts = np.concatenate(([0], np.searchsorted(key, offset[1:] + frame.base << 2)))
-    ends = np.append(starts[1:], key.size)
+    bounds = frame.bounds(key)
+    starts, ends = bounds[:-1], bounds[1:]
     cut = ends if frontier is None else \
-        np.clip(np.searchsorted(key, offset + frontier << 2), starts, ends)
+        np.clip(np.searchsorted(key, offsets + frontier << 2), starts, ends)
     held = _ranges(cut, ends)
     if dark is not None:
         dark = dark[order]
     carry.held = (t[order[held]], (key[held] & 1).astype(np.int8),
-                  None if dark is None else dark[held], np.repeat(np.arange(n), ends - cut))
+                  None if dark is None else dark[held], ends - cut)
     carry.frontier = frontier
-    carried = np.rint(carry.last_kept.max(axis=0) / config.tick) + offset
+    carried = np.rint(carry.last_kept.max(axis=0) / config.tick) + offsets
     drop = np.concatenate((held, _sparse_dead_time_filter(
         key, links, lambda pos: t[order[pos]], config.dead_time, reach,
         carry.last_kept, carried, starts, cut)))

@@ -308,9 +308,10 @@ def optimize_pair_rates(model: AnalyticLinkModel) -> list[PairRateOptimum]:
     the best grid sample sits on the bracket edge (no interior optimum,
     e.g. no accidental penalty), the edge sample is returned with a
     warning.  All models are solved together: the scan is one
-    (grid, model) array and each golden-section step is one array step,
-    masked per model.  The arithmetic is elementwise, so each result is
-    exactly what the same search on that model alone gives.
+    (grid, model) array and each golden-section step is one array step.
+    Every interior bracket takes the same number of steps, and the
+    arithmetic is elementwise, so each result is exactly what the same
+    search on that model alone gives.
     """
     def rate_at(log_b: np.ndarray) -> np.ndarray:
         return analytic_rates(replace(model, pair_rate_in_band=_pow10(log_b))
@@ -321,33 +322,23 @@ def optimize_pair_rates(model: AnalyticLinkModel) -> list[PairRateOptimum]:
     vals = rate_at(grid[:, None])
     k = np.argmax(vals, axis=0)
     interior = (k > 0) & (k < _N_GRID - 1)
-    # Edge models get clipped, unused brackets and stay inactive.
+    # Edge models get clipped brackets, stepped along and thrown away.
     a = grid.take(k - 1, mode="clip")
     b = grid.take(k + 1, mode="clip")
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = rate_at(c), rate_at(d)
-    active = interior & (b - a > _LOG_TOL)
-    while active.any():
+    # Every interior bracket starts two grid steps wide and shrinks by the
+    # same factor, so all of them end on the same step.
+    while (interior & (b - a > _LOG_TOL)).any():
         left = fc >= fd
         # Left: b, d, fd = d, c, fc and a new c.  Right: a, c, fc = c, d,
-        # fd and a new d.  Inactive models keep every value.
-        a_new = np.where(left, a, c)
-        b_new = np.where(left, d, b)
-        x = np.where(left, b_new - _GOLDEN * (b_new - a_new),
-                     a_new + _GOLDEN * (b_new - a_new))
+        # fd and a new d.
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        x = np.where(left, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a))
         fx = rate_at(x)
-        c_new = np.where(left, x, d)
-        d_new = np.where(left, c, x)
-        fc_new = np.where(left, fx, fd)
-        fd_new = np.where(left, fc, fx)
-        a = np.where(active, a_new, a)
-        b = np.where(active, b_new, b)
-        c = np.where(active, c_new, c)
-        d = np.where(active, d_new, d)
-        fc = np.where(active, fc_new, fc)
-        fd = np.where(active, fd_new, fd)
-        active &= b - a > _LOG_TOL
+        c, d = np.where(left, x, d), np.where(left, c, x)
+        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
     log_opt = 0.5 * (a + b)
     best = _pow10(log_opt)
     f_best = rate_at(log_opt)

@@ -23,16 +23,18 @@ generator: the detection times and outcomes, the darks and the jitter
 pass one detector emit (:func:`detection.emit_keys`) before Bob's are
 drawn and pass another.  The emit returns packed int64 keys,
 ``k << 2 | side << 1 | port``, where the key tick ``k`` is the tick
-offset by the channel's segment of the block's key frame
-(:func:`block_frame`).  The segments lie more than the
-matcher's reach apart, so the chunk's keys are counted at once: one
-chunked matcher per window over all the channels, the tables, singles
-and accidentals by ``bincount`` per segment, and the merged baseline
-from the same keys, each channel's slice moved back to its plain ticks
-by its segment's offset (:func:`detection.merge_keys`, with no per-tag
-payload gathered).  The emit gives each channel's keys in canonical
-order, in its own segment, and labels no outcome outside the block's
-basis, so no chunk is checked again.  The counts equal those
+offset by the channel's slot of the block's key frame
+(:func:`block_frame`, a :class:`detection.KeyFrame`, which alone knows
+the slots' offsets and bounds).  The slots lie more than the matcher's
+reach apart, so the chunk's keys are counted at once: one chunked
+matcher per window over all the channels, the tables, singles and
+accidentals by ``bincount`` per slot, and the merged baseline from the
+same keys, each moved back to its plain tick by its slot's offset
+(:func:`detection.merge_keys`, with no per-tag payload gathered).  No
+step of the emit or the counters loops over the slots, and every
+counter takes the plain frontier tick.  The emit gives each channel's
+keys in canonical order, in its own slot, and labels no outcome outside
+the block's basis, so no chunk is checked again.  The counts equal those
 of emitting and matching each channel's tag streams on their own
 (:func:`simulate_channel_block`, which builds the tag streams).
 
@@ -350,39 +352,34 @@ class PointResult:
 
 class _SegmentCounts:
     """The counts of one basis block of the pipelines whose keys lie in
-    ``segments`` consecutive segments of ``width`` key ticks, one per
-    pipeline, fed each time chunk's keys of all of them at once: per
-    segment, the coincidence table, the Alice and Bob tag counts and the
-    delayed-window accidental count.
+    the slots of ``frame``, one per pipeline, fed each time chunk's keys
+    of all of them at once: per slot, the coincidence table, the Alice
+    and Bob tag counts and the delayed-window accidental count.
 
-    Each window is one :class:`ChunkedPair` over all the segments, so one
+    Each window is one :class:`ChunkedPair` over all the slots, so one
     matcher pass per chunk counts every pipeline; a match belongs to the
-    segment of its keys (:func:`key_table`), and each count is a
-    ``bincount`` by segment.
+    slot of its keys (:func:`key_table`), and each count is a
+    ``bincount`` by slot.
     """
 
-    def __init__(self, segments: int, width: int, half: int, delay: int):
-        self.matched = ChunkedPair(half, 0, segments, width)
-        self.delayed = ChunkedPair(half, delay, segments, width)
-        self.edges = np.arange(1, segments, dtype=np.int64) * width << 2
-        self.cc = np.zeros((segments, 2, 2), dtype=np.int64)
-        self.singles = np.zeros((2, segments), dtype=np.int64)
-        self.accidentals = np.zeros(segments, dtype=np.int64)
-
-    def sizes(self, keys: np.ndarray) -> np.ndarray:
-        """The number of sorted ``keys`` in each segment."""
-        return np.diff(np.searchsorted(keys, self.edges), prepend=0, append=keys.size)
+    def __init__(self, frame: KeyFrame, half: int, delay: int):
+        self.frame = frame
+        self.matched = ChunkedPair(half, 0, frame)
+        self.delayed = ChunkedPair(half, delay, frame)
+        self.cc = np.zeros((frame.slots, 2, 2), dtype=np.int64)
+        self.singles = np.zeros((2, frame.slots), dtype=np.int64)
+        self.accidentals = np.zeros(frame.slots, dtype=np.int64)
 
     def count(self, ka: np.ndarray, kb: np.ndarray, frontier: int | None):
         """Count the next chunk of Alice's and Bob's sorted keys, whose
-        later keys all have a key tick at or above ``frontier`` in the
-        first segment (None: there are none)."""
-        self.singles += [self.sizes(ka), self.sizes(kb)]
+        later tags all have a tick at or above ``frontier`` (None: there
+        are none)."""
+        self.singles += [np.diff(self.frame.bounds(ka)), np.diff(self.frame.bounds(kb))]
         keys, pos_a, pos_b = self.matched.push(ka, kb, frontier)
-        self.cc += key_table(keys, pos_a, pos_b, self.edges)
+        self.cc += key_table(keys, pos_a, pos_b, self.frame.bounds(keys))
         del keys    # one window's keys at a time
         keys, pos_a, pos_b = self.delayed.push(ka, kb, frontier)
-        self.accidentals += key_table(keys, pos_a, pos_b, self.edges).sum((1, 2))
+        self.accidentals += key_table(keys, pos_a, pos_b, self.frame.bounds(keys)).sum((1, 2))
 
 
 class _BlockCounter:
@@ -391,23 +388,20 @@ class _BlockCounter:
     all the channels at once.
 
     A chunk's keys are those of :func:`detection.emit_keys` in the
-    block's key frame: each channel's keys in order, in its own segment
-    of key ticks, counted as ``channels``.  The merged baseline is built
-    from the same keys, each channel's slice moved back by its segment's
-    offset to its plain ticks, in one new array
-    (:func:`detection.merge_keys`, which keeps each merged port's last
-    tick in ``last``), and counted as ``merged``, one segment of ticks.
-    The caller's keys are left as they are.
+    block's key frame, ``frame``: each channel's keys in order, in its
+    own slot, counted as ``channels``.  The merged baseline is built
+    from the same keys, each moved back by its slot's offset to its plain
+    tick, in one new array (:func:`detection.merge_keys`, which keeps
+    each merged port's last tick in ``last``), and counted as ``merged``,
+    one slot of plain ticks.  The caller's keys are left as they are.
     """
 
-    def __init__(self, channels: int, frame: KeyFrame, detector: DetectorConfig,
-                 window: CoincidenceWindow):
+    def __init__(self, frame: KeyFrame, detector: DetectorConfig, window: CoincidenceWindow):
         half = window.half_width_ticks(detector.tick)
         delay = delay_ticks(accidental_delay(detector, window), detector.tick)
         self.frame = frame
-        self.runs = channels
-        self.channels = _SegmentCounts(channels, frame.width, half, delay)
-        self.merged = _SegmentCounts(1, 0, half, delay) if channels >= 2 else None
+        self.channels = _SegmentCounts(frame, half, delay)
+        self.merged = _SegmentCounts(KeyFrame(), half, delay) if frame.slots >= 2 else None
         self.dead = detector.dead_time / detector.tick
         self.last = np.full((2, 2), -np.inf)
 
@@ -418,7 +412,7 @@ class _BlockCounter:
         counted first; then each side's merged keys are made, one side
         after the other, and the merged baseline counted.  The list is
         emptied, so that each side's keys are freed once they are merged."""
-        self.channels.count(*keys, None if frontier is None else frontier - self.frame.base)
+        self.channels.count(*keys, frontier)
         if self.merged is None:
             keys.clear()
             return
@@ -426,14 +420,12 @@ class _BlockCounter:
 
     def _merge(self, keys: np.ndarray, last: np.ndarray) -> np.ndarray:
         """One side's merged keys: each channel's keys, one sorted run per
-        channel, less its segment's offset ``(s·width - base) << 2``, written
-        into a new array; the segments' bounds are the keys' positions at
-        the segment edges."""
-        edges = [0, *np.searchsorted(keys, self.channels.edges).tolist(), keys.size]
-        plain = np.empty_like(keys)
-        for s, (lo, hi) in enumerate(zip(edges, edges[1:])):
-            np.subtract(keys[lo:hi], s * self.frame.width - self.frame.base << 2, out=plain[lo:hi])
-        return merge_keys(plain, self.dead, last, self.runs)
+        slot, less its slot's offset, ``KeyFrame.offsets() << 2``, in one
+        new array: the offsets repeated over each slot's keys, subtracted
+        from the keys in place."""
+        plain = np.repeat(self.frame.offsets() << 2, np.diff(self.frame.bounds(keys)))
+        np.subtract(keys, plain, out=plain)
+        return merge_keys(plain, self.dead, last, self.frame.slots)
 
 
 def accidental_delay(detector: DetectorConfig, window: CoincidenceWindow) -> float:
@@ -477,7 +469,7 @@ def simulate_basis(
     chunk.
     """
     frame = block_frame(block_duration, detector, window, len(chans))
-    counter = _BlockCounter(len(chans), frame, detector, window)
+    counter = _BlockCounter(frame, detector, window)
     carries = DetectorCarry(len(chans)), DetectorCarry(len(chans))
     for chunk in block_chunks(chans, detector, block_duration):
         sides = [_channel_sides(ch, basis, detector, seed, chunk) for ch in chans]

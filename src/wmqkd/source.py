@@ -216,8 +216,8 @@ def sample_pair_stream(
     the spectral density, truncated to the band when one is given.
     Identical ``(config, duration, seed, band)`` yield identical output.
     """
-    if duration <= 0:
-        raise ValueError(f"duration must be > 0, got {duration}")
+    if not (duration > 0 and math.isfinite(duration)):
+        raise ValueError(f"duration must be finite and > 0, got {duration}")
     rng = _rng(seed)
     if band is None:
         rate = config.pair_rate

@@ -15,6 +15,7 @@ stream into the keys the program's kernels take.
 import numpy as np
 
 from wmqkd.coincidence import key_table, match_keys
+from wmqkd.detection import KeyFrame
 
 
 def tag_keys(tags, side):
@@ -148,7 +149,8 @@ class Counter:
         self.singles[0] += ka.size
         self.singles[1] += kb.size
         a, b = self.matched.push(ka, kb, frontier)
-        self.cc += key_table(*match_keys(a, b, self.half))
+        keys, pos_a, pos_b = match_keys(a, b, self.half)
+        self.cc += key_table(keys, pos_a, pos_b, KeyFrame().bounds(keys))[0]
         a, b = self.delayed.push(ka, kb, frontier)
         self.accidentals += match_keys(a, b, self.half)[1].size
 

@@ -7,6 +7,8 @@ margin of 4 ticks), with events on a quarter-tick grid: exact ties,
 shared ticks on both ports, negative ticks near t = 0, and bursts inside
 the dead time at a slot's start and across a frontier."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -66,7 +68,7 @@ def run_both(chans, edges, dead, half, delay, check):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulate, "accidental_delay", lambda detector, window: float(delay))
         frame = simulate.block_frame(BLOCK, detector, window, n)
-        counter = simulate._BlockCounter(n, frame, detector, window)
+        counter = simulate._BlockCounter(frame, detector, window)
     oracle = Unit(n, detector, half, delay)
     carries = DetectorCarry(n), DetectorCarry(n)
     for k, (start, end) in enumerate(zip(edges, edges[1:])):
@@ -189,7 +191,7 @@ def test_block_counter_leaves_the_callers_keys_unchanged(monkeypatch, plan):
     chans = resolve_channels(FROZEN_CALIBRATION.source(), plan, 10.0)
     detector, window, block, n = DEFAULT_DETECTOR, CoincidenceWindow(1e-9), 2e-3, len(chans)
     frame = simulate.block_frame(block, detector, window, n)
-    counter = simulate._BlockCounter(n, frame, detector, window)
+    counter = simulate._BlockCounter(frame, detector, window)
     carries = DetectorCarry(n), DetectorCarry(n)
     assert n in (2, 17) and counter.merged is not None
     for chunk in block_chunks(chans, detector, block):
@@ -305,3 +307,43 @@ def test_key_frame_keeps_channels_out_of_each_others_reach(jitter, dead, tick, t
     reach = frame.width - frame.span
     assert reach > window.half_width_ticks(tick) + simulate.delay_ticks(
         simulate.accidental_delay(detector, window), tick)
+
+
+def traced_lines(n, per_side):
+    """The line events run in the own frames of the emit and the block
+    counter for one chunk of ``n`` channels with ``per_side`` events per
+    side in all, their comprehension frames left out."""
+    detector, window = config(2.0), CoincidenceWindow(3.0)
+    frame = simulate.block_frame(BLOCK, detector, window, n)
+    counter = simulate._BlockCounter(frame, detector, window)
+    carries = DetectorCarry(n), DetectorCarry(n)
+    rng = np.random.default_rng(3)
+    draws = [[(np.sort(rng.uniform(0.0, BLOCK, per_side // n)),
+               rng.integers(0, 2, per_side // n, dtype=np.int8), None) for _ in range(n)]
+             for _ in (0, 1)]
+    codes = {emit_keys.__code__, simulate._BlockCounter.count.__code__,
+             simulate._BlockCounter._merge.__code__, simulate._SegmentCounts.count.__code__}
+    lines = 0
+
+    def local(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        return local
+
+    frontier = emit_frontier(detector, BLOCK / 2)
+    old = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code in codes else None)
+    try:
+        keys = [emit_keys(draws[side], detector, carries[side], frontier, side, frame)[0]
+                for side in (0, 1)]
+        counter.count(keys, frontier)
+    finally:
+        sys.settrace(old)
+    assert counter.channels.singles.sum() > 0 and counter.merged.cc.sum() > 0
+    return lines
+
+
+def test_a_chunk_takes_no_python_step_per_channel_slot():
+    # The slot layout is applied by array operations (KeyFrame.offsets and
+    # KeyFrame.bounds), so 64 slots run the same lines as 2.
+    assert traced_lines(2, 1280) == traced_lines(64, 1280)

@@ -180,6 +180,15 @@ def test_the_key_bound_applies_to_bobs_ticks_after_the_delay():
         accidental_estimate(a, b, w, -20 * TICK)
 
 
+@pytest.mark.parametrize("delay", [np.inf, -np.inf, np.nan, 1e300])
+def test_accidental_estimate_rejects_a_delay_of_no_finite_ticks(delay):
+    # Such a delay is no whole number of ticks; the error names it, not
+    # the integer conversion that fails on it.
+    with pytest.raises(ValueError, match="delay"):
+        accidental_estimate(make_tags([0]), make_tags([5], det=1), CoincidenceWindow(1e-9),
+                            delay)
+
+
 def test_tabulate_empty():
     m = find_coincidences(make_tags([]), make_tags([]), CoincidenceWindow(1e-9))
     counts = tabulate(m, Basis.HV)

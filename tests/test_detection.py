@@ -207,6 +207,12 @@ def test_detect_rejects_unsorted():
                1e-6, seed=27)
 
 
+@pytest.mark.parametrize("duration", [np.nan, np.inf])
+def test_detect_rejects_a_non_finite_duration_by_name(duration):
+    with pytest.raises(ValueError, match="duration"):
+        detect(np.array([1e-9]), np.zeros(1, np.int8), ideal_detector(), duration, seed=27)
+
+
 def test_outcome_labels_follow_basis():
     t = np.sort(np.random.default_rng(28).uniform(0, 1e-5, 100))
     bits = np.random.default_rng(29).integers(0, 2, 100).astype(np.int8)

@@ -24,9 +24,9 @@ from wmqkd.calibration import (FROZEN_CALIBRATION, fig3d_model, predict_channel,
                                predict_merged, predict_rows, window_efficiency)
 from wmqkd.coincidence import (CoincidenceWindow, Matches, accidental_estimate,
                                find_coincidences, key_table, match_keys, tabulate)
-from wmqkd.detection import (LINK_BLOCK, Basis, DetectorCarry, DetectorConfig, TagStream,
-                             _close_links, _dead_time_filter, _union, detect, emit_keys,
-                             merge_keys)
+from wmqkd.detection import (LINK_BLOCK, Basis, DetectorCarry, DetectorConfig, KeyFrame,
+                             TagStream, _close_links, _dead_time_filter, _union, detect,
+                             emit_keys, merge_keys)
 from wmqkd.keyrate import (AnalyticLinkModel, AnalyticRates, PairRateOptimum,
                            analytic_rates, binary_entropy, optimize_pair_rate,
                            optimize_pair_rates)
@@ -146,7 +146,7 @@ def test_key_matcher_table_equals_tabulated_greedy_oracle(a, b, half):
     pairs = brute_force_greedy(a.ticks, b.ticks, half)
     idx_a = np.asarray([i for i, _ in pairs], np.intp)
     idx_b = np.asarray([j for _, j in pairs], np.intp)
-    assert np.array_equal(key_table(keys, pos_a, pos_b),
+    assert np.array_equal(key_table(keys, pos_a, pos_b, KeyFrame().bounds(keys))[0],
                           tabulate(Matches(a, b, idx_a, idx_b), Basis.HV).cc)
     assert np.array_equal(keys, np.sort(np.concatenate((tag_keys(a, 0), tag_keys(b, 1)))))
 

@@ -94,6 +94,12 @@ def test_nonpositive_duration_rejected():
         sample_pair_stream(make_config(), 0.0, seed=1)
 
 
+@pytest.mark.parametrize("duration", [math.nan, math.inf])
+def test_non_finite_duration_rejected_by_name(duration):
+    with pytest.raises(ValueError, match="duration"):
+        sample_pair_stream(make_config(), duration, seed=1)
+
+
 def test_same_seed_identical_streams():
     a = sample_pair_stream(make_config(), 0.01, seed=99)
     b = sample_pair_stream(make_config(), 0.01, seed=99)
