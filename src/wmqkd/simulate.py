@@ -7,9 +7,19 @@ and on Bob's side only are three thinned Poisson processes, and each
 side adds its dark counts.  This is distributionally identical to
 sampling every generated pair, applying per-photon loss and then the
 detector's efficiency thinning, but it draws no photon that is lost,
-which keeps it tractable at high loss.  The equivalence is covered by
-tests against the explicit sample -> transmit -> measure path
-(:func:`detection.detect`).
+which keeps it tractable at high loss.  Only the photons of pairs
+detected on both sides are jittered.  The lone photons and dark counts
+of a side are homogeneous Poisson processes, independent of everything
+else, and shifting each point of such a process by an i.i.d. offset
+gives a homogeneous Poisson process of the same rate (the displacement
+theorem; Kingman, *Poisson Processes*, 1993), so their jitter could not
+change the law of any singles, dead-time loss, coincidence or
+accidental count.  The one exception is an edge effect: unjittered
+lone photons and darks never cross a block's two ends, so the events
+within a few jitter widths of either end differ in law, a share of
+about 1e-9 of a 1 s block at the default 250 ps jitter.  The equivalence
+is covered by tests against the explicit sample -> transmit -> measure
+path (:func:`detection.detect`), which jitters every event.
 
 The wavelength-multiplexed pipeline analyzes each channel pair with its
 own detectors; the non-multiplexed baseline merges the recorded tag
@@ -18,11 +28,11 @@ merge would) and re-runs coincidence analysis on the merged streams.
 
 A chunk's channels are processed in one batched pass, one side at a
 time.  Only the draws are made channel by channel, each from its own
-generator: the detection times and outcomes, the darks and the jitter
-(:func:`_channel_sides`).  Every channel's Alice events are drawn and
-pass one detector emit (:func:`detection.emit_keys`) before Bob's are
-drawn and pass another.  The emit returns packed int64 keys,
-``k << 2 | side << 1 | port``, where the key tick ``k`` is the tick
+generator: the detection times and outcomes, the darks and the pair
+photons' jitter (:func:`_channel_sides`).  Every channel's Alice events
+are drawn and pass one detector emit (:func:`detection.emit_keys`)
+before Bob's are drawn and pass another.  The emit returns packed int64
+keys, ``k << 2 | side << 1 | port``, where the key tick ``k`` is the tick
 offset by the channel's slot of the block's key frame
 (:func:`block_frame`, a :class:`detection.KeyFrame`, which alone knows
 the slots' offsets and bounds).  The slots lie more than the matcher's
@@ -269,10 +279,13 @@ def _channel_sides(ch: ChannelScenario, basis: Basis, detector: DetectorConfig,
     sides, on Alice's side only and on Bob's side only are three
     independent thinned Poisson processes, and no photon is drawn only to
     be lost in the detector.  Pair outcomes follow the anti-correlated
-    joint distribution.  Every draw comes from one generator named by
-    channel, block and chunk, in one order (the pairs, Alice's events,
-    Bob's events), so a channel draws alike with or without companions,
-    and whenever its sides are asked for.
+    joint distribution.  Only the pair photons are jittered, each side's
+    with its own normals; the lone photons and darks keep their drawn
+    times, which leaves their law as it is (see the module docstring).
+    Every draw comes from one generator named by channel, block and
+    chunk, in one order (the pairs, Alice's events, Bob's events), so a
+    channel draws alike with or without companions, and whenever its
+    sides are asked for.
     """
     rng = _rng(child_seed(seed, ch.index, _BLOCK_OF_BASIS[basis], chunk.index))
     b = ch.pair_rate_in_band
@@ -290,9 +303,13 @@ def _side_draws(t_pair: np.ndarray, bits_pair: np.ndarray, lone_rate: float,
                 flags: bool):
     """One side's events of :func:`_channel_sides`: its runs of pair
     photons, lone photons (detected at ``lone_rate``) and dark counts,
-    one after the other and each in time order, then jittered, with the
-    dark flags when ``flags`` (None otherwise).  Lone photons and darks
-    take uniform port bits.  :func:`detection.emit_keys` orders the runs
+    one after the other and each in time order, with the dark flags when
+    ``flags`` (None otherwise).  Lone photons and darks take uniform port
+    bits.  Only the pair run is jittered, by ``t_pair.size`` normals: a
+    lone photon or dark count has no partner whose time it shares, and
+    an i.i.d. shift of a homogeneous Poisson process's points leaves its
+    law as it is, up to the few jitter widths at a block's two ends
+    (:mod:`wmqkd.simulate`).  :func:`detection.emit_keys` orders the runs
     by tick, and ties by time."""
     dt = chunk.end - chunk.start
     t_lone = _sorted_uniform(rng.poisson(lone_rate * dt), chunk.start, chunk.end, rng)
@@ -304,10 +321,8 @@ def _side_draws(t_pair: np.ndarray, bits_pair: np.ndarray, lone_rate: float,
     if flags:
         dark = np.zeros(t.size, dtype=bool)
         dark[t.size - t_dark.size:] = True
-    if detector.jitter_sigma > 0 and t.size:
-        jitter = rng.standard_normal(t.size)
-        jitter *= detector.jitter_sigma
-        t += jitter
+    if detector.jitter_sigma > 0 and t_pair.size:
+        t[:t_pair.size] += detector.jitter_sigma * rng.standard_normal(t_pair.size)
     return t, bits, dark
 
 

@@ -633,9 +633,9 @@ DEFAULT_OUTPUT_SHA256 = {
     },
     "custom": {
         "custom_curve.csv":
-            "a9175e40a64ce6a0490d7c43fb1b1c2921a2368bc688a9731079b82b650f5a3c",
+            "cd4505c847622f11ce792b209d1cd1b94d85e19e7e2422eef4ddf2d680114836",
         "custom_report.json":
-            "f76c7ad7415636f4632c9406290a17ae75512ffbe762b39b3585497b7b45fff8",
+            "359b14a708b0a9be8045d357a0d9df80a37088e198b17b0084d5a8ab42f0f57c",
     },
 }
 
@@ -690,17 +690,17 @@ MONTE_CARLO_OUTPUT_SHA256 = {
         {"scenario": "fig3b", "mode": "both", "plan": "table1",
          "brightness": "calibrated", "loss_grid_db": [30.0, 80.0], "duration": 0.5},
         {"fig3b_curve.csv":
-            "0201aa42a7b256401bdc989013562d444d39d285b4673a49283a635c3d30f4ec",
+            "d5ba14e061f1537d0290e30564fc83e748cffff8e6f01cfb6e2308a6d2bccb9d",
          "fig3b_report.json":
-            "7f463a555578f9dda67b471fd757d68f360dfc0d7ec7671c0f8a0d0dfd0b44be"},
+            "556e793e587e0e7b72c8865d7407bfbef5e951eda410143c56b1070c19ef16ff"},
     ),
     "wdm_grid": (
         {"scenario": "custom", "mode": "both", "plan": WDM_GRID_PLAN,
          "brightness": "calibrated", "loss_grid_db": [30.0], "duration": 0.2},
         {"custom_curve.csv":
-            "d10df0a605e05294330cfd68088ff30f8d70fe56d5e298f5fe529b4f62f93caa",
+            "aebd8dc71174839031e2487f5fa3c7c2a9524b017aa92de4cb931ea8a9fea690",
          "custom_report.json":
-            "4590b64e6f51d30225ff03ed2cce0791a80271a7c683c1cab29039b6fb471548"},
+            "cd0312dd2cd5d2acc42663bdf37e32bd5df0200be8958f503b1836870a7e93aa"},
     ),
 }
 

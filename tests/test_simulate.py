@@ -17,16 +17,17 @@ from wmqkd.calibration import (DEFAULT_DETECTOR, FROZEN_CALIBRATION,
                                predict_channel, window_efficiency)
 from wmqkd.channels import (ChannelPlan, WavelengthChannel, build_grid_plan,
                             build_table1_plan, table1_source_config)
-from wmqkd.coincidence import CoincidenceWindow, find_coincidences, tabulate
+from wmqkd.coincidence import (CoincidenceWindow, accidental_estimate, find_coincidences,
+                               tabulate)
 from wmqkd.detection import (Basis, DetectorConfig, detect,
                              measure_pair_outcomes, measure_single_outcomes,
                              transmit)
 from wmqkd.keyrate import AnalyticLinkModel, analytic_rates
 from wmqkd.runner import config_from_dict, run_scenario
-from wmqkd.simulate import (ChannelScenario, Chunk, _channel_draws,
-                            block_chunks, resolve_channels, simulate_basis,
-                            simulate_channel_block, simulate_point)
-from wmqkd.source import SourceConfig, _rng, band_fraction, sample_pair_stream
+from wmqkd.simulate import (ChannelScenario, Chunk, _channel_draws, _side_draws,
+                            _sorted_uniform, block_chunks, resolve_channels,
+                            simulate_basis, simulate_channel_block, simulate_point)
+from wmqkd.source import SourceConfig, _rng, band_fraction, child_seed, sample_pair_stream
 
 TICK = 1.0 / 12.15e9
 
@@ -144,6 +145,70 @@ def test_folded_draws_match_their_poisson_means():
     anti = np.mean(bits_a[~dark_a][ia] != bits_b[~dark_b][ib])
     p = (1 + v) / 2
     assert abs(anti - p) < 4 * np.sqrt(p * (1 - p) / pairs)
+
+
+def test_jitter_falls_only_on_the_pair_run():
+    # Each side's lone and dark times are the sorted uniforms as drawn, bit
+    # for bit; its pair times are the pair draws plus sigma times n_pair
+    # normals, and the side draws no other normal: after each side, the
+    # generator's next draw equals that of a reference generator that made
+    # the same draws by hand.
+    ch = ChannelScenario(index=3, pair_rate_in_band=5e5, arrival_efficiency_signal=0.3,
+                         arrival_efficiency_idler=0.5, v_sys_hv=0.9, v_sys_da=0.9)
+    detector = DetectorConfig(efficiency=0.6, dark_rate=2e4, jitter_sigma=250e-12)
+    chunk = Chunk(1, 0.5, 1.0, None)
+    dt = chunk.end - chunk.start
+    b, pa, pb = ch.pair_rate_in_band, 0.3 * 0.6, 0.5 * 0.6
+
+    def pair_draws(rng):
+        t_pair = _sorted_uniform(rng.poisson(b * pa * pb * dt), chunk.start, chunk.end, rng)
+        return t_pair, measure_pair_outcomes(t_pair.size, 0.9, rng)
+
+    sub = child_seed(5, ch.index, 0, chunk.index)
+    rng, ref = _rng(sub), _rng(sub)
+    t_pair, bits = pair_draws(rng)
+    pair_draws(ref)
+    n = t_pair.size
+    assert n > 0
+    for bits_pair, lone_rate in zip(bits, (b * pa * (1 - pb), b * pb * (1 - pa))):
+        t, _, _ = _side_draws(t_pair, bits_pair, lone_rate, detector, chunk, rng, False)
+        t_lone = _sorted_uniform(ref.poisson(lone_rate * dt), chunk.start, chunk.end, ref)
+        t_dark = _sorted_uniform(ref.poisson(2.0 * detector.dark_rate * dt),
+                                 chunk.start, chunk.end, ref)
+        measure_single_outcomes(t_lone.size + t_dark.size, ref)
+        assert np.array_equal(t[n:], np.concatenate((t_lone, t_dark)))
+        assert np.array_equal(t[:n], t_pair + ref.standard_normal(n) * detector.jitter_sigma)
+        assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("jitter", [1e-9, 3e-9])
+def test_unjittered_singles_keep_the_explicit_path_statistics(jitter):
+    # The Monte Carlo jitters only the pair photons; the explicit path
+    # jitters every event.  A lone photon or dark count has no partner,
+    # and an i.i.d. shift of every point of a homogeneous Poisson process
+    # leaves its law as it is, so with a jitter wide against the 1 ns
+    # window and a dead time that blocks p*tau ~ 0.06 of each port, the
+    # singles, the coincidences and the delayed-window accidentals still
+    # agree within 5 sigma.
+    src = SourceConfig(pair_rate=3e8, systematic_visibility_hv=0.95,
+                       systematic_visibility_da=0.95)
+    plan = single_channel_plan()
+    detector = DetectorConfig(efficiency=0.6, dark_rate=2e4, jitter_sigma=jitter,
+                              dead_time=50e-9)
+    window = CoincidenceWindow(1e-9)
+    loss, duration = 13.0, 0.5
+
+    def counts(alice, bob):
+        return (len(alice), len(bob), len(find_coincidences(alice, bob, window)),
+                accidental_estimate(alice, bob, window, 200e-9))
+
+    explicit = counts(*explicit_path_block(src, plan, loss, detector, Basis.HV, duration,
+                                           seed=1000))
+    thinned = counts(*simulate_channel_block(resolve_channels(src, plan, loss)[0], Basis.HV,
+                                             detector, duration, seed=2000, channel_slot=0))
+    for name, a, b in zip(("alice singles", "bob singles", "coincidences", "accidentals"),
+                          explicit, thinned):
+        assert abs(a - b) < 5 * np.sqrt(a + b), f"{name}: {a} vs {b}"
 
 
 def test_simulation_matches_analytic_model():
