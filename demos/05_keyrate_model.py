@@ -10,8 +10,8 @@ from wmqkd import (AnalyticLinkModel, analytic_rates, binary_entropy,
 from wmqkd.coincidence import CountsMatrix
 from wmqkd.detection import Basis
 
-hv = CountsMatrix(Basis.HV, [[19, 481], [481, 19]], 1, 1.0)
-da = CountsMatrix(Basis.DA, [[19, 481], [481, 19]], 1, 1.0)
+hv = CountsMatrix(Basis.HV, [[19, 481], [481, 19]], 1.0)
+da = CountsMatrix(Basis.DA, [[19, 481], [481, 19]], 1.0)
 print("Count table with 3.8% erroneous coincidences:")
 print(f"  visibility {visibility(hv):.3f}, QBER {qber(hv):.3f}")
 print(f"  secure key from both bases: {secure_key(hv, da):.1f} bits "

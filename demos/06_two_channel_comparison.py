@@ -6,7 +6,7 @@ doubling the QBER and cutting the extractable key."""
 from wmqkd import CoincidenceWindow, qber, secure_key
 from wmqkd.calibration import DEFAULT_DETECTOR, FROZEN_CALIBRATION
 from wmqkd.channels import build_table1_plan
-from wmqkd.simulate import simulate_point
+from wmqkd.simulate import resolve_channels, simulate_point
 
 cal = FROZEN_CALIBRATION
 print("Frozen calibration:")
@@ -15,15 +15,12 @@ print(f"  channel systematic visibilities "
       f"{cal.v_sys_channel1:.4f} / {cal.v_sys_channel2:.4f}")
 
 print("\nSimulating 2 s at 30 dB total loss (seeded)...")
-res = simulate_point(
-    cal.source(), build_table1_plan(), loss_db=30.0,
-    detector=DEFAULT_DETECTOR, window=CoincidenceWindow(1e-9),
-    duration=2.0, seed=2024,
-    channel_visibilities=cal.channel_visibilities(),
-)
-
-pipelines = {f"ch{idx}": p for idx, p in res.channels.items()}
-pipelines["merged"] = res.merged
+chans = resolve_channels(cal.source(), build_table1_plan(), loss_db=30.0,
+                         channel_visibilities=cal.channel_visibilities())
+# One record per pipeline: each channel in plan order, then the merged one.
+res = simulate_point(chans, detector=DEFAULT_DETECTOR, window=CoincidenceWindow(1e-9),
+                     duration=2.0, seed=2024)
+pipelines = dict(zip([f"ch{c.index}" for c in chans] + ["merged"], res))
 rates = {name: secure_key(p.counts_hv, p.counts_da, 1.1)
          / (p.counts_hv.duration + p.counts_da.duration)
          for name, p in pipelines.items()}

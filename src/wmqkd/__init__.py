@@ -23,6 +23,6 @@ from .keyrate import (AnalyticLinkModel, AnalyticRates, analytic_rates,
                       binary_entropy, optimize_pair_rate,
                       optimize_pair_rates, qber, qber_threshold, scaling_curve,
                       secure_key, visibility)
-from .simulate import PointResult, simulate_point
+from .simulate import simulate_point
 
 __version__ = "0.1.0"

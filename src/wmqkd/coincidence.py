@@ -188,7 +188,6 @@ class CountsMatrix:
 
     basis: Basis
     cc: np.ndarray
-    channel_pair: int
     duration: float
 
     def __post_init__(self):
@@ -208,8 +207,7 @@ class CountsMatrix:
         return int(self.cc[0, 0] + self.cc[1, 1])
 
 
-def tabulate(matches: Matches, basis: Basis, channel_pair: int = 0,
-             duration: float | None = None) -> CountsMatrix:
+def tabulate(matches: Matches, basis: Basis, duration: float | None = None) -> CountsMatrix:
     """Tabulate matched pairs into a 2x2 joint-outcome count table.
 
     All matched tags must carry outcomes of the given basis; dark-origin
@@ -222,7 +220,7 @@ def tabulate(matches: Matches, basis: Basis, channel_pair: int = 0,
     cc = np.bincount(cell, minlength=4).reshape(2, 2)
     if duration is None:
         duration = max(matches.tags_a.duration, matches.tags_b.duration)
-    return CountsMatrix(basis, cc, channel_pair, duration)
+    return CountsMatrix(basis, cc, duration)
 
 
 def check_basis(basis: Basis, *outcomes: np.ndarray):

@@ -33,7 +33,8 @@ from .detection import Basis, DetectorConfig, side_transmittance
 from .keyrate import (AnalyticRates, analytic_rates, binary_entropy,
                       optimize_pair_rates, qber, qber_threshold, scaling_rows,
                       secure_key)
-from .simulate import PipelineResult, block_frame, resolve_channels, simulate_point
+from .simulate import (ChannelScenario, PipelineResult, block_frame, resolve_channels,
+                       simulate_point)
 from .source import SourceConfig
 
 MODES = ("montecarlo", "analytic", "both")
@@ -346,16 +347,14 @@ def _brightness_scale(config: RunConfig, loss_db: float) -> float:
 # Analytic predictions for the configured plan
 
 
-def predict_point(config: RunConfig, loss_db: float, scale: float) -> dict[str, AnalyticRates]:
-    """Refined analytic prediction for every pipeline at one loss."""
-    chans = resolve_channels(config.source, config.plan, loss_db,
-                             config.channel_visibilities, scale)
+def predict_point(config: RunConfig, chans: list[ChannelScenario]) -> list[AnalyticRates]:
+    """Refined analytic prediction for every pipeline of one loss point
+    whose channels are ``chans``: each channel's, in order, then the
+    merged baseline's when there are two or more (the order of
+    :func:`simulate_point`)."""
     preds, merged = predict_rows([c.geometry for c in chans], _q_sys(chans),
                                  config.detector, config.window, config.f_ec)
-    out = {f"ch{c.index}": p for c, p in zip(chans, preds)}
-    if len(chans) >= 2:
-        out["no_wm"] = merged
-    return out
+    return preds + [merged] if len(chans) >= 2 else preds
 
 
 def _q_sys(chans) -> list[list[float]]:
@@ -571,25 +570,28 @@ def _run_sweep(config: RunConfig, out_dir: str, name: str, columns: tuple[str, .
 def _point_rows(config: RunConfig, loss: float, wm_sum: bool,
                 warnings: list[str]) -> list[dict]:
     """One row per pipeline at one loss (each channel, then ``no_wm``),
-    plus the ``wm_sum`` row of per-channel sums when asked."""
+    plus the ``wm_sum`` row of per-channel sums when asked.
+
+    The point's channels are resolved once, at its brightness scale, and
+    that one list feeds both the prediction and the Monte Carlo, which
+    give their pipelines in the same order; the labels follow it."""
     scale = _brightness_scale(config, loss)
-    preds = predict_point(config, loss, scale)
+    chans = resolve_channels(config.source, config.plan, loss,
+                             config.channel_visibilities, scale)
+    labels = [f"ch{c.index}" for c in chans] + (["no_wm"] if len(chans) >= 2 else [])
+    preds = predict_point(config, chans)
     analytic = config.mode in ("analytic", "both")
-    mc = None
-    if config.mode in ("montecarlo", "both"):
-        mc = simulate_point(
-            config.source, config.plan, loss, config.detector, config.window,
-            config.duration, config.seed,
-            channel_visibilities=config.channel_visibilities,
-            brightness_scale=scale,
-        )
+    mc = config.mode in ("montecarlo", "both")
+    results = [None] * len(labels)
+    if mc:
+        results = simulate_point(chans, config.detector, config.window, config.duration,
+                                 config.seed)
     rows = []
-    for label, pred in preds.items():
+    for label, pred, res in zip(labels, preds, results, strict=True):
         row = {"loss_db": loss, "configuration": label, "brightness_scale": scale}
         if analytic:
             row.update(_prediction_row(pred, config.duration))
-        if mc is not None:
-            res = mc.merged if label == "no_wm" else mc.channels[int(label[2:])]
+        if mc:
             row.update(_pipeline_row(res, config.f_ec))
         if config.mode == "both":
             z = consistency_sigmas(pred, row, config.duration, config.f_ec)
@@ -608,20 +610,19 @@ def _point_rows(config: RunConfig, loss: float, wm_sum: bool,
         rows.append(row)
     if not wm_sum:
         return rows
-    # Multiplexed sum: per-channel keys added.
-    labels = [label for label in preds if label != "no_wm"]
+    # Multiplexed sum: per-channel keys added, over the first len(chans) rows.
+    n = len(chans)
     sum_row = {"loss_db": loss, "configuration": "wm_sum", "brightness_scale": scale}
     if analytic:
-        totals = [preds[l].cc_true + preds[l].cc_accidental for l in labels]
+        totals = [p.cc_true + p.cc_accidental for p in preds[:n]]
         sum_row.update({
             "cc_an": sum(t * config.duration for t in totals),
-            "qber_an": sum(preds[l].qber * t for l, t in zip(labels, totals))
-            / sum(totals),
-            "key_rate_bps_an": sum(preds[l].key_rate_per_channel for l in labels),
+            "qber_an": _weighted_qber([(p.qber, t) for p, t in zip(preds, totals)]),
+            "key_rate_bps_an": sum(p.key_rate_per_channel for p in preds[:n]),
         })
-    if mc is not None:
+    if mc:
         # The channels' rows already hold their Monte Carlo columns.
-        parts = [row for row in rows if row["configuration"] in labels]
+        parts = rows[:n]
         sum_row.update({
             "cc_mc": sum(p["cc_mc"] for p in parts),
             "qber_mc": _weighted_qber([(p["qber_mc"], p["cc_mc"]) for p in parts]),

@@ -61,9 +61,14 @@ tags near each chunk's end cross to the next chunk (the tags jitter may
 still pass, each port's last kept time for the dead time, and the tail
 of keys the matchers may still join).  A unit hands back its counts as
 arrays: each channel's, one row per channel, and the merged baseline's.
-:func:`simulate_point` runs the two units on two threads and joins each
-pipeline's HV and DA counts into its one record, a
-:class:`PipelineResult`.  Scheduling cannot change the result: every
+:func:`simulate_point` takes a point's channels as resolved once by its
+caller (:func:`resolve_channels`), runs the two units on two threads and
+joins each pipeline's HV and DA counts into its one record, a
+:class:`PipelineResult`.  The records come back as one list, in the
+order of :func:`calibration.predict_rows`: each channel's in the order
+of the channels, then the merged baseline's when there are two or more,
+so a caller pairs each record with its prediction by position.
+Scheduling cannot change the result: every
 random draw comes from a generator named by channel, block and chunk,
 and the units' counts are joined in a fixed HV-then-DA order.
 
@@ -357,14 +362,6 @@ class PipelineResult:
     accidental_rate: float
 
 
-@dataclass
-class PointResult:
-    """Monte Carlo outcome of one scenario point (one loss value)."""
-
-    channels: dict[int, PipelineResult]
-    merged: PipelineResult | None
-
-
 class _SegmentCounts:
     """The counts of one basis block of the pipelines whose keys lie in
     the slots of ``frame``, one per pipeline, fed each time chunk's keys
@@ -524,17 +521,14 @@ def _keep_freed_memory():
 
 
 def simulate_point(
-    source: SourceConfig,
-    plan: ChannelPlan,
-    loss_db: float,
+    chans: list[ChannelScenario],
     detector: DetectorConfig,
     window: CoincidenceWindow,
     duration: float,
     seed: int,
-    channel_visibilities: dict[int, tuple[float, float]] | None = None,
-    brightness_scale: float = 1.0,
-) -> PointResult:
-    """Run the full Monte Carlo pipeline at one loss value.
+) -> list[PipelineResult]:
+    """Run the full Monte Carlo pipeline at one loss point, whose channels
+    ``chans`` are resolved by the caller (:func:`resolve_channels`).
 
     Every channel pair records an HV and a DA block of ``duration / 2``
     each.  Each basis is one unit of work (:func:`simulate_basis`): it
@@ -543,7 +537,10 @@ def simulate_point(
     corresponding detectors across channels into the non-multiplexed
     baseline.  The two units run on
     two threads; numpy releases the interpreter lock in the sorts,
-    random fills and array arithmetic that make up their work.
+    random fills and array arithmetic that make up their work.  One
+    record per pipeline is returned, in the order of
+    :func:`calibration.predict_rows`: each channel of ``chans``, then the
+    merged baseline when there are two or more.
 
     Scheduling cannot change the result.  All randomness derives from
     ``seed`` through one sub-seed per channel, block and chunk, so
@@ -556,23 +553,20 @@ def simulate_point(
         raise ValueError(f"duration must be finite and > 0, got {duration}")
     block = duration / 2.0
     # Fails before any draw when the keys do not fit.
-    block_frame(block, detector, window, len(plan.pairs))
-    chans = resolve_channels(source, plan, loss_db, channel_visibilities,
-                             brightness_scale)
+    block_frame(block, detector, window, len(chans))
     _keep_freed_memory()
     with ThreadPoolExecutor(max_workers=len(_BLOCK_OF_BASIS)) as pool:
         futures = [pool.submit(simulate_basis, chans, basis, detector, window, block, seed)
                    for basis in (Basis.HV, Basis.DA)]
         (hv, hv_merged), (da, da_merged) = (f.result() for f in futures)
 
-    def pipeline(hv: _SegmentCounts, da: _SegmentCounts, i: int, pair: int):
+    def pipeline(hv: _SegmentCounts, da: _SegmentCounts, i: int):
         singles = ((hv.singles[:, i] + da.singles[:, i]) / duration).tolist()
         return PipelineResult(
-            CountsMatrix(Basis.HV, hv.cc[i], pair, block),
-            CountsMatrix(Basis.DA, da.cc[i], pair, block),
+            CountsMatrix(Basis.HV, hv.cc[i], block), CountsMatrix(Basis.DA, da.cc[i], block),
             *singles, int(hv.accidentals[i] + da.accidentals[i]) / duration)
 
-    return PointResult(
-        channels={ch.index: pipeline(hv, da, i, ch.index) for i, ch in enumerate(chans)},
-        merged=None if hv_merged is None else pipeline(hv_merged, da_merged, 0, 0),
-    )
+    out = [pipeline(hv, da, i) for i in range(len(chans))]
+    if hv_merged is not None:
+        out.append(pipeline(hv_merged, da_merged, 0))
+    return out

@@ -271,9 +271,9 @@ def test_tag_past_the_record_margin_raises():
 def test_point_of_no_channels_is_empty():
     plan = build_grid_plan(805.0, 815.0, 400e9, 50e9, 810.05)[0]
     empty = type(plan)([], plan.spdc_center, plan.tolerance)
-    result = simulate.simulate_point(FROZEN_CALIBRATION.source(), empty, 30.0,
-                                     DEFAULT_DETECTOR, CoincidenceWindow(1e-9), 0.01, 1)
-    assert result.channels == {} and result.merged is None
+    chans = resolve_channels(FROZEN_CALIBRATION.source(), empty, 30.0)
+    assert simulate.simulate_point(chans, DEFAULT_DETECTOR, CoincidenceWindow(1e-9),
+                                   0.01, 1) == []
 
 
 @given(st.lists(st.lists(st.integers(0, 120), max_size=30).map(sorted), min_size=1,

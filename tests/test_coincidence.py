@@ -220,12 +220,12 @@ def test_tabulate_rejects_wrong_basis():
 
 
 def test_counts_matrix_validation():
-    c = CountsMatrix(Basis.HV, [[1, 2], [3, 4]], 1, 1.0)
+    c = CountsMatrix(Basis.HV, [[1, 2], [3, 4]], 1.0)
     assert c.total == 10 and c.erroneous == 5
     with pytest.raises(ValueError):
-        CountsMatrix(Basis.HV, [[-1, 0], [0, 0]], 1, 1.0)
+        CountsMatrix(Basis.HV, [[-1, 0], [0, 0]], 1.0)
     with pytest.raises(ValueError):
-        CountsMatrix(Basis.HV, [[1, 2, 3], [4, 5, 6]], 1, 1.0)
+        CountsMatrix(Basis.HV, [[1, 2, 3], [4, 5, 6]], 1.0)
 
 
 def test_accidental_estimate_poisson_product():

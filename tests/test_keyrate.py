@@ -16,7 +16,7 @@ from dataclasses import replace
 
 
 def counts(hh, hv, vh, vv, basis=Basis.HV, duration=1.0):
-    return CountsMatrix(basis, [[hh, hv], [vh, vv]], 1, duration)
+    return CountsMatrix(basis, [[hh, hv], [vh, vv]], duration)
 
 
 def h2_direct(x):

@@ -29,7 +29,7 @@ from wmqkd.runner import (_FIELD_RULES, _NESTED, BRIGHTNESS_POLICIES, MODES, SCE
                           consistency_sigmas, default_config, load_config,
                           near_saturation_scale, predict_point, run_custom,
                           run_fig3b, run_fig3d, run_scenario, within_4_sigma)
-from wmqkd.simulate import PipelineResult
+from wmqkd.simulate import PipelineResult, resolve_channels, simulate_point
 
 
 def read(path):
@@ -370,9 +370,10 @@ def test_fitted_visibilities_apply_to_the_table1_plan_only():
     # Every grid channel gets the source's systematic visibility, so
     # neighbouring channels of similar brightness predict similar QBERs
     # (the table-1 fit gave grid channel 2 five times its neighbours').
-    preds = predict_point(cfg, 30.0, 1.0)
-    assert preds["ch1"].qber == pytest.approx(preds["ch2"].qber, rel=0.2)
-    assert preds["ch2"].qber == pytest.approx(preds["ch3"].qber, rel=0.2)
+    preds = predict_point(cfg, resolve_channels(cfg.source, cfg.plan, 30.0,
+                                                cfg.channel_visibilities))
+    assert preds[0].qber == pytest.approx(preds[1].qber, rel=0.2)
+    assert preds[1].qber == pytest.approx(preds[2].qber, rel=0.2)
 
 
 def test_config_to_dict_is_json_serializable():
@@ -426,7 +427,8 @@ def test_delayed_window_clears_true_partners_in_wide_windows(tmp_path):
         "scenario": "custom", "plan": "table1", "loss_grid_db": [30.0], "duration": 1.0,
         "seed": 3, "brightness": 0.01, "detector": {"dark_rate": 0.0},
         "window": {"t_c": 1e-6}})
-    preds = predict_point(cfg, 30.0, 0.01)
+    preds = dict(zip(("ch1", "ch2", "no_wm"), predict_point(cfg, resolve_channels(
+        cfg.source, cfg.plan, 30.0, cfg.channel_visibilities, 0.01))))
     for row in run_custom(cfg, str(tmp_path))["rows"]:
         expected = preds[row["configuration"]].cc_accidental * cfg.duration
         assert expected > 40
@@ -435,8 +437,8 @@ def test_delayed_window_clears_true_partners_in_wide_windows(tmp_path):
 
 
 def test_pipeline_row_reads_the_monte_carlo_record():
-    hv = CountsMatrix(Basis.HV, [[19, 481], [481, 19]], 1, 1.0)
-    da = CountsMatrix(Basis.DA, [[10, 490], [490, 10]], 1, 1.0)
+    hv = CountsMatrix(Basis.HV, [[19, 481], [481, 19]], 1.0)
+    da = CountsMatrix(Basis.DA, [[10, 490], [490, 10]], 1.0)
     row = _pipeline_row(PipelineResult(hv, da, 1e5, 1.2e5, 42.0), 1.1)
     assert row["cc_mc"] == 2000
     assert row["qber_mc"] == pytest.approx(0.029)
@@ -444,6 +446,62 @@ def test_pipeline_row_reads_the_monte_carlo_record():
     assert row["key_rate_bps_mc"] > 0
     assert (row["singles_alice_mc"], row["singles_bob_mc"],
             row["accidentals_per_s_mc"]) == (1e5, 1.2e5, 42.0)
+
+
+def test_each_row_reads_its_own_pipeline(tmp_path):
+    # The table-1 geometry with its channels renumbered 7 and 3, so that
+    # the plan's order is not the order of the indices: each row holds
+    # the record of its own pipeline, and no_wm the merged one.
+    plan = plan_to_dict(build_table1_plan())
+    plan["pairs"][0]["index"], plan["pairs"][1]["index"] = 7, 3
+    cfg = config_from_dict({"scenario": "custom", "mode": "both", "duration": 0.1,
+                            "seed": 11, "loss_grid_db": [30.0], "plan": plan})
+    rows = {r["configuration"]: r for r in run_custom(cfg, str(tmp_path))["rows"]}
+    chans = resolve_channels(cfg.source, cfg.plan, 30.0, cfg.channel_visibilities)
+    assert [c.index for c in chans] == [7, 3]
+    results = simulate_point(chans, cfg.detector, cfg.window, cfg.duration, cfg.seed)
+    labels = ["ch7", "ch3", "no_wm"]
+    assert sorted(rows) == sorted(labels)
+    for label, res, pred in zip(labels, results, predict_point(cfg, chans), strict=True):
+        row = rows[label]
+        assert row["cc_mc"] == res.counts_hv.total + res.counts_da.total
+        assert (row["singles_alice_mc"], row["singles_bob_mc"]) \
+            == (res.singles_alice, res.singles_bob)
+        assert row["cc_an"] == (pred.cc_true + pred.cc_accidental) * cfg.duration
+    # The two channels differ, so a swapped pair of rows would show.
+    assert rows["ch7"]["singles_alice_mc"] != rows["ch3"]["singles_alice_mc"]
+
+
+def test_a_calibrated_point_resolves_its_channels_once(tmp_path, monkeypatch):
+    import wmqkd.runner
+    import wmqkd.simulate
+    losses = []
+    real = wmqkd.simulate.resolve_channels
+
+    def counted(source, plan, loss_db, *args, **kwargs):
+        losses.append(loss_db)
+        return real(source, plan, loss_db, *args, **kwargs)
+
+    monkeypatch.setattr(wmqkd.runner, "resolve_channels", counted)
+    monkeypatch.setattr(wmqkd.simulate, "resolve_channels", counted)
+    cfg = RunConfig(scenario="fig3b", seed=3, mode="both", duration=0.05,
+                    loss_grid_db=(30.0, 40.0))
+    run_fig3b(cfg, str(tmp_path))
+    assert losses == [30.0, 40.0]
+
+
+@pytest.mark.parametrize("mode", ["analytic", "both"])
+def test_wm_sum_of_a_point_without_coincidences(tmp_path, mode):
+    # At 7000 dB without darks no pipeline predicts a coincidence: the
+    # channels' analytic QBER is NaN, and so is the sum's, with no key.
+    cfg = config_from_dict({"scenario": "fig3b", "mode": mode, "loss_grid_db": [7000.0],
+                            "detector": {"dark_rate": 0.0}})
+    rows = {r["configuration"]: r for r in run_fig3b(cfg, str(tmp_path))["rows"]}
+    assert sorted(rows) == ["ch1", "ch2", "no_wm", "wm_sum"]
+    assert all(math.isnan(r["qber_an"]) for r in rows.values())
+    assert rows["wm_sum"]["key_rate_bps_an"] == 0
+    lines = read(tmp_path / "fig3b_curve.csv").decode().splitlines()
+    assert len(lines) == 2 + len(rows)
 
 
 def test_within_4_sigma_judges_defined_z_scores():
@@ -564,10 +622,11 @@ def test_partial_results_flushed_on_failure(tmp_path, monkeypatch):
     calls = {"n": 0}
     orig = runner_mod.predict_point
 
-    def boom(config, loss, scale):
-        if loss == 30.0:
+    def boom(config, chans):
+        calls["n"] += 1
+        if calls["n"] == 2:    # the 30 dB point
             raise RuntimeError("synthetic failure")
-        return orig(config, loss, scale)
+        return orig(config, chans)
 
     monkeypatch.setattr(runner_mod, "predict_point", boom)
     with pytest.raises(RuntimeError):

@@ -110,8 +110,8 @@ def test_thinned_sampler_matches_explicit_path_statistics():
                        ("coincidences", len(m_e), len(m_t))):
         sigma = np.sqrt(a + b)
         assert abs(a - b) < 5 * sigma, f"{name}: {a} vs {b}"
-    q_e = tabulate(m_e, Basis.HV, 1).erroneous / len(m_e)
-    q_t = tabulate(m_t, Basis.HV, 1).erroneous / len(m_t)
+    q_e = tabulate(m_e, Basis.HV).erroneous / len(m_e)
+    q_t = tabulate(m_t, Basis.HV).erroneous / len(m_t)
     sig_q = np.sqrt(q_e * (1 - q_e) / len(m_e) + q_t * (1 - q_t) / len(m_t))
     assert abs(q_e - q_t) < 5 * sig_q
 
@@ -224,9 +224,9 @@ def test_simulation_matches_analytic_model():
     window = CoincidenceWindow(t_c)
     loss, duration = 16.0, 2.0
 
-    res = simulate_point(src, plan, loss, detector, window, duration, seed=31)
-    r = res.channels[1]
-    b = resolve_channels(src, plan, loss)[0].pair_rate_in_band
+    chans = resolve_channels(src, plan, loss)
+    [r] = simulate_point(chans, detector, window, duration, seed=31)
+    b = chans[0].pair_rate_in_band
     eta = 10 ** (-(loss / 2) / 10) * detector.efficiency
     model = AnalyticLinkModel(
         pair_rate_in_band=b, transmittance_alice=eta, transmittance_bob=eta,
@@ -255,34 +255,30 @@ def test_merged_pipeline_error_excess():
     # settings: merging doubles each side's singles rate, quadrupling
     # accidentals while only doubling true pairs.
     cal = FROZEN_CALIBRATION
-    res = simulate_point(cal.source(), build_table1_plan(), 30.0,
-                         DEFAULT_DETECTOR, CoincidenceWindow(1e-9),
-                         duration=0.5, seed=77,
-                         channel_visibilities=cal.channel_visibilities())
+    chans = resolve_channels(cal.source(), build_table1_plan(), 30.0,
+                             cal.channel_visibilities())
+    res = simulate_point(chans, DEFAULT_DETECTOR, CoincidenceWindow(1e-9),
+                         duration=0.5, seed=77)
     def err_counts(p):
         return (p.counts_hv.erroneous + p.counts_da.erroneous,
                 p.counts_hv.total + p.counts_da.total)
-    e1, n1 = err_counts(res.channels[1])
-    e2, n2 = err_counts(res.channels[2])
-    em, nm = err_counts(res.merged)
+    (e1, n1), (e2, n2), (em, nm) = map(err_counts, res)
     assert em / nm > (e1 + e2) / (n1 + n2)
     assert em / nm > e1 / n1
 
 
 def test_simulation_deterministic():
     cal = FROZEN_CALIBRATION
-    kwargs = dict(channel_visibilities=cal.channel_visibilities())
-    a = simulate_point(cal.source(), build_table1_plan(), 35.0, DEFAULT_DETECTOR,
-                       CoincidenceWindow(1e-9), 0.1, seed=5, **kwargs)
-    b = simulate_point(cal.source(), build_table1_plan(), 35.0, DEFAULT_DETECTOR,
-                       CoincidenceWindow(1e-9), 0.1, seed=5, **kwargs)
-    c = simulate_point(cal.source(), build_table1_plan(), 35.0, DEFAULT_DETECTOR,
-                       CoincidenceWindow(1e-9), 0.1, seed=6, **kwargs)
-    for idx in a.channels:
-        assert np.array_equal(a.channels[idx].counts_hv.cc, b.channels[idx].counts_hv.cc)
-        assert np.array_equal(a.channels[idx].counts_da.cc, b.channels[idx].counts_da.cc)
-    assert np.array_equal(a.merged.counts_hv.cc, b.merged.counts_hv.cc)
-    assert not np.array_equal(a.channels[1].counts_hv.cc, c.channels[1].counts_hv.cc)
+    chans = resolve_channels(cal.source(), build_table1_plan(), 35.0,
+                             cal.channel_visibilities())
+    a = simulate_point(chans, DEFAULT_DETECTOR, CoincidenceWindow(1e-9), 0.1, seed=5)
+    b = simulate_point(chans, DEFAULT_DETECTOR, CoincidenceWindow(1e-9), 0.1, seed=5)
+    c = simulate_point(chans, DEFAULT_DETECTOR, CoincidenceWindow(1e-9), 0.1, seed=6)
+    for i in range(len(chans)):
+        assert np.array_equal(a[i].counts_hv.cc, b[i].counts_hv.cc)
+        assert np.array_equal(a[i].counts_da.cc, b[i].counts_da.cc)
+    assert np.array_equal(a[-1].counts_hv.cc, b[-1].counts_hv.cc)
+    assert not np.array_equal(a[0].counts_hv.cc, c[0].counts_hv.cc)
 
 
 def test_channel_results_independent_of_companions():
@@ -298,12 +294,10 @@ def test_channel_results_independent_of_companions():
         == [Chunk(0, 0.0, 0.05, None)]
     solo_alice, solo_bob = simulate_channel_block(chans[1], Basis.HV, DEFAULT_DETECTOR,
                                                   0.05, seed=9, channel_slot=1)
-    full = simulate_point(src, plan, 30.0, DEFAULT_DETECTOR,
-                          CoincidenceWindow(1e-9), 0.1, seed=9,
-                          channel_visibilities=cal.channel_visibilities())
+    full = simulate_point(chans, DEFAULT_DETECTOR, CoincidenceWindow(1e-9), 0.1, seed=9)
     m = find_coincidences(solo_alice, solo_bob, CoincidenceWindow(1e-9))
-    counts_solo = tabulate(m, Basis.HV, 2)
-    assert np.array_equal(counts_solo.cc, full.channels[2].counts_hv.cc)
+    counts_solo = tabulate(m, Basis.HV)
+    assert np.array_equal(counts_solo.cc, full[1].counts_hv.cc)
 
 
 def sequential_point(src, plan, loss, duration, seed, **kwargs):
@@ -349,23 +343,21 @@ def test_threaded_point_equals_sequential_units(plan_of, kwargs, merged):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threaded = simulate_point(src, plan, loss, DEFAULT_DETECTOR,
-                                  CoincidenceWindow(1e-9), duration, seed, **kwargs)
+        chans = resolve_channels(src, plan, loss, **kwargs)
+        threaded = simulate_point(chans, DEFAULT_DETECTOR, CoincidenceWindow(1e-9),
+                                  duration, seed)
     finally:
         sys.setswitchinterval(interval)
     want = sequential_point(src, plan, loss, duration, seed, **kwargs)
-    got = dict(threaded.channels)
-    if merged:
-        got["merged"] = threaded.merged
-    else:
-        assert threaded.merged is None
+    keys = [ch.index for ch in chans] + (["merged"] if merged else [])
+    assert len(threaded) == len(keys) == len(want)
+    got = dict(zip(keys, threaded))
     assert set(got) == set(want)
     for key, r in got.items():
         counts, singles_a, singles_b, acc = want[key]
         for have, basis, cc in zip((r.counts_hv, r.counts_da), (Basis.HV, Basis.DA), counts):
             assert have.basis == basis
             assert np.array_equal(have.cc, cc)
-            assert have.channel_pair == (0 if key == "merged" else key)
             assert have.duration == duration / 2.0
         assert r.singles_alice == singles_a
         assert r.singles_bob == singles_b
@@ -384,9 +376,9 @@ def test_error_in_a_basis_unit_reaches_the_caller(monkeypatch):
     before = threading.active_count()
     cal = FROZEN_CALIBRATION
     with pytest.raises(RuntimeError, match="DA block"):
-        simulate_point(cal.source(), build_table1_plan(), 30.0, DEFAULT_DETECTOR,
-                       CoincidenceWindow(1e-9), 0.05, seed=3,
-                       channel_visibilities=cal.channel_visibilities())
+        simulate_point(resolve_channels(cal.source(), build_table1_plan(), 30.0,
+                                        cal.channel_visibilities()),
+                       DEFAULT_DETECTOR, CoincidenceWindow(1e-9), 0.05, seed=3)
     assert threading.active_count() == before
 
 
@@ -399,7 +391,7 @@ def test_ticks_past_the_packed_key_range_rejected(monkeypatch):
     monkeypatch.setattr(wmqkd.simulate, "simulate_basis", no_simulation)
     cal = FROZEN_CALIBRATION
     with pytest.raises(ValueError, match=r"2\*\*60"):
-        simulate_point(cal.source(), build_table1_plan(), 30.0,
+        simulate_point(resolve_channels(cal.source(), build_table1_plan(), 30.0),
                        DetectorConfig(tick=1e-18), CoincidenceWindow(1e-9), 10.0, seed=3)
 
 
@@ -408,13 +400,14 @@ def test_peak_memory_is_flat_in_duration():
     # times the duration may not peak much higher.  At 30 dB the two
     # durations split each block into 1 and 4 chunks of equal length.
     cal = FROZEN_CALIBRATION
+    chans = resolve_channels(cal.source(), build_table1_plan(), 30.0,
+                             cal.channel_visibilities())
 
     def traced_peak(duration):
         tracemalloc.start()
         try:
-            simulate_point(cal.source(), build_table1_plan(), 30.0, DEFAULT_DETECTOR,
-                           CoincidenceWindow(1e-9), duration, seed=8,
-                           channel_visibilities=cal.channel_visibilities())
+            simulate_point(chans, DEFAULT_DETECTOR, CoincidenceWindow(1e-9), duration,
+                           seed=8)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -498,9 +491,9 @@ class FakeLibc:
 
 def short_point(seed=3):
     cal = FROZEN_CALIBRATION
-    return simulate_point(cal.source(), build_table1_plan(), 30.0, DEFAULT_DETECTOR,
-                          CoincidenceWindow(1e-9), 0.05, seed=seed,
-                          channel_visibilities=cal.channel_visibilities())
+    return simulate_point(resolve_channels(cal.source(), build_table1_plan(), 30.0,
+                                           cal.channel_visibilities()),
+                          DEFAULT_DETECTOR, CoincidenceWindow(1e-9), 0.05, seed=seed)
 
 
 def test_point_keeps_freed_memory_once_before_the_units(monkeypatch):
@@ -546,11 +539,10 @@ def test_point_runs_without_mallopt(monkeypatch, cdll):
     monkeypatch.setattr(ctypes, "CDLL", cdll)
     got = short_point()
     assert wmqkd.simulate._freed_memory_kept
-    for idx in want.channels:
-        assert np.array_equal(got.channels[idx].counts_hv.cc, want.channels[idx].counts_hv.cc)
-        assert np.array_equal(got.channels[idx].counts_da.cc, want.channels[idx].counts_da.cc)
-    assert np.array_equal(got.merged.counts_hv.cc, want.merged.counts_hv.cc)
-    assert np.array_equal(got.merged.counts_da.cc, want.merged.counts_da.cc)
+    assert len(want) == 3    # both channels, then the merged baseline
+    for g, w in zip(got, want, strict=True):
+        assert np.array_equal(g.counts_hv.cc, w.counts_hv.cc)
+        assert np.array_equal(g.counts_da.cc, w.counts_da.cc)
 
 
 def test_window_efficiency_formula():
